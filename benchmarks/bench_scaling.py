@@ -109,7 +109,7 @@ def test_parallel_jobs_and_cache_sweep(tmp_path_factory):
         output = result.to_json()
         if baseline is None:
             baseline, base_total = output, done - start
-            trace_count = len(bundle.traces)
+            trace_count = bundle.health.ingest.parsed
         else:
             assert output == baseline, f"jobs={jobs} diverged from serial"
         rows.append(

@@ -294,9 +294,8 @@ def _load_bundle_checked(args, obs=None, graph_only=False):
 
     Prints the ingest health summary to stderr; returns None (caller
     exits with EXIT_BUDGET_EXCEEDED) when the error budget is blown.
-    *graph_only* opts into the fused streaming loader when worker
-    shards are in play (the ``run`` command — the only one that never
-    needs trace objects).
+    *graph_only* opts into the fused streaming loader (the ``run``
+    command — the only one that never needs trace objects).
     """
     from repro.obs import NULL_OBS
 

@@ -282,8 +282,8 @@ def run_mapit_graph(
 ) -> MapItResult:
     """Run MAP-IT over a pre-built interface graph.
 
-    The tail of the fused parallel loader (docs/PERFORMANCE.md): the
-    graph was already built at load time, so this skips sanitize/build
+    The tail of the fused loader (docs/PERFORMANCE.md): the graph was
+    already built at load time, so this skips sanitize/build
     and, before the passes start, warms the engine's origin cache with
     one sorted batched LPM sweep over every address the passes can
     query (``Engine.prime_origins``) — amortizing ip2as resolution per

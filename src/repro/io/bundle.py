@@ -46,10 +46,11 @@ class InputBundle:
     ``hostnames`` are optional evaluation extras.  ``health`` reports
     what loaded cleanly, what degraded, and what was rejected.
 
-    When the bundle was loaded with ``graph_only=True`` and worker
-    shards, ``graph`` holds the interface graph the fused loader built
-    and ``traces`` is empty — the graph is all the inference passes
-    need, and the trace objects were deliberately never materialized
+    When the bundle was loaded with ``graph_only=True`` (any ``jobs``),
+    ``graph`` holds the interface graph the fused loader built and
+    ``traces`` is empty — the graph is all the inference passes need,
+    and the trace objects were deliberately never materialized; the
+    parsed-record count is ``health.ingest.parsed``
     (docs/PERFORMANCE.md).
     """
 
@@ -160,17 +161,17 @@ def _ingest_traces_cached(
     byte-identical ``--trace`` output, and the entry's format version
     is surfaced in *health* (``cache: hit`` in the summary).
 
-    With *graph_only* true and ``jobs > 1`` the fused streaming path
-    runs instead: workers parse + sanitize + fold their shard and only
-    counter bundles cross the fork boundary, so ``traces`` comes back
-    empty and ``graph`` pre-built (docs/PERFORMANCE.md).  A warm hit on
-    a v2 (columnar) entry feeds the flat fold directly without ever
-    materializing trace objects.
+    With *graph_only* true the fused streaming path runs instead, at
+    every *jobs*: each shard parses + sanitizes + folds its text
+    straight to integer neighbor tables (``jobs=1`` is one inline
+    shard, no fork) and only counter bundles cross the fork boundary,
+    so ``traces`` comes back empty and ``graph`` pre-built
+    (docs/PERFORMANCE.md).  A warm hit on a v2 (columnar) entry feeds
+    the flat fold directly without ever materializing trace objects.
     """
     from repro.robust.ingest import finalize_ingest
     from repro.traceroute.parse import trace_format_for_path
 
-    fused = graph_only and jobs > 1
     bundle_cache = None
     source_sha = None
     format = trace_format_for_path(traces_path.name)
@@ -192,7 +193,7 @@ def _ingest_traces_cached(
             with obs.span("ingest"):
                 pass
             report = finalize_ingest(report, [], obs=obs)
-            if fused:
+            if graph_only:
                 from repro.perf.graph import build_graph_flat, build_graph_parallel
 
                 if hit.flat is not None:
@@ -205,7 +206,7 @@ def _ingest_traces_cached(
                     )
                 return [], report, graph
             return hit.traces(), report, None
-    if fused:
+    if graph_only:
         from repro.perf.ingest import stream_graph_from_file
 
         graph, report, payload = stream_graph_from_file(
@@ -284,12 +285,12 @@ def load_bundle(
     (docs/PERFORMANCE.md).  Both are optimizations only: traces,
     report, and observability events are identical either way.
 
-    *graph_only* (with ``jobs > 1``) opts into the fused streaming
-    loader: the returned bundle carries a pre-built interface ``graph``
-    and an *empty* ``traces`` list — parsed traces never cross the fork
-    boundary.  Only callers that don't need trace objects (the ``run``
-    pipeline) should ask for it; evaluation and reporting paths keep
-    the default.
+    *graph_only* opts into the fused streaming loader at any *jobs*:
+    the returned bundle carries a pre-built interface ``graph`` and an
+    *empty* ``traces`` list — no trace objects are built, in the parent
+    or in a worker.  Only callers that don't need trace objects (the
+    ``run`` pipeline) should ask for it; evaluation and reporting paths
+    keep the default.
     """
     root = Path(directory)
     health = BundleHealth()

@@ -4,8 +4,10 @@ Everything in this package is an *optimization*, never a semantic
 change: the sharded ingester and graph builder produce byte-identical
 results to their serial twins (``tests/test_parallel_equivalence.py``
 holds them to it), and the cache only short-circuits parses it can
-prove — by checksum — would reproduce what is stored.  The serial path
-(``jobs=1``, no cache) never imports this package.
+prove — by checksum — would reproduce what is stored.  The object
+loaders at ``jobs=1`` with no cache (``evaluate``/``explain``/``report``,
+journaled runs) never import this package; every other ``mapit run``
+loads through its fused loader, ``jobs=1`` as one inline shard.
 
 Entry points:
 
@@ -14,8 +16,9 @@ Entry points:
 * :func:`repro.perf.ingest.ingest_trace_file_parallel` — sharded trace
   parsing under the strict/lenient/quarantine policies;
 * :func:`repro.perf.ingest.stream_graph_from_file` — the fused
-  streaming loader (parse + sanitize + neighbor fold in one fork;
-  only counter bundles cross the process boundary);
+  streaming loader (parse + sanitize + neighbor fold in one pass per
+  shard, with no trace objects; only counter bundles cross the
+  process boundary);
 * :func:`repro.perf.graph.build_graph_parallel` /
   :func:`~repro.perf.graph.build_graph_flat` — sharded sanitize +
   neighbor-set construction over trace objects or columnar blocks;

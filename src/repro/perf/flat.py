@@ -14,11 +14,14 @@ sharded execution layer moves around instead:
   serializes to a self-describing binary block (the ``.mapitc`` v2
   cache payload), and supports O(1) slicing into trace index ranges so
   workers can decode or fold *their shard only*.
+* :class:`FlatWriter` — the one column encoder, behind
+  :func:`pack_traces` and the fused text loader's cache payload.
 * :func:`accumulate_flat` — the §4.1 sanitize + §4.3 neighbor-set fold
   executed directly over the columns, producing exactly the tallies of
   ``sanitize_traces`` + ``accumulate_neighbors`` without materializing
   a single ``Hop`` (property-tested against the object kernel in
-  ``tests/test_perf_flat.py``).
+  ``tests/test_perf_flat.py``).  Its per-trace cycle check and fold,
+  :func:`fold_addresses`, is shared with the fused text loader.
 * :func:`encode_table` / :func:`merge_table_blob` /
   :func:`encode_addresses` / :func:`merge_address_blob` — the counter
   bundle codec: neighbor tables and address sets as packed ``uint32``
@@ -229,56 +232,94 @@ def _check_i64(value: int, what: str) -> int:
     return value
 
 
-def pack_traces(traces: Sequence[Trace]) -> FlatTraces:
-    """Encode parsed traces into columns.
+class FlatWriter:
+    """Appends parsed traces to :class:`FlatTraces` columns.
 
-    O(total hops); one pass, no intermediate objects beyond the column
-    arrays.  Raises :class:`FlatEncodeError` when a field falls outside
-    the binary ranges (u32 addresses, i64 TTL/flow) — callers degrade
-    to the object path.
+    The one encoder behind :func:`pack_traces` and the fused text
+    loader (:mod:`repro.perf.ingest`), which writes records straight
+    from text without building :class:`Trace` objects: both go through
+    :meth:`add`, so they produce identical bytes under identical range
+    checks.  O(hops) over all :meth:`add` calls.
     """
-    monitor_off = array(U32, [0])
-    monitor_parts: List[bytes] = []
-    monitors_len = 0
-    dst = array(U32)
-    flow = array(I64)
-    hop_start = array(U32, [0])
-    hop_flags = array(U8)
-    hop_addr = array(U32)
-    hop_quoted = array(I64)
-    hop_rtt = array(F64)
-    n_hops = 0
-    for trace in traces:
-        encoded = trace.monitor.encode("utf-8")
-        monitors_len += len(encoded)
-        _check_u32(monitors_len, "monitor offset")
-        monitor_parts.append(encoded)
-        monitor_off.append(monitors_len)
-        dst.append(_check_u32(trace.dst, "destination address"))
-        flow.append(_check_i64(trace.flow_id, "flow id"))
-        for hop in trace.hops:
-            if hop.address is None:
+
+    def __init__(self) -> None:
+        self._monitor_off = array(U32, [0])
+        self._monitor_parts: List[bytes] = []
+        self._monitors_len = 0
+        self._dst = array(U32)
+        self._flow = array(I64)
+        self._hop_start = array(U32, [0])
+        self._hop_flags = array(U8)
+        self._hop_addr = array(U32)
+        self._hop_quoted = array(I64)
+        self._hop_rtt = array(F64)
+        self._hops = 0
+
+    def add(
+        self,
+        monitor: str,
+        dst: int,
+        flow: int,
+        hops: Sequence[Tuple[Optional[int], int, float]],
+    ) -> None:
+        """Append one trace; *hops* are ``(address or None, quoted_ttl,
+        rtt_ms)`` tuples.  Raises :class:`FlatEncodeError` when a field
+        falls outside the binary ranges (u32 addresses, i64 TTL/flow),
+        after which the writer must be discarded."""
+        encoded = monitor.encode("utf-8")
+        self._monitors_len += len(encoded)
+        _check_u32(self._monitors_len, "monitor offset")
+        self._monitor_parts.append(encoded)
+        self._monitor_off.append(self._monitors_len)
+        self._dst.append(_check_u32(dst, "destination address"))
+        self._flow.append(_check_i64(flow, "flow id"))
+        hop_flags, hop_addr = self._hop_flags, self._hop_addr
+        hop_quoted, hop_rtt = self._hop_quoted, self._hop_rtt
+        for address, quoted, rtt in hops:
+            if address is None:
                 hop_flags.append(0)
                 hop_addr.append(0)
             else:
                 hop_flags.append(_RESPONDED)
-                hop_addr.append(_check_u32(hop.address, "hop address"))
-            hop_quoted.append(_check_i64(hop.quoted_ttl, "quoted TTL"))
-            hop_rtt.append(float(hop.rtt_ms))
-        n_hops += len(trace.hops)
-        _check_u32(n_hops, "hop count")
-        hop_start.append(n_hops)
-    return FlatTraces(
-        monitor_off=monitor_off,
-        monitors=b"".join(monitor_parts),
-        dst=dst,
-        flow=flow,
-        hop_start=hop_start,
-        hop_flags=hop_flags,
-        hop_addr=hop_addr,
-        hop_quoted=hop_quoted,
-        hop_rtt=hop_rtt,
-    )
+                hop_addr.append(_check_u32(address, "hop address"))
+            hop_quoted.append(_check_i64(quoted, "quoted TTL"))
+            hop_rtt.append(float(rtt))
+        self._hops += len(hops)
+        _check_u32(self._hops, "hop count")
+        self._hop_start.append(self._hops)
+
+    def finish(self) -> FlatTraces:
+        """The columns written so far, as one :class:`FlatTraces`."""
+        return FlatTraces(
+            monitor_off=self._monitor_off,
+            monitors=b"".join(self._monitor_parts),
+            dst=self._dst,
+            flow=self._flow,
+            hop_start=self._hop_start,
+            hop_flags=self._hop_flags,
+            hop_addr=self._hop_addr,
+            hop_quoted=self._hop_quoted,
+            hop_rtt=self._hop_rtt,
+        )
+
+
+def pack_traces(traces: Sequence[Trace]) -> FlatTraces:
+    """Encode parsed traces into columns.
+
+    O(total hops); one pass, no intermediate objects beyond the column
+    arrays and one tuple per hop.  Raises :class:`FlatEncodeError` when
+    a field falls outside the binary ranges (u32 addresses, i64
+    TTL/flow) — callers degrade to the object path.
+    """
+    writer = FlatWriter()
+    for trace in traces:
+        writer.add(
+            trace.monitor,
+            trace.dst,
+            trace.flow_id,
+            [(hop.address, hop.quoted_ttl, hop.rtt_ms) for hop in trace.hops],
+        )
+    return writer.finish()
 
 
 def unpack_traces(
@@ -392,54 +433,73 @@ def accumulate_flat(
     for index in range(start, end):
         first, last = hop_start[index], hop_start[index + 1]
         addresses: List[Optional[int]] = []
-        buggy_here = 0
         for i in range(first, last):
             if flags[i] & _RESPONDED:
                 address = addr_column[i]
                 universe.add(address)
                 if quoted[i] == 0:
-                    buggy_here += 1
+                    buggy += 1
                     addresses.append(None)
                 else:
                     addresses.append(address)
             else:
                 addresses.append(None)
-        buggy += buggy_here
-        last_position: Dict[int, int] = {}
-        cycle = False
-        for position, address in enumerate(addresses):
-            if address is None:
-                continue
-            previous = last_position.get(address)
-            if previous is not None and position - previous > 1:
-                cycle = True
-                break
-            last_position[address] = position
-        if cycle:
+        if fold_addresses(addresses, forward, backward, seen, is_special, dirty):
+            retained += 1
+        else:
             discarded += 1
-            continue
-        retained += 1
-        previous_address: Optional[int] = None
-        for address in addresses:
-            if address is None or is_special(address):
-                previous_address = None
-                continue
-            seen.add(address)
-            if previous_address is not None:
-                if dirty is None:
-                    forward.setdefault(previous_address, set()).add(address)
-                    backward.setdefault(address, set()).add(previous_address)
-                else:
-                    members = forward.setdefault(previous_address, set())
-                    if address not in members:
-                        members.add(address)
-                        dirty.add((previous_address, True))
-                    members = backward.setdefault(address, set())
-                    if previous_address not in members:
-                        members.add(previous_address)
-                        dirty.add((address, False))
-            previous_address = address
     return retained, discarded, buggy
+
+
+def fold_addresses(
+    addresses: List[Optional[int]],
+    forward: Dict[int, Set[int]],
+    backward: Dict[int, Set[int]],
+    seen: Set[int],
+    is_special: Callable[[int], bool],
+    dirty: Optional[Set[Tuple[int, bool]]] = None,
+) -> bool:
+    """The §4.1 cycle check and §4.3 neighbor fold of one trace.
+
+    *addresses* are the trace's hop addresses after the TTL-0 strip,
+    ``None`` for a gap.  A trace with an interface cycle (the same
+    address twice, more than one position apart) folds nothing and
+    returns ``False`` (discarded); otherwise its adjacency folds into
+    *forward*/*backward* — gaps and special addresses break adjacency,
+    and special addresses stay out of *seen* — and it returns ``True``
+    (retained).  *dirty* as in :func:`accumulate_flat`.  The integer
+    kernel shared by :func:`accumulate_flat` and the fused text loader;
+    O(hops).
+    """
+    last_position: Dict[int, int] = {}
+    for position, address in enumerate(addresses):
+        if address is None:
+            continue
+        previous = last_position.get(address)
+        if previous is not None and position - previous > 1:
+            return False
+        last_position[address] = position
+    previous_address: Optional[int] = None
+    for address in addresses:
+        if address is None or is_special(address):
+            previous_address = None
+            continue
+        seen.add(address)
+        if previous_address is not None:
+            if dirty is None:
+                forward.setdefault(previous_address, set()).add(address)
+                backward.setdefault(address, set()).add(previous_address)
+            else:
+                members = forward.setdefault(previous_address, set())
+                if address not in members:
+                    members.add(address)
+                    dirty.add((previous_address, True))
+                members = backward.setdefault(address, set())
+                if previous_address not in members:
+                    members.add(previous_address)
+                    dirty.add((address, False))
+        previous_address = address
+    return True
 
 
 # ----------------------------------------------------------------------

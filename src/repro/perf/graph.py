@@ -35,6 +35,7 @@ Two worker kernels share the bundle shape:
 
 from __future__ import annotations
 
+from functools import cache
 from typing import List, Optional, Sequence
 
 from repro.graph.neighbors import (
@@ -84,7 +85,9 @@ def _flat_graph_shard(shard: Shard) -> FlatGraphBundle:
     """
     flat: FlatTraces = shared_payload()
     start, end = shard
-    is_special = default_special_registry().is_special
+    # Per-shard memo, as in the fused text loader: one trie walk per
+    # distinct address instead of one per hop; freed with the shard.
+    is_special = cache(default_special_registry().is_special)
     forward = {}
     backward = {}
     seen = set()

@@ -1,9 +1,9 @@
 """Sharded trace ingestion: the parallel twin of ``repro.robust.ingest``.
 
 The source text is split into contiguous shards; each worker runs the
-same per-record pipeline as the serial ingester — blank/comment
-skipping, :func:`repro.robust.ingest.parse_record`, per-mode error
-handling — over its shard with *absolute* line numbers, and returns a
+same per-record policy loop as the serial ingester — blank/comment
+skipping, one parse per record, per-mode error handling — over its
+shard with *absolute* line numbers, and returns a
 compact partial result.  The parent concatenates partials in shard
 order, so the merged traces, error list, reject list, and counts are
 exactly what one serial pass would have produced, then hands off to
@@ -14,11 +14,12 @@ two ingesters are indistinguishable from the outside.
 Parsed traces never cross the fork boundary as objects.  Workers that
 must return their parse encode it as a columnar
 :class:`~repro.perf.flat.FlatTraces` block — one ``bytes`` object,
-near-memcpy to pickle — and the parent decodes (or, on the fused path,
-never decodes at all).  The fused path is
-:func:`stream_graph_from_file`: the ``run`` pipeline's loader, whose
-workers parse *and* sanitize *and* fold neighbor sets over their text
-shard in one pass, returning only a packed counter bundle
+near-memcpy to pickle — and the parent decodes.  The fused path is
+:func:`stream_graph_from_file`: the ``run`` pipeline's loader at every
+``jobs`` (``jobs=1`` is one inline shard), whose shards tokenize their
+text straight to integer hops *and* sanitize *and* fold neighbor sets
+in one pass — no trace object is built on either side of the fork —
+returning only a packed counter bundle
 (:class:`~repro.perf.flat.FlatGraphBundle`) plus, when a cache store
 is pending, their shard's columnar block.  One fork, object-free
 transfer, deterministic merge.
@@ -34,23 +35,22 @@ smallest line number, reconstructing the exact
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union
 
-from repro.graph.neighbors import (
-    InterfaceGraph,
-    accumulate_neighbors,
-    finish_interface_graph,
-)
+from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
 from repro.net.special import default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import (
     FlatEncodeError,
     FlatGraphBundle,
     FlatTraces,
+    FlatWriter,
     accumulate_flat,
     bundle_tables,
     concat_flat_bytes,
+    fold_addresses,
     pack_traces,
     unpack_traces,
 )
@@ -65,8 +65,15 @@ from repro.robust.errors import (
 )
 from repro.robust.ingest import FORMATS, MODES, finalize_ingest, parse_record
 from repro.traceroute.model import Trace
-from repro.traceroute.parse import TraceParseError, trace_format_for_path
-from repro.traceroute.sanitize import sanitize_traces
+from repro.traceroute.parse import (
+    RecordTuple,
+    TextTokenizer,
+    TraceParseError,
+    trace_format_for_path,
+)
+
+#: what a record parser yields (a ``Trace`` or a plain-value record)
+RecordT = TypeVar("RecordT")
 
 
 @dataclass
@@ -89,22 +96,24 @@ class _ShardResult:
     strict_error: Optional[Tuple[str, int, str]] = None
 
 
-def _parse_lines(
+def _records(
     result,
     lines: List[str],
     first_line_number: int,
     format: str,
     source: str,
     mode: str,
-) -> Optional[List[Trace]]:
+    parse: Callable[[str, int], Optional[RecordT]],
+) -> Iterator[RecordT]:
     """The serial per-record loop over *lines*, tallying into *result*.
 
-    Returns the parsed traces, or ``None`` after recording a strict
-    error (the caller stops immediately, like the serial ingester).
-    O(lines); shared by the line-sharded and text-sharded workers so
-    there is exactly one copy of the policy semantics.
+    Yields ``parse(line, line_number)`` for every record that parses;
+    ``None`` results count as skipped.  A strict-mode error is recorded
+    in ``result.strict_error`` and ends the iteration (the caller stops
+    immediately, like the serial ingester).  O(lines); shared by the
+    line-sharded and text-sharded workers so there is exactly one copy
+    of the policy semantics, whatever *parse* builds.
     """
-    traces: List[Trace] = []
     for offset, raw in enumerate(lines):
         line_number = first_line_number + offset
         line = raw.strip()
@@ -113,14 +122,14 @@ def _parse_lines(
         if format == "text" and line.startswith("#"):
             continue
         try:
-            trace = parse_record(line, line_number, format)
-            if trace is None:
+            record = parse(line, line_number)
+            if record is None:
                 result.skipped += 1
                 continue
         except TraceParseError as exc:
             if mode == "strict":
                 result.strict_error = (exc.reason, line_number, line)
-                return None
+                return
             result.malformed += 1
             if len(result.errors) < MAX_DETAILED_ERRORS:
                 result.errors.append(
@@ -130,8 +139,7 @@ def _parse_lines(
                 result.rejects.append(line)
             continue
         result.parsed += 1
-        traces.append(trace)
-    return traces
+        yield record
 
 
 def _ingest_shard(shard: Shard) -> _ShardResult:
@@ -143,8 +151,9 @@ def _ingest_shard(shard: Shard) -> _ShardResult:
     lines, format, source, mode = shared_payload()
     start, end = shard
     result = _ShardResult()
-    traces = _parse_lines(result, lines[start:end], start + 1, format, source, mode)
-    if traces is None:
+    parse = partial(parse_record, format=format)
+    traces = list(_records(result, lines[start:end], start + 1, format, source, mode, parse))
+    if result.strict_error is not None:
         return result
     try:
         result.block = pack_traces(traces).to_bytes()
@@ -288,40 +297,82 @@ class _FusedShardResult(_ShardResult):
     bundle: Optional[FlatGraphBundle] = None
 
 
+def _trace_record(line: str, line_number: int, format: str) -> Optional[RecordTuple]:
+    """A jsonl/atlas record, parsed by :func:`parse_record`, as plain
+    values for the integer fold (``None`` for a skipped record)."""
+    trace = parse_record(line, line_number, format)
+    if trace is None:
+        return None
+    hops = [(hop.address, hop.quoted_ttl, hop.rtt_ms) for hop in trace.hops]
+    return trace.monitor, trace.dst, trace.flow_id, hops
+
+
 def _fused_shard(shard: Shard) -> _FusedShardResult:
-    """Parse, sanitize, and fold one text shard (worker process).
+    """Parse, sanitize, and fold one text shard (worker process, or
+    inline at ``jobs=1``).
 
     The copy-on-write payload is the *whole source text* as one string
     plus a char-offset → line-number map: a handful of objects, so the
     fork never walks a million-element line list.  The shard tuple is a
-    character range aligned to line boundaries.  O(bytes in shard);
-    pickles back tallies, one packed counter bundle, and (only when a
-    store is pending) one columnar block.
+    character range aligned to line boundaries.
+
+    One pass per record, with no :class:`~repro.traceroute.model.Trace`
+    or ``Hop`` objects: text records go through a
+    :class:`~repro.traceroute.parse.TextTokenizer` (each distinct token
+    parsed once), jsonl/atlas records through :func:`parse_record`;
+    either way the hops are integers that get the §4.1 TTL-0 strip here
+    and the cycle check + §4.3 fold of
+    :func:`~repro.perf.flat.fold_addresses`, with the special-address
+    test memoised per address.  When a store is pending, the same
+    records are written to the shard's columnar block by the
+    :class:`~repro.perf.flat.FlatWriter` that :func:`pack_traces` uses.
+    O(bytes in shard); pickles back tallies, one packed counter bundle,
+    and (only when a store is pending) one columnar block.
     """
     text, line_starts, format, source, mode, want_block = shared_payload()
     start, end = shard
     result = _FusedShardResult()
-    segment = text[start:end]
-    lines = segment.split("\n")
+    lines = text[start:end].split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    traces = _parse_lines(result, lines, line_starts[start], format, source, mode)
-    if traces is None:
+    if format == "text":
+        parse = TextTokenizer().parse
+    else:
+        parse = partial(_trace_record, format=format)
+    # Per-shard memo: one trie walk per distinct address instead of
+    # one per hop; freed with the shard.
+    is_special = cache(default_special_registry().is_special)
+    writer = FlatWriter() if want_block else None
+    forward: Dict[int, set] = {}
+    backward: Dict[int, set] = {}
+    seen: set = set()
+    universe: set = set()
+    retained = discarded = buggy = 0
+    records = _records(result, lines, line_starts[start], format, source, mode, parse)
+    for monitor, dst, flow, hops in records:
+        addresses: List[Optional[int]] = []
+        for address, quoted, _ in hops:
+            if address is not None:
+                universe.add(address)
+                if quoted == 0:
+                    buggy += 1
+                    address = None
+            addresses.append(address)
+        if fold_addresses(addresses, forward, backward, seen, is_special):
+            retained += 1
+        else:
+            discarded += 1
+        if writer is not None:
+            try:
+                writer.add(monitor, dst, flow, hops)
+            except FlatEncodeError:
+                writer = None
+    if result.strict_error is not None:
         return result
-    if want_block and result.malformed == 0:
-        try:
-            result.block = pack_traces(traces).to_bytes()
-        except FlatEncodeError:
-            result.block = None
-    report = sanitize_traces(traces)
-    is_special = default_special_registry().is_special
-    forward = {}
-    backward = {}
-    seen = set()
-    accumulate_neighbors(report.traces, forward, backward, seen, is_special)
-    counts = (len(report.traces), report.discarded, report.buggy_hops_removed)
+    if writer is not None and result.malformed == 0:
+        result.block = writer.finish().to_bytes()
     result.bundle = bundle_tables(
-        forward, backward, seen, report.all_addresses, counts
+        forward, backward, seen, universe, (retained, discarded, buggy)
     )
     return result
 
@@ -387,10 +438,11 @@ def stream_graph_from_file(
 ) -> Tuple[InterfaceGraph, IngestReport, Optional[bytes]]:
     """Parse a traces file and build its interface graph in one fork.
 
-    The ``run`` pipeline's hot path: each worker stream-parses its text
-    shard, sanitizes, and folds neighbor sets, returning a packed
-    counter bundle — parsed traces never cross the fork boundary in
-    either direction.  The parent re-raises strict errors (earliest
+    The ``run`` pipeline's loader at every *jobs*: each shard (inline
+    in the parent at ``jobs=1``) tokenizes its text straight to integer
+    hops, sanitizes, and folds neighbor sets, returning a packed
+    counter bundle — no trace object is built, in a worker or in the
+    parent.  The parent re-raises strict errors (earliest
     line), merges tallies in shard order, runs the shared
     :func:`finalize_ingest` tail (same ``ingest.end`` event, budget
     check, quarantine write), then merges bundles into the same

@@ -20,7 +20,7 @@ instead of aborting the whole load.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.net.ipv4 import AddressError, format_address, parse_address
 from repro.traceroute.model import Hop, Trace
@@ -62,13 +62,8 @@ def traces_to_text_lines(traces: Iterable[Trace]) -> Iterator[str]:
         yield f"{trace.monitor}|{format_address(trace.dst)}|{' '.join(hop_texts)}"
 
 
-def parse_text_trace(line: str, line_number: Optional[int] = None) -> Trace:
-    """Parse one non-blank line of the compact text format.
-
-    Raises :class:`TraceParseError` for malformed input: fewer than two
-    ``|`` separators, bad destination or hop addresses, or non-numeric
-    quoted TTLs.
-    """
+def _split_text_record(line: str, line_number: Optional[int]) -> List[str]:
+    """``monitor|dst|hops`` → its three fields, or :class:`TraceParseError`."""
     parts = line.split("|", 2)
     if len(parts) != 3:
         raise TraceParseError(
@@ -76,29 +71,99 @@ def parse_text_trace(line: str, line_number: Optional[int] = None) -> Trace:
             line_number,
             line,
         )
-    monitor, dst_text, hops_text = parts
+    return parts
+
+
+def _parse_text_destination(text: str, line_number: Optional[int], line: str) -> int:
     try:
-        dst = parse_address(dst_text)
+        return parse_address(text)
     except AddressError as exc:
         raise TraceParseError(f"bad destination: {exc}", line_number, line) from exc
+
+
+def _parse_text_hop(
+    token: str, line_number: Optional[int], line: str
+) -> Tuple[int, int]:
+    """A responsive hop token ``address[@quoted_ttl]`` → ``(address,
+    quoted_ttl)``; the TTL is checked before the address, so a token
+    bad in both reports its TTL."""
+    addr_text, _, ttl_text = token.partition("@")
+    try:
+        quoted = int(ttl_text) if ttl_text else 1
+    except ValueError as exc:
+        raise TraceParseError(
+            f"bad quoted TTL {ttl_text!r}", line_number, line
+        ) from exc
+    try:
+        address = parse_address(addr_text)
+    except AddressError as exc:
+        raise TraceParseError(f"bad hop address: {exc}", line_number, line) from exc
+    return address, quoted
+
+
+def parse_text_trace(line: str, line_number: Optional[int] = None) -> Trace:
+    """Parse one non-blank line of the compact text format.
+
+    Raises :class:`TraceParseError` for malformed input: fewer than two
+    ``|`` separators, bad destination or hop addresses, or non-numeric
+    quoted TTLs.
+    """
+    monitor, dst_text, hops_text = _split_text_record(line, line_number)
+    dst = _parse_text_destination(dst_text, line_number, line)
     hops: List[Hop] = []
     for token in hops_text.split():
         if token == "*":
             hops.append(Hop(None))
-            continue
-        addr_text, _, ttl_text = token.partition("@")
-        try:
-            quoted = int(ttl_text) if ttl_text else 1
-        except ValueError as exc:
-            raise TraceParseError(
-                f"bad quoted TTL {ttl_text!r}", line_number, line
-            ) from exc
-        try:
-            address = parse_address(addr_text)
-        except AddressError as exc:
-            raise TraceParseError(f"bad hop address: {exc}", line_number, line) from exc
-        hops.append(Hop(address, quoted))
+        else:
+            hops.append(Hop(*_parse_text_hop(token, line_number, line)))
     return Trace(monitor, dst, tuple(hops))
+
+
+#: one parsed hop as plain values: ``(address or None, quoted_ttl,
+#: rtt_ms)`` — the fields of a :class:`Hop`, without the object
+HopTuple = Tuple[Optional[int], int, float]
+
+#: one parsed record as plain values: ``(monitor, dst, flow_id, hops)``
+RecordTuple = Tuple[str, int, int, List[HopTuple]]
+
+
+class TextTokenizer:
+    """Parses compact-text records straight to :data:`RecordTuple` values.
+
+    The object-free twin of :func:`parse_text_trace`, for loaders that
+    only need integers.  Each distinct hop token and destination text is
+    parsed once, by the same code :func:`parse_text_trace` runs, and the
+    validated result is memoised by its text — a traceroute collection
+    repeats the same few thousand router tokens on every line.  Failures
+    are never memoised: a bad token raises the same
+    :class:`TraceParseError` (reason, line number, line) on every line
+    it appears on, in the same token order as the object parser.
+
+    One tokenizer serves one load; its memo grows with the distinct
+    tokens of the text it has seen.
+    """
+
+    def __init__(self) -> None:
+        self._hops: Dict[str, HopTuple] = {"*": (None, 1, 0.0)}
+        self._destinations: Dict[str, int] = {}
+
+    def parse(self, line: str, line_number: Optional[int] = None) -> RecordTuple:
+        """One non-blank line → ``(monitor, dst, 0, hops)``; raises
+        exactly what :func:`parse_text_trace` raises on the same line."""
+        monitor, dst_text, hops_text = _split_text_record(line, line_number)
+        dst = self._destinations.get(dst_text)
+        if dst is None:
+            dst = _parse_text_destination(dst_text, line_number, line)
+            self._destinations[dst_text] = dst
+        memo = self._hops
+        hops = []
+        for token in hops_text.split():
+            hop = memo.get(token)
+            if hop is None:
+                address, quoted = _parse_text_hop(token, line_number, line)
+                hop = memo[token] = (address, quoted, 0.0)
+            hops.append(hop)
+        return monitor, dst, 0, hops
 
 
 def parse_text_traces(lines: Iterable[str]) -> Iterator[Trace]:

@@ -1,0 +1,309 @@
+"""The fused text kernel against the object pipeline.
+
+:func:`repro.perf.ingest.stream_graph_from_file` parses, sanitizes and
+folds trace text straight to integer neighbor tables, without building
+a ``Trace`` or ``Hop``.  These tests hold it, at one and two shards, to
+the object pipeline it replaces (``parse_text_trace`` →
+``sanitize_traces`` → ``accumulate_neighbors``) on seeded generated
+text under every ingest mode, pin its cache payload to
+``pack_traces`` of the object parse byte for byte, and check that a
+graph-only load never calls the object parsers at all.
+"""
+
+import json
+import random
+
+import pytest
+
+import repro.perf.ingest as perf_ingest
+import repro.robust.ingest as robust_ingest
+import repro.traceroute.parse as trace_parse
+from repro.cli import main
+from repro.graph.neighbors import build_interface_graph
+from repro.io.bundle import load_bundle
+from repro.net.ipv4 import format_address
+from repro.obs.metrics import Metrics
+from repro.obs.observer import Observability
+from repro.perf.flat import pack_traces
+from repro.perf.ingest import stream_graph_from_file
+from repro.robust.errors import MAX_DETAILED_ERRORS
+from repro.robust.ingest import ingest_trace_file
+from repro.traceroute.parse import TraceParseError, traces_to_json_lines
+from repro.traceroute.sanitize import sanitize_traces
+
+#: RFC 6890 addresses: they break adjacency and own no neighbor set
+SPECIAL = ["10.0.0.1", "10.9.8.7", "192.168.1.1", "100.64.0.3", "127.0.0.1", "224.0.0.5"]
+
+#: malformed records, one per parse-error reason (and the token order)
+MALFORMED = [
+    "garbage",
+    "mon-x|9.0.0.1",
+    "mon-x|300.0.0.1|9.0.0.2",
+    "mon-x|9.0.0.1|9.0.0.2 9.0.0.300",
+    "mon-x|9.0.0.1|9.0.0.2@x",
+    "mon-x|9.0.0.1|9.0.0.2 1.2.3@x.y",
+    "mon-x|9.0.0.1|9.0.0.2 9.0.0.³",
+    "mon-x|9.0.0.1|9.0.0.01 9.0.0.2",
+    "mon-x|*|9.0.0.2",
+    "mon-x|9.0.0.1|*@3",
+]
+
+
+def _address_pool(rng, size=16):
+    pool = [f"9.{rng.randrange(4)}.{rng.randrange(4)}.{rng.randrange(256)}" for _ in range(size)]
+    return pool + rng.sample(SPECIAL, 3)
+
+
+def _hop_token(rng, pool):
+    if rng.random() < 0.12:
+        return "*"
+    address = rng.choice(pool)
+    roll = rng.random()
+    if roll < 0.12:
+        return f"{address}@0"
+    if roll < 0.25:
+        return f"{address}@{rng.choice([1, 2, 7, 255, -1])}"
+    return address
+
+
+def _record(rng, pool):
+    hops = [_hop_token(rng, pool) for _ in range(rng.randrange(0, 9))]
+    responsive = [token for token in hops if token != "*"]
+    if responsive and rng.random() < 0.2:
+        # an interface cycle: an earlier hop again, at least two apart
+        hops.extend(["*", rng.choice(responsive)])
+    if hops and rng.random() < 0.1:
+        hops.append(hops[-1])  # an immediate repeat, which is no cycle
+    separator = rng.choice([" ", "  ", "\t"])
+    return f"mon-{rng.randrange(3)}|{rng.choice(pool)}|{separator.join(hops)}"
+
+
+def _text(rng, lines=160, malformed=True):
+    """Seeded trace text: records with gaps, buggy hops, TTLs, cycles,
+    special and repeated addresses, plus blank, comment and (when
+    *malformed*) bad lines."""
+    pool = _address_pool(rng)
+    out = []
+    for _ in range(lines):
+        roll = rng.random()
+        if roll < 0.05:
+            out.append(rng.choice(["", "   ", "\t"]))
+        elif roll < 0.09:
+            out.append(f"# comment {rng.randrange(100)}")
+        elif malformed and roll < 0.17:
+            out.append(rng.choice(MALFORMED))
+        else:
+            out.append(("  " if rng.random() < 0.05 else "") + _record(rng, pool))
+    return "\n".join(out) + "\n"
+
+
+def _oracle(path, mode, quarantine_dir):
+    """The object pipeline: parse_text_trace → sanitize → fold."""
+    traces, report = ingest_trace_file(path, mode=mode, quarantine_dir=quarantine_dir)
+    sanitized = sanitize_traces(traces)
+    metrics = Metrics()
+    graph = build_interface_graph(
+        sanitized.traces,
+        all_addresses=sanitized.all_addresses,
+        obs=Observability(metrics=metrics),
+    )
+    tallies = (len(sanitized.traces), sanitized.discarded, sanitized.buggy_hops_removed)
+    return graph, report, tallies, metrics.gauges["graph.addresses"]
+
+
+def _kernel(path, jobs, mode, quarantine_dir):
+    metrics = Metrics()
+    graph, report, _ = stream_graph_from_file(
+        path, jobs, mode=mode, quarantine_dir=quarantine_dir, obs=Observability(metrics=metrics)
+    )
+    gauges = metrics.gauges
+    tallies = (
+        gauges["sanitize.retained"],
+        gauges["sanitize.discarded"],
+        gauges["sanitize.buggy_hops_removed"],
+    )
+    return graph, report, tallies, gauges["graph.addresses"]
+
+
+def _assert_same(oracle, kernel, oracle_dir, kernel_dir):
+    (want_graph, want_report, want_tallies, want_seen) = oracle
+    (graph, report, tallies, seen) = kernel
+    assert graph.forward == want_graph.forward
+    assert graph.backward == want_graph.backward
+    assert graph.other_sides == want_graph.other_sides
+    assert tallies == want_tallies
+    assert seen == want_seen
+    if want_report.quarantine_path is not None:
+        assert report.quarantine_path is not None
+        for suffix in (".rejects.txt", ".errors.jsonl"):
+            name = f"traces.txt{suffix}"
+            assert (kernel_dir / name).read_bytes() == (oracle_dir / name).read_bytes()
+        report.quarantine_path = want_report.quarantine_path
+    assert report == want_report
+
+
+class TestKernelMatchesObjectPipeline:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("mode", ["lenient", "quarantine"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tolerant_modes(self, seed, mode, jobs, tmp_path):
+        path = tmp_path / "traces.txt"
+        path.write_text(_text(random.Random(9_001 * (seed + 1))))
+        oracle = _oracle(path, mode, tmp_path / "qa")
+        assert oracle[1].malformed > 0 and oracle[1].parsed > 0
+        kernel = _kernel(path, jobs, mode, tmp_path / "qb")
+        _assert_same(oracle, kernel, tmp_path / "qa", tmp_path / "qb")
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strict_clean_text(self, seed, jobs, tmp_path):
+        path = tmp_path / "traces.txt"
+        path.write_text(_text(random.Random(4_243 * (seed + 1)), malformed=False))
+        oracle = _oracle(path, "strict", None)
+        assert oracle[2][1] > 0 and oracle[2][2] > 0  # cycles and buggy hops occur
+        _assert_same(oracle, _kernel(path, jobs, "strict", None), None, None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strict_raises_the_same_error(self, seed, jobs, tmp_path):
+        path = tmp_path / "traces.txt"
+        path.write_text(_text(random.Random(77 * (seed + 1))))
+        with pytest.raises(TraceParseError) as want:
+            ingest_trace_file(path, mode="strict")
+        with pytest.raises(TraceParseError) as got:
+            stream_graph_from_file(path, jobs, mode="strict")
+        assert (got.value.reason, got.value.line_number, got.value.text) == (
+            want.value.reason,
+            want.value.line_number,
+            want.value.text,
+        )
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_cap_and_rejects(self, jobs, tmp_path):
+        rng = random.Random(5)
+        lines = []
+        for index in range(MAX_DETAILED_ERRORS + 60):
+            lines.append(rng.choice(MALFORMED))
+            if index % 3 == 0:
+                lines.append(_record(rng, _address_pool(rng)))
+        path = tmp_path / "traces.txt"
+        path.write_text("\n".join(lines) + "\n")
+        oracle = _oracle(path, "quarantine", tmp_path / "qa")
+        assert len(oracle[1].errors) == MAX_DETAILED_ERRORS < oracle[1].malformed
+        kernel = _kernel(path, jobs, "quarantine", tmp_path / "qb")
+        _assert_same(oracle, kernel, tmp_path / "qa", tmp_path / "qb")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_token_is_never_memoised(self, jobs, tmp_path):
+        """One bad token on two lines is two malformed records, each
+        with its own line number and snippet."""
+        path = tmp_path / "traces.txt"
+        path.write_text(
+            "m1|9.0.0.1|9.0.0.2 9.0.0.999\n"
+            "m1|9.0.0.1|9.0.0.2 9.0.0.3\n"
+            "m2|9.0.0.4|9.0.0.999 9.0.0.2\n"
+        )
+        _, report, _ = stream_graph_from_file(path, jobs, mode="lenient")
+        assert (report.parsed, report.malformed) == (1, 2)
+        assert [(error.line_number, error.snippet) for error in report.errors] == [
+            (1, "m1|9.0.0.1|9.0.0.2 9.0.0.999"),
+            (3, "m2|9.0.0.4|9.0.0.999 9.0.0.2"),
+        ]
+        assert report == ingest_trace_file(path, mode="lenient")[1]
+
+
+def _atlas_line(trace):
+    """*trace* as one RIPE Atlas traceroute result (gaps as ``*`` replies)."""
+    hops = []
+    for ttl, hop in enumerate(trace.hops, start=1):
+        if hop.address is None:
+            reply = {"x": "*"}
+        else:
+            reply = {"from": format_address(hop.address), "rtt": 1.5, "ttl": 250}
+        hops.append({"hop": ttl, "result": [reply]})
+    record = {"af": 4, "prb_id": 7, "dst_addr": format_address(trace.dst), "result": hops}
+    return json.dumps(record)
+
+
+def _clean_text(rng):
+    pool = _address_pool(rng)
+    lines = [_record(rng, pool) for _ in range(120)]
+    lines[3] = "mönïtor-β|9.0.0.1|9.0.0.2 * 9.0.0.3@0 10.0.0.1 9.0.0.4@2"
+    return "\n".join(lines) + "\n"
+
+
+class TestColdCachePayload:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_text_payload_equals_pack_traces(self, jobs, tmp_path):
+        path = tmp_path / "traces.txt"
+        path.write_text(_clean_text(random.Random(11)))
+        _, _, payload = stream_graph_from_file(path, jobs, want_payload=True)
+        assert payload == pack_traces(ingest_trace_file(path)[0]).to_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("suffix", [".jsonl", ".atlas"])
+    def test_parse_record_formats_fold_the_same(self, suffix, jobs, tmp_path):
+        """jsonl and atlas records go through parse_record, then the
+        same integer fold and column writer as text."""
+        text_path = tmp_path / "traces.txt"
+        text_path.write_text(_clean_text(random.Random(12)))
+        traces = ingest_trace_file(text_path)[0]
+        path = tmp_path / f"traces{suffix}"
+        if suffix == ".jsonl":
+            lines = list(traces_to_json_lines(traces))
+        else:
+            lines = [_atlas_line(trace) for trace in traces]
+            lines.insert(5, json.dumps({"af": 6, "prb_id": 1, "dst_addr": "::1", "result": []}))
+        path.write_text("\n".join(lines) + "\n")
+        graph, report, payload = stream_graph_from_file(path, jobs, want_payload=True)
+        objects, want_report = ingest_trace_file(path)
+        assert report == want_report
+        assert (report.skipped > 0) == (suffix == ".atlas")  # IPv6, no results
+        assert payload == pack_traces(objects).to_bytes()
+        sanitized = sanitize_traces(objects)
+        want = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
+        assert (graph.forward, graph.backward) == (want.forward, want.backward)
+        assert graph.other_sides == want.other_sides
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ttl_beyond_i64_stores_no_payload(self, jobs, tmp_bundle, tmp_path, capsys):
+        dataset = tmp_bundle(seed=3, copy=True)
+        with open(dataset / "traces.txt", "a") as handle:
+            handle.write(f"m9|9.1.0.9|9.0.0.1 9.1.0.1@{2**63}\n")
+        graph, report, payload = stream_graph_from_file(
+            dataset / "traces.txt", jobs, want_payload=True
+        )
+        assert payload is None and report.ok
+        bundle = load_bundle(dataset)  # the object loader
+        sanitized = sanitize_traces(bundle.traces)
+        want = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
+        assert (graph.forward, graph.backward) == (want.forward, want.backward)
+        cache, out = tmp_path / "cache", tmp_path / "out.json"
+        args = ["run", str(dataset), "--json", "--output", str(out), "--cache", str(cache)]
+        assert main(args + ["--jobs", str(jobs)]) == 0
+        assert not list(cache.glob("*.mapitc"))
+        expected = bundle.run_mapit().to_json(indent=2) + "\n"
+        assert out.read_text() == expected
+
+
+class TestNoObjectParse:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_graph_only_load_never_builds_traces(self, jobs, tmp_bundle, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph-only load parsed a trace object")
+
+        for module, name in (
+            (trace_parse, "parse_text_trace"),
+            (robust_ingest, "parse_text_trace"),
+            (robust_ingest, "parse_record"),
+            (perf_ingest, "parse_record"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        bundle = load_bundle(tmp_bundle(seed=3), jobs=jobs, graph_only=True)
+        assert bundle.graph is not None and bundle.traces == []
+        assert bundle.health.ingest.parsed > 0
+        # the object loader, by contrast, goes through the patched parser
+        with pytest.raises(AssertionError):
+            load_bundle(tmp_bundle(seed=3))
+
