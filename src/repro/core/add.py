@@ -107,8 +107,6 @@ def add_step(engine: Engine, hook: Optional[StageHook] = None) -> AddStepReport:
 
 def _direct_pass(engine: Engine, candidates: List[Half]) -> List[DirectInference]:
     """Alg 2: one greedy pass over the interface halves."""
-    if engine.incremental:
-        return _direct_pass_incremental(engine, candidates)
     state = engine.state
     f = engine.config.f
     tracing = engine.obs.tracer.enabled
@@ -138,95 +136,6 @@ def _direct_pass(engine: Engine, candidates: List[Half]) -> List[DirectInference
                 remote_as=plurality.member_as,
                 count=plurality.count,
                 total=plurality.total,
-                **half_fields(half),
-            )
-    return added
-
-
-def _hot_halves(engine: Engine) -> set:
-    """Halves whose Alg 2 test can read a visible (inferred) mapping.
-
-    A half ``(a, d)`` tallies the halves ``(n, not d)`` for each
-    neighbor ``n`` of ``(a, d)``, plus its own visible entry.  Inverting
-    that: an overridden half ``(n, e)`` influences itself and every
-    ``(a, not e)`` with ``a`` in ``neighbors(n, e)``.  Any half outside
-    this set computes exactly its base (original-mapping) decision.
-    """
-    graph = engine.graph
-    hot = set(engine.state.visible)
-    for address, direction in list(hot):
-        for neighbor in graph.neighbors(address, direction):
-            hot.add((neighbor, not direction))
-    return hot
-
-
-def _direct_pass_incremental(
-    engine: Engine, candidates: List[Half]
-) -> List[DirectInference]:
-    """Alg 2 pass restricted to the dirty region (docs/SERVE.md).
-
-    Only three kinds of half can deviate from a memoized no-inference
-    outcome: halves whose tally can see a visible override (*hot*),
-    halves whose neighbor-set membership changed since the memo was
-    written (*stale*), and halves whose memo says an inference fires
-    (replayed from the memo without recounting).  Everything else is
-    skipped — its recomputation would provably land on the memoized
-    None.  The work list is iterated in the same sorted order the full
-    pass uses, so the state trajectory is byte-identical.
-    """
-    state = engine.state
-    f = engine.config.f
-    tracing = engine.obs.tracer.enabled
-    hot = _hot_halves(engine)
-    recount = hot | engine._memo_stale
-    work = recount | engine._memo_positive
-    if len(work) < len(candidates):
-        work_list = sorted(work & engine._candidate_set)
-    else:
-        work_list = candidates
-    added: List[DirectInference] = []
-    for half in work_list:
-        if half in state.direct or half in state.inferred_this_step:
-            continue
-        if half in recount:
-            decision = None
-            plurality = engine.plurality(half)
-            if plurality is not None and plurality.satisfies_f(f):
-                previous = engine.half_asn(half)
-                if engine.canonical(previous) != plurality.canonical_as:
-                    decision = (
-                        previous,
-                        plurality.member_as,
-                        plurality.count,
-                        plurality.total,
-                    )
-            if half not in hot:
-                # Computed against original mappings only: a valid base
-                # decision, safe to memoize for future passes and runs.
-                engine.memoize_base(half, decision)
-            if decision is None:
-                continue
-        else:
-            decision = engine._base_memo[half]
-            if decision is None:  # pragma: no cover - positive set invariant
-                continue
-        local_as, remote_as, count, total = decision
-        inference = DirectInference(
-            half=half,
-            local_as=local_as,
-            remote_as=remote_as,
-        )
-        state.add_direct(inference)
-        added.append(inference)
-        if tracing:
-            engine.obs.event(
-                "inference.added",
-                kind="direct",
-                rule="direct",
-                local_as=local_as,
-                remote_as=remote_as,
-                count=count,
-                total=total,
                 **half_fields(half),
             )
     return added

@@ -3,7 +3,8 @@
 The :class:`Engine` binds together the interface graph, the original
 IP-to-AS mapper, sibling data, relationships, the config, and the
 mutable state, and implements the neighbor-set AS counting that every
-pass relies on (Alg 2 lines 2–3).
+pass relies on (Alg 2 lines 2–3), caching each count until its inputs
+change.
 
 Counting rules, from the paper:
 
@@ -95,19 +96,11 @@ class Engine:
         self.obs = obs if obs is not None else NULL_OBS
         self.state = MapItState()
         self._origin_cache: Dict[int, int] = {}
-        # Incremental (dirty-region) machinery, enabled by
-        # :meth:`enable_incremental` for the serve daemon.  ``_base_memo``
-        # caches, per candidate half, the outcome of the Alg 2 direct test
-        # evaluated against *original* BGP mappings only (the iteration-1
-        # pass-1 condition): either None (no inference) or the
-        # ``(local_as, remote_as, count, total)`` it would add.  The memo
-        # stays valid until the half's own neighbor-set membership changes,
-        # because the base test reads only that set and static datasets
-        # (ip2as / org / config).  ``_memo_positive`` indexes the non-None
-        # entries; ``_memo_stale`` the halves whose memo must be refreshed.
-        self._base_memo: Optional[Dict[Half, Optional[Tuple[int, int, int, int]]]] = None
-        self._memo_positive: Set[Half] = set()
-        self._memo_stale: Set[Half] = set()
+        # The tally cache (docs/SERVE.md): per half, the
+        # :meth:`count_plurality` outcome under the snapshot ``_synced``,
+        # the ``state.visible`` dict it was last synced to.
+        self._tallies: Dict[Half, Optional[Plurality]] = {}
+        self._synced: Dict[Half, int] = {}
         self._candidate_list: Optional[List[Half]] = None
         self._candidate_set: Set[Half] = set()
 
@@ -151,74 +144,62 @@ class Engine:
             return asn
         return self.org.canonical(asn)
 
-    # -- incremental (dirty-region) mode -------------------------------------
+    # -- the tally cache (docs/SERVE.md) --------------------------------------
 
-    @property
-    def incremental(self) -> bool:
-        """True once :meth:`enable_incremental` armed the memo tables."""
-        return self._base_memo is not None
-
-    def enable_incremental(self) -> None:
-        """Arm the dirty-region machinery (docs/SERVE.md).
-
-        After this, :meth:`candidate_halves` is cached and maintained by
-        :meth:`invalidate_halves`, and the add step's direct pass skips
-        halves whose memoized base decision is still valid.  Results are
-        byte-identical to non-incremental runs — the memo only elides
-        recomputation whose inputs are provably unchanged.
-        """
-        if self._base_memo is None:
-            self._base_memo = {}
-
-    def reset_incremental(self) -> None:
-        """Drop every memo and the candidate cache (still incremental).
+    def reset_caches(self) -> None:
+        """Drop every cached tally and the candidate list.
 
         Used after wholesale graph replacement (checkpoint restore):
-        the next run rebuilds the caches from the live tables, exactly
-        like the first incremental run did.
+        the next run recounts from the live tables, exactly like a
+        fresh engine.
         """
-        if self._base_memo is None:
-            return
-        self._base_memo = {}
-        self._memo_positive = set()
-        self._memo_stale = set()
+        self._tallies = {}
         self._candidate_list = None
         self._candidate_set = set()
 
     def invalidate_halves(self, halves: Iterable[Half]) -> int:
-        """Mark *halves* structurally dirty: their neighbor-set
-        membership changed, so their memoized base decisions are void
-        and their candidate eligibility must be re-judged.  Returns how
-        many candidate halves were actually invalidated.
+        """Mark *halves* structurally dirty: their neighbor sets grew
+        (serve folds only ever add members), so their cached tallies are
+        void and a half may have become a candidate.  Returns how many
+        cached tallies were dropped.
         """
-        if self._base_memo is None:
-            return 0
+        tallies = self._tallies
+        graph = self.graph
         minimum = self.config.min_neighbors
-        stale = 0
+        dropped = 0
         for half in halves:
-            self._base_memo.pop(half, None)
-            self._memo_positive.discard(half)
-            if self._candidate_list is None:
+            if half in tallies:
+                del tallies[half]
+                dropped += 1
+            if self._candidate_list is None or half in self._candidate_set:
                 continue
-            if half in self._candidate_set:
-                self._memo_stale.add(half)
-                stale += 1
-            elif len(self.graph.neighbors(half[0], half[1])) >= minimum:
+            table = graph.forward if half[1] else graph.backward
+            if len(table.get(half[0], ())) >= minimum:
                 self._candidate_set.add(half)
                 insort(self._candidate_list, half)
-                self._memo_stale.add(half)
-                stale += 1
-        return stale
+        return dropped
 
-    def memoize_base(self, half: Half, decision: Optional[Tuple[int, int, int, int]]) -> None:
-        """Record the base (original-mapping) direct-test outcome for
-        *half* and clear its stale mark."""
-        self._base_memo[half] = decision
-        self._memo_stale.discard(half)
-        if decision is None:
-            self._memo_positive.discard(half)
-        else:
-            self._memo_positive.add(half)
+    def _sync_tallies(self, visible: Dict[Half, int]) -> None:
+        """Adopt *visible* as the snapshot cached tallies answer for.
+
+        The tally of ``(a, d)`` reads the mapping of ``(n, not d)`` for
+        each ``n`` in ``N_d(a)``; by neighbor-set symmetry, a changed
+        mapping on ``(n, e)`` therefore voids exactly the tallies of
+        ``(a, not e)`` for ``a`` in ``N_e(n)``.  A half's own mapping
+        is not part of its own tally.  Both snapshots are walked, so a
+        half that gained or lost an entry counts as changed.
+        """
+        previous = self._synced
+        changed = [half for half, asn in visible.items() if previous.get(half) != asn]
+        changed += [half for half in previous if half not in visible]
+        tallies = self._tallies
+        graph = self.graph
+        for address, direction in changed:
+            table = graph.forward if direction else graph.backward
+            dependent = not direction
+            for neighbor in table.get(address, ()):
+                tallies.pop((neighbor, dependent), None)
+        self._synced = visible
 
     # -- candidates -----------------------------------------------------------
 
@@ -228,9 +209,9 @@ class Engine:
 
         Sorted for determinism; the algorithm's results do not depend
         on the order (section 4.4.5) but reproducible diagnostics do.
-        In incremental mode the list is computed once and maintained by
-        :meth:`invalidate_halves` — eligibility is monotone there
-        because serve ingestion only ever grows neighbor sets.
+        Computed once per engine — the graph is static during a run —
+        and maintained by :meth:`invalidate_halves` when serve grows
+        it: eligibility is monotone because folds only add members.
         """
         if self._candidate_list is not None:
             return self._candidate_list
@@ -243,10 +224,8 @@ class Engine:
             if len(members) >= minimum:
                 halves.append((address, BACKWARD))
         halves.sort()
-        if self._base_memo is not None:
-            self._candidate_list = halves
-            self._candidate_set = set(halves)
-            self._memo_stale = set(halves)
+        self._candidate_list = halves
+        self._candidate_set = set(halves)
         return halves
 
     # -- counting -----------------------------------------------------------
@@ -260,7 +239,8 @@ class Engine:
         ``member_counts[group]`` tallies actual ASes inside it.
         """
         address, forward = half
-        neighbors = self.graph.neighbors(address, forward)
+        table = self.graph.forward if forward else self.graph.backward
+        neighbors = table.get(address, ())
         neighbor_direction = not forward
         group_counts: Dict[int, int] = {}
         member_counts: Dict[int, Dict[int, int]] = {}
@@ -273,6 +253,19 @@ class Engine:
         return group_counts, member_counts, len(neighbors)
 
     def plurality(self, half: Half) -> Optional[Plurality]:
+        """:meth:`count_plurality` of *half* under the current snapshot,
+        recounted only when the tally cache lost it (the one entry point
+        both passes read)."""
+        visible = self.state.visible
+        if visible is not self._synced:
+            self._sync_tallies(visible)
+        try:
+            return self._tallies[half]
+        except KeyError:
+            outcome = self._tallies[half] = self.count_plurality(half)
+            return outcome
+
+    def count_plurality(self, half: Half) -> Optional[Plurality]:
         """The AS appearing strictly more than all others in N(half)
         (Alg 2 line 2's AS_N; the f test of line 3 is applied by the
         caller via :meth:`Plurality.satisfies_f`).

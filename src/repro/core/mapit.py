@@ -194,18 +194,16 @@ class MapIt:
         an empty :class:`~repro.core.state.MapItState` — iteration
         counts, diagnostics, and the uncertain log are trajectory
         properties, so only the batch trajectory reproduces the batch
-        result byte-for-byte — but the engine keeps its memo of base
-        direct-pass decisions, so each pass touches only the frontier:
-        hot halves (those that can see a visible override), stale halves
-        (structurally dirty), and memoized positives.  The returned
-        result is byte-identical to a fresh batch run over the same
-        graph.
+        result byte-for-byte — but the engine keeps its tally cache, so
+        a pass recounts only the dirty halves and the halves next to a
+        mapping that differs from the snapshot the cache last answered
+        for.  The returned result is byte-identical to a fresh batch
+        run over the same graph.
         """
         engine = self.engine
-        engine.enable_incremental()
         with engine.obs.span("serve/invalidate"):
-            stale = engine.invalidate_halves(dirty_halves)
-        engine.obs.inc("serve.halves.invalidated", stale)
+            dropped = engine.invalidate_halves(dirty_halves)
+        engine.obs.inc("serve.halves.invalidated", dropped)
         engine.state = MapItState()
         self._checkpoints = []
         return self.run()

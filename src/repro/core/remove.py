@@ -38,16 +38,19 @@ class RemoveStepReport:
 def _still_holds(engine: Engine, direct: DirectInference) -> bool:
     """Would this direct inference survive under current mappings?
     (Alg 3 line 4's test; section 4.5 prose vs literal readings are
-    selected by :attr:`~repro.core.config.MapItConfig.remove_rule`.)"""
-    tally = engine.dominance(direct.half, engine.canonical(direct.remote_as))
+    selected by :attr:`~repro.core.config.MapItConfig.remove_rule`.)
+
+    Both readings go through the cached :meth:`Engine.plurality`.  A
+    group holding more than half of N is necessarily the strict,
+    positive plurality winner, so the majority test equals
+    ``dominance(half, C).is_majority()`` without a second count.
+    """
+    plurality = engine.plurality(direct.half)
+    if plurality is None or plurality.canonical_as != engine.canonical(direct.remote_as):
+        return False
     if engine.config.remove_rule == REMOVE_ADD_RULE:
-        plurality = engine.plurality(direct.half)
-        return (
-            plurality is not None
-            and plurality.canonical_as == engine.canonical(direct.remote_as)
-            and plurality.satisfies_f(engine.config.f)
-        )
-    return tally.is_majority()
+        return plurality.satisfies_f(engine.config.f)
+    return plurality.is_majority()
 
 
 def _supporter_for(engine: Engine, half: Half) -> Optional[Half]:

@@ -150,6 +150,9 @@ class MapItState:
         Direct inferences take precedence over indirect ones; detached
         indirect inferences (divergent other sides) contribute nothing.
         """
+        # Always build a new dict, never update the old one in place: the
+        # engine's tally cache notices a new snapshot by identity and
+        # diffs it against the dict it last synced to.
         visible: Dict[Half, int] = {}
         for half, indirect in self.indirect.items():
             if not indirect.detached:

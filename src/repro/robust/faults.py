@@ -428,8 +428,9 @@ def engine_fault(kind: str = "count_inflate", rate: float = 0.3, seed: int = 0):
 
     ``count_inflate``
         reports the winning count one higher than it is, so the f
-        threshold (and the add_rule remove test) passes where it
-        should fail;
+        threshold and both remove tests (add_rule's f test and the
+        default majority test, which read the same plurality) pass
+        where they should fail;
     ``member_high``
         records the *highest*-numbered member AS of the winning
         sibling group instead of the most frequent one.

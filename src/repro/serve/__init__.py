@@ -6,8 +6,9 @@ service (docs/SERVE.md):
 
 * :class:`~repro.serve.incremental.IncrementalIndex` — persistent fold
   state (neighbor tables, address universe, other-side table) plus a
-  dirty-region :class:`~repro.core.mapit.MapIt` that re-infers only
-  the frontier touched since the last quiesce, byte-identical to batch;
+  :class:`~repro.core.mapit.MapIt` whose cached tallies survive
+  quiesces, so a re-inference recounts only what changed, byte-identical
+  to batch;
 * :class:`~repro.serve.daemon.ServeDaemon` — bounded ingest queue with
   deterministic shedding, quiesce/checkpoint cadences, and atomically
   swapped immutable snapshots for readers;

@@ -4,8 +4,8 @@
 mutable neighbor tables an arriving trace folds into (via the columnar
 :func:`~repro.perf.flat.accumulate_flat` kernel, which reports exactly
 which interface halves gained a member) and a persistent
-:class:`~repro.core.mapit.MapIt` whose engine memoizes base direct-pass
-decisions across quiesces.  A quiesce refreshes the other-side table if
+:class:`~repro.core.mapit.MapIt` whose engine keeps its tally cache
+across quiesces.  A quiesce refreshes the other-side table if
 the address universe grew, then calls
 :meth:`~repro.core.mapit.MapIt.run_incremental` with the accumulated
 dirty halves — producing a result byte-identical to a batch run over
@@ -63,7 +63,6 @@ class IncrementalIndex:
         self._other_sides_at = -1
         self.graph = InterfaceGraph(forward=self.forward, backward=self.backward)
         self._mapit = MapIt(self.graph, ip2as, org=org, rel=rel, config=config, obs=obs)
-        self._mapit.engine.enable_incremental()
         self.result: Optional[MapItResult] = None
 
     # -- folding ------------------------------------------------------------
@@ -143,8 +142,8 @@ class IncrementalIndex:
         the other-side table is recomputed from the (possibly grown)
         address universe exactly as :func:`finish_interface_graph`
         would, and the multipass restarts from an empty state with the
-        engine's base-decision memo confining recomputation to the
-        frontier (docs/SERVE.md).
+        engine's tally cache confining recounts to the halves whose
+        inputs changed (docs/SERVE.md).
         """
         if self._other_sides_at != len(self.universe):
             with self.obs.span("serve/other_sides"):
@@ -169,7 +168,7 @@ class IncrementalIndex:
         """The picklable fold state a checkpoint captures.
 
         Inference state is deliberately absent: it is a pure function
-        of the graph and is recomputed (memo cold) on the first quiesce
+        of the graph and is recomputed (cache cold) on the first quiesce
         after a restore.
         """
         return {
@@ -186,8 +185,9 @@ class IncrementalIndex:
         """Adopt fold state captured by :meth:`export_state`.
 
         The dicts are updated in place so the engine's graph alias
-        stays valid; memo and dirty tracking reset — the next quiesce
-        recomputes from scratch, which is exactly the batch trajectory.
+        stays valid; the tally cache and dirty tracking reset — the next
+        quiesce recounts from scratch, which is exactly the batch
+        trajectory.
         """
         self.forward.clear()
         self.forward.update(state["forward"])
@@ -202,5 +202,5 @@ class IncrementalIndex:
         self.buggy = int(state["buggy"])
         self._dirty = set()
         self._other_sides_at = -1
-        self._mapit.engine.reset_incremental()
+        self._mapit.engine.reset_caches()
         self.result = None

@@ -206,9 +206,10 @@ def shrink_serve_divergence(
 def dirty_tracking_fault(rate: float = 0.5, seed: int = 0) -> Iterator[None]:
     """Deliberately drop a fraction of dirty-half invalidations.
 
-    Simulates the canonical incremental-engine bug — a stale base memo
-    surviving a neighbor-set change — so tests can prove the
-    differential layer catches it.  Selection is per-half deterministic
+    Simulates the canonical incremental-engine bug — a stale cached
+    tally (and a missed newly eligible candidate) surviving a
+    neighbor-set change — so tests can prove the differential layer
+    catches it.  Selection is per-half deterministic
     (same ``(seed, half)`` always drops), so shrinking under the fault
     converges.
     """

@@ -225,3 +225,132 @@ class TestMostFrequentMember:
             else:
                 naive = 77
             assert most_frequent_member(members, 77) == naive
+
+
+class TestTallyCache:
+    """The cache behind :meth:`Engine.plurality`: a tally is recounted
+    only when the snapshot changed a mapping it reads, or the fold grew
+    its neighbor set."""
+
+    LINES = [
+        "m|9.9.9.1|9.0.0.1 9.1.0.1 9.2.0.1",
+        "m|9.9.9.2|9.0.0.5 9.1.0.1 9.2.0.5",
+        "m|9.9.9.3|9.0.0.1 9.1.0.5 9.2.0.1",
+        "m|9.9.9.4|9.0.0.5 9.1.0.5",
+    ]
+
+    @staticmethod
+    def counting(engine):
+        """Record every half :meth:`Engine.count_plurality` recounts."""
+        recounted = []
+        count = engine.count_plurality
+
+        def wrapper(half):
+            recounted.append(half)
+            return count(half)
+
+        engine.count_plurality = wrapper
+        return recounted
+
+    @staticmethod
+    def every_half(engine):
+        addresses = set(engine.graph.forward) | set(engine.graph.backward)
+        return [(a, d) for a in sorted(addresses) for d in (BACKWARD, FORWARD)]
+
+    def test_unchanged_snapshot_does_not_recount(self):
+        engine = make_engine(self.LINES, BASE_PAIRS)
+        recounted = self.counting(engine)
+        engine.state.refresh_visible()
+        halves = self.every_half(engine)
+        first = [engine.plurality(half) for half in halves]
+        assert sorted(recounted) == halves
+        recounted.clear()
+        engine.state.refresh_visible()  # a new dict, equal content
+        assert [engine.plurality(half) for half in halves] == first
+        assert recounted == []
+
+    def test_changed_half_recounts_exactly_its_dependents(self):
+        from repro.core.state import DirectInference
+
+        engine = make_engine(self.LINES, BASE_PAIRS)
+        recounted = self.counting(engine)
+        halves = self.every_half(engine)
+        for half in halves:
+            engine.plurality(half)
+        changed = (addr("9.1.0.1"), BACKWARD)
+        engine.state.add_direct(DirectInference(half=changed, local_as=200, remote_as=100))
+        engine.state.refresh_visible()
+        recounted.clear()
+        answers = [engine.plurality(half) for half in halves]
+        dependents = {
+            (a, FORWARD) for a in engine.graph.backward[addr("9.1.0.1")]
+        }
+        assert dependents == {(addr("9.0.0.1"), FORWARD), (addr("9.0.0.5"), FORWARD)}
+        assert set(recounted) == dependents
+        assert changed not in recounted
+        assert answers == [engine.count_plurality(half) for half in halves]
+
+    def test_removed_mapping_recounts_its_dependents(self):
+        from repro.core.state import DirectInference
+
+        engine = make_engine(self.LINES, BASE_PAIRS)
+        changed = (addr("9.2.0.1"), BACKWARD)
+        engine.state.add_direct(DirectInference(half=changed, local_as=300, remote_as=100))
+        engine.state.refresh_visible()
+        halves = self.every_half(engine)
+        for half in halves:
+            engine.plurality(half)
+        recounted = self.counting(engine)
+        engine.state.remove_direct(changed)
+        engine.state.refresh_visible()
+        for half in halves:
+            engine.plurality(half)
+        assert set(recounted) == {(addr("9.1.0.1"), FORWARD), (addr("9.1.0.5"), FORWARD)}
+
+    def test_invalidate_drops_only_dirty_halves_and_inserts_candidates(self):
+        engine = make_engine(self.LINES, BASE_PAIRS)
+        engine.state.refresh_visible()
+        before = list(engine.candidate_halves())
+        halves = self.every_half(engine)
+        for half in halves:
+            engine.plurality(half)
+        # Grow the graph the way a serve fold does: 9.2.0.5 gains a
+        # second forward member, and 9.3.0.9 its first backward one.
+        graph = engine.graph
+        grown_forward = (addr("9.2.0.5"), FORWARD)
+        graph.forward.setdefault(addr("9.2.0.5"), set()).update(
+            {addr("9.3.0.1"), addr("9.3.0.9")}
+        )
+        for member in (addr("9.3.0.1"), addr("9.3.0.9")):
+            graph.backward.setdefault(member, set()).add(addr("9.2.0.5"))
+        dirty = [
+            grown_forward,
+            (addr("9.3.0.1"), BACKWARD),
+            (addr("9.3.0.9"), BACKWARD),
+        ]
+        assert grown_forward not in before
+        recounted = self.counting(engine)
+        # Only 9.2.0.5's forward half had a cached tally to drop.
+        assert engine.invalidate_halves(dirty) == 1
+        candidates = engine.candidate_halves()
+        assert candidates == sorted(before + [grown_forward])
+        fresh = Engine(graph, engine.ip2as, config=engine.config)
+        assert candidates == fresh.candidate_halves()
+        for half in halves:
+            engine.plurality(half)
+        assert recounted == [grown_forward]
+
+    def test_reset_clears_the_cache(self):
+        engine = make_engine(self.LINES, BASE_PAIRS)
+        engine.state.refresh_visible()
+        halves = self.every_half(engine)
+        for half in halves:
+            engine.plurality(half)
+        engine.candidate_halves()
+        engine.graph.forward[addr("9.2.0.5")] = {addr("9.3.0.1"), addr("9.3.0.9")}
+        recounted = self.counting(engine)
+        engine.reset_caches()
+        for half in halves:
+            engine.plurality(half)
+        assert sorted(recounted) == halves
+        assert (addr("9.2.0.5"), FORWARD) in engine.candidate_halves()
