@@ -86,9 +86,9 @@ class IP2AS:
         """
         if self._special.is_special(address):
             return PRIVATE_AS
-        if self._ixp.covers(address):
-            ixp_asn = self._ixp.asn_for(address)
-            return ixp_asn if ixp_asn is not None else IXP_AS
+        record = self._ixp.record_for(address)
+        if record is not None:
+            return record.asn if record.asn is not None else IXP_AS
         entry = self._trie.lookup_value(address)
         return entry.origin if entry is not None else UNKNOWN_AS
 

@@ -115,18 +115,18 @@ class Engine:
         return asn
 
     def prime_origins(self, addresses) -> int:
-        """Warm the origin cache with one sorted, batched LPM pass.
+        """Warm the origin cache with one batched LPM pass, instead of
+        faulting lookups in one neighbor at a time mid-pass.
 
-        Resolving addresses in sorted order walks the longest-prefix
-        trie through shared prefixes back to back instead of faulting
-        lookups in one neighbor at a time mid-pass.  Purely a cache
-        warm: each entry is exactly what :meth:`original_asn` would
-        compute on demand.  Returns how many addresses were resolved.
+        Any order will do: each lookup is one bisect, and nothing reads
+        the cache's insertion order.  Purely a cache warm: each entry
+        is exactly what :meth:`original_asn` would compute on demand.
+        Returns how many addresses were resolved.
         """
         cache = self._origin_cache
         asn = self.ip2as.asn
         warmed = 0
-        for address in sorted(set(addresses)):
+        for address in addresses:
             if address not in cache:
                 cache[address] = asn(address)
                 warmed += 1

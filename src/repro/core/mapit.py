@@ -283,9 +283,9 @@ def run_mapit_graph(
     The tail of the fused loader (docs/PERFORMANCE.md): the graph was
     already built at load time, so this skips sanitize/build
     and, before the passes start, warms the engine's origin cache with
-    one sorted batched LPM sweep over every address the passes can
-    query (``Engine.prime_origins``) — amortizing ip2as resolution per
-    run instead of per neighbor lookup.  The result is identical to
+    one batched LPM sweep over every address the passes can query
+    (``Engine.prime_origins``) — amortizing ip2as resolution per run
+    instead of per neighbor lookup.  The result is identical to
     :func:`run_mapit` over the traces that produced *graph*.
     """
     from repro.perf.flat import graph_address_universe

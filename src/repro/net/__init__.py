@@ -3,7 +3,7 @@
 Addresses are represented as plain ``int`` values (0..2**32-1) on hot
 paths; the helpers here convert between dotted-quad strings and ints,
 model prefixes, implement the point-to-point /30 vs /31 "other side"
-arithmetic from MAP-IT section 4.2, provide a longest-prefix-match trie,
+arithmetic from MAP-IT section 4.2, provide a longest-prefix-match table,
 and expose the RFC 6890 special-purpose address registry used to filter
 private/shared addresses out of neighbor sets.
 """

@@ -31,10 +31,10 @@ sharded execution layer moves around instead:
   worker returns across the fork boundary and the deterministic
   parent-side merge (set union + sorted key rebuild, so worker
   scheduling order cannot leak into results).
-* :func:`resolve_origins` / :func:`graph_address_universe` — batched
-  LPM lookups: resolve a sorted address batch through
-  :meth:`repro.bgp.ip2as.IP2AS.asn` once per run instead of letting the
-  engine fault them in one neighbor at a time mid-pass.
+* :func:`graph_address_universe` — every address a pass can query,
+  which :meth:`repro.core.engine.Engine.prime_origins` resolves once
+  per run instead of letting the engine fault them in one neighbor at
+  a time mid-pass.
 
 Everything here is an optimization, never a semantic change: the
 golden-bundle, oracle-differential, and chaos harnesses hold every
@@ -47,7 +47,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.traceroute.model import Hop, Trace
 
@@ -646,16 +646,3 @@ def graph_address_universe(graph) -> Set[int]:
         for members in table.values():
             addresses.update(members)
     return addresses
-
-
-def resolve_origins(ip2as, addresses: Iterable[int]) -> Dict[int, int]:
-    """Resolve *addresses* through the LPM layers in one sorted batch.
-
-    Sorting groups trie walks through shared prefixes (warm node
-    caches) and makes the returned dict's iteration order canonical.
-    O(n log n + n · trie depth); results are exactly per-address
-    :meth:`~repro.bgp.ip2as.IP2AS.asn` calls — this is an amortization,
-    never a semantic change.
-    """
-    asn = ip2as.asn
-    return {address: asn(address) for address in sorted(set(addresses))}

@@ -85,8 +85,9 @@ def _flat_graph_shard(shard: Shard) -> FlatGraphBundle:
     """
     flat: FlatTraces = shared_payload()
     start, end = shard
-    # Per-shard memo, as in the fused text loader: one trie walk per
-    # distinct address instead of one per hop; freed with the shard.
+    # Per-shard memo, as in the fused text loader: one special-prefix
+    # lookup per distinct address instead of one per hop; freed with
+    # the shard.
     is_special = cache(default_special_registry().is_special)
     forward = {}
     backward = {}

@@ -339,8 +339,8 @@ def _fused_shard(shard: Shard) -> _FusedShardResult:
         parse = TextTokenizer().parse
     else:
         parse = partial(_trace_record, format=format)
-    # Per-shard memo: one trie walk per distinct address instead of
-    # one per hop; freed with the shard.
+    # Per-shard memo: one special-prefix lookup per distinct address
+    # instead of one per hop; freed with the shard.
     is_special = cache(default_special_registry().is_special)
     writer = FlatWriter() if want_block else None
     forward: Dict[int, set] = {}
@@ -534,7 +534,9 @@ def fold_graph_from_blocks(
     sanitize + build sequence: same tables (sorted-key canonical form),
     same gauges, same ``graph.built`` event.  O(total hops).
     """
-    is_special = default_special_registry().is_special
+    # Per-fold memo, shared with the other-side filter: each distinct
+    # address is tested against the special prefixes once.
+    is_special = cache(default_special_registry().is_special)
     forward: Dict[int, set] = {}
     backward: Dict[int, set] = {}
     seen: set = set()

@@ -18,6 +18,7 @@ quiesce to identical states; the differential layer in
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bgp.ip2as import IP2AS
@@ -56,7 +57,9 @@ class IncrementalIndex:
         self.discarded = 0
         self.buggy = 0
         self.obs = obs
-        self._is_special = (special or default_special_registry()).is_special
+        # Memo for the index's lifetime: at most one entry per address
+        # of the universe (fold and other-side filter alike).
+        self._is_special = cache((special or default_special_registry()).is_special)
         self._dirty: Set[Tuple[int, bool]] = set()
         #: universe size when the other-side table was last computed;
         #: -1 forces the first quiesce to build it
@@ -197,6 +200,7 @@ class IncrementalIndex:
         self.seen.update(state["seen"])
         self.universe.clear()
         self.universe.update(state["universe"])
+        self._is_special.cache_clear()
         self.retained = int(state["retained"])
         self.discarded = int(state["discarded"])
         self.buggy = int(state["buggy"])

@@ -3,7 +3,7 @@
 from repro.bgp.ip2as import IP2AS
 from repro.core.engine import Engine
 from repro.graph.halves import BACKWARD, FORWARD
-from repro.graph.neighbors import build_interface_graph
+from repro.graph.neighbors import InterfaceGraph, build_interface_graph
 from repro.net.ipv4 import parse_address
 from repro.org.as2org import AS2Org
 from repro.traceroute.parse import parse_text_traces
@@ -354,3 +354,22 @@ class TestTallyCache:
             engine.plurality(half)
         assert sorted(recounted) == halves
         assert (addr("9.2.0.5"), FORWARD) in engine.candidate_halves()
+
+
+class _CountingMapper:
+    def __init__(self):
+        self.calls = []
+
+    def asn(self, address):
+        self.calls.append(address)
+        return address % 13 or None
+
+
+class TestPrimeOrigins:
+    def test_matches_per_address_lookups(self):
+        mapper = _CountingMapper()
+        engine = Engine(InterfaceGraph(), mapper)
+        addresses = [9, 3, 9, 26, 3, 7]
+        assert engine.prime_origins(addresses) == len(set(addresses))
+        assert engine._origin_cache == {a: (a % 13 or None) for a in set(addresses)}
+        assert sorted(mapper.calls) == sorted(set(addresses))

@@ -1,8 +1,10 @@
 """Tests for the longest-prefix-match trie."""
 
 
+from repro.bgp.ip2as import UNKNOWN_AS, IP2AS
 from repro.net.ipv4 import parse_address
 from repro.net.prefix import Prefix
+from repro.net.special import default_special_registry
 from repro.net.trie import PrefixTrie
 
 
@@ -37,6 +39,10 @@ class TestInsertLookup:
         trie.insert(Prefix.parse("192.0.2.0/24"), "specific")
         assert trie.lookup_value(addr("8.8.8.8")) == "default"
         assert trie.lookup_value(addr("192.0.2.9")) == "specific"
+        assert trie.lookup_value(addr("255.255.255.255")) == "default"
+        for outside in (-1, 2**32, 2**40):  # even /0 ends at 255.255.255.255
+            assert trie.lookup(outside) is None
+            assert outside not in trie
 
     def test_host_route(self):
         trie = PrefixTrie()
@@ -102,7 +108,13 @@ class TestItems:
         }
         for prefix, value in inserted.items():
             trie.insert(prefix, value)
-        assert dict(trie.items()) == inserted
+        # Address order, a shorter prefix first: cymru.txt is written so.
+        assert list(trie.items()) == [
+            (Prefix.parse("0.0.0.0/0"), 4),
+            (Prefix.parse("10.0.0.0/8"), 1),
+            (Prefix.parse("10.5.0.0/16"), 2),
+            (Prefix.parse("192.0.2.0/24"), 3),
+        ]
 
     def test_matches_naive_lpm(self):
         """Spot-check trie answers against a brute-force LPM."""
@@ -132,3 +144,20 @@ class TestItems:
                 assert got is None
             else:
                 assert got == best
+
+
+class TestOutOfRange:
+    """An integer outside 0..2**32-1 matches no prefix: it must not
+    alias its low 32 bits (or, when negative, its two's complement)."""
+
+    def test_above_range_is_not_special(self):
+        # The low 32 bits, 0.0.0.5, are in 0.0.0.0/8.
+        assert not default_special_registry().is_special(2**32 + 5)
+
+    def test_negative_is_not_special(self):
+        # All ones, 255.255.255.255, is the limited broadcast /32.
+        assert not default_special_registry().is_special(-1)
+
+    def test_above_range_is_unmapped(self):
+        ip2as = IP2AS.from_pairs([("8.0.0.0/8", 3356)])
+        assert ip2as.asn(2**32 + addr("8.8.8.8")) == UNKNOWN_AS

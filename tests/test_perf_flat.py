@@ -24,7 +24,6 @@ from repro.perf.flat import (
     merge_table_blob,
     bundle_tables,
     pack_traces,
-    resolve_origins,
     unpack_traces,
 )
 from repro.traceroute.model import Hop, Trace
@@ -281,21 +280,3 @@ class TestBundleCodec:
         a = {2: {9, 1}, 1: {3}}
         b = {1: {3}, 2: {1, 9}}
         assert encode_table(a) == encode_table(b)
-
-
-class _CountingMapper:
-    def __init__(self):
-        self.calls = []
-
-    def asn(self, address):
-        self.calls.append(address)
-        return address % 13 or None
-
-
-class TestResolveOrigins:
-    def test_matches_per_address_lookups(self):
-        mapper = _CountingMapper()
-        addresses = [9, 3, 9, 26, 3, 7]
-        resolved = resolve_origins(mapper, addresses)
-        assert resolved == {a: (a % 13 or None) for a in set(addresses)}
-        assert mapper.calls == sorted(set(addresses))

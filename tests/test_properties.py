@@ -7,7 +7,7 @@ import random
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.neighbors import build_interface_graph
@@ -86,31 +86,76 @@ class TestPrefixProperties:
         assert prefix_of(address, 31) == prefix_of(p2p_other_side_31(address), 31)
 
 
+#: prefix bases that make nested, equal and adjacent prefixes likely
+#: (10.0.0.0/31 and 10.0.0.2/31 touch; 10.0.0.0/8 holds both)
+_trie_bases = st.sampled_from(
+    [0, 0x0A000000, 0x0A000002, 0x0A000004, 0x0A000100, 0x0AFFFFFF, MAX_ADDRESS]
+) | addresses
+_trie_lengths = st.sampled_from([0, 8, 24, 30, 31, 32]) | lengths
+_trie_prefixes = st.builds(prefix_of, _trie_bases, _trie_lengths)
+_trie_queries = _trie_bases | st.builds(
+    lambda base, delta: min(max(base + delta, 0), MAX_ADDRESS),
+    _trie_bases,
+    st.integers(min_value=-2, max_value=2),
+)
+#: interleaved ("insert", prefix, value) / ("remove", prefix) /
+#: ("lookup", address) steps; a None value must still count as a match
+_trie_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _trie_prefixes, st.none() | st.integers(0, 3)),
+        st.tuples(st.just("remove"), _trie_prefixes),
+        st.tuples(st.just("lookup"), _trie_queries),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
 class TestTrieProperties:
-    @given(
-        st.lists(
-            st.tuples(addresses, st.integers(min_value=1, max_value=32)),
-            min_size=1,
-            max_size=60,
-        ),
-        st.lists(addresses, min_size=1, max_size=40),
+    @given(_trie_ops)
+    @example(
+        [
+            ("insert", Prefix.parse("0.0.0.0/0"), None),
+            ("lookup", 0x0A000003),
+            ("insert", Prefix.parse("10.0.0.0/8"), 1),
+            ("insert", Prefix.parse("10.0.0.0/31"), 2),
+            ("insert", Prefix.parse("10.0.0.2/31"), 3),
+            ("insert", Prefix.parse("10.0.0.3/32"), 4),
+            ("lookup", 0x0A000003),
+            ("insert", Prefix.parse("10.0.0.3/32"), 5),
+            ("lookup", 0x0A000003),
+            ("remove", Prefix.parse("10.0.0.3/32")),
+            ("lookup", 0x0A000003),
+            ("remove", Prefix.parse("10.0.0.2/31")),
+            ("lookup", 0x0A000003),
+            ("remove", Prefix.parse("0.0.0.0/0")),
+            ("lookup", 0x0B000000),
+        ]
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_naive_lpm(self, entries, queries):
+    def test_matches_naive_lpm(self, ops):
+        """Every lookup, wherever it falls among inserts, replacements
+        and removes, agrees with a brute-force LPM over a dict."""
         trie = PrefixTrie()
         table = {}
-        for index, (address, length) in enumerate(entries):
-            prefix = prefix_of(address, length)
-            trie.insert(prefix, index)
-            table[prefix] = index
-        for query in queries:
-            best = None
-            for prefix, value in table.items():
-                if prefix.contains(query):
-                    if best is None or prefix.length > best[0].length:
-                        best = (prefix, value)
-            got = trie.lookup(query)
-            assert got == best
+        for op in ops:
+            if op[0] == "insert":
+                trie.insert(op[1], op[2])
+                table[op[1]] = op[2]
+            elif op[0] == "remove":
+                assert trie.remove(op[1]) == (op[1] in table)
+                table.pop(op[1], None)
+            else:
+                query = op[1]
+                best = None
+                for prefix, value in table.items():
+                    if prefix.contains(query):
+                        if best is None or prefix.length > best[0].length:
+                            best = (prefix, value)
+                assert trie.lookup(query) == best
+                assert (query in trie) == (best is not None)
+                assert trie.lookup_value(query) == (best[1] if best else None)
+            assert len(trie) == len(table)
 
     @given(st.lists(st.tuples(addresses, lengths), max_size=40))
     @settings(max_examples=40, deadline=None)
@@ -121,7 +166,8 @@ class TestTrieProperties:
             prefix = prefix_of(address, length)
             trie.insert(prefix, index)
             table[prefix] = index
-        assert dict(trie.items()) == table
+        ordered = sorted(table.items(), key=lambda kv: (kv[0].address, kv[0].length))
+        assert list(trie.items()) == ordered
         assert len(trie) == len(table)
 
 
