@@ -104,7 +104,7 @@ def test_parallel_jobs_and_cache_sweep(tmp_path_factory):
         start = time.perf_counter()
         bundle = load_bundle(root, jobs=jobs, graph_only=True)
         loaded = time.perf_counter()
-        result = bundle.run_mapit(config, jobs=jobs)
+        result = bundle.run_mapit(config)
         done = time.perf_counter()
         output = result.to_json()
         if baseline is None:
@@ -170,7 +170,7 @@ def _smoke(tolerance: float, seed: int, repeats: int = 3) -> int:
             for _ in range(repeats):
                 start = time.perf_counter()
                 bundle = load_bundle(root, jobs=jobs, graph_only=True)
-                result = bundle.run_mapit(config, jobs=jobs)
+                result = bundle.run_mapit(config)
                 best[jobs] = min(best[jobs], time.perf_counter() - start)
             outputs[jobs] = result.to_json()
     print(f"smoke: dense preset seed {seed}, {os.cpu_count()} CPU(s), best of {repeats}")

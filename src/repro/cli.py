@@ -102,21 +102,24 @@ sweep (grid orchestration; see docs/CLI.md and docs/PERFORMANCE.md):
                   stress tier: generate a 10k-AS world shard-by-shard
                   (never fully resident) and fold it streaming
 
-performance (run/evaluate/explain/report/sweep; see docs/PERFORMANCE.md):
-  --jobs N        shard parsing and graph construction across N worker
-                  processes (default $MAPIT_JOBS or 1); results identical.
-                  N=0 (or MAPIT_JOBS=0) means all cores; negative N is a
-                  usage error (exit 2)
-  --cache DIR     reuse parsed traces from DIR when the source file's
-                  sha256 matches (default $MAPIT_CACHE or off)
+performance (see docs/PERFORMANCE.md):
+  --jobs N        run/explain/report: shard parsing and graph
+                  construction across N worker processes; sweep: run
+                  grid cells in parallel (default $MAPIT_JOBS or 1);
+                  results identical. N=0 (or MAPIT_JOBS=0) means all
+                  cores; negative N is a usage error (exit 2)
+  --cache DIR     run/evaluate/explain/report/sweep/serve: reuse parsed
+                  traces from DIR when the source file's sha256 matches
+                  (default $MAPIT_CACHE or off)
   --no-cache      always parse from source
   --shard-timeout SECONDS
-                  per-shard deadline; late shards are retried and
-                  degraded to inline execution (default
-                  $MAPIT_SHARD_TIMEOUT or none; docs/ROBUSTNESS.md)
+                  run/explain/report/sweep: per-shard deadline; late
+                  shards are retried and degraded to inline execution
+                  (default $MAPIT_SHARD_TIMEOUT or none;
+                  docs/ROBUSTNESS.md)
 
 resilience (run; see docs/ROBUSTNESS.md):
-  --journal DIR   journal completed units (graph, iterations) to DIR
+  --journal DIR   journal completed units (iterations, result) to DIR
                   (default $MAPIT_JOURNAL or off)
   --resume ID     continue a journaled run from its last durable unit;
                   output is byte-identical to an uninterrupted run
@@ -209,19 +212,23 @@ def _jobs_type(text: str) -> int:
     return value
 
 
-def _add_perf_options(parser: argparse.ArgumentParser) -> None:
+def _add_perf_options(parser: argparse.ArgumentParser, shards: bool = True) -> None:
+    """The performance group: ``--cache``/``--no-cache`` always, and
+    ``--jobs``/``--shard-timeout`` only for commands that shard work
+    (*shards*)."""
     group = parser.add_argument_group("performance")
-    group.add_argument(
-        "--jobs",
-        type=_jobs_type,
-        default=None,
-        metavar="N",
-        help=(
-            "shard trace parsing and graph construction across N worker "
-            "processes (results are identical; 0 = all cores; default "
-            "$MAPIT_JOBS or 1)"
-        ),
-    )
+    if shards:
+        group.add_argument(
+            "--jobs",
+            type=_jobs_type,
+            default=None,
+            metavar="N",
+            help=(
+                "shard trace parsing and graph construction across N worker "
+                "processes (results are identical; 0 = all cores; default "
+                "$MAPIT_JOBS or 1)"
+            ),
+        )
     group.add_argument(
         "--cache",
         metavar="DIR",
@@ -235,16 +242,24 @@ def _add_perf_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="ignore --cache and $MAPIT_CACHE; always parse from source",
     )
-    group.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-shard deadline for pooled work; late shards are retried "
-            "and finally run inline (default $MAPIT_SHARD_TIMEOUT or none)"
-        ),
-    )
+    if shards:
+        group.add_argument(
+            "--shard-timeout",
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help=(
+                "per-shard deadline for pooled work; late shards are retried "
+                "and finally run inline (default $MAPIT_SHARD_TIMEOUT or none)"
+            ),
+        )
+
+
+def _cache_dir(args) -> Optional[str]:
+    """The cache directory from ``--cache``/``--no-cache`` and env."""
+    if args.no_cache:
+        return None
+    return args.cache or os.environ.get("MAPIT_CACHE") or None
 
 
 def _perf_settings(args):
@@ -253,15 +268,12 @@ def _perf_settings(args):
     from repro.robust.supervise import default_shard_timeout
 
     jobs = resolve_jobs(args.jobs)
-    cache = None
-    if not args.no_cache:
-        cache = args.cache or os.environ.get("MAPIT_CACHE") or None
     timeout = (
         args.shard_timeout
         if args.shard_timeout is not None
         else default_shard_timeout()
     )
-    return jobs, cache, timeout
+    return jobs, _cache_dir(args), timeout
 
 
 def _build_obs(args):
@@ -289,17 +301,21 @@ def _finish_obs(obs, args) -> None:
     obs.close()
 
 
-def _load_bundle_checked(args, obs=None, graph_only=False):
+def _load_bundle_checked(args, obs=None, graph_only=True):
     """Load the dataset under the CLI's robustness and perf flags.
 
     Prints the ingest health summary to stderr; returns None (caller
     exits with EXIT_BUDGET_EXCEEDED) when the error budget is blown.
-    *graph_only* opts into the fused streaming loader (the ``run``
-    command — the only one that never needs trace objects).
+    *graph_only* selects the fused loader, sharded by ``--jobs``
+    (``run``, ``explain``, ``report``); ``evaluate`` reads trace
+    objects, which are parsed in-process, and has no ``--jobs``.
     """
     from repro.obs import NULL_OBS
 
-    jobs, cache, shard_timeout = _perf_settings(args)
+    if graph_only:
+        jobs, cache, shard_timeout = _perf_settings(args)
+    else:
+        jobs, cache, shard_timeout = 1, _cache_dir(args), None
     try:
         bundle = load_bundle(
             args.dataset,
@@ -421,14 +437,9 @@ def cmd_run(args) -> int:
         args.cache = os.environ.get("MAPIT_CACHE") or journal_dir
     obs = _build_obs(args)
     try:
-        # The fused graph-only loader applies to plain runs; journaled
-        # runs keep the classic load so a --resume that replays the
-        # journaled graph blob skips the build (and its events) exactly
-        # as it did when the journal was written.
-        bundle = _load_bundle_checked(args, obs=obs, graph_only=not journal_dir)
+        bundle = _load_bundle_checked(args, obs=obs)
         if bundle is None:
             return EXIT_BUDGET_EXCEEDED
-        jobs, _, shard_timeout = _perf_settings(args)
         config = _mapit_config(args)
         if journal_dir:
             from repro.obs import NULL_OBS
@@ -454,15 +465,11 @@ def cmd_run(args) -> int:
                 bundle,
                 config,
                 obs=obs,
-                jobs=jobs,
-                shard_timeout=shard_timeout,
                 journal=journal,
                 resume=bool(args.resume),
             )
         else:
-            result = bundle.run_mapit(
-                config, obs=obs, jobs=jobs, shard_timeout=shard_timeout
-            )
+            result = bundle.run_mapit(config, obs=obs)
     finally:
         _finish_obs(obs, args)
     _emit_result(result, args.output, args.json)
@@ -495,7 +502,7 @@ def _serve_warm_start(
         hit = BundleCache(cache_dir, obs=daemon.obs).load_entry(
             file_sha256(traces_path), format
         )
-        if hit is not None and hit.flat is not None:
+        if hit is not None:
             return daemon.warm_fold(hit.flat, hit.parsed, hit.skipped, name, size)
     source = FollowSource(traces_path, offset=offset)
     return source.replay(daemon)
@@ -594,10 +601,9 @@ def cmd_serve(args) -> int:
                 )
             else:
                 print("resume: no usable checkpoint; starting cold", file=sys.stderr)
-        _, cache_dir, _ = _perf_settings(args)
         try:
             if dataset_traces is not None:
-                _serve_warm_start(daemon, dataset_traces, format, cache_dir)
+                _serve_warm_start(daemon, dataset_traces, format, _cache_dir(args))
             if args.once:
                 for path in follow_paths:
                     FollowSource(
@@ -672,13 +678,13 @@ def cmd_serve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from repro.core.mapit import run_mapit_graph
     from repro.eval.verify import build_verification, score_inferences
-    from repro.graph.neighbors import build_interface_graph
-    from repro.traceroute.sanitize import sanitize_traces
+    from repro.graph.neighbors import graph_from_traces
 
     obs = _build_obs(args)
     try:
-        bundle = _load_bundle_checked(args, obs=obs)
+        bundle = _load_bundle_checked(args, obs=obs, graph_only=False)
         if bundle is None:
             return EXIT_BUDGET_EXCEEDED
         if bundle.ground_truth is None:
@@ -686,14 +692,17 @@ def cmd_evaluate(args) -> int:
                 "dataset has no groundtruth.txt; nothing to evaluate", file=sys.stderr
             )
             return 2
-        jobs, _, shard_timeout = _perf_settings(args)
-        result = bundle.run_mapit(
-            _mapit_config(args), obs=obs, jobs=jobs, shard_timeout=shard_timeout
+        graph, report = graph_from_traces(bundle.traces, obs=obs)
+        result = run_mapit_graph(
+            graph,
+            bundle.ip2as,
+            org=bundle.as2org,
+            rel=bundle.relationships,
+            config=_mapit_config(args),
+            obs=obs,
         )
     finally:
         _finish_obs(obs, args)
-    report = sanitize_traces(bundle.traces)
-    graph = build_interface_graph(report.traces, all_addresses=report.all_addresses)
     targets = args.asn or bundle.manifest.get("verification_asns") or []
     if not targets:
         print("no verification ASNs (pass --asn)", file=sys.stderr)
@@ -718,17 +727,13 @@ def cmd_evaluate(args) -> int:
 def cmd_explain(args) -> int:
     from repro.analysis.explain import explain_interface
     from repro.core.mapit import MapIt
-    from repro.graph.neighbors import build_interface_graph
     from repro.net.ipv4 import parse_address
-    from repro.traceroute.sanitize import sanitize_traces
 
     bundle = _load_bundle_checked(args)
     if bundle is None:
         return EXIT_BUDGET_EXCEEDED
-    report = sanitize_traces(bundle.traces)
-    graph = build_interface_graph(report.traces, all_addresses=report.all_addresses)
     mapit = MapIt(
-        graph,
+        bundle.graph,
         bundle.ip2as,
         org=bundle.as2org,
         rel=bundle.relationships,
@@ -747,10 +752,7 @@ def cmd_report(args) -> int:
     bundle = _load_bundle_checked(args)
     if bundle is None:
         return EXIT_BUDGET_EXCEEDED
-    jobs, _, shard_timeout = _perf_settings(args)
-    result = bundle.run_mapit(
-        _mapit_config(args), jobs=jobs, shard_timeout=shard_timeout
-    )
+    result = bundle.run_mapit(_mapit_config(args))
     print(run_report(result, bundle.relationships, bundle.as2org))
     return 0
 
@@ -1087,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mapit_options(serve)
     _add_robust_options(serve)
     _add_obs_options(serve)
-    _add_perf_options(serve)
+    _add_perf_options(serve, shards=False)
     serve.set_defaults(func=cmd_serve)
 
     evaluate = sub.add_parser("evaluate", help="run and score against ground truth")
@@ -1098,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mapit_options(evaluate)
     _add_robust_options(evaluate)
     _add_obs_options(evaluate)
-    _add_perf_options(evaluate)
+    _add_perf_options(evaluate, shards=False)
     evaluate.set_defaults(func=cmd_evaluate)
 
     explain = sub.add_parser("explain", help="explain one interface's inference")

@@ -31,12 +31,11 @@ from repro.core.results import (
 from repro.core.state import MapItState
 from repro.core.stub import stub_step
 from repro.graph.halves import Half
-from repro.graph.neighbors import InterfaceGraph, build_interface_graph
+from repro.graph.neighbors import InterfaceGraph, graph_from_traces
 from repro.obs.observer import Observability
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import RelationshipDataset
 from repro.traceroute.model import Trace
-from repro.traceroute.sanitize import sanitize_traces
 
 
 class MapIt:
@@ -277,23 +276,25 @@ def run_mapit_graph(
     rel: Optional[RelationshipDataset] = None,
     config: Optional[MapItConfig] = None,
     obs: Optional[Observability] = None,
+    on_iteration: Optional[Callable[[int, EngineSnapshot], None]] = None,
+    resume: Optional[EngineSnapshot] = None,
 ) -> MapItResult:
     """Run MAP-IT over a pre-built interface graph.
 
-    The tail of the fused loader (docs/PERFORMANCE.md): the graph was
-    already built at load time, so this skips sanitize/build
-    and, before the passes start, warms the engine's origin cache with
-    one batched LPM sweep over every address the passes can query
-    (``Engine.prime_origins``) — amortizing ip2as resolution per run
-    instead of per neighbor lookup.  The result is identical to
-    :func:`run_mapit` over the traces that produced *graph*.
+    The tail every graph source ends in: the fused file loader, a warm
+    cache hit, the journaled run, and :func:`run_mapit` over a trace
+    list.  Before the passes start it warms the engine's origin cache
+    with one batched LPM sweep over every address the passes can query
+    (``Engine.prime_origins``), amortizing ip2as resolution per run
+    instead of per neighbor lookup.  *on_iteration* and *resume* pass
+    through to :meth:`MapIt.run` (the run journal's hooks).
     """
     from repro.perf.flat import graph_address_universe
 
     mapit = MapIt(graph, ip2as, org=org, rel=rel, config=config, obs=obs)
     warmed = mapit.engine.prime_origins(graph_address_universe(graph))
     mapit.engine.obs.inc("perf.flat.origins_warmed", warmed)
-    return mapit.run()
+    return mapit.run(on_iteration=on_iteration, resume=resume)
 
 
 def run_mapit(
@@ -303,39 +304,12 @@ def run_mapit(
     rel: Optional[RelationshipDataset] = None,
     config: Optional[MapItConfig] = None,
     obs: Optional[Observability] = None,
-    jobs: int = 1,
-    shard_timeout: Optional[float] = None,
 ) -> MapItResult:
     """Sanitize *traces* (section 4.1), build the interface graph
     (sections 4.2–4.3), and run MAP-IT (Alg 1).
 
     *obs*, when given, receives structured trace events, metrics, and
     profiling spans for the whole pipeline (docs/OBSERVABILITY.md).
-
-    *jobs > 1* shards sanitization and graph construction across worker
-    processes (:mod:`repro.perf.graph`); the inference passes themselves
-    are serial either way, and the result is identical
-    (docs/PERFORMANCE.md).  *shard_timeout* is the supervisor's
-    per-shard deadline for the pooled stages (docs/ROBUSTNESS.md).
     """
-    if jobs > 1:
-        from repro.obs.observer import NULL_OBS
-        from repro.perf.graph import build_graph_parallel
-
-        graph = build_graph_parallel(
-            list(traces),
-            jobs,
-            obs=obs if obs is not None else NULL_OBS,
-            shard_timeout=shard_timeout,
-        )
-        return MapIt(graph, ip2as, org=org, rel=rel, config=config, obs=obs).run()
-    if obs is not None:
-        with obs.span("sanitize"):
-            report = sanitize_traces(traces)
-        graph = build_interface_graph(
-            report.traces, all_addresses=report.all_addresses, obs=obs
-        )
-        return MapIt(graph, ip2as, org=org, rel=rel, config=config, obs=obs).run()
-    report = sanitize_traces(traces)
-    graph = build_interface_graph(report.traces, all_addresses=report.all_addresses)
-    return MapIt(graph, ip2as, org=org, rel=rel, config=config).run()
+    graph, _ = graph_from_traces(traces, obs=obs)
+    return run_mapit_graph(graph, ip2as, org=org, rel=rel, config=config, obs=obs)

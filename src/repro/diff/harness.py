@@ -27,10 +27,9 @@ from repro.core.config import (
 )
 from repro.core.mapit import MapIt
 from repro.diff.worlds import World
-from repro.graph.neighbors import InterfaceGraph, build_interface_graph
+from repro.graph.neighbors import InterfaceGraph, graph_from_traces
 from repro.obs.observer import NULL_OBS, Observability
 from repro.oracle import OracleConfig, OracleResult, oracle_run
-from repro.traceroute.sanitize import sanitize_traces
 
 #: the remove-rule readings a sweep exercises by default (§4.5 prose
 #: vs. Alg 3 literal)
@@ -137,10 +136,12 @@ def oracle_records(
 
 
 def build_graph(world: World) -> InterfaceGraph:
-    """Sanitize (§4.1) and build the interface graph (§4.2–4.3) once;
-    both implementations consume the same graph object."""
-    report = sanitize_traces(world.traces)
-    return build_interface_graph(report.traces)
+    """Sanitize (§4.1) and build the interface graph (§4.2–4.3) once,
+    exactly as ``mapit run`` does — the other-side universe includes
+    addresses seen only in discarded traces; both implementations
+    consume the same graph object."""
+    graph, _ = graph_from_traces(world.traces)
+    return graph
 
 
 def _oracle_tally(

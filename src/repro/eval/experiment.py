@@ -20,10 +20,10 @@ from repro.eval.verify import (
     build_verification,
     score_inferences,
 )
-from repro.graph.neighbors import InterfaceGraph, build_interface_graph
+from repro.graph.neighbors import InterfaceGraph, graph_from_traces
 from repro.obs.observer import Observability
 from repro.sim.scenario import Scenario
-from repro.traceroute.sanitize import SanitizeReport, sanitize_traces
+from repro.traceroute.sanitize import SanitizeReport
 
 
 @dataclass
@@ -79,8 +79,7 @@ def prepare_experiment(
     hostname_staleness: float = 0.02,
 ) -> Experiment:
     """Sanitize, build the graph, and assemble verification datasets."""
-    report = sanitize_traces(scenario.traces)
-    graph = build_interface_graph(report.traces, all_addresses=report.all_addresses)
+    graph, report = graph_from_traces(scenario.traces)
     seen = set(report.retained_addresses)
     experiment = Experiment(
         scenario=scenario, report=report, graph=graph, seen=seen

@@ -15,12 +15,13 @@ thousand traces contributes one member, exactly as in Fig 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.graph.othersides import OtherSideTable, infer_other_sides
 from repro.net.special import SpecialPurposeRegistry, default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.traceroute.model import Trace
+from repro.traceroute.sanitize import SanitizeReport, sanitize_traces
 
 _EMPTY: FrozenSet[int] = frozenset()
 
@@ -147,6 +148,26 @@ def build_interface_graph(
     universe = set(all_addresses) if all_addresses is not None else seen
     universe.update(seen)
     return finish_interface_graph(graph, seen, universe, is_special, obs)
+
+
+def graph_from_traces(
+    traces: Iterable[Trace], obs: Optional[Observability] = None
+) -> Tuple[InterfaceGraph, SanitizeReport]:
+    """Sanitize raw *traces* (section 4.1) and build their interface
+    graph (sections 4.2–4.3); returns ``(graph, report)``.
+
+    The one object path from an in-memory trace list to a graph.  The
+    other-side universe is every address observed, discarded traces
+    included (section 4.2), exactly as the fused file loader
+    (:func:`repro.perf.ingest.stream_graph_from_file`) builds it.
+    """
+    obs = obs if obs is not None else NULL_OBS
+    with obs.span("sanitize"):
+        report = sanitize_traces(traces)
+    graph = build_interface_graph(
+        report.traces, all_addresses=report.all_addresses, obs=obs
+    )
+    return graph, report
 
 
 def finish_interface_graph(

@@ -64,37 +64,25 @@ class InputBundle:
     health: BundleHealth = field(default_factory=BundleHealth)
     graph: Optional[InterfaceGraph] = None
 
-    def run_mapit(self, config=None, obs=None, jobs=1, shard_timeout=None):
+    def run_mapit(self, config=None, obs=None):
         """Convenience: run MAP-IT over this bundle.
 
-        ``jobs > 1`` shards sanitization and graph construction across
-        worker processes (:mod:`repro.perf`); the result is identical.
-        ``shard_timeout`` is the supervisor's per-shard deadline
-        (docs/ROBUSTNESS.md).  A pre-built ``graph`` (fused loader)
-        short-circuits straight into the inference passes.
+        Runs over the pre-built ``graph`` when the fused loader made
+        one, else builds it from ``traces``; the result is the same.
         """
-        if self.graph is not None:
-            from repro.core.mapit import run_mapit_graph
+        from repro.core.mapit import run_mapit_graph
+        from repro.graph.neighbors import graph_from_traces
 
-            return run_mapit_graph(
-                self.graph,
-                self.ip2as,
-                org=self.as2org,
-                rel=self.relationships,
-                config=config,
-                obs=obs,
-            )
-        from repro import run_mapit
-
-        return run_mapit(
-            self.traces,
+        graph = self.graph
+        if graph is None:
+            graph, _ = graph_from_traces(self.traces, obs=obs)
+        return run_mapit_graph(
+            graph,
             self.ip2as,
             org=self.as2org,
             rel=self.relationships,
             config=config,
             obs=obs,
-            jobs=jobs,
-            shard_timeout=shard_timeout,
         )
 
 
@@ -150,7 +138,7 @@ def _ingest_traces_cached(
     graph_only: bool = False,
     health: Optional[BundleHealth] = None,
 ):
-    """Ingest the traces file, via the cache and/or worker shards.
+    """Ingest the traces file, via the cache when one is given.
 
     Returns ``(traces, report, graph)``.  The cache key is the file's
     content sha256 (the digest the manifest records), so a hit is
@@ -161,13 +149,13 @@ def _ingest_traces_cached(
     byte-identical ``--trace`` output, and the entry's format version
     is surfaced in *health* (``cache: hit`` in the summary).
 
-    With *graph_only* true the fused streaming path runs instead, at
-    every *jobs*: each shard parses + sanitizes + folds its text
-    straight to integer neighbor tables (``jobs=1`` is one inline
-    shard, no fork) and only counter bundles cross the fork boundary,
-    so ``traces`` comes back empty and ``graph`` pre-built
-    (docs/PERFORMANCE.md).  A warm hit on a v2 (columnar) entry feeds
-    the flat fold directly without ever materializing trace objects.
+    With *graph_only* true, ``traces`` comes back empty and ``graph``
+    pre-built, with no trace object made on any path: a miss runs the
+    fused loader (:func:`~repro.perf.ingest.stream_graph_from_file`,
+    ``jobs`` shards, ``jobs=1`` inline), a hit folds the entry's
+    columnar block (:func:`~repro.perf.graph.build_graph_flat`).
+    Without it, the traces are parsed in-process at any *jobs*
+    (docs/PERFORMANCE.md).
     """
     from repro.robust.ingest import finalize_ingest
     from repro.traceroute.parse import trace_format_for_path
@@ -194,16 +182,11 @@ def _ingest_traces_cached(
                 pass
             report = finalize_ingest(report, [], obs=obs)
             if graph_only:
-                from repro.perf.graph import build_graph_flat, build_graph_parallel
+                from repro.perf.graph import build_graph_flat
 
-                if hit.flat is not None:
-                    graph = build_graph_flat(
-                        hit.flat, jobs, obs=obs, shard_timeout=shard_timeout
-                    )
-                else:
-                    graph = build_graph_parallel(
-                        hit.traces(), jobs, obs=obs, shard_timeout=shard_timeout
-                    )
+                graph = build_graph_flat(
+                    hit.flat, jobs, obs=obs, shard_timeout=shard_timeout
+                )
                 return [], report, graph
             return hit.traces(), report, None
     if graph_only:
@@ -222,26 +205,13 @@ def _ingest_traces_cached(
         if bundle_cache is not None and payload is not None:
             bundle_cache.store_payload(source_sha, format, payload, report)
         return [], report, graph
-    if jobs > 1:
-        from repro.perf.ingest import ingest_trace_file_parallel
-
-        traces, report = ingest_trace_file_parallel(
-            traces_path,
-            jobs,
-            mode=mode,
-            budget=budget,
-            quarantine_dir=quarantine_dir,
-            obs=obs,
-            shard_timeout=shard_timeout,
-        )
-    else:
-        traces, report = ingest_trace_file(
-            traces_path,
-            mode=mode,
-            budget=budget,
-            quarantine_dir=quarantine_dir,
-            obs=obs,
-        )
+    traces, report = ingest_trace_file(
+        traces_path,
+        mode=mode,
+        budget=budget,
+        quarantine_dir=quarantine_dir,
+        obs=obs,
+    )
     if bundle_cache is not None:
         bundle_cache.store(source_sha, format, traces, report)
     return traces, report, None
@@ -279,18 +249,20 @@ def load_bundle(
     fraction in the non-strict modes; *quarantine_dir* overrides the
     default ``<dataset>/quarantine/`` reject directory.
 
-    *jobs > 1* shards trace parsing across worker processes; *cache*
-    names a :class:`~repro.perf.cache.BundleCache` directory keyed by
-    the traces file's sha256 — a verified hit skips parsing entirely
-    (docs/PERFORMANCE.md).  Both are optimizations only: traces,
-    report, and observability events are identical either way.
+    *cache* names a :class:`~repro.perf.cache.BundleCache` directory
+    keyed by the traces file's sha256 — a verified hit skips parsing
+    entirely (docs/PERFORMANCE.md).  It is an optimization only:
+    traces, report, and observability events are identical either way.
 
-    *graph_only* opts into the fused streaming loader at any *jobs*:
-    the returned bundle carries a pre-built interface ``graph`` and an
-    *empty* ``traces`` list — no trace objects are built, in the parent
-    or in a worker.  Only callers that don't need trace objects (the
-    ``run`` pipeline) should ask for it; evaluation and reporting paths
-    keep the default.
+    *graph_only* selects the fused loader: the returned bundle carries
+    a pre-built interface ``graph`` and an *empty* ``traces`` list — no
+    trace objects are built, in the parent or in a worker.  *jobs* sets
+    its shard count (``jobs=1`` is one inline shard) and
+    *shard_timeout* the supervisor's per-shard deadline; the default
+    object load parses in-process and ignores both.  Every command that
+    needs only the graph (``run``, ``explain``, ``report``) asks for
+    it; the default keeps trace objects for the callers that read them
+    (``evaluate``, evaluation sweeps).
     """
     root = Path(directory)
     health = BundleHealth()

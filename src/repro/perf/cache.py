@@ -24,21 +24,15 @@ struct-packed header followed by the columnar
     60     32    payload sha256 (raw digest)
     92     ...   payload: FlatTraces.to_bytes() columnar block
 
-The v2 payload is plain struct/array data — decoding it executes no
-code, which removes the v1 pickle trust caveat — and the columnar form
-is exactly what the fused parallel loader maps workers over, so a warm
-hit never materializes trace objects it doesn't need.
-
-**Transparent v1 fallback**: entries written by earlier releases (a
-JSON header line + a pickle of compact tuples) still verify and load —
-:meth:`BundleCache.load_entry` sniffs the leading byte (``{`` = v1
-JSON header, otherwise the v2 magic) and each verified hit is counted
-under ``perf.cache.format.v1`` / ``perf.cache.format.v2``.  The entry
-*filename* is unchanged across formats (the key identifies the source;
-the entry self-describes its layout), so the first store after a v1
-hit's source changes simply upgrades the file in place.  v1 payloads
-are still pickles: keep the old trust rule (don't point ``--cache`` at
-directories other users can write) until your cache has cycled to v2.
+The payload is plain struct/array data — decoding it executes no
+code — and the columnar form is exactly what the warm graph path
+(:func:`repro.perf.graph.build_graph_flat`) maps workers over, so a
+warm hit never materializes trace objects it doesn't need.  The entry
+*filename* is keyed by the source alone, not the layout, so an entry in
+any other layout — including the v1 entries of earlier releases (a
+JSON header line, then a payload that is never decoded) — simply
+fails verification and is overwritten in place by the re-parse's
+store.
 
 Every load verifies magic, version, format, source checksum, payload
 length, and the payload's own sha256 before decoding; any failure is
@@ -52,27 +46,26 @@ effects (error reports, quarantine files, budget checks) still happen.
 from __future__ import annotations
 
 import hashlib
-import json
-import pickle
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.io.atomic import atomic_write_bytes
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import FlatEncodeError, FlatTraces, pack_traces, unpack_traces
 from repro.robust.errors import IngestReport
 from repro.robust.faults import active_chaos
-from repro.traceroute.model import Hop, Trace
+from repro.traceroute.model import Trace
 
 MAGIC = "mapit-bundle-cache"
 
-#: the on-disk layout this release writes; readers accept 1 and 2
+#: the on-disk layout this release writes and reads
 CACHE_VERSION = 2
 
-#: key-material version — deliberately frozen at 1 so v1 and v2 entries
-#: share filenames and old entries are found (they self-describe)
+#: key-material version — deliberately frozen at 1 so an entry in an
+#: older layout is found, fails verification, and is overwritten in
+#: place rather than orphaned under a new name
 KEY_VERSION = 1
 
 #: leading bytes of a v2 binary entry
@@ -84,39 +77,12 @@ _FORMAT_CODES = {"text": 1, "jsonl": 2, "atlas": 3}
 _FORMAT_NAMES = {code: name for name, code in _FORMAT_CODES.items()}
 
 
-def _pack(traces: List[Trace]) -> List[tuple]:
-    """Legacy v1 tuple shape (kept for reading old entries and for
-    tests that fabricate them)."""
-    return [
-        (
-            trace.monitor,
-            trace.dst,
-            tuple((hop.address, hop.quoted_ttl, hop.rtt_ms) for hop in trace.hops),
-            trace.flow_id,
-        )
-        for trace in traces
-    ]
-
-
-def _unpack(packed: List[tuple]) -> List[Trace]:
-    """Rehydrate legacy v1 compact tuples into dataclasses."""
-    return [
-        Trace(
-            monitor,
-            dst,
-            tuple(Hop(address, quoted, rtt) for address, quoted, rtt in hops),
-            flow_id,
-        )
-        for monitor, dst, hops, flow_id in packed
-    ]
-
-
 def cache_key(source_sha256: str, format: str) -> str:
     """The entry digest for a source file's content hash and format.
 
     Key material is versioned independently of the entry layout
     (``KEY_VERSION``): bumping the *entry* format must not orphan old
-    entries, because readers fall back transparently.
+    entries, because the next store overwrites them in place.
     """
     material = f"{MAGIC}\n{KEY_VERSION}\n{format}\n{source_sha256}"
     return hashlib.sha256(material.encode()).hexdigest()
@@ -124,31 +90,25 @@ def cache_key(source_sha256: str, format: str) -> str:
 
 @dataclass
 class CacheHit:
-    """A verified cache entry, decoded lazily.
-
-    ``flat`` is populated for v2 entries (the columnar block, ready for
-    the fused graph path without object materialization); v1 entries
-    carry their unpickled compact tuples instead.  :meth:`traces`
-    materializes dataclasses on demand either way.
+    """A verified cache entry: ``flat`` is its columnar block, ready for
+    the warm graph path without object materialization; :meth:`traces`
+    materializes dataclasses on demand.
     """
 
     parsed: int
     skipped: int
     entry_version: int
-    flat: Optional[FlatTraces] = None
-    packed_v1: Optional[list] = None
+    flat: FlatTraces
 
     @property
     def format_label(self) -> str:
-        """Human-readable entry format (``v1`` or ``v2``), surfaced in
-        bundle health output."""
+        """Human-readable entry format (``v2``), surfaced in bundle
+        health output."""
         return f"v{self.entry_version}"
 
     def traces(self) -> List[Trace]:
         """Materialize the full trace list (O(total hops))."""
-        if self.flat is not None:
-            return unpack_traces(self.flat)
-        return _unpack(self.packed_v1 or [])
+        return unpack_traces(self.flat)
 
 
 class BundleCache:
@@ -171,14 +131,12 @@ class BundleCache:
     def load_entry(self, source_sha256: str, format: str) -> Optional[CacheHit]:
         """Return a verified :class:`CacheHit`, or ``None``.
 
-        Sniffs the entry's leading byte to pick the decoder (``{`` =
-        legacy v1 JSON header, otherwise v2 binary), verifies every
-        header field and the payload digest, and counts the hit under
-        ``perf.cache.format.<v1|v2>``.  ``None`` covers both a miss and
-        a failed verification — the caller re-parses either way, and a
-        corrupt entry is overwritten by the subsequent store.  O(entry
-        bytes); nothing is unpickled or decoded before the checksums
-        pass.
+        Verifies every header field and the payload digest, and counts
+        the hit under ``perf.cache.format.v2``.  ``None`` covers both a
+        miss and a failed verification — the caller re-parses either
+        way, and a corrupt or old-layout entry is overwritten by the
+        subsequent store.  O(entry bytes); nothing is decoded before
+        the checksums pass.
         """
         path = self.entry_path(source_sha256, format)
         try:
@@ -187,47 +145,13 @@ class BundleCache:
             self.obs.inc("perf.cache.misses")
             return None
         try:
-            if data[:1] == b"{":
-                hit = self._decode_v1(data, source_sha256, format)
-            else:
-                hit = self._decode_v2(data, source_sha256, format)
+            hit = self._decode_v2(data, source_sha256, format)
         except Exception:  # noqa: BLE001 - any damage is just a miss
             self.obs.inc("perf.cache.invalid")
             return None
         self.obs.inc("perf.cache.hits")
         self.obs.inc(f"perf.cache.format.{hit.format_label}")
         return hit
-
-    def load(
-        self, source_sha256: str, format: str
-    ) -> Optional[Tuple[List[Trace], int, int]]:
-        """Compatibility wrapper: ``(traces, parsed, skipped)`` on a
-        verified hit, materializing trace objects eagerly."""
-        hit = self.load_entry(source_sha256, format)
-        if hit is None:
-            return None
-        return hit.traces(), hit.parsed, hit.skipped
-
-    def _decode_v1(self, data: bytes, source_sha256: str, format: str) -> CacheHit:
-        split = data.index(b"\n")
-        header = json.loads(data[:split])
-        payload = data[split + 1 :]
-        if (
-            header.get("magic") != MAGIC
-            or header.get("version") != 1
-            or header.get("format") != format
-            or header.get("source_sha256") != source_sha256
-            or header.get("payload_sha256") != hashlib.sha256(payload).hexdigest()
-        ):
-            raise ValueError("cache entry failed verification")
-        packed = pickle.loads(payload)
-        parsed = header["parsed"]
-        skipped = header["skipped"]
-        if not isinstance(packed, list) or len(packed) != parsed:
-            raise ValueError("cache payload does not match its header")
-        return CacheHit(
-            parsed=parsed, skipped=skipped, entry_version=1, packed_v1=packed
-        )
 
     def _decode_v2(self, data: bytes, source_sha256: str, format: str) -> CacheHit:
         if len(data) < _V2_HEADER.size:

@@ -1,15 +1,13 @@
-"""Sharded sanitize + neighbor-set construction.
+"""Sharded neighbor-set construction over a columnar trace block.
 
 Trace shards are independent under both pipeline stages: sanitization
 (section 4.1) is per-trace, and the neighbor-set fold (section 4.3)
 records *membership*, not multiplicity — so a worker can fuse both
 stages over its shard and return partial N_F/N_B tables, and the parent
-merges them by set union.  Fusing matters: returning sanitized traces
-from workers would pickle the whole dataset back through the pool; the
-partial tables are far smaller — and they cross the boundary as packed
-``uint32`` buffers (:class:`repro.perf.flat.FlatGraphBundle`), so the
-result pickle is a handful of ``bytes`` objects, near-memcpy, instead
-of an object graph of dicts-of-sets.
+merges them by set union.  The partial tables cross the boundary as
+packed ``uint32`` buffers (:class:`repro.perf.flat.FlatGraphBundle`),
+so the result pickle is a handful of ``bytes`` objects, near-memcpy,
+instead of an object graph of dicts-of-sets.
 
 Determinism: set-union is commutative and associative, so the merged
 tables contain exactly the serial members for every address regardless
@@ -17,32 +15,24 @@ of shard count; the merged dicts are rebuilt with sorted keys so even
 their iteration order is a pure function of the input.  (The inference
 engine is insensitive to neighbor-table iteration order — every
 result-affecting traversal sorts — but canonical order makes the
-parallel graph reproducible byte-for-byte on its own terms.)  The
+sharded graph reproducible byte-for-byte on its own terms.)  The
 shared tail :func:`repro.graph.neighbors.finish_interface_graph`
 computes other-sides and emits the same ``graph.built`` observability
 as the serial builder.
 
-Two worker kernels share the bundle shape:
-
-* :func:`_graph_shard` sanitizes a shard of parsed :class:`Trace`
-  objects with the object kernel (the cold path, where objects exist
-  anyway because parsing just produced them);
-* :func:`_flat_graph_shard` folds a trace-index range of a columnar
-  :class:`~repro.perf.flat.FlatTraces` block with
-  :func:`~repro.perf.flat.accumulate_flat` (the warm-cache path, which
-  never materializes a ``Hop``).
+:func:`build_graph_flat` folds a warm ``.mapitc`` hit's
+:class:`~repro.perf.flat.FlatTraces` block with
+:func:`~repro.perf.flat.accumulate_flat`, never materializing a
+``Hop``; :func:`finish_graph_from_bundles` is the merge it shares with
+the fused text loader (:func:`repro.perf.ingest.stream_graph_from_file`).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.graph.neighbors import (
-    InterfaceGraph,
-    accumulate_neighbors,
-    finish_interface_graph,
-)
+from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
 from repro.net.special import default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import (
@@ -53,26 +43,6 @@ from repro.perf.flat import (
     merge_graph_bundles,
 )
 from repro.perf.pool import Shard, fork_map, shared_payload
-from repro.traceroute.model import Trace
-from repro.traceroute.sanitize import sanitize_traces
-
-
-def _graph_shard(shard: Shard) -> FlatGraphBundle:
-    """Sanitize one shard of parsed traces and fold it into a packed
-    partial-table bundle (runs in a worker process).
-
-    O(hops in shard); pickles back only the bundle's packed buffers.
-    """
-    traces: Sequence[Trace] = shared_payload()
-    start, end = shard
-    report = sanitize_traces(traces[start:end])
-    is_special = default_special_registry().is_special
-    forward = {}
-    backward = {}
-    seen = set()
-    accumulate_neighbors(report.traces, forward, backward, seen, is_special)
-    counts = (len(report.traces), report.discarded, report.buggy_hops_removed)
-    return bundle_tables(forward, backward, seen, report.all_addresses, counts)
 
 
 def _flat_graph_shard(shard: Shard) -> FlatGraphBundle:
@@ -104,7 +74,7 @@ def finish_graph_from_bundles(
 ) -> InterfaceGraph:
     """Merge worker bundles and finish the interface graph.
 
-    Deterministic parent-side tail shared by every sharded builder:
+    Deterministic parent-side tail shared by both sharded builders:
     set-union merge with sorted-key rebuild, the serial sanitize
     gauges, ``perf.flat.*`` transfer accounting, and the shared
     :func:`finish_interface_graph` (same ``graph.built`` event as the
@@ -130,31 +100,6 @@ def finish_graph_from_bundles(
     )
 
 
-def build_graph_parallel(
-    traces: Sequence[Trace],
-    jobs: int,
-    obs: Observability = NULL_OBS,
-    shard_timeout: Optional[float] = None,
-) -> InterfaceGraph:
-    """Sanitize *traces* and build the interface graph across *jobs*
-    workers.
-
-    Equivalent to ``sanitize_traces`` + ``build_interface_graph`` with
-    ``all_addresses=report.all_addresses``: same neighbor sets, same
-    other-side table, same ``graph.built`` event — the sharding is
-    invisible downstream.  The trace list crosses into workers via the
-    copy-on-write fork payload (nothing pickled in); only packed
-    counter bundles are pickled out.  *shard_timeout* is the
-    supervisor's per-shard deadline (docs/ROBUSTNESS.md).
-    """
-    traces = traces if isinstance(traces, (list, tuple)) else list(traces)
-    with obs.span("sanitize+neighbor_sets"):
-        results = fork_map(
-            _graph_shard, traces, len(traces), jobs, timeout=shard_timeout, obs=obs
-        )
-    return finish_graph_from_bundles(results, obs)
-
-
 def build_graph_flat(
     flat: FlatTraces,
     jobs: int,
@@ -168,7 +113,8 @@ def build_graph_flat(
     :class:`Trace`/:class:`Hop` objects are ever created on either side
     of the fork.  Byte-identical downstream to the serial builder over
     the decoded traces (``tests/test_perf_flat.py`` and the golden
-    suites hold the kernels equal).  *shard_timeout* as above.
+    suites hold the kernels equal).  *shard_timeout* is the
+    supervisor's per-shard deadline (docs/ROBUSTNESS.md).
     """
     with obs.span("sanitize+neighbor_sets"):
         results = fork_map(

@@ -1,28 +1,24 @@
-"""Sharded trace ingestion: the parallel twin of ``repro.robust.ingest``.
+"""Sharded trace ingestion: the fused text loader and the streamed
+block fold.
 
-The source text is split into contiguous shards; each worker runs the
-same per-record policy loop as the serial ingester — blank/comment
-skipping, one parse per record, per-mode error handling — over its
-shard with *absolute* line numbers, and returns a
-compact partial result.  The parent concatenates partials in shard
-order, so the merged traces, error list, reject list, and counts are
-exactly what one serial pass would have produced, then hands off to
-:func:`repro.robust.ingest.finalize_ingest` for the budget check,
-quarantine write, and observability — the shared tail guarantees the
-two ingesters are indistinguishable from the outside.
-
-Parsed traces never cross the fork boundary as objects.  Workers that
-must return their parse encode it as a columnar
-:class:`~repro.perf.flat.FlatTraces` block — one ``bytes`` object,
-near-memcpy to pickle — and the parent decodes.  The fused path is
-:func:`stream_graph_from_file`: the ``run`` pipeline's loader at every
-``jobs`` (``jobs=1`` is one inline shard), whose shards tokenize their
-text straight to integer hops *and* sanitize *and* fold neighbor sets
-in one pass — no trace object is built on either side of the fork —
-returning only a packed counter bundle
-(:class:`~repro.perf.flat.FlatGraphBundle`) plus, when a cache store
-is pending, their shard's columnar block.  One fork, object-free
-transfer, deterministic merge.
+:func:`stream_graph_from_file` is the loader of every command that
+needs only the interface graph (``run``, journaled or not, ``explain``
+and ``report``), at every ``jobs`` (``jobs=1`` is one inline shard).
+The source text is split into contiguous shards; each one runs the
+same per-record policy loop as the serial ingester
+(:mod:`repro.robust.ingest`) — blank/comment skipping, one parse per
+record, per-mode error handling — over its shard with *absolute* line
+numbers, and tokenizes its text straight to integer hops *and*
+sanitizes *and* folds neighbor sets in one pass.  No trace object is
+built on either side of the fork: a shard returns its tallies, a
+packed counter bundle (:class:`~repro.perf.flat.FlatGraphBundle`)
+and, when a cache store is pending, its columnar block.  The parent
+concatenates partials in shard order, so the merged error list,
+reject list, and counts are exactly what one serial pass would have
+produced, then hands off to :func:`repro.robust.ingest.finalize_ingest`
+for the budget check, quarantine write, and observability — the shared
+tail guarantees the two ingesters are indistinguishable from the
+outside.  One fork, object-free transfer, deterministic merge.
 
 Strict mode needs care: the serial ingester raises at the first
 malformed record.  Raising inside a pool worker would surface as a
@@ -37,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
 from repro.net.special import default_special_registry
@@ -45,14 +41,11 @@ from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import (
     FlatEncodeError,
     FlatGraphBundle,
-    FlatTraces,
     FlatWriter,
     accumulate_flat,
     bundle_tables,
     concat_flat_bytes,
     fold_addresses,
-    pack_traces,
-    unpack_traces,
 )
 from repro.perf.graph import finish_graph_from_bundles
 from repro.perf.pool import Shard, fork_map, shared_payload
@@ -64,7 +57,6 @@ from repro.robust.errors import (
     IngestReport,
 )
 from repro.robust.ingest import FORMATS, MODES, finalize_ingest, parse_record
-from repro.traceroute.model import Trace
 from repro.traceroute.parse import (
     RecordTuple,
     TextTokenizer,
@@ -72,21 +64,15 @@ from repro.traceroute.parse import (
     trace_format_for_path,
 )
 
-#: what a record parser yields (a ``Trace`` or a plain-value record)
-RecordT = TypeVar("RecordT")
-
-
 @dataclass
 class _ShardResult:
-    """What one worker sends back: the parse outcome of its line range.
+    """What one shard sends back: its ingest tallies plus the packed
+    graph bundle.  ``block`` (the shard's columnar traces) is populated
+    only when the parent asked for a cache payload and the shard parsed
+    clean."""
 
-    Traces travel as a columnar ``block`` (one picklable ``bytes``);
-    ``traces`` is only populated on the rare fallback when a parsed
-    field falls outside the flat encoding's integer ranges.
-    """
-
+    bundle: Optional[FlatGraphBundle] = None
     block: Optional[bytes] = None
-    traces: List[Trace] = field(default_factory=list)
     parsed: int = 0
     malformed: int = 0
     skipped: int = 0
@@ -103,16 +89,15 @@ def _records(
     format: str,
     source: str,
     mode: str,
-    parse: Callable[[str, int], Optional[RecordT]],
-) -> Iterator[RecordT]:
+    parse: Callable[[str, int], Optional[RecordTuple]],
+) -> Iterator[RecordTuple]:
     """The serial per-record loop over *lines*, tallying into *result*.
 
     Yields ``parse(line, line_number)`` for every record that parses;
     ``None`` results count as skipped.  A strict-mode error is recorded
     in ``result.strict_error`` and ends the iteration (the caller stops
-    immediately, like the serial ingester).  O(lines); shared by the
-    line-sharded and text-sharded workers so there is exactly one copy
-    of the policy semantics, whatever *parse* builds.
+    immediately, like the serial ingester).  O(lines); the one copy of
+    the policy semantics, whichever record format *parse* reads.
     """
     for offset, raw in enumerate(lines):
         line_number = first_line_number + offset
@@ -140,80 +125,6 @@ def _records(
             continue
         result.parsed += 1
         yield record
-
-
-def _ingest_shard(shard: Shard) -> _ShardResult:
-    """Parse one contiguous line range (runs in a worker process).
-
-    O(lines in shard); pickles back counts, capped errors, and one
-    columnar block — never a list of trace objects.
-    """
-    lines, format, source, mode = shared_payload()
-    start, end = shard
-    result = _ShardResult()
-    parse = partial(parse_record, format=format)
-    traces = list(_records(result, lines[start:end], start + 1, format, source, mode, parse))
-    if result.strict_error is not None:
-        return result
-    try:
-        result.block = pack_traces(traces).to_bytes()
-    except FlatEncodeError:
-        result.traces = traces
-    return result
-
-
-def ingest_traces_parallel(
-    lines: List[str],
-    jobs: int,
-    *,
-    format: str = "text",
-    source: str = "traces",
-    mode: str = "strict",
-    budget: Optional[ErrorBudget] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
-    obs: Observability = NULL_OBS,
-    shard_timeout: Optional[float] = None,
-) -> Tuple[List[Trace], IngestReport]:
-    """Parse *lines* across *jobs* workers under an ingestion policy.
-
-    Drop-in equivalent of :func:`repro.robust.ingest.ingest_traces` for
-    an in-memory line list: same traces, same report, same exceptions.
-    The line list reaches workers copy-on-write; each worker pickles
-    back a columnar block that the parent decodes in shard order
-    (O(total hops) rehydration, only paid when the caller needs trace
-    objects — the ``run`` pipeline uses :func:`stream_graph_from_file`
-    instead and never decodes).  *shard_timeout* is the supervisor's
-    per-shard deadline (docs/ROBUSTNESS.md).
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown ingest mode {mode!r}; expected one of {MODES}")
-    if mode == "quarantine" and quarantine_dir is None:
-        raise ValueError("quarantine mode requires a quarantine_dir")
-    if format not in FORMATS:
-        raise ValueError(f"unknown trace format {format!r}; expected one of {FORMATS}")
-    with obs.span("ingest"):
-        results = fork_map(
-            _ingest_shard,
-            (lines, format, source, mode),
-            len(lines),
-            jobs,
-            timeout=shard_timeout,
-            obs=obs,
-            budget=budget,
-        )
-    _raise_earliest_strict_error(results)
-    report = IngestReport(source=source, mode=mode)
-    traces: List[Trace] = []
-    rejects: List[str] = []
-    for result in _merge_shard_tallies(results, report, rejects):
-        if result.block is not None:
-            traces.extend(unpack_traces(FlatTraces.from_bytes(result.block)))
-        else:
-            traces.extend(result.traces)
-    finalize_ingest(
-        report, rejects, budget=budget, quarantine_dir=quarantine_dir, obs=obs
-    )
-    return traces, report
 
 
 def _raise_earliest_strict_error(results) -> None:
@@ -246,55 +157,8 @@ def _merge_shard_tallies(results, report: IngestReport, rejects: List[str]):
         yield result
 
 
-def ingest_trace_file_parallel(
-    path: Union[str, Path],
-    jobs: int,
-    *,
-    format: Optional[str] = None,
-    mode: str = "strict",
-    budget: Optional[ErrorBudget] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
-    obs: Observability = NULL_OBS,
-    shard_timeout: Optional[float] = None,
-) -> Tuple[List[Trace], IngestReport]:
-    """Sharded equivalent of :func:`repro.robust.ingest.ingest_trace_file`.
-
-    The whole file is read into memory up front — the line list is what
-    workers inherit through the fork — which is the right trade for the
-    bundle sizes this pipeline targets (the paper's full dataset is
-    tens of MB of text).
-    """
-    path = Path(path)
-    if format is None:
-        format = trace_format_for_path(path.name)
-    if mode == "quarantine" and quarantine_dir is None:
-        quarantine_dir = path.parent / "quarantine"
-    with open(path, errors="replace") as handle:
-        lines = handle.readlines()
-    return ingest_traces_parallel(
-        lines,
-        jobs,
-        format=format,
-        source=path.name,
-        mode=mode,
-        budget=budget,
-        quarantine_dir=quarantine_dir,
-        obs=obs,
-        shard_timeout=shard_timeout,
-    )
-
-
 # ----------------------------------------------------------------------
 # the fused streaming loader (parse + sanitize + neighbor fold, one fork)
-
-
-@dataclass
-class _FusedShardResult(_ShardResult):
-    """A fused worker's return: ingest tallies plus the shard's packed
-    graph bundle.  ``block`` is populated only when the parent asked
-    for a cache payload (and the shard parsed clean)."""
-
-    bundle: Optional[FlatGraphBundle] = None
 
 
 def _trace_record(line: str, line_number: int, format: str) -> Optional[RecordTuple]:
@@ -307,7 +171,7 @@ def _trace_record(line: str, line_number: int, format: str) -> Optional[RecordTu
     return trace.monitor, trace.dst, trace.flow_id, hops
 
 
-def _fused_shard(shard: Shard) -> _FusedShardResult:
+def _fused_shard(shard: Shard) -> _ShardResult:
     """Parse, sanitize, and fold one text shard (worker process, or
     inline at ``jobs=1``).
 
@@ -325,13 +189,14 @@ def _fused_shard(shard: Shard) -> _FusedShardResult:
     :func:`~repro.perf.flat.fold_addresses`, with the special-address
     test memoised per address.  When a store is pending, the same
     records are written to the shard's columnar block by the
-    :class:`~repro.perf.flat.FlatWriter` that :func:`pack_traces` uses.
+    :class:`~repro.perf.flat.FlatWriter` that
+    :func:`~repro.perf.flat.pack_traces` uses.
     O(bytes in shard); pickles back tallies, one packed counter bundle,
     and (only when a store is pending) one columnar block.
     """
     text, line_starts, format, source, mode, want_block = shared_payload()
     start, end = shard
-    result = _FusedShardResult()
+    result = _ShardResult()
     lines = text[start:end].split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -438,7 +303,7 @@ def stream_graph_from_file(
 ) -> Tuple[InterfaceGraph, IngestReport, Optional[bytes]]:
     """Parse a traces file and build its interface graph in one fork.
 
-    The ``run`` pipeline's loader at every *jobs*: each shard (inline
+    The graph-only loader at every *jobs*: each shard (inline
     in the parent at ``jobs=1``) tokenizes its text straight to integer
     hops, sanitizes, and folds neighbor sets, returning a packed
     counter bundle — no trace object is built, in a worker or in the

@@ -1,20 +1,23 @@
 """Crash-safe run journal: durable units, byte-identical resume.
 
-A long MAP-IT run has three kinds of durable unit, each a pure function
-of what precedes it: the parsed traces (already durable via the
-``.mapitc`` :class:`~repro.perf.cache.BundleCache`, which lives in the
-same directory and is keyed by the same source sha256), the merged
-interface graph, and each multipass iteration's engine state.  The
-journal records the latter two as they complete, so ``mapit run
---resume <run-id>`` can replay the journal, verify checksums, and
+A long MAP-IT run has two kinds of durable unit, each a pure function
+of what precedes it: each multipass iteration's engine state, and the
+final result.  The journal records them as they complete, so ``mapit
+run --resume <run-id>`` can replay the journal, verify checksums, and
 continue from the last durable unit — and because every iteration is a
 pure function of the state it starts from, the continuation is
 byte-identical to an uninterrupted run.
 
+The interface graph is not a journal unit: it is a pure function of
+the traces file, so a resumed run loads it again — as a verified hit
+on the ``.mapitc`` :class:`~repro.perf.cache.BundleCache` entry in the
+same directory (keyed by the same source sha256), or by re-parsing.
+``graph`` records left by journals of earlier releases are skipped.
+
 Layout, next to the ``.mapitc`` cache entries::
 
     <dir>/<run-id>.journal.jsonl     # one JSON record per unit
-    <dir>/<run-id>.<name>.blob       # pickled graph / engine snapshots
+    <dir>/<run-id>.iter<NNNN>.blob   # pickled engine snapshots
 
 The run id is a sha256 prefix over (traces sha256, format, ingest
 mode, config repr) — the inputs that determine the result — so a
@@ -263,37 +266,33 @@ def journaled_run(
     bundle,
     config=None,
     obs: Optional[Observability] = None,
-    jobs: int = 1,
-    shard_timeout: Optional[float] = None,
     *,
     journal: RunJournal,
     resume: bool = False,
 ):
-    """Run MAP-IT over *bundle*, journaling each durable unit.
+    """Run MAP-IT over ``bundle.graph``, journaling each durable unit.
 
-    Mirrors :func:`repro.core.run_mapit` exactly — same graph builders,
-    same engine, same result — with two additions: completed units go
-    to *journal*, and with ``resume=True`` the run first replays the
+    *bundle* must come from ``load_bundle(..., graph_only=True)``; the
+    run is :func:`repro.core.mapit.run_mapit_graph` exactly — same
+    engine, same result — with two additions: completed units go to
+    *journal*, and with ``resume=True`` the run first replays the
     journal and continues from the last durable unit.  Either way the
     returned result is byte-identical (``to_json``) to an uninterrupted
     unjournaled run.
     """
-    from repro.core.mapit import MapIt
+    from repro.core.mapit import run_mapit_graph
     from repro.core.results import MapItResult
-    from repro.graph.neighbors import build_interface_graph
-    from repro.traceroute.sanitize import sanitize_traces
 
+    if bundle.graph is None:
+        raise ValueError("journaled_run needs a bundle loaded with graph_only=True")
     effective_obs = obs if obs is not None else NULL_OBS
 
-    graph_record: Optional[Dict[str, Any]] = None
     iteration_records: List[Dict[str, Any]] = []
     result_record: Optional[Dict[str, Any]] = None
     if resume:
         for record in journal.read():
             unit = record.get("unit")
-            if unit == "graph":
-                graph_record = record
-            elif unit == "iteration":
+            if unit == "iteration":
                 iteration_records.append(record)
             elif unit == "result":
                 result_record = record
@@ -302,43 +301,6 @@ def journaled_run(
         # The crashed run actually finished; replay its result.
         effective_obs.inc("robust.journal.replayed")
         return MapItResult.from_json(result_record["payload"]["json"])
-
-    graph = None
-    if graph_record is not None:
-        payload = graph_record["payload"]
-        data = journal.load_blob(payload["blob"], payload["sha256"])
-        if data is not None:
-            try:
-                graph = pickle.loads(data)
-            except Exception:  # noqa: BLE001 - a bad blob is just a rebuild
-                effective_obs.inc("robust.journal.blob_corrupt")
-                graph = None
-    if graph is None:
-        if getattr(bundle, "graph", None) is not None:
-            # The fused loader already built (and instrumented) the
-            # graph at load time; journal it like a fresh build so a
-            # resume can replay it.
-            graph = bundle.graph
-        elif jobs > 1:
-            from repro.perf.graph import build_graph_parallel
-
-            graph = build_graph_parallel(
-                bundle.traces, jobs, obs=effective_obs, shard_timeout=shard_timeout
-            )
-        elif obs is not None:
-            with obs.span("sanitize"):
-                report = sanitize_traces(bundle.traces)
-            graph = build_interface_graph(
-                report.traces, all_addresses=report.all_addresses, obs=obs
-            )
-        else:
-            report = sanitize_traces(bundle.traces)
-            graph = build_interface_graph(
-                report.traces, all_addresses=report.all_addresses
-            )
-        journal.append_with_blob(
-            "graph", "graph", pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
-        )
 
     snapshot = None
     for record in reversed(iteration_records):
@@ -357,7 +319,6 @@ def journaled_run(
             "journal.resume",
             run_id=journal.run_id,
             iteration=snapshot.iterations if snapshot is not None else 0,
-            graph_replayed=graph_record is not None,
         )
 
     def on_iteration(iteration: int, snap) -> None:
@@ -371,14 +332,15 @@ def journaled_run(
         if chaos is not None:
             chaos.maybe_crash_iteration(iteration)
 
-    mapit = MapIt(
-        graph,
+    result = run_mapit_graph(
+        bundle.graph,
         bundle.ip2as,
         org=bundle.as2org,
         rel=bundle.relationships,
         config=config,
         obs=obs,
+        on_iteration=on_iteration,
+        resume=snapshot,
     )
-    result = mapit.run(on_iteration=on_iteration, resume=snapshot)
     journal.append("result", {"json": result.to_json()})
     return result

@@ -30,11 +30,10 @@ from repro.core.config import MapItConfig
 from repro.core.mapit import MapIt
 from repro.diff.shrink import ShrinkReport, shrink_world, write_regression
 from repro.diff.worlds import World, world_sweep
-from repro.graph.neighbors import build_interface_graph
+from repro.graph.neighbors import graph_from_traces
 from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.faults import _half_selected
 from repro.serve.incremental import IncrementalIndex
-from repro.traceroute.sanitize import sanitize_traces
 
 
 def batch_state(
@@ -42,10 +41,7 @@ def batch_state(
 ) -> Tuple[str, str]:
     """(fingerprint, result JSON) of a batch run over the first
     *prefix* traces — the ground truth a quiesce is held to."""
-    report = sanitize_traces(world.traces[:prefix])
-    graph = build_interface_graph(
-        report.traces, all_addresses=report.all_addresses
-    )
+    graph, _ = graph_from_traces(world.traces[:prefix])
     mapit = MapIt(
         graph, world.ip2as(), org=world.as2org, rel=world.relationships,
         config=config,

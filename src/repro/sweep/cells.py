@@ -75,9 +75,8 @@ def _dataset_cell(
     """Score one materialized world at one f (the evaluate pipeline)."""
     from repro.eval.verify import build_verification, score_inferences
     from repro.core.mapit import run_mapit_graph
-    from repro.graph.neighbors import build_interface_graph
+    from repro.graph.neighbors import graph_from_traces
     from repro.io import load_bundle
-    from repro.traceroute.sanitize import sanitize_traces
 
     world_dir = Path(workdir) / "worlds" / cell.world_id
     bundle = load_bundle(world_dir, jobs=1, cache=cache_dir)
@@ -85,10 +84,7 @@ def _dataset_cell(
         meta["cache_hits"] += 1
     else:
         meta["cache_misses"] += 1
-    report = sanitize_traces(bundle.traces)
-    graph = build_interface_graph(
-        report.traces, all_addresses=report.all_addresses
-    )
+    graph, report = graph_from_traces(bundle.traces)
     result = run_mapit_graph(
         graph,
         bundle.ip2as,

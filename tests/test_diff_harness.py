@@ -21,6 +21,7 @@ from repro.core.engine import Engine
 from repro.diff.cli import main as diff_main
 from repro.diff.harness import (
     DEFAULT_RULES,
+    build_graph,
     compare_world,
     oracle_config_for,
     world_diverges,
@@ -36,6 +37,7 @@ from repro.diff.worlds import (
     world_from_preset,
 )
 from repro.graph.neighbors import build_interface_graph
+from repro.io import load_bundle
 from repro.org.as2org import AS2Org
 from repro.oracle import oracle_run
 from repro.rel.relationships import RelationshipDataset
@@ -72,6 +74,19 @@ class TestSweep:
         assert mapped.f == 0.7
         assert mapped.min_neighbors == 3
         assert mapped.remove_rule == "add_rule"
+
+
+class TestHarnessGraph:
+    def test_graph_is_the_run_pipeline_graph(self, tmp_path):
+        """Both implementations run on the graph ``mapit run`` builds:
+        its other-side universe includes addresses seen only in
+        discarded traces (§4.2), which tiny seed 2 has."""
+        world = world_from_preset("tiny", 2)
+        want = load_bundle(world.save(tmp_path / "world"), graph_only=True).graph
+        graph = build_graph(world)
+        assert graph.forward == want.forward
+        assert graph.backward == want.backward
+        assert graph.other_sides == want.other_sides
 
 
 class TestMetamorphic:

@@ -7,7 +7,9 @@ the object pipeline it replaces (``parse_text_trace`` →
 ``sanitize_traces`` → ``accumulate_neighbors``) on seeded generated
 text under every ingest mode, pin its cache payload to
 ``pack_traces`` of the object parse byte for byte, and check that a
-graph-only load never calls the object parsers at all.
+graph-only load — and every command built on one: ``run`` (journaled
+or not, resumed or not), ``explain`` and ``report`` — never calls the
+object parsers at all.
 """
 
 import json
@@ -289,7 +291,13 @@ class TestColdCachePayload:
 
 class TestNoObjectParse:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_graph_only_load_never_builds_traces(self, jobs, tmp_bundle, monkeypatch):
+    def test_graph_only_load_never_builds_traces(
+        self, jobs, tmp_bundle, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core.config import MapItConfig
+        from repro.robust.faults import ChaosInjector, SimulatedCrash, chaos
+        from repro.robust.journal import run_identity_for
+
         def refuse(*args, **kwargs):
             raise AssertionError("a graph-only load parsed a trace object")
 
@@ -300,10 +308,32 @@ class TestNoObjectParse:
             (perf_ingest, "parse_record"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        bundle = load_bundle(tmp_bundle(seed=3), jobs=jobs, graph_only=True)
+        dataset = tmp_bundle(seed=3)
+        bundle = load_bundle(dataset, jobs=jobs, graph_only=True)
         assert bundle.graph is not None and bundle.traces == []
         assert bundle.health.ingest.parsed > 0
+        # every command that needs only the graph loads the same way
+        plain = tmp_path / "plain.json"
+        run = ["run", str(dataset), "--json", "--jobs", str(jobs)]
+        assert main(run + ["--output", str(plain)]) == 0
+        fresh = tmp_path / "fresh.json"
+        journal = ["--journal", str(tmp_path / "journal")]
+        assert main(run + journal + ["--output", str(fresh)]) == 0
+        assert fresh.read_bytes() == plain.read_bytes()
+        crashed = ["--journal", str(tmp_path / "crashed")]
+        with chaos(ChaosInjector(crash_at_iteration=1)):
+            with pytest.raises(SimulatedCrash):
+                main(run + crashed + ["--output", str(tmp_path / "crash.json")])
+        run_id = run_identity_for(dataset, MapItConfig(f=0.5), "strict")
+        resumed = tmp_path / "resumed.json"
+        assert main(run + crashed + ["--resume", run_id, "--output", str(resumed)]) == 0
+        assert resumed.read_bytes() == plain.read_bytes()
+        address = json.loads(plain.read_text())["inferences"][0]["address"]
+        capsys.readouterr()
+        assert main(["explain", str(dataset), address, "--jobs", str(jobs)]) == 0
+        assert f"interface {address}" in capsys.readouterr().out
+        assert main(["report", str(dataset), "--jobs", str(jobs)]) == 0
+        assert "MAP-IT run report" in capsys.readouterr().out
         # the object loader, by contrast, goes through the patched parser
         with pytest.raises(AssertionError):
-            load_bundle(tmp_bundle(seed=3))
-
+            load_bundle(dataset)

@@ -4,7 +4,9 @@ The contract under test is the acceptance bar of the robustness layer:
 a run killed at iteration *k* and resumed with ``--resume`` produces
 output byte-for-byte identical to an uninterrupted run, and a journal
 failure (full disk, torn tail, corrupt blob) degrades durability but
-never the run's result.
+never the run's result.  Journaled runs start from the fused loader's
+graph (``load_bundle(..., graph_only=True)``); the graph itself is no
+journal unit.
 """
 
 import json
@@ -15,6 +17,7 @@ from repro.cli import main
 from repro.io import load_bundle
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
+from repro.obs.trace import Tracer, iter_events
 from repro.robust.faults import ChaosInjector, SimulatedCrash, chaos
 from repro.robust.journal import (
     RunJournal,
@@ -26,7 +29,7 @@ from repro.robust.journal import (
 
 @pytest.fixture(scope="module")
 def bundle(tmp_bundle):
-    return load_bundle(tmp_bundle(seed=3))
+    return load_bundle(tmp_bundle(seed=3), graph_only=True)
 
 
 def _metrics_obs():
@@ -126,9 +129,17 @@ class TestJournaledRun:
         journaled = journaled_run(bundle, journal=journal)
         assert journaled.to_json() == plain.to_json()
         units = [r["unit"] for r in RunJournal(tmp_path, "run1").read()]
-        assert units[0] == "graph"
+        assert units[0] == "iteration"
         assert units[-1] == "result"
-        assert "iteration" in units
+        assert "graph" not in units
+        assert sorted(path.name for path in tmp_path.glob("*.blob"))[0] == (
+            "run1.iter0001.blob"
+        )
+
+    def test_object_bundle_is_refused(self, tmp_bundle, tmp_path):
+        objects = load_bundle(tmp_bundle(seed=3))
+        with pytest.raises(ValueError, match="graph_only"):
+            journaled_run(objects, journal=RunJournal(tmp_path, "run0"))
 
     def test_crash_then_resume_is_byte_identical(self, bundle, tmp_path):
         plain = bundle.run_mapit()
@@ -136,9 +147,9 @@ class TestJournaledRun:
         with chaos(ChaosInjector(crash_at_iteration=1)):
             with pytest.raises(SimulatedCrash):
                 journaled_run(bundle, journal=journal)
-        # the crashed run journaled the graph and iteration 1, no result
+        # the crashed run journaled iteration 1, no result
         units = [r["unit"] for r in RunJournal(tmp_path, "run2").read()]
-        assert units == ["graph", "iteration"]
+        assert units == ["iteration"]
 
         resumed = journaled_run(
             bundle, journal=RunJournal(tmp_path, "run2"), resume=True
@@ -182,14 +193,16 @@ class TestJournaledRun:
         )
         assert resumed.to_json() == plain.to_json()
 
-    def test_corrupt_graph_blob_is_rebuilt(self, bundle, tmp_path):
+    def test_corrupt_iteration_blob_restarts_from_scratch(self, bundle, tmp_path):
         plain = bundle.run_mapit()
         journal = RunJournal(tmp_path, "run5")
         with chaos(ChaosInjector(crash_at_iteration=1)):
             with pytest.raises(SimulatedCrash):
                 journaled_run(bundle, journal=journal)
-        (tmp_path / "run5.graph.blob").write_bytes(b"not a pickle")
-        obs, metrics = _metrics_obs()
+        (tmp_path / "run5.iter0001.blob").write_bytes(b"not a pickle")
+        metrics = Metrics()
+        tracer = Tracer(timestamps=False)
+        obs = Observability(tracer=tracer, metrics=metrics)
         resumed = journaled_run(
             bundle,
             obs=obs,
@@ -198,6 +211,37 @@ class TestJournaledRun:
         )
         assert resumed.to_json() == plain.to_json()
         assert metrics.counters["robust.journal.blob_corrupt"] >= 1
+        # no usable snapshot: the resume starts over at iteration 0
+        (event,) = iter_events(tracer.events, "journal.resume")
+        assert event["iteration"] == 0
+        (start,) = iter_events(tracer.events, "run.start")
+        assert start["resumed_from"] is None
+
+    def test_parent_graph_record_is_skipped(self, bundle, tmp_path):
+        """Journals written before the graph stopped being a unit hold
+        a ``graph`` record (and its pickled blob) ahead of their
+        iterations; a resume skips it and never reads the blob."""
+        plain = bundle.run_mapit()
+        journal = RunJournal(tmp_path, "run7")
+        assert journal.append_with_blob("graph", "graph", b"never unpickled")
+        with chaos(ChaosInjector(crash_at_iteration=1)):
+            with pytest.raises(SimulatedCrash):
+                journaled_run(bundle, journal=journal)
+        units = [r["unit"] for r in RunJournal(tmp_path, "run7").read()]
+        assert units == ["graph", "iteration"]
+        obs, metrics = _metrics_obs()
+        resumed = journaled_run(
+            bundle,
+            obs=obs,
+            journal=RunJournal(tmp_path, "run7", obs=obs),
+            resume=True,
+        )
+        assert resumed.to_json() == plain.to_json()
+        assert "robust.journal.blob_corrupt" not in metrics.counters
+        records = RunJournal(tmp_path, "run7").read()
+        iterations = [r["payload"]["iteration"] for r in records if r["unit"] == "iteration"]
+        assert iterations == sorted(set(iterations))  # resumed after iteration 1
+        assert records[-1]["unit"] == "result"
 
     def test_enospc_mid_run_still_completes(self, bundle, tmp_path):
         plain = bundle.run_mapit()

@@ -3,8 +3,8 @@
 The contract of :mod:`repro.perf` is *byte-identity*: any worker count
 and any cache state must produce exactly the serial pipeline's outputs
 — inference files, trace JSONL, reports, and exceptions.  These tests
-hold it to that, and prove a corrupted cache entry is detected and
-rebuilt rather than served.
+hold it to that, and prove a corrupted (or old-layout) cache entry is
+detected and rebuilt rather than served.
 """
 
 import json
@@ -12,8 +12,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.graph.neighbors import graph_from_traces
 from repro.perf.cache import BundleCache
-from repro.perf.ingest import ingest_traces_parallel
+from repro.perf.ingest import stream_graph_from_file
 from repro.perf.pool import shard_ranges
 from repro.robust.errors import MAX_DETAILED_ERRORS, ErrorBudget, ErrorBudgetExceeded
 from repro.robust.ingest import ingest_traces
@@ -39,7 +40,17 @@ class TestShardRanges:
         assert max(sizes) - min(sizes) <= 1
 
 
+def _fused(lines, jobs, tmp_path, **kwargs):
+    """The sharded ingester (the fused loader) over *lines* as a file."""
+    path = tmp_path / "traces.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return stream_graph_from_file(path, jobs, **kwargs)
+
+
 class TestIngestEquivalence:
+    """The fused loader at 1, 2 and 4 shards against the serial
+    ingester plus the object graph build."""
+
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     @pytest.mark.parametrize("mode", ["lenient", "quarantine"])
     def test_modes_match_serial(self, jobs, mode, tmp_path):
@@ -48,10 +59,10 @@ class TestIngestEquivalence:
         serial_traces, serial_report = ingest_traces(
             lines, mode=mode, quarantine_dir=tmp_path / "qs", **kwargs
         )
-        traces, report = ingest_traces_parallel(
-            lines, jobs, mode=mode, quarantine_dir=tmp_path / "qp", **kwargs
-        )
-        assert traces == serial_traces
+        graph, report, _ = _fused(lines, jobs, tmp_path, mode=mode, quarantine_dir=tmp_path / "qp")
+        serial_graph, _ = graph_from_traces(serial_traces)
+        assert (graph.forward, graph.backward) == (serial_graph.forward, serial_graph.backward)
+        assert graph.other_sides == serial_graph.other_sides
         assert report.parsed == serial_report.parsed
         assert report.malformed == serial_report.malformed
         assert report.skipped == serial_report.skipped
@@ -62,24 +73,24 @@ class TestIngestEquivalence:
             assert rejects == serial_rejects
 
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_strict_raises_earliest_line(self, jobs):
+    def test_strict_raises_earliest_line(self, jobs, tmp_path):
         lines = GOOD + ["bad one"] + GOOD + ["bad two"]
         with pytest.raises(TraceParseError) as serial:
             ingest_traces(lines, mode="strict")
         with pytest.raises(TraceParseError) as parallel:
-            ingest_traces_parallel(lines, jobs, mode="strict")
+            _fused(lines, jobs, tmp_path, mode="strict")
         assert parallel.value.line_number == serial.value.line_number == 4
         assert parallel.value.reason == serial.value.reason
 
-    def test_error_budget_applies(self):
+    def test_error_budget_applies(self, tmp_path):
         lines = (GOOD * 10) + ["junk"] * 10
         with pytest.raises(ErrorBudgetExceeded):
-            ingest_traces_parallel(lines, 4, mode="lenient", budget=ErrorBudget(0.1))
+            _fused(lines, 4, tmp_path, mode="lenient", budget=ErrorBudget(0.1))
 
-    def test_detailed_error_cap_matches_serial(self):
+    def test_detailed_error_cap_matches_serial(self, tmp_path):
         lines = ["junk %d" % i for i in range(MAX_DETAILED_ERRORS + 50)]
-        _, serial_report = ingest_traces(lines, mode="lenient")
-        _, report = ingest_traces_parallel(lines, 4, mode="lenient")
+        _, serial_report = ingest_traces(lines, mode="lenient", source="traces.txt")
+        _, report, _ = _fused(lines, 4, tmp_path, mode="lenient")
         assert report.malformed == serial_report.malformed
         assert report.errors == serial_report.errors
         assert len(report.errors) == MAX_DETAILED_ERRORS
@@ -93,6 +104,49 @@ def dataset(tmp_bundle):
 def _run(dataset, out, trace, *extra):
     args = ["run", str(dataset), "--json", "--output", str(out), "--trace", str(trace)]
     assert main(list(args) + list(extra)) == 0
+
+
+def _write_v1_entry(cache, source_sha, format, traces, parsed, skipped=0):
+    """Fabricate an entry in the v1 layout of earlier releases (a JSON
+    header line + a pickle of compact trace tuples) at the entry's
+    canonical path, and return that path."""
+    import hashlib
+    import pickle
+
+    from repro.perf.cache import MAGIC
+
+    records = [
+        (t.monitor, t.dst, tuple((h.address, h.quoted_ttl, h.rtt_ms) for h in t.hops), t.flow_id)
+        for t in traces
+    ]
+    payload = pickle.dumps(records)
+    header = {
+        "magic": MAGIC,
+        "version": 1,
+        "format": format,
+        "source_sha256": source_sha,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "parsed": parsed,
+        "skipped": skipped,
+    }
+    path = cache.entry_path(source_sha, format)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return path
+
+
+def _refuse_unpickling(monkeypatch):
+    """Make ``pickle.loads`` record its call and raise; return the record."""
+    import pickle
+
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a cache entry was unpickled")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    return calls
 
 
 class TestCliJobsEquivalence:
@@ -185,38 +239,35 @@ class TestCacheEquivalence:
         assert counters["perf.cache.misses"] == 1
         assert len(list(cache.glob("*.mapitc"))) == 2
 
-    def test_v1_entry_warm_run_byte_identical(self, dataset, tmp_path, capsys):
-        """Golden byte-identity for legacy v1 entries read by new code:
-        a warm run over a fabricated old-format entry must produce the
-        same output and trace bytes as the cold (v2-writing) run."""
+    def test_v1_entry_warm_run_byte_identical(self, dataset, tmp_path, capsys, monkeypatch):
+        """A warm run over an entry in the v1 layout of earlier releases
+        (a JSON header line + a pickle) is byte-identical to the uncached
+        run: the entry fails v2 verification, is counted invalid,
+        re-parsed and overwritten with a v2 entry — and its pickle is
+        never loaded."""
         import hashlib
 
-        cache = tmp_path / "cache"
-        cold_out, cold_trace = tmp_path / "c.json", tmp_path / "c.jsonl"
-        _run(dataset, cold_out, cold_trace, "--cache", str(cache))
-        bundle_cache = BundleCache(cache)
+        from repro.perf.cache import BINARY_MAGIC
+        from repro.robust.ingest import ingest_trace_file
+
+        plain_out, plain_trace = tmp_path / "p.json", tmp_path / "p.jsonl"
+        _run(dataset, plain_out, plain_trace, "--no-cache")
         source_sha = hashlib.sha256((dataset / "traces.txt").read_bytes()).hexdigest()
-        hit = bundle_cache.load_entry(source_sha, "text")
-        assert hit is not None and hit.entry_version == 2
-        TestBundleCacheUnit._write_v1_entry(
-            bundle_cache, source_sha, "text", hit.traces(), hit.parsed, hit.skipped
+        traces, report = ingest_trace_file(dataset / "traces.txt")
+        cache = tmp_path / "cache"
+        entry = _write_v1_entry(
+            BundleCache(cache), source_sha, "text", traces, report.parsed, report.skipped
         )
-        warm_out, warm_trace = tmp_path / "w.json", tmp_path / "w.jsonl"
-        metrics = tmp_path / "m.json"
-        _run(
-            dataset,
-            warm_out,
-            warm_trace,
-            "--cache",
-            str(cache),
-            "--metrics",
-            str(metrics),
-        )
-        assert warm_out.read_bytes() == cold_out.read_bytes()
-        assert warm_trace.read_bytes() == cold_trace.read_bytes()
+        unpickled = _refuse_unpickling(monkeypatch)
+        out, trace, metrics = tmp_path / "v.json", tmp_path / "v.jsonl", tmp_path / "m.json"
+        _run(dataset, out, trace, "--cache", str(cache), "--metrics", str(metrics))
+        assert unpickled == []
+        assert out.read_bytes() == plain_out.read_bytes()
+        assert trace.read_bytes() == plain_trace.read_bytes()
         counters = json.loads(metrics.read_text())["counters"]
-        assert counters["perf.cache.hits"] == 1
-        assert counters["perf.cache.format.v1"] == 1
+        assert counters["perf.cache.invalid"] == 1
+        assert "perf.cache.hits" not in counters
+        assert entry.read_bytes().startswith(BINARY_MAGIC)
 
     def test_dirty_parse_not_cached(self, tmp_bundle, tmp_path, capsys):
         dataset = tmp_bundle(seed=3, copy=True)
@@ -238,9 +289,17 @@ class TestCacheEquivalence:
         assert list(cache.glob("*.mapitc")) == []
 
 
+def _load(cache, source_sha256, format):
+    """``(traces, parsed, skipped)`` of a verified hit, else None."""
+    hit = cache.load_entry(source_sha256, format)
+    if hit is None:
+        return None
+    return hit.traces(), hit.parsed, hit.skipped
+
+
 class TestBundleCacheUnit:
     def test_load_missing_is_miss(self, tmp_path):
-        assert BundleCache(tmp_path).load("0" * 64, "text") is None
+        assert _load(BundleCache(tmp_path), "0" * 64, "text") is None
 
     def test_round_trip(self, tmp_path):
         from repro.robust.errors import IngestReport
@@ -250,9 +309,9 @@ class TestBundleCacheUnit:
         report = IngestReport(source="traces.txt", parsed=len(traces))
         cache = BundleCache(tmp_path)
         assert cache.store("a" * 64, "text", traces, report)
-        assert cache.load("a" * 64, "text") == (traces, len(traces), 0)
-        assert cache.load("b" * 64, "text") is None  # different source
-        assert cache.load("a" * 64, "jsonl") is None  # different format
+        assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
+        assert _load(cache, "b" * 64, "text") is None  # different source
+        assert _load(cache, "a" * 64, "jsonl") is None  # different format
 
     def test_dirty_report_refused(self, tmp_path):
         from repro.robust.errors import IngestReport
@@ -288,58 +347,59 @@ class TestBundleCacheUnit:
         # doctor the struct header's parsed-count field (offset 12, u32)
         struct.pack_into("<I", raw, 12, 999)
         path.write_bytes(bytes(raw))
-        assert cache.load("a" * 64, "text") is None
+        assert _load(cache, "a" * 64, "text") is None
 
-    @staticmethod
-    def _write_v1_entry(cache, source_sha, format, traces, parsed, skipped=0):
-        """Fabricate an entry in the legacy v1 layout (JSON header line +
-        pickle of compact tuples) at the entry's canonical path."""
-        import hashlib
-        import pickle
-
-        from repro.perf.cache import MAGIC, _pack
-
-        payload = pickle.dumps(_pack(traces), protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "magic": MAGIC,
-            "version": 1,
-            "format": format,
-            "source_sha256": source_sha,
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "parsed": parsed,
-            "skipped": skipped,
-        }
-        cache._ensure_directory()
-        cache.entry_path(source_sha, format).write_bytes(
-            json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
-        )
-
-    def test_v1_entry_reads_transparently(self, tmp_path):
+    def test_v1_entry_reads_transparently(self, tmp_path, monkeypatch):
+        """A v1 entry reads as a plain miss — no exception, no unpickling,
+        counted ``perf.cache.invalid`` — and the next store overwrites it
+        in place with a v2 entry that hits."""
         from repro.obs.metrics import Metrics
         from repro.obs.observer import Observability
+        from repro.perf.cache import BINARY_MAGIC
+        from repro.robust.errors import IngestReport
         from repro.traceroute.parse import parse_text_traces
 
         traces = list(parse_text_traces(GOOD))
         metrics = Metrics()
         cache = BundleCache(tmp_path, obs=Observability(metrics=metrics))
-        self._write_v1_entry(cache, "a" * 64, "text", traces, len(traces))
-        assert cache.load("a" * 64, "text") == (traces, len(traces), 0)
-        assert metrics.counters["perf.cache.hits"] == 1
-        assert metrics.counters["perf.cache.format.v1"] == 1
-        hit = cache.load_entry("a" * 64, "text")
-        assert hit.entry_version == 1 and hit.flat is None
+        path = _write_v1_entry(cache, "a" * 64, "text", traces, len(traces))
+        unpickled = _refuse_unpickling(monkeypatch)
+        assert cache.load_entry("a" * 64, "text") is None
+        assert unpickled == []
+        assert metrics.counters["perf.cache.invalid"] == 1
+        assert "perf.cache.hits" not in metrics.counters
+        report = IngestReport(source="traces.txt", parsed=len(traces))
+        assert cache.store("a" * 64, "text", traces, report)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes().startswith(BINARY_MAGIC)
+        assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
 
-    def test_v1_entry_tamper_still_detected(self, tmp_path):
+    def test_v1_entry_tamper_still_detected(self, tmp_path, monkeypatch):
+        """A v1 entry doctored to look like v2 — its leading bytes
+        replaced by the v2 magic, or its header's version set to 2 —
+        still fails verification without being unpickled."""
+        from repro.obs.metrics import Metrics
+        from repro.obs.observer import Observability
+        from repro.perf.cache import BINARY_MAGIC
         from repro.traceroute.parse import parse_text_traces
 
         traces = list(parse_text_traces(GOOD))
-        cache = BundleCache(tmp_path)
-        self._write_v1_entry(cache, "a" * 64, "text", traces, len(traces))
-        path = cache.entry_path("a" * 64, "text")
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        assert cache.load("a" * 64, "text") is None
+        metrics = Metrics()
+        cache = BundleCache(tmp_path, obs=Observability(metrics=metrics))
+        path = _write_v1_entry(cache, "a" * 64, "text", traces, len(traces))
+        v1 = path.read_bytes()
+        unpickled = _refuse_unpickling(monkeypatch)
+        doctored = [
+            BINARY_MAGIC + v1[len(BINARY_MAGIC) :],
+            v1.replace(b'"version": 1', b'"version": 2', 1),
+        ]
+        assert doctored[1] != v1
+        for data in doctored:
+            path.write_bytes(data)
+            assert cache.load_entry("a" * 64, "text") is None
+        assert unpickled == []
+        assert metrics.counters["perf.cache.invalid"] == len(doctored)
+        assert "perf.cache.hits" not in metrics.counters
 
     def test_v2_hit_counts_format_metric(self, tmp_path):
         from repro.obs.metrics import Metrics
@@ -386,13 +446,13 @@ class TestCacheHardening:
         # a second run racing over the same dataset stores the same key
         assert cache.store("a" * 64, "text", traces, report)
         assert metrics.counters["perf.cache.contended"] == 1
-        assert cache.load("a" * 64, "text") == (traces, len(traces), 0)
+        assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
 
     def test_store_creates_missing_directory(self, tmp_path):
         traces, report = self._clean()
         cache = BundleCache(tmp_path / "deep" / "nested")
         assert cache.store("a" * 64, "text", traces, report)
-        assert cache.load("a" * 64, "text") == (traces, len(traces), 0)
+        assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
 
     def test_enospc_store_fails_soft(self, tmp_path):
         from repro.robust.faults import ChaosInjector, chaos
@@ -404,6 +464,6 @@ class TestCacheHardening:
             assert not cache.store("a" * 64, "text", traces, report)
         assert metrics.counters["perf.cache.store_failed"] == 1
         # the failed store left no partial entry behind
-        assert cache.load("a" * 64, "text") is None
+        assert _load(cache, "a" * 64, "text") is None
         # and a later healthy store succeeds
         assert cache.store("a" * 64, "text", traces, report)

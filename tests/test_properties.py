@@ -391,11 +391,12 @@ class TestSeededTraceLineFuzz:
             except TraceParseError as exc:
                 assert exc.line_number == 7
 
-    def test_lenient_ingest_accounts_for_every_record(self):
+    def test_lenient_ingest_accounts_for_every_record(self, tmp_path):
         """Over a fuzzed corpus, lenient ingest never raises and its
         counts partition the non-blank, non-comment lines exactly —
-        under the serial and the sharded ingester alike."""
-        from repro.perf.ingest import ingest_traces_parallel
+        under the serial ingester and the sharded fused loader alike."""
+        from repro.graph.neighbors import graph_from_traces
+        from repro.perf.ingest import stream_graph_from_file
         from repro.robust.ingest import ingest_traces
 
         rng = random.Random(0x5EED)
@@ -408,8 +409,11 @@ class TestSeededTraceLineFuzz:
         traces, report = ingest_traces(lines, mode="lenient")
         assert report.parsed + report.malformed == records
         assert report.parsed == len(traces)
-        par_traces, par_report = ingest_traces_parallel(lines, 4, mode="lenient")
-        assert par_traces == traces
+        path = tmp_path / "traces.txt"
+        path.write_text("\n".join(lines) + "\n")
+        par_graph, par_report, _ = stream_graph_from_file(path, 4, mode="lenient")
+        graph, _ = graph_from_traces(traces)
+        assert (par_graph.forward, par_graph.backward) == (graph.forward, graph.backward)
         assert (par_report.parsed, par_report.malformed) == (
             report.parsed,
             report.malformed,
