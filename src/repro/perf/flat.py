@@ -21,7 +21,8 @@ sharded execution layer moves around instead:
   ``sanitize_traces`` + ``accumulate_neighbors`` without materializing
   a single ``Hop`` (property-tested against the object kernel in
   ``tests/test_perf_flat.py``).  Its per-trace cycle check and fold,
-  :func:`fold_addresses`, is shared with the fused text loader.
+  :func:`fold_addresses`, is shared with :func:`fold_hops`, the
+  per-record step of the fused text loader and the serve daemon.
 * :func:`encode_table` / :func:`merge_table_blob` /
   :func:`encode_addresses` / :func:`merge_address_blob` — the counter
   bundle codec: neighbor tables and address sets as packed ``uint32``
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.traceroute.model import Hop, Trace
+from repro.traceroute.parse import HopTuple, trace_record
 
 #: array typecode with a 4-byte unsigned item (u32 addresses)
 U32 = "I" if array("I").itemsize == 4 else "L"
@@ -313,12 +315,7 @@ def pack_traces(traces: Sequence[Trace]) -> FlatTraces:
     """
     writer = FlatWriter()
     for trace in traces:
-        writer.add(
-            trace.monitor,
-            trace.dst,
-            trace.flow_id,
-            [(hop.address, hop.quoted_ttl, hop.rtt_ms) for hop in trace.hops],
-        )
+        writer.add(*trace_record(trace))
     return writer.finish()
 
 
@@ -451,6 +448,36 @@ def accumulate_flat(
     return retained, discarded, buggy
 
 
+def fold_hops(
+    hops: Sequence[HopTuple],
+    forward: Dict[int, Set[int]],
+    backward: Dict[int, Set[int]],
+    seen: Set[int],
+    universe: Set[int],
+    is_special: Callable[[int], bool],
+    dirty: Optional[Set[Tuple[int, bool]]] = None,
+) -> Tuple[bool, int]:
+    """Sanitize and fold one parsed record's hops (§4.1 + §4.3).
+
+    The per-record step of every loader that parses records to plain
+    values (the fused text loader, the serve daemon): responsive hops
+    land in *universe*, quoted-TTL-0 hops become gaps, then
+    :func:`fold_addresses` runs — the per-trace semantics of
+    :func:`accumulate_flat`, which reads the same values from columns.
+    Returns ``(retained, buggy_hops_removed)``.  O(hops).
+    """
+    addresses: List[Optional[int]] = []
+    buggy = 0
+    for address, quoted, _ in hops:
+        if address is not None:
+            universe.add(address)
+            if quoted == 0:
+                buggy += 1
+                address = None
+        addresses.append(address)
+    return fold_addresses(addresses, forward, backward, seen, is_special, dirty), buggy
+
+
 def fold_addresses(
     addresses: List[Optional[int]],
     forward: Dict[int, Set[int]],
@@ -468,7 +495,7 @@ def fold_addresses(
     *forward*/*backward* — gaps and special addresses break adjacency,
     and special addresses stay out of *seen* — and it returns ``True``
     (retained).  *dirty* as in :func:`accumulate_flat`.  The integer
-    kernel shared by :func:`accumulate_flat` and the fused text loader;
+    kernel shared by :func:`accumulate_flat` and :func:`fold_hops`;
     O(hops).
     """
     last_position: Dict[int, int] = {}

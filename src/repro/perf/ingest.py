@@ -31,7 +31,7 @@ smallest line number, reconstructing the exact
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -45,7 +45,7 @@ from repro.perf.flat import (
     accumulate_flat,
     bundle_tables,
     concat_flat_bytes,
-    fold_addresses,
+    fold_hops,
 )
 from repro.perf.graph import finish_graph_from_bundles
 from repro.perf.pool import Shard, fork_map, shared_payload
@@ -56,13 +56,8 @@ from repro.robust.errors import (
     IngestError,
     IngestReport,
 )
-from repro.robust.ingest import FORMATS, MODES, finalize_ingest, parse_record
-from repro.traceroute.parse import (
-    RecordTuple,
-    TextTokenizer,
-    TraceParseError,
-    trace_format_for_path,
-)
+from repro.robust.ingest import FORMATS, MODES, finalize_ingest, record_parser
+from repro.traceroute.parse import RecordTuple, TraceParseError, trace_format_for_path
 
 @dataclass
 class _ShardResult:
@@ -161,16 +156,6 @@ def _merge_shard_tallies(results, report: IngestReport, rejects: List[str]):
 # the fused streaming loader (parse + sanitize + neighbor fold, one fork)
 
 
-def _trace_record(line: str, line_number: int, format: str) -> Optional[RecordTuple]:
-    """A jsonl/atlas record, parsed by :func:`parse_record`, as plain
-    values for the integer fold (``None`` for a skipped record)."""
-    trace = parse_record(line, line_number, format)
-    if trace is None:
-        return None
-    hops = [(hop.address, hop.quoted_ttl, hop.rtt_ms) for hop in trace.hops]
-    return trace.monitor, trace.dst, trace.flow_id, hops
-
-
 def _fused_shard(shard: Shard) -> _ShardResult:
     """Parse, sanitize, and fold one text shard (worker process, or
     inline at ``jobs=1``).
@@ -181,15 +166,14 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     character range aligned to line boundaries.
 
     One pass per record, with no :class:`~repro.traceroute.model.Trace`
-    or ``Hop`` objects: text records go through a
-    :class:`~repro.traceroute.parse.TextTokenizer` (each distinct token
-    parsed once), jsonl/atlas records through :func:`parse_record`;
-    either way the hops are integers that get the §4.1 TTL-0 strip here
-    and the cycle check + §4.3 fold of
-    :func:`~repro.perf.flat.fold_addresses`, with the special-address
-    test memoised per address.  When a store is pending, the same
-    records are written to the shard's columnar block by the
-    :class:`~repro.perf.flat.FlatWriter` that
+    or ``Hop`` objects on the text path: each record goes through
+    :func:`~repro.robust.ingest.record_parser` (text: a
+    :class:`~repro.traceroute.parse.TextTokenizer`, each distinct token
+    parsed once) and :func:`~repro.perf.flat.fold_hops` (the §4.1
+    TTL-0 strip and cycle check, then the §4.3 fold), with the
+    special-address test memoised per address.  When a store is
+    pending, the same records are written to the shard's columnar block
+    by the :class:`~repro.perf.flat.FlatWriter` that
     :func:`~repro.perf.flat.pack_traces` uses.
     O(bytes in shard); pickles back tallies, one packed counter bundle,
     and (only when a store is pending) one columnar block.
@@ -200,10 +184,7 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     lines = text[start:end].split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if format == "text":
-        parse = TextTokenizer().parse
-    else:
-        parse = partial(_trace_record, format=format)
+    parse = record_parser(format)
     # Per-shard memo: one special-prefix lookup per distinct address
     # instead of one per hop; freed with the shard.
     is_special = cache(default_special_registry().is_special)
@@ -215,15 +196,9 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     retained = discarded = buggy = 0
     records = _records(result, lines, line_starts[start], format, source, mode, parse)
     for monitor, dst, flow, hops in records:
-        addresses: List[Optional[int]] = []
-        for address, quoted, _ in hops:
-            if address is not None:
-                universe.add(address)
-                if quoted == 0:
-                    buggy += 1
-                    address = None
-            addresses.append(address)
-        if fold_addresses(addresses, forward, backward, seen, is_special):
+        kept, stripped = fold_hops(hops, forward, backward, seen, universe, is_special)
+        buggy += stripped
+        if kept:
             retained += 1
         else:
             discarded += 1

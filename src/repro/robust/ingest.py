@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.errors import (
@@ -40,10 +40,13 @@ from repro.robust.errors import (
 from repro.traceroute.atlas import parse_atlas_measurement
 from repro.traceroute.model import Trace
 from repro.traceroute.parse import (
+    RecordTuple,
+    TextTokenizer,
     TraceParseError,
     parse_json_trace,
     parse_text_trace,
     trace_format_for_path,
+    trace_record,
 )
 
 MODES = ("strict", "lenient", "quarantine")
@@ -113,6 +116,27 @@ def parse_record(line: str, line_number: int, format: str) -> Optional[Trace]:
     if format == "jsonl":
         return parse_json_trace(line, line_number)
     return _parse_atlas_line(line, line_number)
+
+
+def record_parser(format: str) -> Callable[[str, int], Optional[RecordTuple]]:
+    """The per-record parser of the object-free graph loaders (the
+    fused loader's shards, the serve daemon).
+
+    ``parse(line, line_number)`` returns one stripped, non-blank
+    record's :data:`RecordTuple` (``None`` to skip it) and raises what
+    :func:`parse_record` raises on the same line.  Text goes through a
+    fresh :class:`~repro.traceroute.parse.TextTokenizer` (its memo
+    keeps one entry per distinct hop token and destination),
+    jsonl/atlas through :func:`parse_record`.
+    """
+    if format == "text":
+        return TextTokenizer().parse
+
+    def parse(line: str, line_number: int) -> Optional[RecordTuple]:
+        trace = parse_record(line, line_number, format)
+        return None if trace is None else trace_record(trace)
+
+    return parse
 
 
 def finalize_ingest(

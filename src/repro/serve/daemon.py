@@ -8,8 +8,8 @@
   — *sheds* it deterministically (drop-newest, count, feed the
   ErrorBudget at the next quiesce);
 * one pump (the daemon's worker thread, or the caller itself in
-  ``--once`` mode) drains the queue: parse via the shared
-  :func:`~repro.robust.ingest.parse_record`, fold into the
+  ``--once`` mode) drains the queue: parse via the fused loader's
+  :func:`~repro.robust.ingest.record_parser`, fold the record into the
   :class:`~repro.serve.incremental.IncrementalIndex`, and every
   ``quiesce_every`` folds re-run the dirty-region multipass and publish
   a fresh immutable :class:`ServeSnapshot` by a single reference swap
@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import chain
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.core.results import MapItResult
+from repro.core.results import LinkInference, MapItResult
 from repro.graph.othersides import OtherSideTable
 from repro.net.ipv4 import format_address
 from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.errors import ErrorBudget
 from repro.robust.faults import active_chaos
-from repro.robust.ingest import parse_record
+from repro.robust.ingest import record_parser
 from repro.robust.journal import RunJournal
 from repro.serve.checkpoint import load_latest_checkpoint, write_checkpoint
 from repro.serve.incremental import IncrementalIndex
@@ -56,6 +57,10 @@ class ServeSnapshot:
     Built at a quiesce point and swapped in with a single attribute
     assignment; every field is derived from that one quiesce, so any
     reader holding a snapshot sees an internally consistent world.
+    Record dicts are shared with the *previous* snapshot for every
+    inference equal to one it published (only new or changed ones call
+    ``to_dict``); no snapshot ever mutates a record, and the indexes
+    themselves are built complete for each snapshot.
     """
 
     __slots__ = (
@@ -63,6 +68,8 @@ class ServeSnapshot:
         "fingerprint",
         "result",
         "stats",
+        "records",
+        "records_built",
         "by_address",
         "by_as",
         "other_sides",
@@ -75,23 +82,32 @@ class ServeSnapshot:
         result: Optional[MapItResult],
         stats: Dict[str, int],
         other_sides: Optional[OtherSideTable] = None,
+        previous: Optional["ServeSnapshot"] = None,
     ) -> None:
         self.seq = seq
         self.fingerprint = fingerprint
         self.result = result
         self.stats = stats
         # the quiesce-time point-to-point table, captured by reference:
-        # the index swaps in a *fresh* table when the universe grows,
+        # the index publishes a patched *copy* when the universe grows,
         # so this one is immutable from the moment it lands here
         self.other_sides = other_sides
+        self.records: Dict[LinkInference, dict] = {}
+        self.records_built = 0
         self.by_address: Dict[int, List[dict]] = {}
         self.by_as: Dict[int, List[dict]] = {}
         if result is not None:
-            for inference in list(result.inferences) + list(result.uncertain):
-                record = inference.to_dict()
+            published = previous.records if previous is not None else {}
+            for inference in chain(result.inferences, result.uncertain):
+                record = published.get(inference)
+                if record is None:
+                    record = inference.to_dict()
+                    self.records_built += 1
+                self.records[inference] = record
                 self.by_address.setdefault(inference.address, []).append(record)
-                for asn in sorted({inference.local_as, inference.remote_as}):
-                    self.by_as.setdefault(asn, []).append(record)
+                self.by_as.setdefault(inference.local_as, []).append(record)
+                if inference.remote_as != inference.local_as:
+                    self.by_as.setdefault(inference.remote_as, []).append(record)
 
     @classmethod
     def empty(cls) -> "ServeSnapshot":
@@ -137,6 +153,7 @@ class ServeDaemon:
         self.quiesce_every = max(0, quiesce_every)
         self.checkpoint_every = max(0, checkpoint_every)
         self.queue_limit = max(1, queue_limit)
+        self._parse = record_parser(format)
         self.snapshot = ServeSnapshot.empty()
         self.offsets: Dict[str, int] = {}
         self.stats: Dict[str, int] = {key: 0 for key in _STAT_KEYS}
@@ -220,13 +237,16 @@ class ServeDaemon:
         Runs on the pump thread before any reader starts, but keeps
         the same locked-counter discipline as the live path so the
         warm start is not a special case the concurrency rules exempt.
-        Returns traces folded.
+        The folds count toward the quiesce cadence, so the warm base is
+        published as soon as the daemon goes idle.  Returns traces
+        folded.
         """
         self.index.fold_flat(flat, 0, len(flat))
         self._bump("ingested", parsed + skipped)
         self._bump("parsed", parsed)
         self._bump("skipped", skipped)
         self._bump("folds", parsed)
+        self._folds_since_quiesce += parsed
         self.offsets[source] = offset
         return parsed
 
@@ -254,7 +274,7 @@ class ServeDaemon:
         if not line or (self.format == "text" and line.startswith("#")):
             return
         try:
-            trace = parse_record(line, number, self.format)
+            record = self._parse(line, number)
         except TraceParseError:
             if self.on_error == "strict":
                 raise
@@ -265,13 +285,13 @@ class ServeDaemon:
                     "serve.reject", source=source, line=number, snippet=line[:120]
                 )
             return
-        if trace is None:
+        if record is None:
             self._bump("skipped")
             self.obs.inc("serve.skipped")
             return
         self._bump("parsed")
         self.obs.inc("serve.parsed")
-        self.index.fold([trace])
+        self.index.fold_record(record)
         folds = self._bump("folds")
         self.obs.inc("serve.folds")
         self._folds_since_quiesce += 1
@@ -309,7 +329,9 @@ class ServeDaemon:
             result,
             stats,
             other_sides=self.index.graph.other_sides,
+            previous=self.snapshot,
         )
+        self.obs.inc("serve.snapshot.records_built", snapshot.records_built)
         # One reference assignment: atomic under the GIL, so readers
         # always see either the old or the new complete snapshot.
         self.snapshot = snapshot

@@ -1,12 +1,12 @@
 """Persistent fold state + dirty-region re-inference.
 
 :class:`IncrementalIndex` is the serve daemon's heart: it owns the
-mutable neighbor tables an arriving trace folds into (via the columnar
-:func:`~repro.perf.flat.accumulate_flat` kernel, which reports exactly
-which interface halves gained a member) and a persistent
-:class:`~repro.core.mapit.MapIt` whose engine keeps its tally cache
-across quiesces.  A quiesce refreshes the other-side table if
-the address universe grew, then calls
+mutable neighbor tables an arriving record folds into (via
+:func:`~repro.perf.flat.fold_hops`, the fused loader's per-record
+step, which reports exactly which interface halves gained a member)
+and a persistent :class:`~repro.core.mapit.MapIt` whose engine keeps
+its tally cache across quiesces.  A quiesce re-judges other sides for
+the /30 blocks that gained an address, then calls
 :meth:`~repro.core.mapit.MapIt.run_incremental` with the accumulated
 dirty halves — producing a result byte-identical to a batch run over
 every trace folded so far (docs/SERVE.md proves why).
@@ -19,22 +19,21 @@ quiesce to identical states; the differential layer in
 from __future__ import annotations
 
 from functools import cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.bgp.ip2as import IP2AS
 from repro.core.config import MapItConfig
 from repro.core.mapit import MapIt
 from repro.core.results import MapItResult
-from repro.graph.halves import BACKWARD, FORWARD
-from repro.graph.neighbors import InterfaceGraph, accumulate_neighbors
-from repro.graph.othersides import infer_other_sides
+from repro.graph.neighbors import InterfaceGraph
+from repro.graph.othersides import block_members, patch_other_sides
 from repro.net.special import SpecialPurposeRegistry, default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
-from repro.perf.flat import FlatEncodeError, FlatTraces, accumulate_flat, pack_traces
+from repro.perf.flat import FlatTraces, accumulate_flat, fold_hops
 from repro.rel.relationships import RelationshipDataset
 from repro.traceroute.model import Trace
-from repro.traceroute.sanitize import sanitize_traces
+from repro.traceroute.parse import RecordTuple, trace_record
 
 
 class IncrementalIndex:
@@ -61,31 +60,46 @@ class IncrementalIndex:
         # of the universe (fold and other-side filter alike).
         self._is_special = cache((special or default_special_registry()).is_special)
         self._dirty: Set[Tuple[int, bool]] = set()
-        #: universe size when the other-side table was last computed;
-        #: -1 forces the first quiesce to build it
-        self._other_sides_at = -1
+        #: the universe as of the last other-side table
+        self._judged: Set[int] = set()
         self.graph = InterfaceGraph(forward=self.forward, backward=self.backward)
         self._mapit = MapIt(self.graph, ip2as, org=org, rel=rel, config=config, obs=obs)
         self.result: Optional[MapItResult] = None
 
     # -- folding ------------------------------------------------------------
 
-    def fold(self, traces: List[Trace]) -> int:
+    def fold(self, traces: Iterable[Trace]) -> int:
         """Sanitize and fold *traces* into the neighbor tables.
 
         Returns the number of traces retained (§4.1 may discard).  The
-        interface halves whose neighbor set actually grew accumulate in
-        the dirty set consumed by the next :meth:`quiesce`.
+        trace-list entry point (the differential layer, tests); the
+        daemon folds parsed records with :meth:`fold_record`.
         """
-        if not traces:
-            return 0
-        try:
-            flat = pack_traces(traces)
-        except FlatEncodeError:
-            # A field outside the columnar ranges (legal but rare):
-            # fall back to the object kernels for this batch.
-            return self._fold_objects(traces)
-        return self.fold_flat(flat, 0, len(flat))
+        return sum(self.fold_record(trace_record(trace)) for trace in traces)
+
+    def fold_record(self, record: RecordTuple) -> bool:
+        """Sanitize and fold one parsed record; True when retained.
+
+        The interface halves whose neighbor set actually grew
+        accumulate in the dirty set consumed by the next
+        :meth:`quiesce`.
+        """
+        with self.obs.span("serve/fold"):
+            kept, buggy = fold_hops(
+                record[3],
+                self.forward,
+                self.backward,
+                self.seen,
+                self.universe,
+                self._is_special,
+                self._dirty,
+            )
+        self.buggy += buggy
+        if kept:
+            self.retained += 1
+        else:
+            self.discarded += 1
+        return kept
 
     def fold_flat(self, flat: FlatTraces, start: int, end: int) -> int:
         """Fold a pre-packed columnar block (the ``.mapitc`` v2
@@ -107,30 +121,6 @@ class IncrementalIndex:
         self.buggy += buggy
         return retained
 
-    def _fold_objects(self, traces: List[Trace]) -> int:
-        """Object-kernel fallback fold with the same dirty tracking."""
-        report = sanitize_traces(traces)
-        self.universe.update(report.all_addresses)
-        staged_forward: Dict[int, Set[int]] = {}
-        staged_backward: Dict[int, Set[int]] = {}
-        accumulate_neighbors(
-            report.traces, staged_forward, staged_backward, self.seen, self._is_special
-        )
-        for address, members in staged_forward.items():
-            current = self.forward.setdefault(address, set())
-            if not members <= current:
-                current |= members
-                self._dirty.add((address, FORWARD))
-        for address, members in staged_backward.items():
-            current = self.backward.setdefault(address, set())
-            if not members <= current:
-                current |= members
-                self._dirty.add((address, BACKWARD))
-        self.retained += len(report.traces)
-        self.discarded += report.discarded
-        self.buggy += report.buggy_hops_removed
-        return len(report.traces)
-
     # -- quiescing ----------------------------------------------------------
 
     @property
@@ -142,24 +132,30 @@ class IncrementalIndex:
         """Re-run inference over the current graph, dirty region only.
 
         Byte-identical to a batch run over every trace folded so far:
-        the other-side table is recomputed from the (possibly grown)
-        address universe exactly as :func:`finish_interface_graph`
-        would, and the multipass restarts from an empty state with the
-        engine's tally cache confining recounts to the halves whose
-        inputs changed (docs/SERVE.md).
+        the other-side table equals the one :func:`finish_interface_graph`
+        would build from the grown address universe (the /30 blocks
+        that gained an address are re-judged in a fresh copy; a table a
+        snapshot holds is never mutated), and the multipass restarts
+        from an empty state with the engine's tally cache confining
+        recounts to the halves whose inputs changed (docs/SERVE.md).
         """
-        if self._other_sides_at != len(self.universe):
+        added = self.universe - self._judged
+        if added or self.graph.other_sides is None:
+            self._judged |= added
             with self.obs.span("serve/other_sides"):
-                self.graph.other_sides = infer_other_sides(
-                    address
-                    for address in self.universe
-                    if not self._is_special(address)
+                judged = block_members(added, self._observed)
+                self.graph.other_sides = patch_other_sides(
+                    self.graph.other_sides, judged
                 )
-            self._other_sides_at = len(self.universe)
+            self.obs.inc("serve.other_sides.judged", len(judged))
         dirty, self._dirty = self._dirty, set()
         with self.obs.span("serve/quiesce"):
             self.result = self._mapit.run_incremental(dirty)
         return self.result
+
+    def _observed(self, address: int) -> bool:
+        """Whether the §4.2 rule sees *address*: folded, not special."""
+        return address in self.universe and not self._is_special(address)
 
     def fingerprint(self) -> str:
         """The §4.6 state fingerprint of the last quiesce."""
@@ -188,9 +184,9 @@ class IncrementalIndex:
         """Adopt fold state captured by :meth:`export_state`.
 
         The dicts are updated in place so the engine's graph alias
-        stays valid; the tally cache and dirty tracking reset — the next
-        quiesce recounts from scratch, which is exactly the batch
-        trajectory.
+        stays valid; the tally cache, dirty tracking and other-side
+        table reset — the next quiesce judges every address and
+        recounts from scratch, which is exactly the batch trajectory.
         """
         self.forward.clear()
         self.forward.update(state["forward"])
@@ -205,6 +201,7 @@ class IncrementalIndex:
         self.discarded = int(state["discarded"])
         self.buggy = int(state["buggy"])
         self._dirty = set()
-        self._other_sides_at = -1
+        self._judged = set()
+        self.graph.other_sides = None
         self._mapit.engine.reset_caches()
         self.result = None

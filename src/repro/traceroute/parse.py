@@ -127,6 +127,12 @@ HopTuple = Tuple[Optional[int], int, float]
 RecordTuple = Tuple[str, int, int, List[HopTuple]]
 
 
+def trace_record(trace: Trace) -> RecordTuple:
+    """A :class:`Trace` as the plain values of :data:`RecordTuple`."""
+    hops = [(hop.address, hop.quoted_ttl, hop.rtt_ms) for hop in trace.hops]
+    return trace.monitor, trace.dst, trace.flow_id, hops
+
+
 class TextTokenizer:
     """Parses compact-text records straight to :data:`RecordTuple` values.
 

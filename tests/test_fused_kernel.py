@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-import repro.perf.ingest as perf_ingest
 import repro.robust.ingest as robust_ingest
 import repro.traceroute.parse as trace_parse
 from repro.cli import main
@@ -305,7 +304,6 @@ class TestNoObjectParse:
             (trace_parse, "parse_text_trace"),
             (robust_ingest, "parse_text_trace"),
             (robust_ingest, "parse_record"),
-            (perf_ingest, "parse_record"),
         ):
             monkeypatch.setattr(module, name, refuse)
         dataset = tmp_bundle(seed=3)

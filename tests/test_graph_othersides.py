@@ -1,7 +1,9 @@
 """Tests for the /30-vs-/31 other-side heuristic (paper section 4.2)."""
 
+import copy
+
 from repro.net.ipv4 import parse_address
-from repro.graph.othersides import infer_other_sides
+from repro.graph.othersides import block_members, infer_other_sides, patch_other_sides
 
 
 def addr(text: str) -> int:
@@ -67,3 +69,28 @@ class TestHeuristic:
         """The simulator is calibrated near the paper's 40.4% /31 rate."""
         fraction = experiment.graph.other_sides.fraction_31()
         assert 0.25 < fraction < 0.6
+
+
+class TestBlockPatch:
+    def test_new_network_address_rejudges_its_block_only(self):
+        """A block's network address arriving flips both middle hosts
+        to /31; a neighbouring block keeps its /30 pair."""
+        observed = {addr("9.0.0.1"), addr("9.0.0.2"), addr("9.0.0.5")}
+        table = infer_other_sides(observed)
+        observed.add(addr("9.0.0.0"))
+        judged = block_members([addr("9.0.0.0")], observed.__contains__)
+        assert judged == [addr("9.0.0.0"), addr("9.0.0.1"), addr("9.0.0.2")]
+        patched = patch_other_sides(table, judged)
+        assert patched == infer_other_sides(observed)
+        assert patched.other_side[addr("9.0.0.5")] == addr("9.0.0.6")
+        assert addr("9.0.0.1") in patched.from_31
+
+    def test_patch_never_mutates_the_previous_table(self):
+        table = infer_other_sides([addr("9.0.0.1")])
+        frozen = copy.deepcopy(table)
+        patch_other_sides(table, [addr("9.0.0.1"), addr("9.0.0.3")])
+        assert table == frozen
+
+    def test_unobserved_additions_judge_nothing(self):
+        assert block_members([addr("10.0.0.1")], lambda address: False) == []
+        assert patch_other_sides(None, []) == infer_other_sides([])

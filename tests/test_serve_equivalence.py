@@ -8,6 +8,8 @@ of arrival order, checkpoint/restart boundaries, or transport.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import random
 import socket
@@ -16,16 +18,28 @@ import threading
 
 import pytest
 
+import repro.perf.flat as perf_flat
+import repro.robust.ingest as robust_ingest
+import repro.traceroute.parse as trace_parse
+from repro.cli import _serve_warm_start
 from repro.cli import main as cli_main
 from repro.core.config import MapItConfig
+from repro.core.mapit import MapIt
 from repro.diff.worlds import World, world_from_preset
-from repro.obs.observer import NULL_OBS
+from repro.io.bundle import load_bundle
+from repro.obs.metrics import Metrics
+from repro.obs.observer import NULL_OBS, Observability
+from repro.perf.flat import FlatEncodeError, pack_traces
 from repro.robust.journal import RunJournal
 from repro.serve.daemon import ServeDaemon
 from repro.serve.incremental import IncrementalIndex
 from repro.serve.sources import SocketSource
 from repro.serve.verify import batch_state, check_world
-from repro.traceroute.parse import traces_to_text_lines
+from repro.traceroute.parse import (
+    parse_json_trace,
+    traces_to_json_lines,
+    traces_to_text_lines,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +84,20 @@ def test_permuted_arrival_order(world):
 
 
 def test_chunked_folds_match_single_fold(world):
-    """Chunk boundaries are invisible: many small folds == one big one."""
-    whole = _fresh_index(world)
-    whole.fold(list(world.traces))
-    chunked = _fresh_index(world)
-    for start in range(0, len(world.traces), 13):
-        chunked.fold(list(world.traces[start : start + 13]))
-        chunked.quiesce()  # interleaved quiesces must not perturb state
-    assert _serve_state(whole) == _serve_state(chunked)
+    """Chunk boundaries are invisible: many small folds == one big one,
+    and every chunk boundary quiesces to the batch state of its prefix
+    (tiny seed 0 in chunks of 13; small seed 7 in eight chunks)."""
+    small = world_from_preset("small", 7)
+    for subject, chunk in ((world, 13), (small, -(-len(small.traces) // 8))):
+        whole = _fresh_index(subject)
+        whole.fold(list(subject.traces))
+        chunked = _fresh_index(subject)
+        for start in range(0, len(subject.traces), chunk):
+            end = min(start + chunk, len(subject.traces))
+            chunked.fold(list(subject.traces[start:end]))
+            # interleaved quiesces must not perturb state
+            assert _serve_state(chunked) == batch_state(subject, end, MapItConfig())
+        assert _serve_state(whole) == _serve_state(chunked)
 
 
 def test_checkpoint_restart_midstream(world, tmp_path):
@@ -221,3 +241,124 @@ def test_cli_serve_budget_exit(tmp_bundle, tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 3
+
+
+def _dataset_daemon(dataset, obs=NULL_OBS, quiesce_every=64) -> ServeDaemon:
+    """A text daemon over *dataset*'s mappings, as ``mapit serve``
+    builds it."""
+    bundle = load_bundle(dataset, skip_traces=True)
+    index = IncrementalIndex(
+        bundle.ip2as, org=bundle.as2org, rel=bundle.relationships, obs=obs
+    )
+    return ServeDaemon(index, format="text", obs=obs, quiesce_every=quiesce_every)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("serve's text ingest built a trace object")
+
+
+def test_text_ingest_builds_no_trace_objects(tmp_bundle, tmp_path, monkeypatch, capsys):
+    """Serve folds text through the run kernel: with the object parser
+    and the column packer disabled, a replay through ``ingest_entry``
+    and ``mapit serve --once`` both still equal ``mapit run``."""
+    dataset = tmp_bundle(seed=3)
+    batch_out = tmp_path / "batch.json"
+    assert cli_main(["run", str(dataset), "--json", "--output", str(batch_out)]) == 0
+    for module, name in (
+        (trace_parse, "parse_text_trace"),
+        (robust_ingest, "parse_text_trace"),
+        (perf_flat, "pack_traces"),
+    ):
+        monkeypatch.setattr(module, name, _refuse)
+    daemon = _dataset_daemon(dataset)
+    for line in (dataset / "traces.txt").read_text().splitlines():
+        daemon.ingest_entry(line, "traces.txt")
+    assert daemon.finalize().result.to_json(indent=2) + "\n" == batch_out.read_text()
+    serve_out = tmp_path / "serve.json"
+    code = cli_main(["serve", str(dataset), "--once", "--json", "--output", str(serve_out)])
+    capsys.readouterr()
+    assert code == 0
+    assert serve_out.read_bytes() == batch_out.read_bytes()
+
+
+def test_jsonl_ttl_outside_i64_folds_like_batch(world):
+    """A quoted TTL beyond the columnar i64 range — the case the old
+    object-kernel fallback existed for — folds like any other record."""
+    lines = list(traces_to_json_lines(world.traces))
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["hops"])
+    record = json.loads(lines[at])
+    record["hops"][0]["reply_ttl"] = 2**70
+    lines[at] = json.dumps(record)
+    with pytest.raises(FlatEncodeError):
+        pack_traces([parse_json_trace(lines[at])])
+    daemon = ServeDaemon(_fresh_index(world), format="jsonl", quiesce_every=16)
+    for line in lines:
+        daemon.ingest_entry(line, "stream.jsonl")
+    snapshot = daemon.finalize()
+    assert daemon.stats["folds"] == len(lines)
+    parsed = dataclasses.replace(world, traces=[parse_json_trace(line) for line in lines])
+    batch_fp, batch_json = batch_state(parsed, len(lines), MapItConfig())
+    assert snapshot.fingerprint == batch_fp
+    assert snapshot.result.to_json(indent=2) == batch_json
+
+
+def test_warm_started_loop_publishes_before_stop(tmp_bundle, tmp_path, capsys):
+    """A daemon warm-started from a stored ``.mapitc`` entry publishes
+    the warm base as soon as it goes idle — not only at shutdown."""
+    dataset = tmp_bundle(seed=3)
+    cache = tmp_path / "cache"
+    batch_out = tmp_path / "batch.json"
+    run = ["run", str(dataset), "--json", "--output", str(batch_out)]
+    assert cli_main(run + ["--cache", str(cache)]) == 0
+    capsys.readouterr()
+    bundle = load_bundle(dataset, graph_only=True)
+    batch = MapIt(bundle.graph, bundle.ip2as, org=bundle.as2org, rel=bundle.relationships)
+    batch.run()
+    metrics = Metrics()
+    daemon = _dataset_daemon(dataset, obs=Observability(metrics=metrics))
+    assert _serve_warm_start(daemon, dataset / "traces.txt", "text", cache) > 0
+    assert metrics.counter("perf.cache.hits") == 1
+    stop, tick = threading.Event(), threading.Event()
+    pump = threading.Thread(target=daemon.run_loop, args=(stop, 0.01), daemon=True)
+    pump.start()
+    try:
+        for _ in range(500):  # bounded wait, no wall clock needed
+            if daemon.snapshot.seq >= 1:
+                break
+            tick.wait(0.01)
+        published = daemon.snapshot
+    finally:
+        stop.set()
+        pump.join(timeout=5)
+    assert published.seq >= 1
+    assert published.fingerprint == batch.engine.state.fingerprint()
+    assert published.result.to_json(indent=2) + "\n" == batch_out.read_text()
+
+
+@pytest.mark.parametrize("follow", [False, True])
+def test_cli_serve_once_warm_cache_matches_run(follow, tmp_bundle, tmp_path, capsys):
+    """``mapit serve --once --cache`` folds the dataset from its stored
+    ``.mapitc`` entry (one cache hit) and writes what ``mapit run``
+    writes; with ``--follow`` the followed lines fold on top of it."""
+    full = tmp_bundle(seed=3)
+    batch_out = tmp_path / "batch.json"
+    assert cli_main(["run", str(full), "--json", "--output", str(batch_out)]) == 0
+    dataset, extra = full, []
+    if follow:
+        dataset = tmp_bundle(seed=3, copy=True)
+        lines = (dataset / "traces.txt").read_text().splitlines(keepends=True)
+        half = len(lines) // 2
+        (dataset / "traces.txt").write_text("".join(lines[:half]))
+        stream = tmp_path / "stream.txt"
+        stream.write_text("".join(lines[half:]))
+        extra = ["--follow", str(stream)]
+    cache = ["--cache", str(tmp_path / "cache")]
+    stored = tmp_path / "stored.json"
+    assert cli_main(["run", str(dataset), "--json", "--output", str(stored)] + cache) == 0
+    serve_out, metrics = tmp_path / "serve.json", tmp_path / "metrics.json"
+    serve = ["serve", str(dataset), "--once", "--json", "--output", str(serve_out)]
+    code = cli_main(serve + extra + cache + ["--metrics", str(metrics)])
+    capsys.readouterr()
+    assert code == 0
+    assert json.loads(metrics.read_text())["counters"]["perf.cache.hits"] == 1
+    assert serve_out.read_bytes() == batch_out.read_bytes()

@@ -12,12 +12,21 @@ Two directions:
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.diff.worlds import world_from_bundle, world_from_preset
+from repro.graph.othersides import infer_other_sides
+from repro.net.ipv4 import format_address, parse_address
+from repro.net.special import default_special_registry
+from repro.perf.flat import pack_traces
+from repro.serve.daemon import ServeDaemon
+from repro.serve.incremental import IncrementalIndex
 from repro.serve.verify import (
     check_sweep,
     check_world,
@@ -25,6 +34,7 @@ from repro.serve.verify import (
     serve_world_diverges,
     shrink_serve_divergence,
 )
+from repro.traceroute.parse import parse_text_trace
 
 
 def test_sweep_of_seeded_worlds_never_diverges():
@@ -81,3 +91,66 @@ def test_check_world_counts_every_prefix(seed):
     assert divergence is None
     # cadence of N over N traces still always compares the final prefix
     assert checked >= 1
+
+
+#: every address of five /30 blocks: two adjacent public blocks, one
+#: more public block, and two special-purpose (RFC 1918) blocks — so
+#: batches hit network and broadcast addresses, both middle hosts, and
+#: addresses the other-side rule must never see
+_BLOCK_ADDRESSES = [
+    parse_address(base) + offset
+    for base in ("8.8.8.0", "8.8.8.4", "41.0.0.252", "10.0.0.0", "192.168.1.4")
+    for offset in range(4)
+]
+
+_batches = st.lists(
+    st.lists(st.sampled_from(_BLOCK_ADDRESSES), min_size=1, max_size=6),
+    min_size=2,
+    max_size=6,
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    return world_from_preset("tiny", 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=_batches, start=st.sampled_from(["live", "warm", "restore"]))
+def test_incremental_other_sides_equal_batch(tiny_world, batches, start):
+    """After every quiesce the patched other-side table equals the batch
+    table over the non-special universe, and no table an earlier
+    snapshot captured has changed — from a live start, after a warm
+    fold, and after a checkpoint restore."""
+    index = IncrementalIndex(
+        tiny_world.ip2as(), org=tiny_world.as2org, rel=tiny_world.relationships
+    )
+    daemon = ServeDaemon(index, format="text", quiesce_every=0)
+    lines = [
+        "m|8.8.4.4|" + " ".join(format_address(address) for address in batch)
+        for batch in batches
+    ]
+    held = []
+    special = default_special_registry().is_special
+
+    def quiesce_and_check():
+        snapshot = daemon.quiesce()
+        observed = [address for address in index.universe if not special(address)]
+        assert index.graph.other_sides == infer_other_sides(observed)
+        held.append((snapshot.other_sides, copy.deepcopy(snapshot.other_sides)))
+        for table, frozen in held:
+            assert table == frozen
+
+    if start == "warm":
+        daemon.warm_fold(pack_traces([parse_text_trace(lines.pop(0))]), 1, 0, "warm", 0)
+        quiesce_and_check()
+    elif start == "restore":
+        daemon.ingest_entry(lines.pop(0), "stream")
+        saved = copy.deepcopy(index.export_state())
+        daemon.ingest_entry(lines.pop(0), "stream")
+        quiesce_and_check()
+        index.restore_state(saved)
+        quiesce_and_check()
+    for line in lines:
+        daemon.ingest_entry(line, "stream")
+        quiesce_and_check()
