@@ -119,10 +119,11 @@ performance (see docs/PERFORMANCE.md):
                   docs/ROBUSTNESS.md)
 
 resilience (run; see docs/ROBUSTNESS.md):
-  --journal DIR   journal completed units (iterations, result) to DIR
-                  (default $MAPIT_JOURNAL or off)
-  --resume ID     continue a journaled run from its last durable unit;
-                  output is byte-identical to an uninterrupted run
+  --journal DIR   journal the run's result to DIR (default
+                  $MAPIT_JOURNAL or off)
+  --resume ID     replay a journaled run's result, or else re-run the
+                  passes over the cached graph; output is byte-identical
+                  to an uninterrupted run
 """
 
 
@@ -976,17 +977,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         metavar="DIR",
         help=(
-            "journal completed units (graph, multipass iterations) to DIR "
-            "so a crashed run can be resumed (default $MAPIT_JOURNAL or off)"
+            "journal the run's result to DIR so a crashed run can be "
+            "resumed (default $MAPIT_JOURNAL or off)"
         ),
     )
     run.add_argument(
         "--resume",
         metavar="RUN_ID",
         help=(
-            "continue the journaled run RUN_ID from its last durable unit; "
-            "the id is printed when journaling starts, and the resumed "
-            "output is byte-identical to an uninterrupted run"
+            "resume the journaled run RUN_ID: replay its result, or else "
+            "re-run the passes over the cached graph; the id is printed "
+            "when journaling starts, and the resumed output is "
+            "byte-identical to an uninterrupted run"
         ),
     )
     _add_mapit_options(run)

@@ -12,7 +12,7 @@ added and removed forever.  The stub heuristic runs once afterwards.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.bgp.ip2as import IP2AS
 from repro.core.add import add_step
@@ -22,7 +22,6 @@ from repro.core.remove import remove_step
 from repro.core.results import (
     Checkpoint,
     DIRECT,
-    EngineSnapshot,
     INDIRECT,
     LinkInference,
     MapItResult,
@@ -67,21 +66,10 @@ class MapIt:
 
     # -- main loop ------------------------------------------------------------
 
-    def run(
-        self,
-        on_iteration: Optional[Callable[[int, EngineSnapshot], None]] = None,
-        resume: Optional[EngineSnapshot] = None,
-    ) -> MapItResult:
+    def run(self) -> MapItResult:
         """Execute Alg 1 (add step, remove step, section 4.6 repeated-
         state convergence, then the Alg 4 stub heuristic) and return
         the results.
-
-        *on_iteration* is called after each completed (non-repeating)
-        iteration with a resumable :class:`EngineSnapshot` — the run
-        journal's hook.  *resume* continues the outer loop from such a
-        snapshot instead of a fresh state; because each iteration is a
-        pure function of the state it starts from, the continuation is
-        byte-identical to the uninterrupted run.
         """
         engine = self.engine
         config = engine.config
@@ -94,16 +82,9 @@ class MapIt:
                 remove_rule=config.remove_rule,
                 max_iterations=config.max_iterations,
                 stub_heuristic=config.enable_stub_heuristic,
-                resumed_from=resume.iterations if resume is not None else None,
             )
-        if resume is not None:
-            engine.state = resume.state
-            self._checkpoints = list(resume.checkpoints)
-            seen_fingerprints = set(resume.seen_fingerprints)
-            iterations = resume.iterations
-        else:
-            seen_fingerprints = {engine.state.fingerprint()}
-            iterations = 0
+        seen_fingerprints = {engine.state.fingerprint()}
+        iterations = 0
         engine.state.refresh_visible()
         converged = False
         while iterations < config.max_iterations:
@@ -134,16 +115,6 @@ class MapIt:
                 converged = True
                 break
             seen_fingerprints.add(fingerprint)
-            if on_iteration is not None:
-                on_iteration(
-                    iterations,
-                    EngineSnapshot(
-                        iterations=iterations,
-                        state=engine.state,
-                        seen_fingerprints=sorted(seen_fingerprints),
-                        checkpoints=list(self._checkpoints),
-                    ),
-                )
         if config.enable_stub_heuristic:
             with obs.span("pass/stub"):
                 stub_step(engine)
@@ -276,8 +247,6 @@ def run_mapit_graph(
     rel: Optional[RelationshipDataset] = None,
     config: Optional[MapItConfig] = None,
     obs: Optional[Observability] = None,
-    on_iteration: Optional[Callable[[int, EngineSnapshot], None]] = None,
-    resume: Optional[EngineSnapshot] = None,
 ) -> MapItResult:
     """Run MAP-IT over a pre-built interface graph.
 
@@ -286,15 +255,14 @@ def run_mapit_graph(
     list.  Before the passes start it warms the engine's origin cache
     with one batched LPM sweep over every address the passes can query
     (``Engine.prime_origins``), amortizing ip2as resolution per run
-    instead of per neighbor lookup.  *on_iteration* and *resume* pass
-    through to :meth:`MapIt.run` (the run journal's hooks).
+    instead of per neighbor lookup.
     """
     from repro.perf.flat import graph_address_universe
 
     mapit = MapIt(graph, ip2as, org=org, rel=rel, config=config, obs=obs)
     warmed = mapit.engine.prime_origins(graph_address_universe(graph))
     mapit.engine.obs.inc("perf.flat.origins_warmed", warmed)
-    return mapit.run(on_iteration=on_iteration, resume=resume)
+    return mapit.run()
 
 
 def run_mapit(

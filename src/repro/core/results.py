@@ -108,25 +108,6 @@ class Checkpoint:
 
 
 @dataclass
-class EngineSnapshot:
-    """Resumable engine state, captured after one multipass iteration.
-
-    Everything :meth:`repro.core.mapit.MapIt.run` needs to continue the
-    outer loop exactly where a crashed run stopped: the iteration
-    counter, the full mutable :class:`~repro.core.state.MapItState`,
-    the §4.6 fingerprint history, and the checkpoints recorded so far.
-    The run journal pickles snapshots whole — the state's inference
-    tables are plain dataclasses keyed by tuples, so a round-trip is
-    lossless.
-    """
-
-    iterations: int
-    state: object  # MapItState; typed loosely to keep this module light
-    seen_fingerprints: List[str]
-    checkpoints: List[Checkpoint] = field(default_factory=list)
-
-
-@dataclass
 class MapItResult:
     """Everything a MAP-IT run produced.
 

@@ -174,9 +174,8 @@ class MapItState:
         the state at the end of a remove step repeats.  The digest is a
         sha256 over a canonical sorted encoding — *not* Python's
         ``hash()``, whose per-process string salt (PYTHONHASHSEED)
-        would make fingerprints incomparable across processes and break
-        ``--resume``, which must match journaled fingerprints from the
-        crashed run.
+        would make fingerprints incomparable across processes — serve
+        publishes them in snapshots and checkpoints.
         """
         lines = sorted(
             f"d:{half[0]}:{int(half[1])}:{direct.local_as}:"

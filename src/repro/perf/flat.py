@@ -552,12 +552,15 @@ def merge_table_blob(blob: bytes, into: Dict[int, Set[int]]) -> None:
     """Union an :func:`encode_table` blob into *into* (O(members)).
 
     Set union is commutative and associative, so merging shard blobs in
-    any order produces the members a serial fold would.
+    any order produces the members a serial fold would.  A blob that
+    is not whole u32 runs raises :class:`ValueError`; *into* may then
+    hold part of it, so decode into a fresh table when the blob was
+    read from disk.
     """
     packed = array(U32)
     packed.frombytes(blob)
     index, length = 0, len(packed)
-    while index < length:
+    while index < length - 1:
         address, count = packed[index], packed[index + 1]
         index += 2
         members = into.get(address)
@@ -567,6 +570,8 @@ def merge_table_blob(blob: bytes, into: Dict[int, Set[int]]) -> None:
         else:
             members.update(chunk)
         index += count
+    if index != length:
+        raise ValueError("table blob ends inside a run")
 
 
 def encode_addresses(addresses: Set[int]) -> bytes:

@@ -14,9 +14,9 @@ output is byte-identical to the golden run.  Schedules:
     a worker stalls past ``--shard-timeout`` on its first attempt —
     the supervisor must kill it and the retry must succeed;
 ``torn-journal``
-    a journaled run crashes after iteration 1, the journal tail is torn
-    mid-line, and ``--resume`` must continue from the last verifiable
-    unit;
+    a journaled run crashes right after journaling its result, the
+    result line is torn mid-line, and ``--resume`` must re-run the
+    passes over the cached graph;
 ``enospc``
     journal and cache writes fail with ``ENOSPC`` — durability
     degrades, the run itself completes;
@@ -245,11 +245,11 @@ def _schedule_hang(
 def _crashed_journal_run(
     root: Path, world: Path, seed: int, jobs: int, output: Path
 ) -> Tuple[Path, str]:
-    """A journaled run killed after iteration 1; returns (journal_dir, id)."""
+    """A journaled run killed after its result; returns (journal_dir, id)."""
     from repro.robust.journal import run_identity_for
 
     journal_dir = root / "journal"
-    injector = ChaosInjector(seed=seed, crash_at_iteration=1)
+    injector = ChaosInjector(seed=seed, crash_after_result=True)
     crashed = False
     try:
         with chaos(injector):
@@ -265,7 +265,7 @@ def _crashed_journal_run(
 def _schedule_torn_journal(
     root: Path, world: Path, golden_sha: str, seed: int, jobs: int
 ) -> ScheduleResult:
-    """Crash mid-run, tear the journal tail, resume -> byte-identical."""
+    """Crash, tear the journaled result, resume -> byte-identical."""
     output = root / "out-torn.json"
     try:
         journal_dir, run_id = _crashed_journal_run(root, world, seed, jobs, output)

@@ -302,11 +302,11 @@ class ChaosInjector:
 
     One injector describes *when* faults fire, keyed by deterministic
     coordinates — ``(shard_index, attempt)`` for worker faults, journal
-    sequence numbers for write faults, iteration numbers for crashes —
-    so the same schedule replays identically on every run.  Worker
-    faults are pid-guarded: they only fire in forked children, never in
-    the parent, so the supervisor's inline degradation (and every
-    serial/golden run) always stays clean.
+    sequence numbers for write faults, the journaled result or a fold
+    count for crashes — so the same schedule replays identically on
+    every run.  Worker faults are pid-guarded: they only fire in forked
+    children, never in the parent, so the supervisor's inline
+    degradation (and every serial/golden run) always stays clean.
 
     ``kill_shards``
         ``(shard_index, attempt)`` pairs whose worker dies abruptly
@@ -320,9 +320,9 @@ class ChaosInjector:
     ``cache_enospc``
         the next ``.mapitc`` cache store fails with ``ENOSPC``
         (fires once);
-    ``crash_at_iteration``
-        raise :class:`SimulatedCrash` after multipass iteration *k* is
-        journaled — the resume test's kill switch;
+    ``crash_after_result``
+        raise :class:`SimulatedCrash` right after a journaled run's
+        result is journaled — the resume test's kill switch;
     ``serve_crash_after_folds``
         raise :class:`SimulatedCrash` right after the serve daemon's
         *k*-th trace fold — the serve schedule's kill switch (fires
@@ -335,7 +335,7 @@ class ChaosInjector:
     hang_seconds: float = 5.0
     journal_enospc_seqs: FrozenSet[int] = frozenset()
     cache_enospc: bool = False
-    crash_at_iteration: Optional[int] = None
+    crash_after_result: bool = False
     serve_crash_after_folds: Optional[int] = None
     _parent_pid: int = field(default_factory=os.getpid)
     _fired: Set[str] = field(default_factory=set)
@@ -366,12 +366,10 @@ class ChaosInjector:
             self._fired.add(key)
             raise OSError(errno.ENOSPC, f"chaos: no space left ({kind} #{seq})")
 
-    def maybe_crash_iteration(self, iteration: int) -> None:
-        """Model the process dying right after iteration *k* was journaled."""
-        if iteration == self.crash_at_iteration:
-            raise SimulatedCrash(
-                f"simulated crash after multipass iteration {iteration}"
-            )
+    def maybe_crash_after_result(self) -> None:
+        """Model the process dying right after its result was journaled."""
+        if self.crash_after_result:
+            raise SimulatedCrash("simulated crash after the journaled result")
 
     def maybe_crash_fold(self, folds: int) -> None:
         """Model the serve daemon dying right after fold *k* (fires once)."""

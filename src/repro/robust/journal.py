@@ -1,23 +1,25 @@
 """Crash-safe run journal: durable units, byte-identical resume.
 
-A long MAP-IT run has two kinds of durable unit, each a pure function
-of what precedes it: each multipass iteration's engine state, and the
-final result.  The journal records them as they complete, so ``mapit
-run --resume <run-id>`` can replay the journal, verify checksums, and
-continue from the last durable unit — and because every iteration is a
-pure function of the state it starts from, the continuation is
-byte-identical to an uninterrupted run.
-
-The interface graph is not a journal unit: it is a pure function of
-the traces file, so a resumed run loads it again — as a verified hit
-on the ``.mapitc`` :class:`~repro.perf.cache.BundleCache` entry in the
-same directory (keyed by the same source sha256), or by re-parsing.
-``graph`` records left by journals of earlier releases are skipped.
+A MAP-IT run journals one durable unit: its result.  ``mapit run
+--resume <run-id>`` replays a journaled result; without one it re-runs
+the passes over the interface graph.  The graph is a pure function of
+the traces file, so the resume loads it again — as a verified hit on
+the ``.mapitc`` :class:`~repro.perf.cache.BundleCache` entry in the
+same directory (keyed by the same source sha256), or by re-parsing —
+and the passes are a pure function of the graph, so either way the
+output is byte-identical to an uninterrupted run.  The multipass
+converges in a few iterations, so re-running it costs less than
+journaling its state would.  ``graph`` and ``iteration`` records left
+by journals of earlier releases are skipped; their blobs are never
+opened.
 
 Layout, next to the ``.mapitc`` cache entries::
 
     <dir>/<run-id>.journal.jsonl     # one JSON record per unit
-    <dir>/<run-id>.iter<NNNN>.blob   # pickled engine snapshots
+
+Other journal users (the sweep orchestrator's cells, serve
+checkpoints) append their own units, and serve checkpoints store a
+packed blob beside their records (:meth:`RunJournal.append_with_blob`).
 
 The run id is a sha256 prefix over (traces sha256, format, ingest
 mode, config repr) — the inputs that determine the result — so a
@@ -36,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -45,7 +46,9 @@ from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.faults import active_chaos
 
 #: bump when the record or blob layout changes; old journals then key
-#: to a different run id and are simply not resumed
+#: to a different run id and are simply not resumed.  Journals of this
+#: version written by earlier releases still resume: their ``graph``
+#: and ``iteration`` records are skipped.
 JOURNAL_VERSION = 1
 
 
@@ -180,9 +183,8 @@ class RunJournal:
         Stops at the first line that is torn, corrupt, or out of
         sequence — everything before it is trusted, everything after
         is not.  Leaves the journal positioned to append after the
-        last verified record (a resumed run's new units overwrite the
-        torn tail's blob names as needed; the journal file itself is
-        rewritten to the verified prefix so seq numbers stay dense).
+        last verified record (the journal file is rewritten to the
+        verified prefix so seq numbers stay dense).
         """
         records: List[Dict[str, Any]] = []
         try:
@@ -270,15 +272,14 @@ def journaled_run(
     journal: RunJournal,
     resume: bool = False,
 ):
-    """Run MAP-IT over ``bundle.graph``, journaling each durable unit.
+    """Run MAP-IT over ``bundle.graph`` and journal the result.
 
     *bundle* must come from ``load_bundle(..., graph_only=True)``; the
     run is :func:`repro.core.mapit.run_mapit_graph` exactly — same
-    engine, same result — with two additions: completed units go to
-    *journal*, and with ``resume=True`` the run first replays the
-    journal and continues from the last durable unit.  Either way the
-    returned result is byte-identical (``to_json``) to an uninterrupted
-    unjournaled run.
+    engine, same result.  With ``resume=True`` a result the journal
+    already holds is replayed instead; without one the passes run
+    again.  Either way the returned result is byte-identical
+    (``to_json``) to an uninterrupted unjournaled run.
     """
     from repro.core.mapit import run_mapit_graph
     from repro.core.results import MapItResult
@@ -287,50 +288,13 @@ def journaled_run(
         raise ValueError("journaled_run needs a bundle loaded with graph_only=True")
     effective_obs = obs if obs is not None else NULL_OBS
 
-    iteration_records: List[Dict[str, Any]] = []
-    result_record: Optional[Dict[str, Any]] = None
     if resume:
-        for record in journal.read():
-            unit = record.get("unit")
-            if unit == "iteration":
-                iteration_records.append(record)
-            elif unit == "result":
-                result_record = record
-
-    if result_record is not None:
-        # The crashed run actually finished; replay its result.
-        effective_obs.inc("robust.journal.replayed")
-        return MapItResult.from_json(result_record["payload"]["json"])
-
-    snapshot = None
-    for record in reversed(iteration_records):
-        payload = record["payload"]
-        data = journal.load_blob(payload["blob"], payload["sha256"])
-        if data is None:
-            continue
-        try:
-            snapshot = pickle.loads(data)
-        except Exception:  # noqa: BLE001 - a bad blob is just an older resume point
-            effective_obs.inc("robust.journal.blob_corrupt")
-            continue
-        break
-    if resume and effective_obs.enabled:
-        effective_obs.event(
-            "journal.resume",
-            run_id=journal.run_id,
-            iteration=snapshot.iterations if snapshot is not None else 0,
-        )
-
-    def on_iteration(iteration: int, snap) -> None:
-        journal.append_with_blob(
-            "iteration",
-            f"iter{iteration:04d}",
-            pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL),
-            extra={"iteration": iteration},
-        )
-        chaos = active_chaos()
-        if chaos is not None:
-            chaos.maybe_crash_iteration(iteration)
+        results = [r for r in journal.read() if r.get("unit") == "result"]
+        if results:
+            effective_obs.inc("robust.journal.replayed")
+            return MapItResult.from_json(results[-1]["payload"]["json"])
+        if effective_obs.enabled:
+            effective_obs.event("journal.resume", run_id=journal.run_id)
 
     result = run_mapit_graph(
         bundle.graph,
@@ -339,8 +303,9 @@ def journaled_run(
         rel=bundle.relationships,
         config=config,
         obs=obs,
-        on_iteration=on_iteration,
-        resume=snapshot,
     )
     journal.append("result", {"json": result.to_json()})
+    chaos = active_chaos()
+    if chaos is not None:
+        chaos.maybe_crash_after_result()
     return result

@@ -1,14 +1,21 @@
 """Serve checkpoints: durable fold state via the run journal.
 
-A serve checkpoint is one pickled blob appended to the same
+A serve checkpoint is one blob appended with the same
 :class:`~repro.robust.journal.RunJournal` machinery batch runs use
-(``<dir>/<run-id>.serve-XXXXXX.blob`` + a checksummed journal line),
-capturing the daemon's fold state — neighbor tables, address universe,
-ingest counters — together with the byte offset reached in each
-followed source file.  Inference state is *not* checkpointed: it is a
-pure function of the graph and is recomputed on the first quiesce after
-a restore, which is exactly the batch trajectory, so recovery is
-byte-identical (the chaos serve schedule enforces this).
+(``<dir>/<run-id>.serve<NNNNNN>.blob`` + a checksummed journal line).
+The blob is the daemon's fold state as the counter-bundle codec packs
+it — the :class:`~repro.perf.flat.FlatGraphBundle` the fused loader's
+shards return: forward table, backward table, seen set and address
+universe, back to back.  The journal line's checksummed JSON payload
+carries the rest: the four buffer lengths, the three fold counts, the
+byte offset and line count reached in each followed source file, the
+counters and the fingerprint.  Nothing in a checkpoint is executed on
+load.
+
+Inference state is *not* checkpointed: it is a pure function of the
+graph and is recomputed on the first quiesce after a restore, which is
+exactly the batch trajectory, so recovery is byte-identical (the chaos
+serve schedule enforces this).
 
 The serve run id is keyed on the *mapping* datasets plus the config and
 stream format — the inputs that determine results for a given stream —
@@ -19,16 +26,17 @@ configuration by accident.
 from __future__ import annotations
 
 import hashlib
-import pickle
+from itertools import accumulate
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.io.atomic import file_sha256
+from repro.perf.flat import FlatGraphBundle
 from repro.robust.journal import RunJournal, run_identity
 
-#: bump when the checkpoint blob layout changes; old journals then key
-#: to a different run id and are simply not resumed
-CHECKPOINT_VERSION = 1
+#: bump when the checkpoint layout changes; it keys the serve run id,
+#: so checkpoints of another layout are never decoded
+CHECKPOINT_VERSION = 2
 
 #: journal unit name for serve checkpoints
 CHECKPOINT_UNIT = "serve-checkpoint"
@@ -64,30 +72,12 @@ def serve_run_identity(dataset: Union[str, Path], config: Any, format: str) -> s
     return run_identity(material, config, "serve", format)
 
 
-def checkpoint_blob(
-    fold_state: Dict[str, object],
-    offsets: Dict[str, int],
-    stats: Dict[str, int],
-    fingerprint: str,
-) -> bytes:
-    """Serialize one checkpoint (fold state + source offsets + stats)."""
-    return pickle.dumps(
-        {
-            "version": CHECKPOINT_VERSION,
-            "fold": fold_state,
-            "offsets": dict(offsets),
-            "stats": dict(stats),
-            "fingerprint": fingerprint,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
 def write_checkpoint(
     journal: RunJournal,
     seq: int,
-    fold_state: Dict[str, object],
+    fold: FlatGraphBundle,
     offsets: Dict[str, int],
+    lines: Dict[str, int],
     stats: Dict[str, int],
     fingerprint: str,
 ) -> bool:
@@ -97,36 +87,85 @@ def write_checkpoint(
     durability — the daemon keeps serving, exactly like batch
     journaling (docs/ROBUSTNESS.md).
     """
-    blob = checkpoint_blob(fold_state, offsets, stats, fingerprint)
+    buffers = (fold.forward, fold.backward, fold.seen, fold.universe)
     return journal.append_with_blob(
         CHECKPOINT_UNIT,
         f"serve{seq:06d}",
-        blob,
-        extra={"checkpoint": seq, "fingerprint": fingerprint},
+        b"".join(buffers),
+        extra={
+            "checkpoint": seq,
+            "lengths": [len(buffer) for buffer in buffers],
+            "counts": [fold.retained, fold.discarded, fold.buggy_hops_removed],
+            "offsets": dict(offsets),
+            "lines": dict(lines),
+            "stats": dict(stats),
+            "fingerprint": fingerprint,
+        },
     )
 
 
-def load_latest_checkpoint(journal: RunJournal) -> Optional[Dict[str, Any]]:
-    """The newest intact checkpoint in *journal*, or None.
+def _uints(values: Any, size: int) -> bool:
+    """*values* is a list of *size* non-negative ints."""
+    return (
+        isinstance(values, list)
+        and len(values) == size
+        and all(type(value) is int and value >= 0 for value in values)
+    )
 
-    Walks the verified journal records newest-first and returns the
-    first whose blob passes its sha256 — a torn tail or corrupt blob
-    degrades to the previous checkpoint, never to a crash.
+
+def _well_formed(payload: Any) -> bool:
+    """Every payload field a restore reads is present and typed."""
+    if not isinstance(payload, dict):
+        return False
+    return (
+        all(
+            isinstance(payload.get(key), str)
+            for key in ("blob", "sha256", "fingerprint")
+        )
+        and _uints(payload.get("lengths"), 4)
+        and _uints(payload.get("counts"), 3)
+        and all(
+            isinstance(payload.get(key), dict)
+            and _uints(list(payload[key].values()), len(payload[key]))
+            for key in ("offsets", "lines", "stats")
+        )
+    )
+
+
+def restore_latest_checkpoint(
+    journal: RunJournal, restore: Callable[[FlatGraphBundle], None]
+) -> Optional[Dict[str, Any]]:
+    """Restore the newest intact checkpoint in *journal* through
+    *restore*; returns its payload, or None when none is intact.
+
+    Walks the verified journal records newest-first.  A checkpoint
+    whose payload is malformed, whose blob fails its sha256 or does
+    not split into its four lengths, or whose buffers *restore*
+    rejects with :class:`ValueError` counts as
+    ``robust.journal.blob_corrupt`` and degrades to the previous
+    checkpoint — never to a crash.  *restore* must decode before it
+    adopts anything, so a rejected checkpoint changes no state.
     """
     records = [
         record for record in journal.read() if record.get("unit") == CHECKPOINT_UNIT
     ]
     for record in reversed(records):
-        payload = record.get("payload", {})
-        data = journal.load_blob(payload.get("blob", ""), payload.get("sha256", ""))
-        if data is None:
-            continue
-        try:
-            checkpoint = pickle.loads(data)
-        except Exception:  # noqa: BLE001 - a bad blob is just an older resume point
+        payload = record.get("payload")
+        if not _well_formed(payload):
             journal.obs.inc("robust.journal.blob_corrupt")
             continue
-        if checkpoint.get("version") != CHECKPOINT_VERSION:
+        data = journal.load_blob(payload["blob"], payload["sha256"])
+        if data is None:
             continue
-        return checkpoint
+        bounds = [0, *accumulate(payload["lengths"])]
+        if bounds[-1] != len(data):
+            journal.obs.inc("robust.journal.blob_corrupt")
+            continue
+        buffers = [data[start:end] for start, end in zip(bounds, bounds[1:])]
+        try:
+            restore(FlatGraphBundle(*buffers, *payload["counts"]))
+        except ValueError:
+            journal.obs.inc("robust.journal.blob_corrupt")
+            continue
+        return payload
     return None

@@ -15,8 +15,8 @@
   a fresh immutable :class:`ServeSnapshot` by a single reference swap
   (atomic under the GIL — readers never observe a torn state);
 * every ``checkpoint_every`` folds the fold state and source offsets
-  go to the run journal, so a killed daemon resumes exactly where the
-  last durable checkpoint left off.
+  and line counts go to the run journal, so a killed daemon resumes
+  exactly where the last durable checkpoint left off.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.robust.errors import ErrorBudget
 from repro.robust.faults import active_chaos
 from repro.robust.ingest import record_parser
 from repro.robust.journal import RunJournal
-from repro.serve.checkpoint import load_latest_checkpoint, write_checkpoint
+from repro.serve.checkpoint import restore_latest_checkpoint, write_checkpoint
 from repro.serve.incremental import IncrementalIndex
 from repro.traceroute.parse import TraceParseError
 
@@ -156,6 +156,8 @@ class ServeDaemon:
         self._parse = record_parser(format)
         self.snapshot = ServeSnapshot.empty()
         self.offsets: Dict[str, int] = {}
+        #: per source, the number of the line that reached ``offsets``
+        self.line_counts: Dict[str, int] = {}
         self.stats: Dict[str, int] = {key: 0 for key in _STAT_KEYS}
         self.queries = 0
         self._queue: Deque[Tuple[str, int, str, Optional[int]]] = deque()
@@ -271,6 +273,7 @@ class ServeDaemon:
         line = raw.strip()
         if offset is not None:
             self.offsets[source] = offset
+            self.line_counts[source] = number
         if not line or (self.format == "text" and line.startswith("#")):
             return
         try:
@@ -355,7 +358,7 @@ class ServeDaemon:
         return snapshot
 
     def checkpoint(self) -> bool:
-        """Write fold state + source offsets to the journal."""
+        """Write fold state + source offsets and line counts to the journal."""
         if self.journal is None:
             return False
         self._folds_since_checkpoint = 0
@@ -366,6 +369,7 @@ class ServeDaemon:
             seq,
             self.index.export_state(),
             self.offsets,
+            self.line_counts,
             stats,
             self.snapshot.fingerprint,
         )
@@ -387,19 +391,21 @@ class ServeDaemon:
         The follow sources then seek to the restored offsets, so every
         line folded after the checkpoint is re-read and re-folded —
         at-least-once delivery with idempotent folds (set unions), which
-        is why recovery is byte-identical.
+        is why recovery is byte-identical.  Line numbering continues
+        from each source's restored line count, so errors and rejects
+        name the same line an uninterrupted session would.
         """
         if self.journal is None:
             return False
-        checkpoint = load_latest_checkpoint(self.journal)
+        checkpoint = restore_latest_checkpoint(self.journal, self.index.restore_state)
         if checkpoint is None:
             return False
-        self.index.restore_state(checkpoint["fold"])
         self.offsets = dict(checkpoint["offsets"])
+        self.line_counts = dict(checkpoint["lines"])
         with self._lock:
             for key in _STAT_KEYS:
-                self.stats[key] = int(checkpoint["stats"].get(key, 0))
-            self._line_numbers = {}
+                self.stats[key] = checkpoint["stats"].get(key, 0)
+            self._line_numbers = dict(checkpoint["lines"])
             folds = self.stats["folds"]
         self._folds_since_quiesce = 0
         self._folds_since_checkpoint = 0
@@ -408,7 +414,7 @@ class ServeDaemon:
                 "serve.resume",
                 folds=folds,
                 offsets=dict(self.offsets),
-                fingerprint=checkpoint.get("fingerprint", ""),
+                fingerprint=checkpoint["fingerprint"],
             )
         return True
 

@@ -30,7 +30,15 @@ from repro.graph.othersides import block_members, patch_other_sides
 from repro.net.special import SpecialPurposeRegistry, default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
-from repro.perf.flat import FlatTraces, accumulate_flat, fold_hops
+from repro.perf.flat import (
+    FlatGraphBundle,
+    FlatTraces,
+    accumulate_flat,
+    bundle_tables,
+    fold_hops,
+    merge_address_blob,
+    merge_table_blob,
+)
 from repro.rel.relationships import RelationshipDataset
 from repro.traceroute.model import Trace
 from repro.traceroute.parse import RecordTuple, trace_record
@@ -163,43 +171,52 @@ class IncrementalIndex:
 
     # -- checkpoint plumbing -------------------------------------------------
 
-    def export_state(self) -> Dict[str, object]:
-        """The picklable fold state a checkpoint captures.
+    def export_state(self) -> FlatGraphBundle:
+        """The fold state a checkpoint captures, packed with the
+        counter-bundle codec (the fused loader's shard result).
 
         Inference state is deliberately absent: it is a pure function
         of the graph and is recomputed (cache cold) on the first quiesce
         after a restore.
         """
-        return {
-            "forward": self.forward,
-            "backward": self.backward,
-            "seen": self.seen,
-            "universe": self.universe,
-            "retained": self.retained,
-            "discarded": self.discarded,
-            "buggy": self.buggy,
-        }
+        return bundle_tables(
+            self.forward,
+            self.backward,
+            self.seen,
+            self.universe,
+            (self.retained, self.discarded, self.buggy),
+        )
 
-    def restore_state(self, state: Dict[str, object]) -> None:
+    def restore_state(self, state: FlatGraphBundle) -> None:
         """Adopt fold state captured by :meth:`export_state`.
 
-        The dicts are updated in place so the engine's graph alias
+        The bundle is decoded into fresh tables first, so a malformed
+        one raises :class:`ValueError` and leaves the index untouched.
+        The dicts are then updated in place so the engine's graph alias
         stays valid; the tally cache, dirty tracking and other-side
         table reset — the next quiesce judges every address and
         recounts from scratch, which is exactly the batch trajectory.
         """
+        forward: Dict[int, Set[int]] = {}
+        backward: Dict[int, Set[int]] = {}
+        seen: Set[int] = set()
+        universe: Set[int] = set()
+        merge_table_blob(state.forward, forward)
+        merge_table_blob(state.backward, backward)
+        merge_address_blob(state.seen, seen)
+        merge_address_blob(state.universe, universe)
         self.forward.clear()
-        self.forward.update(state["forward"])
+        self.forward.update(forward)
         self.backward.clear()
-        self.backward.update(state["backward"])
+        self.backward.update(backward)
         self.seen.clear()
-        self.seen.update(state["seen"])
+        self.seen.update(seen)
         self.universe.clear()
-        self.universe.update(state["universe"])
+        self.universe.update(universe)
         self._is_special.cache_clear()
-        self.retained = int(state["retained"])
-        self.discarded = int(state["discarded"])
-        self.buggy = int(state["buggy"])
+        self.retained = state.retained
+        self.discarded = state.discarded
+        self.buggy = state.buggy_hops_removed
         self._dirty = set()
         self._judged = set()
         self.graph.other_sides = None

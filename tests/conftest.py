@@ -59,6 +59,27 @@ def tmp_bundle(tmp_path_factory):
     return factory
 
 
+@pytest.fixture()
+def refuse_unpickling(monkeypatch):
+    """Make ``pickle.load``, ``pickle.loads`` and ``pickle.Unpickler``
+    record their call and raise; returns the record of calls.
+
+    The fork pool is unaffected: ``multiprocessing`` bound its own
+    reference to ``pickle.loads`` when it was imported.
+    """
+    import pickle
+
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("bytes read from disk were unpickled")
+
+    for name in ("load", "loads", "Unpickler"):
+        monkeypatch.setattr(pickle, name, refuse)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def experiment(scenario) -> Experiment:
     """The prepared experiment over the shared scenario."""

@@ -319,7 +319,7 @@ class TestNoObjectParse:
         assert main(run + journal + ["--output", str(fresh)]) == 0
         assert fresh.read_bytes() == plain.read_bytes()
         crashed = ["--journal", str(tmp_path / "crashed")]
-        with chaos(ChaosInjector(crash_at_iteration=1)):
+        with chaos(ChaosInjector(crash_after_result=True)):
             with pytest.raises(SimulatedCrash):
                 main(run + crashed + ["--output", str(tmp_path / "crash.json")])
         run_id = run_identity_for(dataset, MapItConfig(f=0.5), "strict")

@@ -1,19 +1,25 @@
 """Run journal: durability, torn tails, crash + resume byte-identity.
 
 The contract under test is the acceptance bar of the robustness layer:
-a run killed at iteration *k* and resumed with ``--resume`` produces
-output byte-for-byte identical to an uninterrupted run, and a journal
-failure (full disk, torn tail, corrupt blob) degrades durability but
-never the run's result.  Journaled runs start from the fused loader's
-graph (``load_bundle(..., graph_only=True)``); the graph itself is no
-journal unit.
+a killed run resumed with ``--resume`` produces output byte-for-byte
+identical to an uninterrupted run, and a journal failure (full disk,
+torn tail) degrades durability but never the run's result.  Journaled
+runs start from the fused loader's graph (``load_bundle(...,
+graph_only=True)``); the result is the journal's only unit, so a
+resume either replays it or re-runs the passes over the graph.
 """
 
 import json
+import pickle
+from dataclasses import dataclass, field
+from typing import List
 
 import pytest
 
+import repro.core.results
 from repro.cli import main
+from repro.core.config import MapItConfig
+from repro.core.mapit import MapIt
 from repro.io import load_bundle
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
@@ -129,12 +135,10 @@ class TestJournaledRun:
         journaled = journaled_run(bundle, journal=journal)
         assert journaled.to_json() == plain.to_json()
         units = [r["unit"] for r in RunJournal(tmp_path, "run1").read()]
-        assert units[0] == "iteration"
-        assert units[-1] == "result"
-        assert "graph" not in units
-        assert sorted(path.name for path in tmp_path.glob("*.blob"))[0] == (
-            "run1.iter0001.blob"
-        )
+        assert units == ["result"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "run1.journal.jsonl"
+        ]
 
     def test_object_bundle_is_refused(self, tmp_bundle, tmp_path):
         objects = load_bundle(tmp_bundle(seed=3))
@@ -144,28 +148,18 @@ class TestJournaledRun:
     def test_crash_then_resume_is_byte_identical(self, bundle, tmp_path):
         plain = bundle.run_mapit()
         journal = RunJournal(tmp_path, "run2")
-        with chaos(ChaosInjector(crash_at_iteration=1)):
+        with chaos(ChaosInjector(crash_after_result=True)):
             with pytest.raises(SimulatedCrash):
                 journaled_run(bundle, journal=journal)
-        # the crashed run journaled iteration 1, no result
-        units = [r["unit"] for r in RunJournal(tmp_path, "run2").read()]
-        assert units == ["iteration"]
-
+        obs, metrics = _metrics_obs()
         resumed = journaled_run(
-            bundle, journal=RunJournal(tmp_path, "run2"), resume=True
+            bundle, obs=obs, journal=RunJournal(tmp_path, "run2"), resume=True
         )
         assert resumed.to_json() == plain.to_json()
-        # iteration 1 was replayed from the journal, not recomputed:
-        # the resumed journal holds one entry per iteration, no dupes
-        records = RunJournal(tmp_path, "run2").read()
-        iterations = [
-            r["payload"]["iteration"]
-            for r in records
-            if r["unit"] == "iteration"
-        ]
-        assert iterations == sorted(set(iterations))
-        assert iterations[0] == 1
-        assert records[-1]["unit"] == "result"
+        # the crashed run's result was replayed, not appended again
+        assert metrics.counters["robust.journal.replayed"] == 1
+        units = [r["unit"] for r in RunJournal(tmp_path, "run2").read()]
+        assert units == ["result"]
 
     def test_resume_after_finish_replays_result(self, bundle, tmp_path):
         obs, metrics = _metrics_obs()
@@ -181,25 +175,43 @@ class TestJournaledRun:
         assert metrics.counters["robust.journal.replayed"] == 1
 
     def test_torn_journal_resume_still_matches(self, bundle, tmp_path):
+        """A crash that tears the result line leaves nothing to replay:
+        the resume re-runs the passes and journals a fresh result."""
         plain = bundle.run_mapit()
         journal = RunJournal(tmp_path, "run4")
-        with chaos(ChaosInjector(crash_at_iteration=1)):
+        with chaos(ChaosInjector(crash_after_result=True)):
             with pytest.raises(SimulatedCrash):
                 journaled_run(bundle, journal=journal)
         data = journal.path.read_bytes()
         journal.path.write_bytes(data[: len(data) - 15])
+        metrics = Metrics()
+        tracer = Tracer(timestamps=False)
+        obs = Observability(tracer=tracer, metrics=metrics)
         resumed = journaled_run(
-            bundle, journal=RunJournal(tmp_path, "run4"), resume=True
+            bundle,
+            obs=obs,
+            journal=RunJournal(tmp_path, "run4", obs=obs),
+            resume=True,
         )
         assert resumed.to_json() == plain.to_json()
+        assert metrics.counters["robust.journal.torn_tail"] == 1
+        assert "robust.journal.replayed" not in metrics.counters
+        (event,) = iter_events(tracer.events, "journal.resume")
+        assert event["run_id"] == "run4"
+        units = [r["unit"] for r in RunJournal(tmp_path, "run4").read()]
+        assert units == ["result"]
 
-    def test_corrupt_iteration_blob_restarts_from_scratch(self, bundle, tmp_path):
+    def test_corrupt_iteration_blob_restarts_from_scratch(
+        self, bundle, tmp_path, refuse_unpickling
+    ):
+        """An earlier release's crash left an ``iteration`` record whose
+        blob is garbage and no result: the blob is never opened, and the
+        resume re-runs every pass from iteration 0."""
         plain = bundle.run_mapit()
         journal = RunJournal(tmp_path, "run5")
-        with chaos(ChaosInjector(crash_at_iteration=1)):
-            with pytest.raises(SimulatedCrash):
-                journaled_run(bundle, journal=journal)
-        (tmp_path / "run5.iter0001.blob").write_bytes(b"not a pickle")
+        assert journal.append_with_blob(
+            "iteration", "iter0001", b"not a pickle", extra={"iteration": 1}
+        )
         metrics = Metrics()
         tracer = Tracer(timestamps=False)
         obs = Observability(tracer=tracer, metrics=metrics)
@@ -210,25 +222,28 @@ class TestJournaledRun:
             resume=True,
         )
         assert resumed.to_json() == plain.to_json()
-        assert metrics.counters["robust.journal.blob_corrupt"] >= 1
-        # no usable snapshot: the resume starts over at iteration 0
+        assert refuse_unpickling == []
+        assert "robust.journal.blob_corrupt" not in metrics.counters
+        assert "robust.journal.replayed" not in metrics.counters
         (event,) = iter_events(tracer.events, "journal.resume")
-        assert event["iteration"] == 0
+        assert "iteration" not in event
         (start,) = iter_events(tracer.events, "run.start")
-        assert start["resumed_from"] is None
+        assert "resumed_from" not in start
+        units = [r["unit"] for r in RunJournal(tmp_path, "run5").read()]
+        assert units == ["iteration", "result"]
 
-    def test_parent_graph_record_is_skipped(self, bundle, tmp_path):
+    def test_parent_graph_record_is_skipped(
+        self, bundle, tmp_path, refuse_unpickling
+    ):
         """Journals written before the graph stopped being a unit hold
         a ``graph`` record (and its pickled blob) ahead of their
-        iterations; a resume skips it and never reads the blob."""
+        iterations; a resume skips both and never reads either blob."""
         plain = bundle.run_mapit()
         journal = RunJournal(tmp_path, "run7")
         assert journal.append_with_blob("graph", "graph", b"never unpickled")
-        with chaos(ChaosInjector(crash_at_iteration=1)):
-            with pytest.raises(SimulatedCrash):
-                journaled_run(bundle, journal=journal)
-        units = [r["unit"] for r in RunJournal(tmp_path, "run7").read()]
-        assert units == ["graph", "iteration"]
+        assert journal.append_with_blob(
+            "iteration", "iter0001", b"never unpickled", extra={"iteration": 1}
+        )
         obs, metrics = _metrics_obs()
         resumed = journaled_run(
             bundle,
@@ -237,21 +252,67 @@ class TestJournaledRun:
             resume=True,
         )
         assert resumed.to_json() == plain.to_json()
+        assert refuse_unpickling == []
         assert "robust.journal.blob_corrupt" not in metrics.counters
         records = RunJournal(tmp_path, "run7").read()
-        iterations = [r["payload"]["iteration"] for r in records if r["unit"] == "iteration"]
-        assert iterations == sorted(set(iterations))  # resumed after iteration 1
-        assert records[-1]["unit"] == "result"
+        assert [r["unit"] for r in records] == ["graph", "iteration", "result"]
+        assert [r["seq"] for r in records] == [0, 1, 2]
 
     def test_enospc_mid_run_still_completes(self, bundle, tmp_path):
         plain = bundle.run_mapit()
         obs, metrics = _metrics_obs()
         journal = RunJournal(tmp_path, "run6", obs=obs)
-        with chaos(ChaosInjector(journal_enospc_seqs={1})):
+        # seq 0 is the result append, the run's only journal write
+        with chaos(ChaosInjector(journal_enospc_seqs={0})):
             result = journaled_run(bundle, journal=journal)
         assert result.to_json() == plain.to_json()
         assert journal.disabled
         assert metrics.counters["robust.journal.write_failed"] == 1
+
+
+@dataclass
+class EngineSnapshot:
+    """The iteration unit earlier releases pickled into their journals."""
+
+    __module__ = "repro.core.results"
+
+    iterations: int
+    state: object
+    seen_fingerprints: List[str]
+    checkpoints: List[object] = field(default_factory=list)
+
+
+def _write_parent_journal(journal_dir, run_id, dataset, monkeypatch):
+    """Journal a crash the way earlier releases left one: a ``graph``
+    record, then one ``iteration`` record per multipass iteration, each
+    with a blob holding a pickled engine snapshot, and no result."""
+    graph_bundle = load_bundle(dataset, graph_only=True)
+    journal = RunJournal(journal_dir, run_id)
+    journal.path.unlink()
+    assert journal.append_with_blob(
+        "graph", "graph", pickle.dumps(graph_bundle.graph)
+    )
+    for iterations in (1, 2):
+        mapit = MapIt(
+            graph_bundle.graph,
+            graph_bundle.ip2as,
+            org=graph_bundle.as2org,
+            rel=graph_bundle.relationships,
+            config=MapItConfig(max_iterations=iterations, enable_stub_heuristic=False),
+        )
+        mapit.run()
+        state = mapit.engine.state
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                repro.core.results, "EngineSnapshot", EngineSnapshot, raising=False
+            )
+            blob = pickle.dumps(
+                EngineSnapshot(iterations, state, [state.fingerprint()]),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        assert journal.append_with_blob(
+            "iteration", f"iter{iterations:04d}", blob, extra={"iteration": iterations}
+        )
 
 
 class TestCliJournal:
@@ -282,6 +343,40 @@ class TestCliJournal:
         assert first_out.read_bytes() == plain_out.read_bytes()
         assert resumed_out.read_bytes() == plain_out.read_bytes()
         assert json.loads(resumed_out.read_text())
+
+    def test_parent_journal_resumes_without_unpickling(
+        self, tmp_bundle, tmp_path, capsys, monkeypatch, refuse_unpickling
+    ):
+        """A crashed journal of an earlier release — a ``graph`` record
+        and pickled iteration snapshots, no result — resumes by
+        re-running the passes over the cached graph: same bytes, and
+        nothing read from the journal directory is unpickled."""
+        dataset = tmp_bundle(seed=3)
+        journal_dir = tmp_path / "journal"
+        run = ["run", str(dataset), "--json"]
+        plain_out, first_out = tmp_path / "plain.json", tmp_path / "first.json"
+        assert main(run + ["--output", str(plain_out)]) == 0
+        assert main(
+            run + ["--output", str(first_out), "--journal", str(journal_dir)]
+        ) == 0
+        assert first_out.read_bytes() == plain_out.read_bytes()
+        run_id = capsys.readouterr().err.split("journal: run ")[1].split()[0]
+        _write_parent_journal(journal_dir, run_id, dataset, monkeypatch)
+        units = [r["unit"] for r in RunJournal(journal_dir, run_id).read()]
+        assert units == ["graph", "iteration", "iteration"]
+        resumed_out, metrics = tmp_path / "resumed.json", tmp_path / "m.json"
+        assert main(
+            run
+            + ["--output", str(resumed_out), "--journal", str(journal_dir)]
+            + ["--resume", run_id, "--metrics", str(metrics)]
+        ) == 0
+        assert refuse_unpickling == []
+        assert resumed_out.read_bytes() == plain_out.read_bytes()
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["perf.cache.hits"] == 1
+        assert "robust.journal.replayed" not in counters
+        units = [r["unit"] for r in RunJournal(journal_dir, run_id).read()]
+        assert units == ["graph", "iteration", "iteration", "result"]
 
     def test_resume_without_journal_is_usage_error(self, tmp_bundle, capsys):
         dataset = tmp_bundle(seed=3)

@@ -45,7 +45,8 @@ def rules_hit(findings):
 def test_all_rules_registered():
     assert known_ids() == [
         "CLI001", "DET001", "DET002", "DET003", "ERR001", "FORK001",
-        "FORK002", "FORK003", "OBS001", "ORA001", "RACE001", "RACE002",
+        "FORK002", "FORK003", "IO001", "OBS001", "ORA001", "RACE001",
+        "RACE002",
     ]
 
 
@@ -60,6 +61,7 @@ def test_all_rules_registered():
         ("FORK001", "perf/fork001_clean.py", "perf/fork001_violating.py", 5),
         ("FORK002", "perf/fork002_clean.py", "perf/fork002_violating.py", 5),
         ("ERR001", "err001_clean.py", "err001_violating.py", 3),
+        ("IO001", "io001_clean.py", "io001_violating.py", 8),
     ],
 )
 def test_module_rule_fixtures(rule, clean, violating, expected_min):
@@ -180,6 +182,18 @@ def test_ora001_ignores_files_outside_oracle(tmp_path):
 def test_ora001_repo_oracle_is_independent():
     found = lint_paths([REPO_ROOT / "src" / "repro" / "oracle"], REPO_ROOT,
                        select=["ORA001"])
+    assert found == [], [str(f) for f in found]
+
+
+# -- IO001: no unpickling -----------------------------------------------------
+
+
+def test_io001_repo_never_unpickles():
+    """Nothing mapitlint scans loads pickle, marshal or shelve bytes —
+    not even the fork pool, whose unpickling stays inside
+    multiprocessing."""
+    found = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tools"], REPO_ROOT,
+                       select=["IO001"])
     assert found == [], [str(f) for f in found]
 
 

@@ -135,20 +135,6 @@ def _write_v1_entry(cache, source_sha, format, traces, parsed, skipped=0):
     return path
 
 
-def _refuse_unpickling(monkeypatch):
-    """Make ``pickle.loads`` record its call and raise; return the record."""
-    import pickle
-
-    calls = []
-
-    def refuse(*args, **kwargs):
-        calls.append(args)
-        raise AssertionError("a cache entry was unpickled")
-
-    monkeypatch.setattr(pickle, "loads", refuse)
-    return calls
-
-
 class TestCliJobsEquivalence:
     def test_jobs_byte_identical(self, dataset, tmp_path, capsys):
         outputs = {}
@@ -239,7 +225,9 @@ class TestCacheEquivalence:
         assert counters["perf.cache.misses"] == 1
         assert len(list(cache.glob("*.mapitc"))) == 2
 
-    def test_v1_entry_warm_run_byte_identical(self, dataset, tmp_path, capsys, monkeypatch):
+    def test_v1_entry_warm_run_byte_identical(
+        self, dataset, tmp_path, capsys, refuse_unpickling
+    ):
         """A warm run over an entry in the v1 layout of earlier releases
         (a JSON header line + a pickle) is byte-identical to the uncached
         run: the entry fails v2 verification, is counted invalid,
@@ -258,10 +246,9 @@ class TestCacheEquivalence:
         entry = _write_v1_entry(
             BundleCache(cache), source_sha, "text", traces, report.parsed, report.skipped
         )
-        unpickled = _refuse_unpickling(monkeypatch)
         out, trace, metrics = tmp_path / "v.json", tmp_path / "v.jsonl", tmp_path / "m.json"
         _run(dataset, out, trace, "--cache", str(cache), "--metrics", str(metrics))
-        assert unpickled == []
+        assert refuse_unpickling == []
         assert out.read_bytes() == plain_out.read_bytes()
         assert trace.read_bytes() == plain_trace.read_bytes()
         counters = json.loads(metrics.read_text())["counters"]
@@ -349,7 +336,7 @@ class TestBundleCacheUnit:
         path.write_bytes(bytes(raw))
         assert _load(cache, "a" * 64, "text") is None
 
-    def test_v1_entry_reads_transparently(self, tmp_path, monkeypatch):
+    def test_v1_entry_reads_transparently(self, tmp_path, refuse_unpickling):
         """A v1 entry reads as a plain miss — no exception, no unpickling,
         counted ``perf.cache.invalid`` — and the next store overwrites it
         in place with a v2 entry that hits."""
@@ -363,9 +350,8 @@ class TestBundleCacheUnit:
         metrics = Metrics()
         cache = BundleCache(tmp_path, obs=Observability(metrics=metrics))
         path = _write_v1_entry(cache, "a" * 64, "text", traces, len(traces))
-        unpickled = _refuse_unpickling(monkeypatch)
         assert cache.load_entry("a" * 64, "text") is None
-        assert unpickled == []
+        assert refuse_unpickling == []
         assert metrics.counters["perf.cache.invalid"] == 1
         assert "perf.cache.hits" not in metrics.counters
         report = IngestReport(source="traces.txt", parsed=len(traces))
@@ -374,7 +360,7 @@ class TestBundleCacheUnit:
         assert path.read_bytes().startswith(BINARY_MAGIC)
         assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
 
-    def test_v1_entry_tamper_still_detected(self, tmp_path, monkeypatch):
+    def test_v1_entry_tamper_still_detected(self, tmp_path, refuse_unpickling):
         """A v1 entry doctored to look like v2 — its leading bytes
         replaced by the v2 magic, or its header's version set to 2 —
         still fails verification without being unpickled."""
@@ -388,7 +374,6 @@ class TestBundleCacheUnit:
         cache = BundleCache(tmp_path, obs=Observability(metrics=metrics))
         path = _write_v1_entry(cache, "a" * 64, "text", traces, len(traces))
         v1 = path.read_bytes()
-        unpickled = _refuse_unpickling(monkeypatch)
         doctored = [
             BINARY_MAGIC + v1[len(BINARY_MAGIC) :],
             v1.replace(b'"version": 1', b'"version": 2', 1),
@@ -397,7 +382,7 @@ class TestBundleCacheUnit:
         for data in doctored:
             path.write_bytes(data)
             assert cache.load_entry("a" * 64, "text") is None
-        assert unpickled == []
+        assert refuse_unpickling == []
         assert metrics.counters["perf.cache.invalid"] == len(doctored)
         assert "perf.cache.hits" not in metrics.counters
 

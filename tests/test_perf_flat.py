@@ -8,11 +8,13 @@ binary block codec's round-trip and rejection behaviour.
 """
 
 import random
+from array import array
 
 import pytest
 
 from repro.graph.neighbors import accumulate_neighbors
 from repro.perf.flat import (
+    U32,
     FlatEncodeError,
     FlatTraces,
     accumulate_flat,
@@ -263,6 +265,10 @@ class TestBundleCodec:
         merged = {}
         merge_table_blob(encode_table(table), merged)
         assert merged == table
+        # fail closed: a run that overruns the buffer, a key with no count
+        for malformed in ([5, 100], [5]):
+            with pytest.raises(ValueError):
+                merge_table_blob(array(U32, malformed).tobytes(), {})
 
     def test_table_blob_union(self):
         merged = {}

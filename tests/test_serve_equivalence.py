@@ -15,6 +15,7 @@ import random
 import socket
 import tempfile
 import threading
+from array import array
 
 import pytest
 
@@ -29,8 +30,10 @@ from repro.diff.worlds import World, world_from_preset
 from repro.io.bundle import load_bundle
 from repro.obs.metrics import Metrics
 from repro.obs.observer import NULL_OBS, Observability
-from repro.perf.flat import FlatEncodeError, pack_traces
+from repro.obs.trace import iter_events, read_trace
+from repro.perf.flat import U32, FlatEncodeError, pack_traces
 from repro.robust.journal import RunJournal
+from repro.serve.checkpoint import CHECKPOINT_UNIT
 from repro.serve.daemon import ServeDaemon
 from repro.serve.incremental import IncrementalIndex
 from repro.serve.sources import SocketSource
@@ -132,6 +135,123 @@ def test_checkpoint_restart_midstream(world, tmp_path):
     batch_fp, batch_json = batch_state(world, len(world.traces), MapItConfig())
     assert snapshot.fingerprint == batch_fp
     assert snapshot.result.to_json(indent=2) == batch_json
+
+
+def _rewrite_newest_checkpoint(journal_dir, run_id, damage):
+    """Re-journal every record, letting *damage* edit the newest
+    checkpoint's payload (and blob, through the journal it is given)
+    before its line is re-stamped with a valid sha256."""
+    records = RunJournal(journal_dir, run_id).read()
+    RunJournal(journal_dir, run_id).path.unlink()
+    journal = RunJournal(journal_dir, run_id)
+    for record in records[:-1]:
+        journal.append(record["unit"], record["payload"])
+    newest = records[-1]
+    assert newest["unit"] == CHECKPOINT_UNIT
+    payload = dict(newest["payload"])
+    damage(journal, payload)
+    journal.append(newest["unit"], payload)
+
+
+def _damage(kind):
+    """A *damage* callback for :func:`_rewrite_newest_checkpoint`."""
+
+    def damage(journal, payload):
+        path = journal.directory / f"{journal.run_id}.{payload['blob']}.blob"
+        data = bytearray(path.read_bytes())
+        if kind == "truncated":
+            path.write_bytes(data[: len(data) // 2])
+        elif kind == "bit-flipped":
+            data[len(data) // 2] ^= 0xFF
+            path.write_bytes(data)
+        elif kind == "lengths":
+            payload["lengths"] = [payload["lengths"][0] + 4, *payload["lengths"][1:]]
+        elif kind == "mistyped":
+            payload["stats"] = {**payload["stats"], "folds": "12"}
+        else:
+            # a forward run claiming 100 members it does not carry, in a
+            # blob whose lengths add up and whose sha256 verifies
+            overrun = array(U32, [5, 100]).tobytes()
+            data[: payload["lengths"][0]] = overrun
+            payload["lengths"] = [len(overrun), *payload["lengths"][1:]]
+            payload["sha256"] = journal.store_blob(payload["blob"], bytes(data))
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "kind", ["truncated", "bit-flipped", "lengths", "mistyped", "overrun"]
+)
+def test_corrupt_checkpoint_falls_back(world, tmp_path, kind):
+    """A damaged newest checkpoint is passed over for the previous one
+    (counted as ``robust.journal.blob_corrupt``); with no earlier
+    checkpoint ``resume()`` returns False.  It never raises."""
+    lines = list(traces_to_text_lines(world.traces))
+    third = len(lines) // 3
+    journal_dir = tmp_path / "journal"
+    daemon = ServeDaemon(
+        _fresh_index(world), format="text", journal=RunJournal(journal_dir, "s")
+    )
+    folds = []
+    for chunk in (lines[:third], lines[third : 2 * third]):
+        for line in chunk:
+            daemon.ingest_entry(line, "stream")
+        assert daemon.checkpoint()
+        folds.append(daemon.stats["folds"])
+    _rewrite_newest_checkpoint(journal_dir, "s", _damage(kind))
+
+    metrics = Metrics()
+    obs = Observability(metrics=metrics)
+    resumed = ServeDaemon(
+        _fresh_index(world), format="text", journal=RunJournal(journal_dir, "s", obs=obs)
+    )
+    assert resumed.resume()
+    assert resumed.stats["folds"] == folds[0]
+    assert metrics.counters["robust.journal.blob_corrupt"] == 1
+    for line in lines[third:]:
+        resumed.ingest_entry(line, "stream")
+    snapshot = resumed.finalize()
+    assert (snapshot.fingerprint, snapshot.result.to_json(indent=2)) == batch_state(
+        world, len(world.traces), MapItConfig()
+    )
+
+    # the damaged checkpoint alone: nothing to restore
+    records = RunJournal(journal_dir, "s").read()
+    RunJournal(journal_dir, "s").path.unlink()
+    lone = RunJournal(journal_dir, "s")
+    lone.append(records[1]["unit"], records[1]["payload"])
+    fresh = ServeDaemon(_fresh_index(world), format="text", journal=lone)
+    assert not fresh.resume()
+    assert fresh.stats["folds"] == 0
+
+
+def test_resume_numbers_lines_from_the_checkpoint(tmp_bundle, tmp_path, capsys):
+    """After ``--resume`` a followed file's lines keep their absolute
+    numbers: a malformed line after 300 good ones is line 301 in the
+    strict error and in the lenient ``serve.reject`` event, as in an
+    uninterrupted session.  (Regression: numbering restarted at the
+    restored offset, so it was reported as line 101.)"""
+    dataset = tmp_bundle(seed=3, copy=True)
+    lines = (dataset / "traces.txt").read_text().splitlines(keepends=True)
+    (dataset / "traces.txt").unlink()
+    stream = tmp_path / "stream.txt"
+    stream.write_text("".join(lines[:200]))
+    serve = [
+        "serve", str(dataset), "--follow", str(stream), "--once",
+        "--journal", str(tmp_path / "journal"), "--output", str(tmp_path / "out.txt"),
+    ]
+    assert cli_main(serve) == 0
+    with open(stream, "a") as handle:
+        handle.write("".join(lines[200:300]) + "!!not-a-trace!!\n")
+    capsys.readouterr()
+    assert cli_main(serve + ["--resume"]) == 3
+    assert "error: line 301: " in capsys.readouterr().err
+    trace = tmp_path / "trace.jsonl"
+    lenient = ["--resume", "--on-error", "lenient", "--trace", str(trace)]
+    assert cli_main(serve + lenient) == 0
+    capsys.readouterr()
+    (reject,) = iter_events(read_trace(trace), "serve.reject")
+    assert reject["line"] == 301
 
 
 def test_socket_ingest_reaches_batch_state(world):

@@ -14,6 +14,7 @@ from tools.mapitlint.rules import (  # noqa: F401 - imports register the plugins
     fork001,
     fork002,
     fork003,
+    io001,
     obs001,
     ora001,
     race001,
