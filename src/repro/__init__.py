@@ -11,7 +11,7 @@ evaluation harness regenerating the paper's tables and figures.
 Quickstart::
 
     from repro import MapItConfig, run_mapit
-    from repro.sim import ScenarioConfig, build_scenario
+    from repro.sim.scenario import ScenarioConfig, build_scenario
 
     scenario = build_scenario(ScenarioConfig(seed=7))
     result = run_mapit(

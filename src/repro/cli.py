@@ -34,16 +34,17 @@ from typing import Dict, Iterable, List, Optional
 
 from repro import MapItConfig
 from repro.io import load_bundle, save_scenario
+from repro.io.atomic import atomic_write_lines
 from repro.robust.chaos import CHAOS_SCHEDULES
 from repro.robust.errors import ErrorBudgetExceeded
 from repro.robust.supervise import ShardDeadlineExhausted
-from repro.sim.presets import dense_config, paper_config, small_config, tiny_config
-from repro.sim.scenario import build_scenario
 
-_PRESETS = {"small": small_config, "paper": paper_config, "dense": dense_config}
-_CHAOS_PRESETS = {"tiny": tiny_config, "small": small_config, "paper": paper_config}
+#: the scenario presets `simulate`/`experiment` and `chaos` accept; their
+#: factories (repro.sim.presets) load only in the commands that build one
+_PRESETS = ("dense", "paper", "small")
+_CHAOS_PRESETS = ("paper", "small", "tiny")
 #: every preset `mapit sweep` accepts: scenario worlds plus the
-#: shard-generated stress tiers (repro.sweep.grid owns the registries)
+#: shard-generated stress tiers (repro.sweep.grid holds the registries)
 _SWEEP_PRESETS = (
     "tiny", "small", "paper", "dense", "stress-smoke", "stress", "stress-large"
 )
@@ -341,22 +342,22 @@ def _emit_result(result, output: Optional[str], as_json: bool) -> None:
 
     ``mapit serve --once`` shares this writer, which is what makes the
     serve-vs-batch equivalence a *byte* identity: both commands produce
-    their output through the very same code path.
+    their output through the very same code path.  An *output* file is
+    replaced atomically once all of it is encoded, so an interrupted
+    write leaves the previous file whole.
     """
-    out = open(output, "w") if output else sys.stdout
-    try:
-        if as_json:
-            print(result.to_json(indent=2), file=out)
-        else:
-            for inference in result.inferences:
-                print(inference, file=out)
-            if result.uncertain:
-                print("# uncertain inferences:", file=out)
-                for inference in result.uncertain:
-                    print(f"# {inference}", file=out)
-    finally:
-        if output:
-            out.close()
+    if as_json:
+        lines = [result.to_json(indent=2)]
+    else:
+        lines = [str(inference) for inference in result.inferences]
+        if result.uncertain:
+            lines.append("# uncertain inferences:")
+            lines.extend(f"# {inference}" for inference in result.uncertain)
+    if output:
+        atomic_write_lines(output, lines)
+    else:
+        for line in lines:
+            print(line)
 
 
 def _print_result_summary(result) -> None:
@@ -384,9 +385,15 @@ def _add_mapit_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _preset_scenario(name: str, seed: int):
+    from repro.sim.presets import SCENARIO_PRESETS
+    from repro.sim.scenario import build_scenario
+
+    return build_scenario(SCENARIO_PRESETS[name](seed))
+
+
 def cmd_simulate(args) -> int:
-    config = _PRESETS[args.scale](args.seed)
-    scenario = build_scenario(config)
+    scenario = _preset_scenario(args.scale, args.seed)
     hostnames = None
     if not args.no_hostnames:
         from repro.dns.naming import generate_hostnames
@@ -761,7 +768,7 @@ def cmd_report(args) -> int:
 def cmd_experiment(args) -> int:
     from repro.eval.experiment import prepare_experiment
 
-    scenario = build_scenario(_PRESETS[args.scale](args.seed))
+    scenario = _preset_scenario(args.scale, args.seed)
     experiment = prepare_experiment(scenario)
     obs = _build_obs(args)
     try:
@@ -961,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="generate a synthetic dataset")
     simulate.add_argument("output", help="dataset directory to create")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--scale", choices=sorted(_PRESETS), default="small")
+    simulate.add_argument("--scale", choices=_PRESETS, default="small")
     simulate.add_argument("--no-hostnames", action="store_true")
     simulate.add_argument(
         "--describe", action="store_true", help="print a topology summary"
@@ -1127,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which", choices=("stats", "fig6", "fig7", "fig8", "table1", "aspath")
     )
     experiment.add_argument("--seed", type=int, default=7)
-    experiment.add_argument("--scale", choices=sorted(_PRESETS), default="paper")
+    experiment.add_argument("--scale", choices=_PRESETS, default="paper")
     experiment.add_argument("--f", type=float, default=0.5)
     _add_obs_options(experiment)
     experiment.set_defaults(func=cmd_experiment)
@@ -1157,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded world under seeded fault schedules and verify "
         "output is byte-identical to the fault-free golden run",
     )
-    chaos.add_argument("--preset", choices=sorted(_CHAOS_PRESETS), default="tiny")
+    chaos.add_argument("--preset", choices=_CHAOS_PRESETS, default="tiny")
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
         "--schedule",

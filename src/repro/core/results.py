@@ -153,16 +153,28 @@ class MapItResult:
         }
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize the full result for downstream pipelines."""
-        return json.dumps(
-            {
-                "summary": self.summary(),
-                "converged": self.converged,
-                "diagnostics": self.diagnostics,
-                "inferences": [i.to_dict() for i in self.inferences],
-                "uncertain": [i.to_dict() for i in self.uncertain],
-            },
-            indent=indent,
+        """Serialize the full result for downstream pipelines: the bytes
+        of ``json.dumps`` at *indent*.  Any ``indent`` drops ``json`` to
+        its pure-Python encoder, so only the small head takes that path
+        (:func:`_records_json` writes the records)."""
+        head = {
+            "summary": self.summary(),
+            "converged": self.converged,
+            "diagnostics": self.diagnostics,
+        }
+        if indent is None:
+            return json.dumps(
+                {
+                    **head,
+                    "inferences": [i.to_dict() for i in self.inferences],
+                    "uncertain": [i.to_dict() for i in self.uncertain],
+                }
+            )
+        pad = " " * indent
+        return (
+            f"{json.dumps(head, indent=indent)[:-2]},\n"
+            f'{pad}"inferences": {_records_json(self.inferences, pad)},\n'
+            f'{pad}"uncertain": {_records_json(self.uncertain, pad)}\n}}'
         )
 
     @classmethod
@@ -176,3 +188,22 @@ class MapItResult:
             converged=bool(data["converged"]),
             diagnostics=dict(data.get("diagnostics", {})),
         )
+
+
+def _records_json(records: List[LinkInference], pad: str) -> str:
+    """*records* as ``json.dumps`` lays out a list at depth 1 of a
+    document indented by *pad*, from one C-encoder call that puts each
+    field on its depth-3 line; only the record boundaries then need
+    their depth-2 braces.  The rewrite cannot touch a string: encoders
+    escape newlines in strings, and ``to_dict`` records are flat, so
+    ``},<newline>{`` occurs only between records."""
+    if not records:
+        return "[]"
+    fields, braces = "\n" + pad * 3, "\n" + pad * 2
+    body = json.dumps(
+        [record.to_dict() for record in records], separators=("," + fields, ": ")
+    )
+    records_text = body[2:-2].replace(
+        "}," + fields + "{", braces + "}," + braces + "{" + fields
+    )
+    return f"[{braces}{{{fields}{records_text}{braces}}}\n{pad}]"

@@ -1,12 +1,3 @@
 """DNS hostname synthesis and hostname-derived verification (paper
-section 5.1.2)."""
-
-from repro.dns.naming import HostnameDataset, generate_hostnames
-from repro.dns.verification import build_dns_verification, classify_hostname
-
-__all__ = [
-    "HostnameDataset",
-    "build_dns_verification",
-    "classify_hostname",
-    "generate_hostnames",
-]
+section 5.1.2).  Re-exports nothing: loading hostnames loads no
+evaluation code."""

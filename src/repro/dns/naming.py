@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-from repro.sim.groundtruth import GroundTruth
-from repro.sim.network import Network
+if TYPE_CHECKING:
+    from repro.io.truth import GroundTruth
+    from repro.sim.network import Network
 
 _CITIES = (
     "newyork", "london", "frankfurt", "tokyo", "denver",

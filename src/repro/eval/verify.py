@@ -27,8 +27,8 @@ from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 from repro.core.results import LinkInference
 from repro.eval.metrics import Score
 from repro.graph.neighbors import InterfaceGraph
+from repro.io.truth import GroundTruth
 from repro.org.as2org import AS2Org
-from repro.sim.groundtruth import GroundTruth
 
 LinkKey = Tuple[int, int]
 

@@ -24,7 +24,7 @@ from repro.bgp.origins import merge_collectors
 from repro.bgp.table import CollectorDump
 from repro.dns.naming import HostnameDataset
 from repro.io.atomic import file_sha256
-from repro.io.truth import load_ground_truth
+from repro.io.truth import GroundTruth, load_ground_truth
 from repro.ixp.dataset import IXPDataset
 from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
@@ -33,7 +33,6 @@ from repro.graph.neighbors import InterfaceGraph
 from repro.robust.errors import ErrorBudget, IngestReport
 from repro.robust.health import BundleHealth
 from repro.robust.ingest import ingest_trace_file
-from repro.sim.groundtruth import GroundTruth
 from repro.traceroute.model import Trace
 
 

@@ -11,13 +11,15 @@ parsing alone would not catch.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.dns.naming import HostnameDataset
 from repro.io.atomic import atomic_write_json, atomic_write_lines
 from repro.io.truth import save_ground_truth
-from repro.sim.scenario import Scenario
 from repro.traceroute.parse import traces_to_json_lines, traces_to_text_lines
+
+if TYPE_CHECKING:
+    from repro.sim.scenario import Scenario
 
 
 def _write_lines(path: Path, lines) -> str:

@@ -53,9 +53,7 @@ def format_address(value: int) -> str:
     """
     if not 0 <= value <= MAX_ADDRESS:
         raise AddressError(f"address {value} out of range")
-    return ".".join(
-        str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
-    )
+    return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
 def is_valid_address(text: str) -> bool:

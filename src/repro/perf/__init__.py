@@ -24,23 +24,7 @@ Entry points:
   blocks, packed counter bundles, batched LPM resolution;
 * :class:`repro.perf.cache.BundleCache` — the checksummed on-disk
   parsed-trace cache (binary v2 entries; decoding executes no code).
+
+The package re-exports nothing: the serve index and the stress
+generator import :mod:`repro.perf.flat` and load no other submodule.
 """
-
-from repro.perf.cache import BundleCache, cache_key
-from repro.perf.flat import FlatTraces, pack_traces, unpack_traces
-from repro.perf.graph import build_graph_flat
-from repro.perf.ingest import stream_graph_from_file
-from repro.perf.pool import default_jobs, fork_map, shard_ranges
-
-__all__ = [
-    "BundleCache",
-    "cache_key",
-    "FlatTraces",
-    "pack_traces",
-    "unpack_traces",
-    "build_graph_flat",
-    "stream_graph_from_file",
-    "default_jobs",
-    "fork_map",
-    "shard_ranges",
-]

@@ -131,11 +131,10 @@ def _run_cli(argv: Sequence[str]) -> Tuple[int, str, str]:
 
 def _build_world(preset: str, seed: int, root: Path) -> Path:
     from repro.io.save import save_scenario
+    from repro.sim.presets import SCENARIO_PRESETS
     from repro.sim.scenario import build_scenario
 
-    from repro.cli import _CHAOS_PRESETS
-
-    scenario = build_scenario(_CHAOS_PRESETS[preset](seed))
+    scenario = build_scenario(SCENARIO_PRESETS[preset](seed))
     return save_scenario(scenario, root / "world")
 
 

@@ -6,27 +6,6 @@ data, and AS relationships - all generated from one seeded topology
 with exact ground truth attached.
 
 Entry point: :func:`repro.sim.scenario.build_scenario` with a
-:class:`repro.sim.scenario.ScenarioConfig`.
+:class:`repro.sim.scenario.ScenarioConfig`.  The package re-exports
+nothing, so a caller loads only the submodules it imports.
 """
-
-from repro.sim.asgraph import ASGraph, ASGraphConfig, ASNode, Tier, generate_as_graph
-from repro.sim.groundtruth import GroundTruth
-from repro.sim.network import Network, build_network
-from repro.sim.scenario import Scenario, ScenarioConfig, build_scenario
-from repro.sim.testbed import Testbed, TestbedBuilder
-
-__all__ = [
-    "ASGraph",
-    "ASGraphConfig",
-    "ASNode",
-    "GroundTruth",
-    "Network",
-    "Scenario",
-    "ScenarioConfig",
-    "Testbed",
-    "TestbedBuilder",
-    "Tier",
-    "build_network",
-    "build_scenario",
-    "generate_as_graph",
-]

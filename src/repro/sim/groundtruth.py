@@ -4,111 +4,44 @@ The simulator knows exactly which interfaces sit on inter-AS links and
 which ASes each link connects — the information the paper obtains from
 Internet2's interface XML and reconstructs for Level 3 / TeliaSonera
 from DNS hostnames.  The evaluation package scores MAP-IT and the
-baselines against this.
+baselines against this.  The types live in the dataset layer
+(:mod:`repro.io.truth`), so loading a dataset loads no simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
+from repro.io.truth import BorderInterface, GroundTruth
 from repro.sim.network import EXTERNAL, INTERNAL, IXP_LAN, MONITOR_LAN, Network
 
 
-@dataclass(frozen=True)
-class BorderInterface:
-    """One interface on an inter-AS point-to-point link."""
-
-    address: int
-    #: AS of the router holding this interface
-    router_as: int
-    #: AS on the far side of the link
-    connected_as: int
-    #: the far interface's address
-    other_address: int
-    #: AS whose space numbers the link
-    owner_as: int
-
-    def pair(self) -> Tuple[int, int]:
-        low, high = sorted((self.router_as, self.connected_as))
-        return (low, high)
-
-
-@dataclass
-class GroundTruth:
-    """Queryable truth about every interface in the network."""
-
-    border: Dict[int, BorderInterface] = field(default_factory=dict)
-    internal: Set[int] = field(default_factory=set)
-    ixp: Dict[int, int] = field(default_factory=dict)  # address -> member AS
-    #: AS of the router holding each address
-    router_as: Dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_network(cls, network: Network) -> "GroundTruth":
-        truth = cls()
-        for link in network.links.values():
-            if link.kind == EXTERNAL:
-                (router_a, addr_a), (router_b, addr_b) = link.endpoints
-                as_a = network.router_as(router_a)
-                as_b = network.router_as(router_b)
-                truth.border[addr_a] = BorderInterface(
-                    address=addr_a,
-                    router_as=as_a,
-                    connected_as=as_b,
-                    other_address=addr_b,
-                    owner_as=link.owner_as,
-                )
-                truth.border[addr_b] = BorderInterface(
-                    address=addr_b,
-                    router_as=as_b,
-                    connected_as=as_a,
-                    other_address=addr_a,
-                    owner_as=link.owner_as,
-                )
-            elif link.kind in (INTERNAL, MONITOR_LAN):
-                for _, address in link.endpoints:
-                    truth.internal.add(address)
-            elif link.kind == IXP_LAN:
-                for router_id, address in link.endpoints:
-                    truth.ixp[address] = network.router_as(router_id)
+def ground_truth_from_network(network: Network) -> GroundTruth:
+    """The truth about every interface on *network*'s links."""
+    truth = GroundTruth()
+    for link in network.links.values():
+        if link.kind == EXTERNAL:
+            (router_a, addr_a), (router_b, addr_b) = link.endpoints
+            as_a = network.router_as(router_a)
+            as_b = network.router_as(router_b)
+            truth.border[addr_a] = BorderInterface(
+                address=addr_a,
+                router_as=as_a,
+                connected_as=as_b,
+                other_address=addr_b,
+                owner_as=link.owner_as,
+            )
+            truth.border[addr_b] = BorderInterface(
+                address=addr_b,
+                router_as=as_b,
+                connected_as=as_a,
+                other_address=addr_a,
+                owner_as=link.owner_as,
+            )
+        elif link.kind in (INTERNAL, MONITOR_LAN):
+            for _, address in link.endpoints:
+                truth.internal.add(address)
+        elif link.kind == IXP_LAN:
             for router_id, address in link.endpoints:
-                truth.router_as[address] = network.router_as(router_id)
-        return truth
-
-    # -- queries ----------------------------------------------------------
-
-    def is_inter_as(self, address: int) -> bool:
-        """True when *address* sits on a point-to-point inter-AS link."""
-        return address in self.border
-
-    def is_internal(self, address: int) -> bool:
-        return address in self.internal
-
-    def connected_pair(self, address: int) -> Optional[Tuple[int, int]]:
-        """The unordered AS pair of the link at *address*, or None."""
-        interface = self.border.get(address)
-        return interface.pair() if interface is not None else None
-
-    def interfaces_involving(self, asn: int) -> List[BorderInterface]:
-        """All border interfaces on links with *asn* as an endpoint."""
-        return [
-            interface
-            for interface in self.border.values()
-            if asn in (interface.router_as, interface.connected_as)
-        ]
-
-    def internal_of(self, asn: int, network: Network) -> Set[int]:
-        """Internal interface addresses on routers of *asn*."""
-        return {
-            address
-            for address in self.internal
-            if self.router_as.get(address) == asn
-        }
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            "border_interfaces": len(self.border),
-            "internal_interfaces": len(self.internal),
-            "ixp_interfaces": len(self.ixp),
-        }
+                truth.ixp[address] = network.router_as(router_id)
+        for router_id, address in link.endpoints:
+            truth.router_as[address] = network.router_as(router_id)
+    return truth

@@ -133,6 +133,16 @@ def stress_smoke_config(seed: int = 0) -> StressConfig:
     )
 
 
+#: simulator-built worlds by name (simulate, experiment, chaos, sweep;
+#: a sweep materializes them to dataset directories when it needs them)
+SCENARIO_PRESETS = {
+    "tiny": tiny_config,
+    "small": small_config,
+    "paper": paper_config,
+    "dense": dense_config,
+}
+
+
 def tiny_scenario(seed: int = 0) -> Scenario:
     return build_scenario(tiny_config(seed))
 

@@ -17,12 +17,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.bgp.cymru import CymruTable
 from repro.bgp.ip2as import IP2AS
 from repro.bgp.table import CollectorDump
+from repro.io.truth import GroundTruth
 from repro.ixp.dataset import IXPDataset
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import RelationshipDataset
 from repro.sim.asgraph import ASGraph, ASGraphConfig, Tier, generate_as_graph
 from repro.sim.exports import build_ip2as, export_as2org, export_relationships
-from repro.sim.groundtruth import GroundTruth
+from repro.sim.groundtruth import ground_truth_from_network
 from repro.sim.network import Network, NetworkConfig, build_network
 from repro.sim.routing import ASRoutes, IGP
 from repro.sim.tracer import Monitor, TracerConfig, TracerouteEngine
@@ -162,7 +163,7 @@ def build_scenario(config: ScenarioConfig = ScenarioConfig()) -> Scenario:
     relationships = export_relationships(graph)
     # Ground truth is read after monitor placement so monitor LANs are
     # classified as internal interfaces.
-    ground_truth = GroundTruth.from_network(network)
+    ground_truth = ground_truth_from_network(network)
     return Scenario(
         config=config,
         graph=graph,

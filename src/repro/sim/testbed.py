@@ -30,11 +30,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.bgp.ip2as import IP2AS, IP2ASBuilder
 from repro.bgp.origins import OriginTable
+from repro.io.truth import GroundTruth
 from repro.net.prefix import Prefix, host_addresses
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import RelationshipDataset
 from repro.sim.asgraph import ASGraph, ASNode, Tier
-from repro.sim.groundtruth import GroundTruth
+from repro.sim.groundtruth import ground_truth_from_network
 from repro.sim.network import EXTERNAL, INTERNAL, Network
 from repro.sim.addressing import AddressPlan, ASAllocator
 from repro.sim.routing import ASRoutes, IGP
@@ -235,7 +236,7 @@ class TestbedBuilder:
                 relationships.add_p2c(edge.a, edge.b)
             else:
                 relationships.add_p2p(edge.a, edge.b)
-        ground_truth = GroundTruth.from_network(network)
+        ground_truth = ground_truth_from_network(network)
         names = {asn: node.name for asn, node in self._graph.nodes.items()}
         return Testbed(
             network=network,

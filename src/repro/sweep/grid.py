@@ -15,27 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from repro.sim.presets import (
-    dense_config,
-    paper_config,
-    small_config,
+    SCENARIO_PRESETS,
     stress_config,
     stress_large_config,
     stress_smoke_config,
-    tiny_config,
 )
 
 #: bump when the cell result layout or expansion order changes; old
 #: journals then key to a different sweep id and are not resumed
 SWEEP_VERSION = 1
-
-#: scenario presets: simulator-built worlds (materialized to dataset
-#: directories by the worlds phase when the sweep kind needs them)
-SCENARIO_PRESETS = {
-    "tiny": tiny_config,
-    "small": small_config,
-    "paper": paper_config,
-    "dense": dense_config,
-}
 
 #: stress presets: closed-form worlds generated shard-by-shard
 #: (:mod:`repro.sim.stress`); never materialized to disk

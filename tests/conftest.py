@@ -10,11 +10,9 @@ import pytest
 
 from repro.bgp.ip2as import IP2AS
 from repro.eval.experiment import Experiment, prepare_experiment
-from repro.sim.presets import dense_config, paper_config, small_config, small_scenario
+from repro.sim.presets import SCENARIO_PRESETS, small_scenario
 from repro.sim.scenario import Scenario, build_scenario
 from repro.traceroute.parse import parse_text_traces
-
-_PRESET_CONFIGS = {"small": small_config, "paper": paper_config, "dense": dense_config}
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +38,7 @@ def tmp_bundle(tmp_path_factory):
         if key not in built:
             from repro.io import save_scenario
 
-            scn = build_scenario(_PRESET_CONFIGS[scale](seed))
+            scn = build_scenario(SCENARIO_PRESETS[scale](seed))
             names = None
             if hostnames:
                 from repro.dns.naming import generate_hostnames

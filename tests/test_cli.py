@@ -26,6 +26,12 @@ class TestSimulate:
         assert code == 0
         assert not (tmp_path / "d" / "hostnames.txt").exists()
 
+    def test_preset_names_have_factories(self):
+        from repro.cli import _CHAOS_PRESETS, _PRESETS
+        from repro.sim.presets import SCENARIO_PRESETS
+
+        assert set(_PRESETS) | set(_CHAOS_PRESETS) <= set(SCENARIO_PRESETS)
+
 
 class TestRun:
     def test_writes_inferences(self, dataset_dir, tmp_path, capsys):
@@ -142,6 +148,26 @@ class TestJsonOutput:
         main(["run", str(dataset_dir), "--json", "--output", str(out)])
         result = MapItResult.from_json(out.read_text())
         assert result.inferences
+
+    def test_interrupted_write_keeps_previous_output(
+        self, dataset_dir, tmp_path, monkeypatch
+    ):
+        """A SIGINT while the result is encoded exits 130 and leaves the
+        earlier ``--output`` file whole, with no temp file beside it."""
+        from repro.core.results import MapItResult
+
+        out = tmp_path / "result.json"
+        argv = ["run", str(dataset_dir), "--json", "--output", str(out)]
+        assert main(argv) == 0
+        before = out.read_bytes()
+
+        def interrupted(self, indent=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(MapItResult, "to_json", interrupted)
+        assert main(argv) == 130
+        assert out.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp.*"))
 
 
 class TestAspathExperiment:

@@ -8,9 +8,9 @@ from repro.eval.verify import (
     score_inferences,
 )
 from repro.graph.neighbors import build_interface_graph
+from repro.io.truth import BorderInterface, GroundTruth
 from repro.net.ipv4 import parse_address
 from repro.org.as2org import AS2Org
-from repro.sim.groundtruth import BorderInterface, GroundTruth
 from repro.traceroute.parse import parse_text_traces
 
 

@@ -3,6 +3,7 @@ invariants: hypothesis strategies for the structured generators, plus
 seeded stdlib-``random`` fuzzers for the raw string parsers (no extra
 dependency, fully reproducible from the hard-coded seeds)."""
 
+import json
 import random
 import string
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.results import LinkInference, MapItResult
 from repro.graph.neighbors import build_interface_graph
 from repro.graph.othersides import infer_other_sides
 from repro.net.ipv4 import (
@@ -278,6 +280,49 @@ class TestParseProperties:
             assert [h.address for h in original.hops] == [
                 h.address for h in back.hops
             ]
+
+
+_kinds = st.sampled_from(["direct", "indirect", "stub", "},\n      {"]) | st.text(
+    alphabet=st.sampled_from('"\\{}\n,: aé☃\u2028\x00'), max_size=8
+)
+_inferences = st.builds(
+    LinkInference,
+    address=addresses,
+    forward=st.booleans(),
+    local_as=st.integers(min_value=0, max_value=MAX_ADDRESS),
+    remote_as=st.integers(min_value=0, max_value=MAX_ADDRESS),
+    kind=_kinds,
+    other_side=st.none() | addresses,
+    uncertain=st.booleans(),
+)
+_results = st.builds(
+    MapItResult,
+    inferences=st.lists(_inferences, max_size=6),
+    uncertain=st.lists(_inferences, max_size=3),
+    iterations=st.integers(min_value=0, max_value=9),
+    converged=st.booleans(),
+    diagnostics=st.dictionaries(st.text(max_size=6), st.integers(0, 99), max_size=3),
+)
+
+
+class TestResultJsonProperties:
+    """``to_json`` encodes the record lists on the C encoder and then
+    rewrites their layout; its bytes must stay ``json.dumps``'s."""
+
+    @given(_results, st.sampled_from([None, 1, 2, 4]))
+    @example(MapItResult([], [], 0, True), 2)
+    @settings(max_examples=200, deadline=None)
+    def test_to_json_is_json_dumps(self, result, indent):
+        document = {
+            "summary": result.summary(),
+            "converged": result.converged,
+            "diagnostics": result.diagnostics,
+            "inferences": [inference.to_dict() for inference in result.inferences],
+            "uncertain": [inference.to_dict() for inference in result.uncertain],
+        }
+        text = result.to_json(indent)
+        assert text == json.dumps(document, indent=indent)
+        assert MapItResult.from_json(text) == result
 
 
 def _mutate_line(rng, line):

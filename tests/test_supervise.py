@@ -16,8 +16,8 @@ import pytest
 from repro.cli import main
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
+import repro.perf.pool as pool_mod
 from repro.perf.pool import _graceful_sigterm, fork_available, fork_map
-from repro.perf import pool as pool_mod
 from repro.robust.errors import ErrorBudget, ErrorBudgetExceeded
 from repro.robust.faults import ChaosInjector, chaos
 from repro.robust.supervise import (
