@@ -109,9 +109,9 @@ performance (see docs/PERFORMANCE.md):
                   grid cells in parallel (default $MAPIT_JOBS or 1);
                   results identical. N=0 (or MAPIT_JOBS=0) means all
                   cores; negative N is a usage error (exit 2)
-  --cache DIR     run/evaluate/explain/report/sweep/serve: reuse parsed
-                  traces from DIR when the source file's sha256 matches
-                  (default $MAPIT_CACHE or off)
+  --cache DIR     run/evaluate/explain/report/sweep/serve: reuse the
+                  folded graph stored in DIR when the source file's
+                  sha256 matches (default $MAPIT_CACHE or off)
   --no-cache      always parse from source
   --shard-timeout SECONDS
                   run/explain/report/sweep: per-shard deadline; late
@@ -235,8 +235,9 @@ def _add_perf_options(parser: argparse.ArgumentParser, shards: bool = True) -> N
         "--cache",
         metavar="DIR",
         help=(
-            "cache parsed traces in DIR keyed by the traces file's sha256; "
-            "a verified hit skips parsing (default $MAPIT_CACHE or off)"
+            "cache the folded graph in DIR keyed by the traces file's sha256; "
+            "a verified hit skips parsing and folding (default $MAPIT_CACHE "
+            "or off)"
         ),
     )
     group.add_argument(
@@ -303,18 +304,18 @@ def _finish_obs(obs, args) -> None:
     obs.close()
 
 
-def _load_bundle_checked(args, obs=None, graph_only=True):
-    """Load the dataset under the CLI's robustness and perf flags.
+def _load_bundle_checked(args, obs=None):
+    """Load the dataset's graph under the CLI's robustness and perf flags.
 
     Prints the ingest health summary to stderr; returns None (caller
     exits with EXIT_BUDGET_EXCEEDED) when the error budget is blown.
-    *graph_only* selects the fused loader, sharded by ``--jobs``
-    (``run``, ``explain``, ``report``); ``evaluate`` reads trace
-    objects, which are parsed in-process, and has no ``--jobs``.
+    Every command loads through the fused loader, sharded by
+    ``--jobs`` where the command has it (``run``, ``explain``,
+    ``report``); ``evaluate`` has none and loads as one inline shard.
     """
     from repro.obs import NULL_OBS
 
-    if graph_only:
+    if hasattr(args, "jobs"):
         jobs, cache, shard_timeout = _perf_settings(args)
     else:
         jobs, cache, shard_timeout = 1, _cache_dir(args), None
@@ -327,7 +328,7 @@ def _load_bundle_checked(args, obs=None, graph_only=True):
             jobs=jobs,
             cache=cache,
             shard_timeout=shard_timeout,
-            graph_only=graph_only,
+            graph_only=True,
         )
     except ErrorBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -440,8 +441,8 @@ def cmd_run(args) -> int:
         )
         return 2
     if journal_dir and not args.no_cache and args.cache is None:
-        # Journaled runs default their parse cache next to the journal,
-        # so a resume replays the parse as a verified cache hit.
+        # Journaled runs default their graph cache next to the journal,
+        # so a resume restores the graph from a verified cache hit.
         args.cache = os.environ.get("MAPIT_CACHE") or journal_dir
     obs = _build_obs(args)
     try:
@@ -490,11 +491,11 @@ def _serve_warm_start(
 ) -> int:
     """Fold the dataset's own traces file into a serve daemon.
 
-    A verified ``.mapitc`` v2 cache hit folds the columnar payload
-    directly (no object materialization, no re-parse); otherwise the
-    file streams through the normal ingest path.  Either way the
-    source's byte offset ends at end-of-file, so a later checkpoint
-    resumes past the warm base.  Returns traces folded.
+    While the index has folded nothing, a verified ``.mapitc`` entry is
+    restored as the warm base like a checkpoint (no parse, no fold);
+    otherwise the file streams through the normal ingest path.  Either
+    way the source's byte offset ends at end-of-file, so a later
+    checkpoint resumes past the warm base.  Returns traces folded.
     """
     from repro.serve.sources import FollowSource, read_file_size
 
@@ -503,7 +504,7 @@ def _serve_warm_start(
     size = read_file_size(traces_path)
     if offset >= size:
         return 0  # a resumed checkpoint already covered the file
-    if offset == 0 and cache_dir:
+    if offset == 0 and cache_dir and daemon.stats_view()["folds"] == 0:
         from repro.io.atomic import file_sha256
         from repro.perf.cache import BundleCache
 
@@ -511,7 +512,7 @@ def _serve_warm_start(
             file_sha256(traces_path), format
         )
         if hit is not None:
-            return daemon.warm_fold(hit.flat, hit.parsed, hit.skipped, name, size)
+            return daemon.warm_start(hit.bundle, hit.parsed, hit.skipped, name, size)
     source = FollowSource(traces_path, offset=offset)
     return source.replay(daemon)
 
@@ -688,11 +689,10 @@ def cmd_serve(args) -> int:
 def cmd_evaluate(args) -> int:
     from repro.core.mapit import run_mapit_graph
     from repro.eval.verify import build_verification, score_inferences
-    from repro.graph.neighbors import graph_from_traces
 
     obs = _build_obs(args)
     try:
-        bundle = _load_bundle_checked(args, obs=obs, graph_only=False)
+        bundle = _load_bundle_checked(args, obs=obs)
         if bundle is None:
             return EXIT_BUDGET_EXCEEDED
         if bundle.ground_truth is None:
@@ -700,7 +700,7 @@ def cmd_evaluate(args) -> int:
                 "dataset has no groundtruth.txt; nothing to evaluate", file=sys.stderr
             )
             return 2
-        graph, report = graph_from_traces(bundle.traces, obs=obs)
+        graph = bundle.graph
         result = run_mapit_graph(
             graph,
             bundle.ip2as,
@@ -721,7 +721,7 @@ def cmd_evaluate(args) -> int:
             bundle.ground_truth,
             asn,
             graph,
-            set(report.retained_addresses),
+            bundle.retained_addresses,
             bundle.ip2as.asn,
         )
         score = score_inferences(result.inferences, dataset, bundle.as2org, graph)

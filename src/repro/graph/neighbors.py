@@ -100,11 +100,12 @@ def accumulate_neighbors(
 ) -> None:
     """Fold *traces* into partial N_F/N_B tables and the seen-set.
 
-    This is the single accumulation kernel behind both the serial
-    :func:`build_interface_graph` and the sharded workers of
-    :mod:`repro.perf.graph`: one adjacency contributes one member
-    regardless of multiplicity, so partial tables built over disjoint
-    trace shards merge into exactly the serial result by set union.
+    The object twin of :func:`repro.perf.flat.fold_addresses`: one
+    adjacency contributes one member regardless of multiplicity, so
+    partial tables built over disjoint trace shards merge into exactly
+    the serial result by set union.  *seen* gains every address of
+    *traces*, special ones too — over sanitized traces, exactly
+    ``SanitizeReport.retained_addresses``.
     """
     for trace in traces:
         previous: Optional[int] = None
@@ -113,13 +114,13 @@ def accumulate_neighbors(
             if address is None:
                 previous = None
                 continue
+            seen.add(address)
             if is_special(address):
                 # Private/shared addresses neither own neighbor sets nor
                 # appear inside them, but they still break adjacency: the
                 # public addresses either side of one are not neighbors.
                 previous = None
                 continue
-            seen.add(address)
             if previous is not None:
                 forward.setdefault(previous, set()).add(address)
                 backward.setdefault(address, set()).add(previous)
@@ -180,23 +181,25 @@ def finish_interface_graph(
     """Assign other sides and emit the graph-built observability.
 
     Shared tail of graph construction: the serial builder and the
-    sharded merge of :mod:`repro.perf.graph` both end here, so the
+    sharded merge of :mod:`repro.perf.ingest` both end here, so the
     ``graph.built`` event and gauges are byte-identical however the
-    neighbor tables were produced.
+    neighbor tables were produced.  ``addresses`` counts the
+    non-special members of *seen*.
     """
     with obs.span("other_sides"):
         graph.other_sides = infer_other_sides(
             address for address in universe if not is_special(address)
         )
     if obs.enabled:
+        addresses = sum(1 for address in seen if not is_special(address))
         obs.event(
             "graph.built",
-            addresses=len(seen),
+            addresses=addresses,
             forward_sets=len(graph.forward),
             backward_sets=len(graph.backward),
             universe=len(universe),
         )
-        obs.gauge("graph.addresses", len(seen))
+        obs.gauge("graph.addresses", addresses)
         obs.gauge("graph.forward_sets", len(graph.forward))
         obs.gauge("graph.backward_sets", len(graph.backward))
     return graph

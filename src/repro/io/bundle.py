@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from repro.bgp.cymru import CymruTable
 from repro.bgp.ip2as import IP2AS, IP2ASBuilder
@@ -46,11 +46,13 @@ class InputBundle:
     what loaded cleanly, what degraded, and what was rejected.
 
     When the bundle was loaded with ``graph_only=True`` (any ``jobs``),
-    ``graph`` holds the interface graph the fused loader built and
-    ``traces`` is empty — the graph is all the inference passes need,
-    and the trace objects were deliberately never materialized; the
-    parsed-record count is ``health.ingest.parsed``
-    (docs/PERFORMANCE.md).
+    ``graph`` holds the interface graph the fused loader built (or a
+    cache hit restored), ``retained_addresses`` every address of a
+    trace §4.1 retained — ``SanitizeReport.retained_addresses``, what
+    evaluation scores with — and ``traces`` is empty: the graph is all
+    the inference passes need, and the trace objects were deliberately
+    never materialized; the parsed-record count is
+    ``health.ingest.parsed`` (docs/PERFORMANCE.md).
     """
 
     traces: List[Trace]
@@ -62,6 +64,7 @@ class InputBundle:
     manifest: Dict = field(default_factory=dict)
     health: BundleHealth = field(default_factory=BundleHealth)
     graph: Optional[InterfaceGraph] = None
+    retained_addresses: Optional[Set[int]] = None
 
     def run_mapit(self, config=None, obs=None):
         """Convenience: run MAP-IT over this bundle.
@@ -124,7 +127,7 @@ def _verify_checksums(root: Path, manifest: Dict, health: BundleHealth) -> None:
             health.checksum_failures.append(name)
 
 
-def _ingest_traces_cached(
+def _load_graph(
     traces_path: Path,
     *,
     mode: str,
@@ -133,29 +136,29 @@ def _ingest_traces_cached(
     obs: Observability,
     jobs: int,
     cache: Optional[Union[str, Path]],
-    shard_timeout: Optional[float] = None,
-    graph_only: bool = False,
-    health: Optional[BundleHealth] = None,
+    shard_timeout: Optional[float],
+    health: BundleHealth,
 ):
-    """Ingest the traces file, via the cache when one is given.
+    """Load the traces file's interface graph, via the cache when one
+    is given.
 
-    Returns ``(traces, report, graph)``.  The cache key is the file's
-    content sha256 (the digest the manifest records), so a hit is
-    provably the same bytes; only clean parses are stored, so the
-    mode-dependent error machinery always runs for dirty files.  A hit
-    emits the same ``ingest.end`` event and ``ingest.records.*``
-    counters a clean parse would — cold and warm runs produce
-    byte-identical ``--trace`` output, and the entry's format version
-    is surfaced in *health* (``cache: hit`` in the summary).
-
-    With *graph_only* true, ``traces`` comes back empty and ``graph``
-    pre-built, with no trace object made on any path: a miss runs the
-    fused loader (:func:`~repro.perf.ingest.stream_graph_from_file`,
-    ``jobs`` shards, ``jobs=1`` inline), a hit folds the entry's
-    columnar block (:func:`~repro.perf.graph.build_graph_flat`).
-    Without it, the traces are parsed in-process at any *jobs*
-    (docs/PERFORMANCE.md).
+    Returns ``(graph, report, retained_addresses)``, with no trace
+    object made on any path.  The cache key is the file's content
+    sha256 (the digest the manifest records), so a hit is provably the
+    same bytes: it restores the folded graph from the entry through the
+    fused loader's own merge-and-finish tail — no fork, no fold — and
+    emits the same ``ingest.end`` event, ``ingest.records.*`` counters
+    and ``graph.built`` event a parse would, so cold and warm runs
+    produce byte-identical ``--trace`` output; the entry's format
+    version is surfaced in *health* (``cache: hit`` in the summary).  A
+    miss runs the fused loader
+    (:func:`~repro.perf.ingest.stream_graph_from_file`, ``jobs``
+    shards, ``jobs=1`` inline) and stores its merged tables after a
+    clean parse; a dirty one is never stored, so the mode-dependent
+    error machinery always runs for dirty files (docs/PERFORMANCE.md).
     """
+    from repro.perf.flat import bundle_tables
+    from repro.perf.ingest import finish_graph_from_bundles, stream_graph_from_file
     from repro.robust.ingest import finalize_ingest
     from repro.traceroute.parse import trace_format_for_path
 
@@ -169,51 +172,30 @@ def _ingest_traces_cached(
         source_sha = file_sha256(traces_path)
         hit = bundle_cache.load_entry(source_sha, format)
         if hit is not None:
-            if health is not None:
-                health.cache_format = hit.format_label
+            health.cache_format = hit.format_label
             report = IngestReport(
                 source=traces_path.name,
                 mode=mode,
                 parsed=hit.parsed,
                 skipped=hit.skipped,
             )
-            with obs.span("ingest"):
-                pass
-            report = finalize_ingest(report, [], obs=obs)
-            if graph_only:
-                from repro.perf.graph import build_graph_flat
-
-                graph = build_graph_flat(
-                    hit.flat, jobs, obs=obs, shard_timeout=shard_timeout
-                )
-                return [], report, graph
-            return hit.traces(), report, None
-    if graph_only:
-        from repro.perf.ingest import stream_graph_from_file
-
-        graph, report, payload = stream_graph_from_file(
-            traces_path,
-            jobs,
-            mode=mode,
-            budget=budget,
-            quarantine_dir=quarantine_dir,
-            obs=obs,
-            shard_timeout=shard_timeout,
-            want_payload=bundle_cache is not None,
-        )
-        if bundle_cache is not None and payload is not None:
-            bundle_cache.store_payload(source_sha, format, payload, report)
-        return [], report, graph
-    traces, report = ingest_trace_file(
+            with obs.span("ingest+graph"):
+                finalize_ingest(report, [], obs=obs)
+                graph, tables = finish_graph_from_bundles([hit.bundle], obs)
+            return graph, report, tables.seen
+    graph, report, tables = stream_graph_from_file(
         traces_path,
+        jobs,
         mode=mode,
         budget=budget,
         quarantine_dir=quarantine_dir,
         obs=obs,
+        shard_timeout=shard_timeout,
     )
-    if bundle_cache is not None:
-        bundle_cache.store(source_sha, format, traces, report)
-    return traces, report, None
+    if bundle_cache is not None and report.ok:
+        payload = bundle_tables(*tables).to_bytes()
+        bundle_cache.store_payload(source_sha, format, payload, report)
+    return graph, report, tables.seen
 
 
 def load_bundle(
@@ -248,21 +230,26 @@ def load_bundle(
     fraction in the non-strict modes; *quarantine_dir* overrides the
     default ``<dataset>/quarantine/`` reject directory.
 
-    *cache* names a :class:`~repro.perf.cache.BundleCache` directory
-    keyed by the traces file's sha256 — a verified hit skips parsing
-    entirely (docs/PERFORMANCE.md).  It is an optimization only:
-    traces, report, and observability events are identical either way.
-
     *graph_only* selects the fused loader: the returned bundle carries
-    a pre-built interface ``graph`` and an *empty* ``traces`` list — no
-    trace objects are built, in the parent or in a worker.  *jobs* sets
-    its shard count (``jobs=1`` is one inline shard) and
-    *shard_timeout* the supervisor's per-shard deadline; the default
-    object load parses in-process and ignores both.  Every command that
-    needs only the graph (``run``, ``explain``, ``report``) asks for
-    it; the default keeps trace objects for the callers that read them
-    (``evaluate``, evaluation sweeps).
+    a pre-built interface ``graph``, the ``retained_addresses`` scoring
+    reads, and an *empty* ``traces`` list — no trace objects are built,
+    in the parent or in a worker.  *jobs* sets its shard count
+    (``jobs=1`` is one inline shard) and *shard_timeout* the
+    supervisor's per-shard deadline; the default object load parses
+    in-process and ignores both.  Every command that loads a dataset
+    (``run``, ``evaluate``, ``explain``, ``report``, evaluation sweeps)
+    asks for it; the default keeps trace objects for library callers
+    that read them.
+
+    *cache* names a :class:`~repro.perf.cache.BundleCache` directory of
+    folded graphs keyed by the traces file's sha256 — a verified hit
+    skips parsing and folding entirely (docs/PERFORMANCE.md).  It is an
+    optimization only: graph, report, and observability events are
+    identical either way.  It needs *graph_only*: the object load reads
+    and writes no cache, and raises :class:`ValueError` when given one.
     """
+    if cache is not None and not graph_only:
+        raise ValueError("the bundle cache holds folded graphs; it needs graph_only=True")
     root = Path(directory)
     health = BundleHealth()
     budget = ErrorBudget(max_error_rate) if max_error_rate is not None else None
@@ -277,24 +264,33 @@ def load_bundle(
         traces_path = None
     else:
         raise FileNotFoundError(f"no traces.txt or traces.jsonl in {root}")
+    traces: List[Trace] = []
+    graph = retained = None
     if skip_traces:
-        traces, graph = [], None
         health.record("traces", "skipped", "stream-fed (serve)")
     else:
         if on_error == "quarantine" and quarantine_dir is None:
             quarantine_dir = root / "quarantine"
-        traces, ingest_report, graph = _ingest_traces_cached(
-            traces_path,
-            mode=on_error,
-            budget=budget,
-            quarantine_dir=quarantine_dir,
-            obs=obs,
-            jobs=jobs,
-            cache=cache,
-            shard_timeout=shard_timeout,
-            graph_only=graph_only,
-            health=health,
-        )
+        if graph_only:
+            graph, ingest_report, retained = _load_graph(
+                traces_path,
+                mode=on_error,
+                budget=budget,
+                quarantine_dir=quarantine_dir,
+                obs=obs,
+                jobs=jobs,
+                cache=cache,
+                shard_timeout=shard_timeout,
+                health=health,
+            )
+        else:
+            traces, ingest_report = ingest_trace_file(
+                traces_path,
+                mode=on_error,
+                budget=budget,
+                quarantine_dir=quarantine_dir,
+                obs=obs,
+            )
         health.ingest = ingest_report
         health.record(
             traces_path.name,
@@ -385,4 +381,5 @@ def load_bundle(
         manifest=manifest,
         health=health,
         graph=graph,
+        retained_addresses=retained,
     )

@@ -1,14 +1,13 @@
-"""Parallel/sharded execution layer and the parsed-bundle cache.
+"""Parallel/sharded execution layer and the folded-graph cache.
 
 Everything in this package is an *optimization*, never a semantic
 change: the sharded loaders produce byte-identical results to the
 serial object pipeline (``tests/test_fused_kernel.py`` and
 ``tests/test_parallel_equivalence.py`` hold them to it), and the cache
 only short-circuits parses it can prove — by checksum — would
-reproduce what is stored.  Every command that needs only the interface
-graph (``run``, journaled or not, ``explain``, ``report``) loads
-through its fused loader, ``jobs=1`` as one inline shard; callers
-that read trace objects (``evaluate``) parse them in-process.
+reproduce what is stored.  Every command that loads a dataset's graph
+(``run``, journaled or not, ``evaluate``, ``explain``, ``report``)
+loads through its fused loader, ``jobs=1`` as one inline shard.
 
 Entry points:
 
@@ -17,13 +16,13 @@ Entry points:
 * :func:`repro.perf.ingest.stream_graph_from_file` — the fused
   streaming loader (parse + sanitize + neighbor fold in one pass per
   shard, with no trace objects; only counter bundles cross the
-  process boundary);
-* :func:`repro.perf.graph.build_graph_flat` — sharded sanitize +
-  neighbor-set construction over a warm cache hit's columnar block;
+  process boundary), and :func:`~repro.perf.ingest.finish_graph_from_bundles`,
+  its merge-and-finish tail, which a warm cache hit runs too;
 * :mod:`repro.perf.flat` — the flat-array data layer: columnar trace
-  blocks, packed counter bundles, batched LPM resolution;
+  blocks, packed counter bundles and their one on-disk codec, batched
+  LPM resolution;
 * :class:`repro.perf.cache.BundleCache` — the checksummed on-disk
-  parsed-trace cache (binary v2 entries; decoding executes no code).
+  folded-graph cache (binary v3 entries; decoding executes no code).
 
 The package re-exports nothing: the serve index and the stress
 generator import :mod:`repro.perf.flat` and load no other submodule.

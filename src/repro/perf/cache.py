@@ -1,20 +1,24 @@
-"""On-disk parsed-trace cache keyed by source-file checksums.
+"""On-disk folded-graph cache keyed by source-file checksums.
 
-Parsing dominates bundle load time, yet the traces file rarely changes
-between runs over the same dataset.  :class:`BundleCache` memoizes the
-*parsed* traces on disk, keyed by the sha256 of the source file — the
-same digest :func:`repro.io.atomic.file_sha256` produces and the
-dataset manifest records as ``sha256:`` checksums — so a warm load
-skips parsing entirely and any edit to the traces file changes the key
+Parsing and folding dominate bundle load time, yet the traces file
+rarely changes between runs over the same dataset.  :class:`BundleCache`
+memoizes the *folded graph* on disk — what §4.1–4.3 leave behind and
+the passes read — keyed by the sha256 of the source file: the same
+digest :func:`repro.io.atomic.file_sha256` produces and the dataset
+manifest records as ``sha256:`` checksums.  A warm load skips parsing
+and folding entirely, and any edit to the traces file changes the key
 and misses.
 
-Entries are written in the **v2 binary format**: a fixed
-struct-packed header followed by the columnar
-:class:`repro.perf.flat.FlatTraces` block::
+Entries are written in the **v3 binary format**: a fixed
+struct-packed header followed by the fused loader's merged
+:class:`repro.perf.flat.FlatGraphBundle` — forward and backward
+neighbor tables, the addresses of retained traces, the address
+universe and the three sanitize counts — in the codec serve
+checkpoints use too::
 
     offset size  field
     0      8     magic  b"MAPITC2\\n"
-    8      2     entry version (little-endian u16, currently 2)
+    8      2     entry version (little-endian u16, currently 3)
     10     1     trace format code (1=text 2=jsonl 3=atlas)
     11     1     reserved (zero)
     12     4     parsed record count (u32)
@@ -22,25 +26,26 @@ struct-packed header followed by the columnar
     20     8     payload length in bytes (u64)
     28     32    source file sha256 (raw digest)
     60     32    payload sha256 (raw digest)
-    92     ...   payload: FlatTraces.to_bytes() columnar block
+    92     ...   payload: FlatGraphBundle.to_bytes()
 
 The payload is plain struct/array data — decoding it executes no
-code — and the columnar form is exactly what the warm graph path
-(:func:`repro.perf.graph.build_graph_flat`) maps workers over, so a
-warm hit never materializes trace objects it doesn't need.  The entry
-*filename* is keyed by the source alone, not the layout, so an entry in
-any other layout — including the v1 entries of earlier releases (a
-JSON header line, then a payload that is never decoded) — simply
-fails verification and is overwritten in place by the re-parse's
-store.
+code — and a hit hands it to the fused loader's own merge-and-finish
+tail (:func:`repro.perf.ingest.finish_graph_from_bundles`), so a warm
+load forks nothing and folds no hop.  The entry *filename* is keyed by
+the source alone, not the layout, so an entry in any other layout —
+the v2 column blocks and v1 pickles of earlier releases included —
+simply fails verification once and is overwritten in place by the
+re-parse's store.
 
 Every load verifies magic, version, format, source checksum, payload
-length, and the payload's own sha256 before decoding; any failure is
-counted as ``perf.cache.invalid``, treated as a miss, and the entry is
-atomically rewritten after the re-parse — corruption is detected,
-never served.  Only *clean* parses (zero malformed records) are
-stored: a dirty source must re-parse every load so its policy side
-effects (error reports, quarantine files, budget checks) still happen.
+length, and the payload's own sha256 before decoding, then that the
+bundle's retained and discarded counts add up to the header's parsed
+count; any failure is counted as ``perf.cache.invalid``, treated as a
+miss, and the entry is atomically rewritten after the re-parse —
+corruption is detected, never served.  Only *clean* parses (zero
+malformed records) are stored: a dirty source must re-parse every
+load so its policy side effects (error reports, quarantine files,
+budget checks) still happen.
 """
 
 from __future__ import annotations
@@ -49,29 +54,28 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.io.atomic import atomic_write_bytes
 from repro.obs.observer import NULL_OBS, Observability
-from repro.perf.flat import FlatEncodeError, FlatTraces, pack_traces, unpack_traces
+from repro.perf.flat import FlatGraphBundle
 from repro.robust.errors import IngestReport
 from repro.robust.faults import active_chaos
-from repro.traceroute.model import Trace
 
 MAGIC = "mapit-bundle-cache"
 
 #: the on-disk layout this release writes and reads
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: key-material version — deliberately frozen at 1 so an entry in an
 #: older layout is found, fails verification, and is overwritten in
 #: place rather than orphaned under a new name
 KEY_VERSION = 1
 
-#: leading bytes of a v2 binary entry
+#: leading bytes of a binary entry (every layout since v2)
 BINARY_MAGIC = b"MAPITC2\n"
 
-_V2_HEADER = struct.Struct("<8sHBxIIQ32s32s")
+_HEADER = struct.Struct("<8sHBxIIQ32s32s")
 
 _FORMAT_CODES = {"text": 1, "jsonl": 2, "atlas": 3}
 _FORMAT_NAMES = {code: name for name, code in _FORMAT_CODES.items()}
@@ -90,29 +94,23 @@ def cache_key(source_sha256: str, format: str) -> str:
 
 @dataclass
 class CacheHit:
-    """A verified cache entry: ``flat`` is its columnar block, ready for
-    the warm graph path without object materialization; :meth:`traces`
-    materializes dataclasses on demand.
-    """
+    """A verified cache entry: ``bundle`` is its folded graph, ready
+    for :func:`repro.perf.ingest.finish_graph_from_bundles`."""
 
     parsed: int
     skipped: int
     entry_version: int
-    flat: FlatTraces
+    bundle: FlatGraphBundle
 
     @property
     def format_label(self) -> str:
-        """Human-readable entry format (``v2``), surfaced in bundle
+        """Human-readable entry format (``v3``), surfaced in bundle
         health output."""
         return f"v{self.entry_version}"
 
-    def traces(self) -> List[Trace]:
-        """Materialize the full trace list (O(total hops))."""
-        return unpack_traces(self.flat)
-
 
 class BundleCache:
-    """A directory of checksummed parsed-trace entries.
+    """A directory of checksummed folded-graph entries.
 
     All methods are process-safe: entries are written atomically and
     re-verified on every read, so concurrent runs over the same dataset
@@ -132,7 +130,7 @@ class BundleCache:
         """Return a verified :class:`CacheHit`, or ``None``.
 
         Verifies every header field and the payload digest, and counts
-        the hit under ``perf.cache.format.v2``.  ``None`` covers both a
+        the hit under ``perf.cache.format.v3``.  ``None`` covers both a
         miss and a failed verification — the caller re-parses either
         way, and a corrupt or old-layout entry is overwritten by the
         subsequent store.  O(entry bytes); nothing is decoded before
@@ -145,7 +143,7 @@ class BundleCache:
             self.obs.inc("perf.cache.misses")
             return None
         try:
-            hit = self._decode_v2(data, source_sha256, format)
+            hit = self._decode(data, source_sha256, format)
         except Exception:  # noqa: BLE001 - any damage is just a miss
             self.obs.inc("perf.cache.invalid")
             return None
@@ -153,8 +151,8 @@ class BundleCache:
         self.obs.inc(f"perf.cache.format.{hit.format_label}")
         return hit
 
-    def _decode_v2(self, data: bytes, source_sha256: str, format: str) -> CacheHit:
-        if len(data) < _V2_HEADER.size:
+    def _decode(self, data: bytes, source_sha256: str, format: str) -> CacheHit:
+        if len(data) < _HEADER.size:
             raise ValueError("cache entry shorter than its header")
         (
             magic,
@@ -165,8 +163,8 @@ class BundleCache:
             payload_len,
             source_digest,
             payload_digest,
-        ) = _V2_HEADER.unpack_from(data)
-        payload = data[_V2_HEADER.size :]
+        ) = _HEADER.unpack_from(data)
+        payload = data[_HEADER.size :]
         if (
             magic != BINARY_MAGIC
             or version != CACHE_VERSION
@@ -176,33 +174,12 @@ class BundleCache:
             or payload_digest != hashlib.sha256(payload).digest()
         ):
             raise ValueError("cache entry failed verification")
-        flat = FlatTraces.from_bytes(payload)
-        if len(flat) != parsed:
+        bundle = FlatGraphBundle.from_bytes(payload)
+        if bundle.retained + bundle.discarded != parsed:
             raise ValueError("cache payload does not match its header")
-        return CacheHit(parsed=parsed, skipped=skipped, entry_version=2, flat=flat)
-
-    def store(
-        self,
-        source_sha256: str,
-        format: str,
-        traces: List[Trace],
-        report: IngestReport,
-    ) -> bool:
-        """Write a v2 entry for a *clean* parse; returns whether stored.
-
-        Encodes the traces columnar (O(total hops)) and delegates to
-        :meth:`store_payload`.  A trace that cannot be flat-encoded
-        (pathological field values outside u32/i64) is simply not
-        cached — an encode failure may cost the next run a re-parse,
-        never this run its result.
-        """
-        if not report.ok:
-            return False
-        try:
-            payload = pack_traces(traces).to_bytes()
-        except FlatEncodeError:
-            return False
-        return self.store_payload(source_sha256, format, payload, report)
+        return CacheHit(
+            parsed=parsed, skipped=skipped, entry_version=CACHE_VERSION, bundle=bundle
+        )
 
     def store_payload(
         self,
@@ -211,19 +188,20 @@ class BundleCache:
         payload: bytes,
         report: IngestReport,
     ) -> bool:
-        """Write an already-encoded columnar payload as a v2 entry.
+        """Write an encoded folded graph (:meth:`FlatGraphBundle.to_bytes`)
+        as a v3 entry for a *clean* parse; returns whether stored.
 
-        The fused streaming loader calls this directly with the
-        concatenated per-shard blocks, so a cold parallel run populates
-        the cache without ever building trace objects in the parent.
-        Atomic, clean-parses-only, chaos-injectable; O(payload bytes).
+        The graph loader calls this with the fused loader's merged
+        tables, so a cold run populates the cache without ever building
+        trace objects.  Atomic, clean-parses-only, chaos-injectable;
+        O(payload bytes).
         """
         if not report.ok:
             return False
         format_code = _FORMAT_CODES.get(format)
         if format_code is None:
             return False
-        header = _V2_HEADER.pack(
+        header = _HEADER.pack(
             BINARY_MAGIC,
             CACHE_VERSION,
             format_code,

@@ -9,13 +9,10 @@ needs integer adjacency — so this module provides the flat twins the
 sharded execution layer moves around instead:
 
 * :class:`FlatTraces` — a columnar, ``array``/``bytes``-backed encoding
-  of a parsed trace list (one buffer per column, no per-hop objects).
-  It round-trips exactly (``unpack_traces(pack_traces(ts)) == ts``),
-  serializes to a self-describing binary block (the ``.mapitc`` v2
-  cache payload), and supports O(1) slicing into trace index ranges so
-  workers can decode or fold *their shard only*.
-* :class:`FlatWriter` — the one column encoder, behind
-  :func:`pack_traces` and the fused text loader's cache payload.
+  of a parsed trace list (one buffer per column, no per-hop objects),
+  built by :func:`pack_traces`.  It serializes to a self-describing
+  binary block and supports O(1) slicing into trace index ranges — the
+  stress tier's generated shards (:mod:`repro.sim.stress`).
 * :func:`accumulate_flat` — the §4.1 sanitize + §4.3 neighbor-set fold
   executed directly over the columns, producing exactly the tallies of
   ``sanitize_traces`` + ``accumulate_neighbors`` without materializing
@@ -31,7 +28,10 @@ sharded execution layer moves around instead:
 * :class:`FlatGraphBundle` / :func:`merge_graph_bundles` — what one
   worker returns across the fork boundary and the deterministic
   parent-side merge (set union + sorted key rebuild, so worker
-  scheduling order cannot leak into results).
+  scheduling order cannot leak into results).  A bundle of the merged
+  tables is also the one on-disk encoding of the folded graph:
+  :meth:`FlatGraphBundle.to_bytes` is the ``.mapitc`` cache payload
+  and the serve checkpoint blob.
 * :func:`graph_address_universe` — every address a pass can query,
   which :meth:`repro.core.engine.Engine.prime_origins` resolves once
   per run instead of letting the engine fault them in one neighbor at
@@ -48,9 +48,9 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.traceroute.model import Hop, Trace
+from repro.traceroute.model import Trace
 from repro.traceroute.parse import HopTuple, trace_record
 
 #: array typecode with a 4-byte unsigned item (u32 addresses)
@@ -75,14 +75,17 @@ _LITTLE, _BIG = 1, 2
 _NATIVE_ENDIAN = _LITTLE if sys.byteorder == "little" else _BIG
 _BLOCK_HEADER = struct.Struct("<4sBxxxIII")
 
+_GRAPH_MAGIC = b"FGB1"
+#: magic, byte-order tag, the four buffer lengths, the three counts
+_GRAPH_HEADER = struct.Struct("<4sBxxx4Q3Q")
+
 
 class FlatEncodeError(ValueError):
     """A trace field does not fit the flat encoding's integer ranges.
 
     Raised by :func:`pack_traces` for out-of-range fields (an address
     outside u32, a quoted TTL or flow id outside i64, a monitor string
-    over 4 GiB).  Callers fall back to the object path — an encode
-    failure may cost speed, never correctness.
+    over 4 GiB).
     """
 
 
@@ -95,8 +98,8 @@ class FlatTraces:
     hop indices).  Per hop: ``hop_flags`` (bit 0 = responded),
     ``hop_addr`` (0 when unresponsive), ``hop_quoted``, ``hop_rtt``.
     Memory is a handful of flat buffers regardless of trace count —
-    forked workers inherit them copy-on-write without the per-object
-    refcount writes that make large object heaps fork-hostile.
+    folds read them without the per-object refcount writes that make
+    large object heaps slow to walk.
     """
 
     monitor_off: array
@@ -144,8 +147,7 @@ class FlatTraces:
         Layout: a 16-byte header (magic, endianness tag, trace count,
         hop count, monitor-blob length) followed by the columns in
         declaration order, each a raw native-endian array dump.  O(total
-        bytes); produces the ``.mapitc`` v2 payload and the shard blobs
-        pickled back from workers.
+        bytes); the block format of the stress tier's shard files.
         """
         header = _BLOCK_HEADER.pack(
             _BLOCK_MAGIC,
@@ -175,8 +177,7 @@ class FlatTraces:
         ``array.frombytes`` per column; byte-swapped when the block was
         written on an opposite-endian host).
 
-        Raises :class:`ValueError` on a malformed or truncated block —
-        cache readers treat that as a verification failure.
+        Raises :class:`ValueError` on a malformed or truncated block.
         """
         if len(blob) < _BLOCK_HEADER.size:
             raise ValueError("flat trace block shorter than its header")
@@ -234,49 +235,30 @@ def _check_i64(value: int, what: str) -> int:
     return value
 
 
-class FlatWriter:
-    """Appends parsed traces to :class:`FlatTraces` columns.
+def pack_traces(traces: Sequence[Trace]) -> FlatTraces:
+    """Encode parsed traces into columns.
 
-    The one encoder behind :func:`pack_traces` and the fused text
-    loader (:mod:`repro.perf.ingest`), which writes records straight
-    from text without building :class:`Trace` objects: both go through
-    :meth:`add`, so they produce identical bytes under identical range
-    checks.  O(hops) over all :meth:`add` calls.
+    O(total hops); one pass, no intermediate objects beyond the column
+    arrays and one tuple per hop.  Raises :class:`FlatEncodeError` when
+    a field falls outside the binary ranges (u32 addresses, i64
+    TTL/flow).
     """
-
-    def __init__(self) -> None:
-        self._monitor_off = array(U32, [0])
-        self._monitor_parts: List[bytes] = []
-        self._monitors_len = 0
-        self._dst = array(U32)
-        self._flow = array(I64)
-        self._hop_start = array(U32, [0])
-        self._hop_flags = array(U8)
-        self._hop_addr = array(U32)
-        self._hop_quoted = array(I64)
-        self._hop_rtt = array(F64)
-        self._hops = 0
-
-    def add(
-        self,
-        monitor: str,
-        dst: int,
-        flow: int,
-        hops: Sequence[Tuple[Optional[int], int, float]],
-    ) -> None:
-        """Append one trace; *hops* are ``(address or None, quoted_ttl,
-        rtt_ms)`` tuples.  Raises :class:`FlatEncodeError` when a field
-        falls outside the binary ranges (u32 addresses, i64 TTL/flow),
-        after which the writer must be discarded."""
+    monitor_off = array(U32, [0])
+    monitor_parts: List[bytes] = []
+    monitors_len = 0
+    dst, flow = array(U32), array(I64)
+    hop_start = array(U32, [0])
+    hop_flags, hop_addr = array(U8), array(U32)
+    hop_quoted, hop_rtt = array(I64), array(F64)
+    for trace in traces:
+        monitor, destination, flow_id, hops = trace_record(trace)
         encoded = monitor.encode("utf-8")
-        self._monitors_len += len(encoded)
-        _check_u32(self._monitors_len, "monitor offset")
-        self._monitor_parts.append(encoded)
-        self._monitor_off.append(self._monitors_len)
-        self._dst.append(_check_u32(dst, "destination address"))
-        self._flow.append(_check_i64(flow, "flow id"))
-        hop_flags, hop_addr = self._hop_flags, self._hop_addr
-        hop_quoted, hop_rtt = self._hop_quoted, self._hop_rtt
+        monitors_len += len(encoded)
+        _check_u32(monitors_len, "monitor offset")
+        monitor_parts.append(encoded)
+        monitor_off.append(monitors_len)
+        dst.append(_check_u32(destination, "destination address"))
+        flow.append(_check_i64(flow_id, "flow id"))
         for address, quoted, rtt in hops:
             if address is None:
                 hop_flags.append(0)
@@ -286,100 +268,18 @@ class FlatWriter:
                 hop_addr.append(_check_u32(address, "hop address"))
             hop_quoted.append(_check_i64(quoted, "quoted TTL"))
             hop_rtt.append(float(rtt))
-        self._hops += len(hops)
-        _check_u32(self._hops, "hop count")
-        self._hop_start.append(self._hops)
-
-    def finish(self) -> FlatTraces:
-        """The columns written so far, as one :class:`FlatTraces`."""
-        return FlatTraces(
-            monitor_off=self._monitor_off,
-            monitors=b"".join(self._monitor_parts),
-            dst=self._dst,
-            flow=self._flow,
-            hop_start=self._hop_start,
-            hop_flags=self._hop_flags,
-            hop_addr=self._hop_addr,
-            hop_quoted=self._hop_quoted,
-            hop_rtt=self._hop_rtt,
-        )
-
-
-def pack_traces(traces: Sequence[Trace]) -> FlatTraces:
-    """Encode parsed traces into columns.
-
-    O(total hops); one pass, no intermediate objects beyond the column
-    arrays and one tuple per hop.  Raises :class:`FlatEncodeError` when
-    a field falls outside the binary ranges (u32 addresses, i64
-    TTL/flow) — callers degrade to the object path.
-    """
-    writer = FlatWriter()
-    for trace in traces:
-        writer.add(*trace_record(trace))
-    return writer.finish()
-
-
-def unpack_traces(
-    flat: FlatTraces, start: int = 0, end: Optional[int] = None
-) -> List[Trace]:
-    """Materialize ``flat[start:end]`` back into :class:`Trace` objects.
-
-    O(hops in range).  The inverse of :func:`pack_traces`: the returned
-    traces compare equal to the originals field-for-field (floats are
-    stored as IEEE doubles, so RTTs round-trip bit-exactly).
-    """
-    if end is None:
-        end = len(flat)
-    monitor_off, monitors = flat.monitor_off, flat.monitors
-    dst, flow, hop_start = flat.dst, flat.flow, flat.hop_start
-    flags, addr, quoted, rtt = (
-        flat.hop_flags,
-        flat.hop_addr,
-        flat.hop_quoted,
-        flat.hop_rtt,
+        hop_start.append(_check_u32(len(hop_flags), "hop count"))
+    return FlatTraces(
+        monitor_off=monitor_off,
+        monitors=b"".join(monitor_parts),
+        dst=dst,
+        flow=flow,
+        hop_start=hop_start,
+        hop_flags=hop_flags,
+        hop_addr=hop_addr,
+        hop_quoted=hop_quoted,
+        hop_rtt=hop_rtt,
     )
-    traces: List[Trace] = []
-    for index in range(start, end):
-        monitor = monitors[monitor_off[index]:monitor_off[index + 1]].decode("utf-8")
-        first, last = hop_start[index], hop_start[index + 1]
-        hops = tuple(
-            Hop(
-                addr[i] if flags[i] & _RESPONDED else None,
-                quoted[i],
-                rtt[i],
-            )
-            for i in range(first, last)
-        )
-        traces.append(Trace(monitor, dst[index], hops, flow[index]))
-    return traces
-
-
-def concat_flat_bytes(blocks: Sequence[bytes]) -> bytes:
-    """Concatenate :meth:`FlatTraces.to_bytes` blocks into one block.
-
-    Pure column splicing (array extends plus cumulative-offset fixups,
-    all C-speed): the parent assembles one cache payload from per-shard
-    blobs without ever materializing a trace object.  O(total bytes).
-    """
-    parts = [FlatTraces.from_bytes(block) for block in blocks]
-    if not parts:
-        return pack_traces([]).to_bytes()
-    merged = parts[0]
-    for part in parts[1:]:
-        monitor_base = len(merged.monitors)
-        hop_base = merged.hop_start[-1]
-        merged.monitor_off.extend(
-            monitor_base + offset for offset in part.monitor_off[1:]
-        )
-        merged.monitors += part.monitors
-        merged.dst.extend(part.dst)
-        merged.flow.extend(part.flow)
-        merged.hop_start.extend(hop_base + offset for offset in part.hop_start[1:])
-        merged.hop_flags.extend(part.hop_flags)
-        merged.hop_addr.extend(part.hop_addr)
-        merged.hop_quoted.extend(part.hop_quoted)
-        merged.hop_rtt.extend(part.hop_rtt)
-    return merged.to_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +295,6 @@ def accumulate_flat(
     seen: Set[int],
     universe: Set[int],
     is_special: Callable[[int], bool],
-    dirty: Optional[Set[Tuple[int, bool]]] = None,
 ) -> Tuple[int, int, int]:
     """Sanitize and fold ``flat[start:end]`` into neighbor tables.
 
@@ -410,19 +309,13 @@ def accumulate_flat(
       serial sanitizer);
     * a trace with an interface cycle (same address twice, separated by
       more than one position, over the *stripped* hops) is discarded;
-    * retained adjacency folds into *forward*/*backward* with special
-      addresses breaking adjacency and excluded from *seen*.
+    * every address of a retained trace lands in *seen*;
+    * retained adjacency folds into *forward*/*backward*, with special
+      addresses breaking adjacency.
 
     Returns ``(retained, discarded, buggy_hops_removed)``.  O(hops in
     range); equality with the object kernel is property-tested in
     ``tests/test_perf_flat.py``.
-
-    *dirty*, when given, collects the interface halves whose neighbor
-    set actually gained a member — ``(address, FORWARD)`` when a
-    forward set grew, ``(address, BACKWARD)`` when a backward set grew
-    — which is exactly the structural-dirtiness input
-    :meth:`repro.core.mapit.MapIt.run_incremental` needs (the serve
-    daemon's dirty-region tracking, docs/SERVE.md).
     """
     hop_start = flat.hop_start
     flags, addr_column, quoted = flat.hop_flags, flat.hop_addr, flat.hop_quoted
@@ -441,7 +334,7 @@ def accumulate_flat(
                     addresses.append(address)
             else:
                 addresses.append(None)
-        if fold_addresses(addresses, forward, backward, seen, is_special, dirty):
+        if fold_addresses(addresses, forward, backward, seen, is_special):
             retained += 1
         else:
             discarded += 1
@@ -465,6 +358,13 @@ def fold_hops(
     :func:`fold_addresses` runs — the per-trace semantics of
     :func:`accumulate_flat`, which reads the same values from columns.
     Returns ``(retained, buggy_hops_removed)``.  O(hops).
+
+    *dirty*, when given, collects the interface halves whose neighbor
+    set actually gained a member — ``(address, FORWARD)`` when a
+    forward set grew, ``(address, BACKWARD)`` when a backward set grew
+    — which is exactly the structural-dirtiness input
+    :meth:`repro.core.mapit.MapIt.run_incremental` needs (the serve
+    daemon's dirty-region tracking, docs/SERVE.md).
     """
     addresses: List[Optional[int]] = []
     buggy = 0
@@ -491,12 +391,12 @@ def fold_addresses(
     *addresses* are the trace's hop addresses after the TTL-0 strip,
     ``None`` for a gap.  A trace with an interface cycle (the same
     address twice, more than one position apart) folds nothing and
-    returns ``False`` (discarded); otherwise its adjacency folds into
-    *forward*/*backward* — gaps and special addresses break adjacency,
-    and special addresses stay out of *seen* — and it returns ``True``
-    (retained).  *dirty* as in :func:`accumulate_flat`.  The integer
-    kernel shared by :func:`accumulate_flat` and :func:`fold_hops`;
-    O(hops).
+    returns ``False`` (discarded); otherwise every address lands in
+    *seen* (``SanitizeReport.retained_addresses``, special ones too),
+    its adjacency folds into *forward*/*backward* — gaps and special
+    addresses break adjacency — and it returns ``True`` (retained).
+    *dirty* as in :func:`fold_hops`.  The integer kernel shared by
+    :func:`accumulate_flat` and :func:`fold_hops`; O(hops).
     """
     last_position: Dict[int, int] = {}
     for position, address in enumerate(addresses):
@@ -508,10 +408,13 @@ def fold_addresses(
         last_position[address] = position
     previous_address: Optional[int] = None
     for address in addresses:
-        if address is None or is_special(address):
+        if address is None:
             previous_address = None
             continue
         seen.add(address)
+        if is_special(address):
+            previous_address = None
+            continue
         if previous_address is not None:
             if dirty is None:
                 forward.setdefault(previous_address, set()).add(address)
@@ -588,12 +491,16 @@ def merge_address_blob(blob: bytes, into: Set[int]) -> None:
 
 @dataclass
 class FlatGraphBundle:
-    """What one graph worker sends back across the fork boundary.
+    """Folded graph state as packed buffers.
 
-    Four packed buffers (forward table, backward table, seen set,
-    pre-sanitize address universe) plus three ints — the whole bundle
-    pickles as plain ``bytes`` (near-memcpy), which is the point:
-    parsed traces never cross the boundary, only integer tallies do.
+    Four packed buffers (forward table, backward table, the addresses
+    of retained traces, pre-sanitize address universe) plus the three
+    sanitize counts.  What one graph worker sends back across the fork
+    boundary — the whole bundle pickles as plain ``bytes``
+    (near-memcpy), so parsed traces never cross it, only integer
+    tallies do — and, through :meth:`to_bytes`, the one on-disk
+    encoding of a folded graph: the ``.mapitc`` cache payload and the
+    serve checkpoint blob.
     """
 
     forward: bytes
@@ -614,6 +521,64 @@ class FlatGraphBundle:
             + len(self.universe)
         )
 
+    def to_bytes(self) -> bytes:
+        """Serialize to one self-describing blob.
+
+        Layout: a 64-byte little-endian header — magic ``FGB1``, the
+        buffers' byte-order tag, three pad bytes, the four buffer
+        lengths in bytes and the retained, discarded and buggy-hop
+        counts, each a u64 — then the four buffers back to back in
+        field order.  A bundle packed by :func:`bundle_tables` sorts
+        keys and members, so equal tables give equal bytes.  O(total
+        bytes).
+        """
+        buffers = (self.forward, self.backward, self.seen, self.universe)
+        header = _GRAPH_HEADER.pack(
+            _GRAPH_MAGIC,
+            _NATIVE_ENDIAN,
+            *(len(buffer) for buffer in buffers),
+            self.retained,
+            self.discarded,
+            self.buggy_hops_removed,
+        )
+        return b"".join((header, *buffers))
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "FlatGraphBundle":
+        """Decode a :meth:`to_bytes` blob (O(total bytes)).
+
+        Raises :class:`ValueError` on a bad magic or byte-order tag, a
+        blob shorter or longer than its header says, or a buffer that
+        is not whole u32s.  A blob written on a host of the other byte
+        order is byte-swapped.  The runs inside a table buffer are
+        checked where it is merged (:func:`merge_table_blob`).
+        """
+        if len(blob) < _GRAPH_HEADER.size:
+            raise ValueError("graph bundle shorter than its header")
+        magic, endian, *lengths, retained, discarded, buggy = (
+            _GRAPH_HEADER.unpack_from(blob)
+        )
+        if magic != _GRAPH_MAGIC:
+            raise ValueError("graph bundle has a bad magic")
+        if endian not in (_LITTLE, _BIG):
+            raise ValueError("graph bundle has a bad byte-order tag")
+        if _GRAPH_HEADER.size + sum(lengths) != len(blob):
+            raise ValueError("graph bundle length does not match its header")
+        buffers = []
+        offset = _GRAPH_HEADER.size
+        for length in lengths:
+            if length % 4:
+                raise ValueError("graph bundle buffer is not whole u32s")
+            buffer = bytes(blob[offset : offset + length])
+            if endian != _NATIVE_ENDIAN:
+                column = array(U32)
+                column.frombytes(buffer)
+                column.byteswap()
+                buffer = column.tobytes()
+            buffers.append(buffer)
+            offset += length
+        return cls(*buffers, retained, discarded, buggy)
+
 
 def bundle_tables(
     forward: Dict[int, Set[int]],
@@ -622,7 +587,8 @@ def bundle_tables(
     universe: Set[int],
     counts: Tuple[int, int, int],
 ) -> FlatGraphBundle:
-    """Pack one shard's accumulated tables into a transfer bundle."""
+    """Pack accumulated tables — one shard's, or the merged
+    :class:`GraphTables` — into a bundle (O(members log members))."""
     retained, discarded, buggy = counts
     return FlatGraphBundle(
         forward=encode_table(forward),
@@ -635,16 +601,23 @@ def bundle_tables(
     )
 
 
-def merge_graph_bundles(
-    bundles: Sequence[FlatGraphBundle],
-) -> Tuple[
-    Dict[int, Set[int]], Dict[int, Set[int]], Set[int], Set[int], Tuple[int, int, int]
-]:
+class GraphTables(NamedTuple):
+    """Merged fold state: the arguments of :func:`bundle_tables`."""
+
+    forward: Dict[int, Set[int]]
+    backward: Dict[int, Set[int]]
+    #: every address of a retained trace (``retained_addresses``)
+    seen: Set[int]
+    universe: Set[int]
+    #: (retained, discarded, buggy hops removed)
+    counts: Tuple[int, int, int]
+
+
+def merge_graph_bundles(bundles: Sequence[FlatGraphBundle]) -> GraphTables:
     """Merge shard bundles into canonical tables.
 
-    Returns ``(forward, backward, seen, universe, (retained, discarded,
-    buggy))`` with both tables rebuilt in sorted-key order — the same
-    canonical form the serial builder's consumers observe, so no worker
+    Both tables are rebuilt in sorted-key order — the same canonical
+    form the serial builder's consumers observe, so no worker
     scheduling order can leak into results.  O(total members).
     """
     forward: Dict[int, Set[int]] = {}
@@ -662,7 +635,7 @@ def merge_graph_bundles(
         buggy += bundle.buggy_hops_removed
     forward = {address: forward[address] for address in sorted(forward)}
     backward = {address: backward[address] for address in sorted(backward)}
-    return forward, backward, seen, universe, (retained, discarded, buggy)
+    return GraphTables(forward, backward, seen, universe, (retained, discarded, buggy))
 
 
 # ----------------------------------------------------------------------

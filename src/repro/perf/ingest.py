@@ -2,23 +2,27 @@
 block fold.
 
 :func:`stream_graph_from_file` is the loader of every command that
-needs only the interface graph (``run``, journaled or not, ``explain``
-and ``report``), at every ``jobs`` (``jobs=1`` is one inline shard).
-The source text is split into contiguous shards; each one runs the
-same per-record policy loop as the serial ingester
-(:mod:`repro.robust.ingest`) — blank/comment skipping, one parse per
-record, per-mode error handling — over its shard with *absolute* line
-numbers, and tokenizes its text straight to integer hops *and*
-sanitizes *and* folds neighbor sets in one pass.  No trace object is
-built on either side of the fork: a shard returns its tallies, a
-packed counter bundle (:class:`~repro.perf.flat.FlatGraphBundle`)
-and, when a cache store is pending, its columnar block.  The parent
-concatenates partials in shard order, so the merged error list,
-reject list, and counts are exactly what one serial pass would have
-produced, then hands off to :func:`repro.robust.ingest.finalize_ingest`
-for the budget check, quarantine write, and observability — the shared
-tail guarantees the two ingesters are indistinguishable from the
-outside.  One fork, object-free transfer, deterministic merge.
+needs only the interface graph (``run``, journaled or not,
+``evaluate``, ``explain`` and ``report``), at every ``jobs``
+(``jobs=1`` is one inline shard).  The source text is split into
+contiguous shards; each one runs the serial ingester's per-record
+policy loop (:func:`repro.robust.ingest.policy_records`) —
+blank/comment skipping, one parse per record, per-mode error handling —
+over its shard with *absolute* line numbers, and tokenizes its text
+straight to integer hops *and* sanitizes *and* folds neighbor sets in
+one pass.  No trace object is built on either side of the fork: a
+shard returns its tallies and a packed counter bundle
+(:class:`~repro.perf.flat.FlatGraphBundle`).  The parent concatenates
+partials in shard order, so the merged error list, reject list, and
+counts are exactly what one serial pass would have produced, then
+hands off to :func:`repro.robust.ingest.finalize_ingest` for the budget
+check, quarantine write, and observability — the shared tail
+guarantees the two ingesters are indistinguishable from the outside.
+One fork, object-free transfer, deterministic merge.
+
+:func:`finish_graph_from_bundles` is the merge-and-finish tail: the
+fused loader ends in it, and so does a warm ``.mapitc`` hit, whose
+entry is one bundle of the merged tables (:mod:`repro.perf.cache`).
 
 Strict mode needs care: the serial ingester raises at the first
 malformed record.  Raising inside a pool worker would surface as a
@@ -33,41 +37,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
 from repro.net.special import default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import (
-    FlatEncodeError,
     FlatGraphBundle,
-    FlatWriter,
+    GraphTables,
     accumulate_flat,
     bundle_tables,
-    concat_flat_bytes,
     fold_hops,
+    merge_graph_bundles,
 )
-from repro.perf.graph import finish_graph_from_bundles
 from repro.perf.pool import Shard, fork_map, shared_payload
 from repro.robust.errors import (
     MAX_DETAILED_ERRORS,
-    SNIPPET_LIMIT,
     ErrorBudget,
     IngestError,
     IngestReport,
 )
-from repro.robust.ingest import FORMATS, MODES, finalize_ingest, record_parser
-from repro.traceroute.parse import RecordTuple, TraceParseError, trace_format_for_path
+from repro.robust.ingest import (
+    FORMATS,
+    MODES,
+    finalize_ingest,
+    policy_records,
+    record_parser,
+)
+from repro.traceroute.parse import TraceParseError, trace_format_for_path
+
 
 @dataclass
 class _ShardResult:
-    """What one shard sends back: its ingest tallies plus the packed
-    graph bundle.  ``block`` (the shard's columnar traces) is populated
-    only when the parent asked for a cache payload and the shard parsed
-    clean."""
+    """What one shard sends back: the ingest tallies
+    :func:`~repro.robust.ingest.policy_records` keeps (those of a
+    :class:`~repro.robust.ingest.RecordTally`) plus the packed graph
+    bundle (``None`` when strict mode stopped the shard)."""
 
     bundle: Optional[FlatGraphBundle] = None
-    block: Optional[bytes] = None
     parsed: int = 0
     malformed: int = 0
     skipped: int = 0
@@ -75,51 +82,6 @@ class _ShardResult:
     rejects: List[str] = field(default_factory=list)
     #: strict mode: (reason, line_number, text) of the first bad record
     strict_error: Optional[Tuple[str, int, str]] = None
-
-
-def _records(
-    result,
-    lines: List[str],
-    first_line_number: int,
-    format: str,
-    source: str,
-    mode: str,
-    parse: Callable[[str, int], Optional[RecordTuple]],
-) -> Iterator[RecordTuple]:
-    """The serial per-record loop over *lines*, tallying into *result*.
-
-    Yields ``parse(line, line_number)`` for every record that parses;
-    ``None`` results count as skipped.  A strict-mode error is recorded
-    in ``result.strict_error`` and ends the iteration (the caller stops
-    immediately, like the serial ingester).  O(lines); the one copy of
-    the policy semantics, whichever record format *parse* reads.
-    """
-    for offset, raw in enumerate(lines):
-        line_number = first_line_number + offset
-        line = raw.strip()
-        if not line:
-            continue
-        if format == "text" and line.startswith("#"):
-            continue
-        try:
-            record = parse(line, line_number)
-            if record is None:
-                result.skipped += 1
-                continue
-        except TraceParseError as exc:
-            if mode == "strict":
-                result.strict_error = (exc.reason, line_number, line)
-                return
-            result.malformed += 1
-            if len(result.errors) < MAX_DETAILED_ERRORS:
-                result.errors.append(
-                    IngestError(source, line_number, exc.reason, line[:SNIPPET_LIMIT])
-                )
-            if mode == "quarantine":
-                result.rejects.append(line)
-            continue
-        result.parsed += 1
-        yield record
 
 
 def _raise_earliest_strict_error(results) -> None:
@@ -131,15 +93,14 @@ def _raise_earliest_strict_error(results) -> None:
         raise TraceParseError(reason, line_number, text)
 
 
-def _merge_shard_tallies(results, report: IngestReport, rejects: List[str]):
+def _merge_shard_tallies(results, report: IngestReport, rejects: List[str]) -> None:
     """Fold shard counts/errors/rejects into *report* in shard order.
 
     Shard order is line order, so plain concatenation reproduces the
     serial outcome — including which errors land inside the detailed
     cap: each shard returns at most MAX_DETAILED_ERRORS records, and
     truncating the in-order concatenation keeps exactly the first MAX.
-    Yields each result back so callers can splice their payloads in the
-    same order.  O(shards + errors + rejects).
+    O(shards + errors + rejects).
     """
     for result in results:
         report.parsed += result.parsed
@@ -149,7 +110,6 @@ def _merge_shard_tallies(results, report: IngestReport, rejects: List[str]):
         remaining = MAX_DETAILED_ERRORS - len(report.errors)
         if remaining > 0:
             report.errors.extend(result.errors[:remaining])
-        yield result
 
 
 # ----------------------------------------------------------------------
@@ -171,14 +131,11 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     :class:`~repro.traceroute.parse.TextTokenizer`, each distinct token
     parsed once) and :func:`~repro.perf.flat.fold_hops` (the §4.1
     TTL-0 strip and cycle check, then the §4.3 fold), with the
-    special-address test memoised per address.  When a store is
-    pending, the same records are written to the shard's columnar block
-    by the :class:`~repro.perf.flat.FlatWriter` that
-    :func:`~repro.perf.flat.pack_traces` uses.
-    O(bytes in shard); pickles back tallies, one packed counter bundle,
-    and (only when a store is pending) one columnar block.
+    special-address test memoised per address.
+    O(bytes in shard); pickles back tallies and one packed counter
+    bundle.
     """
-    text, line_starts, format, source, mode, want_block = shared_payload()
+    text, line_starts, format, source, mode = shared_payload()
     start, end = shard
     result = _ShardResult()
     lines = text[start:end].split("\n")
@@ -188,29 +145,23 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     # Per-shard memo: one special-prefix lookup per distinct address
     # instead of one per hop; freed with the shard.
     is_special = cache(default_special_registry().is_special)
-    writer = FlatWriter() if want_block else None
     forward: Dict[int, set] = {}
     backward: Dict[int, set] = {}
     seen: set = set()
     universe: set = set()
     retained = discarded = buggy = 0
-    records = _records(result, lines, line_starts[start], format, source, mode, parse)
-    for monitor, dst, flow, hops in records:
+    records = policy_records(
+        result, lines, line_starts[start], format, source, mode, parse
+    )
+    for _, _, _, hops in records:
         kept, stripped = fold_hops(hops, forward, backward, seen, universe, is_special)
         buggy += stripped
         if kept:
             retained += 1
         else:
             discarded += 1
-        if writer is not None:
-            try:
-                writer.add(monitor, dst, flow, hops)
-            except FlatEncodeError:
-                writer = None
     if result.strict_error is not None:
         return result
-    if writer is not None and result.malformed == 0:
-        result.block = writer.finish().to_bytes()
     result.bundle = bundle_tables(
         forward, backward, seen, universe, (retained, discarded, buggy)
     )
@@ -274,8 +225,7 @@ def stream_graph_from_file(
     quarantine_dir: Optional[Union[str, Path]] = None,
     obs: Observability = NULL_OBS,
     shard_timeout: Optional[float] = None,
-    want_payload: bool = False,
-) -> Tuple[InterfaceGraph, IngestReport, Optional[bytes]]:
+) -> Tuple[InterfaceGraph, IngestReport, GraphTables]:
     """Parse a traces file and build its interface graph in one fork.
 
     The graph-only loader at every *jobs*: each shard (inline
@@ -289,11 +239,11 @@ def stream_graph_from_file(
     canonical graph — and same ``graph.built`` event — as the serial
     ingest-then-build sequence.
 
-    With *want_payload* true (a cache store is pending) clean-parsing
-    workers also return their shard's columnar block; the returned
-    payload is the spliced whole-file block, or ``None`` when the parse
-    was dirty or any shard fell back.  O(file bytes) end to end;
-    pickled traffic is O(distinct addresses), not O(hops).
+    Returns ``(graph, report, tables)``: *tables* is the merged fold
+    state, whose :func:`~repro.perf.flat.bundle_tables` is the
+    ``.mapitc`` payload and whose ``seen`` is every address of a
+    retained trace.  O(file bytes) end to end; pickled traffic is
+    O(distinct addresses), not O(hops).
     """
     path = Path(path)
     if format is None:
@@ -310,7 +260,7 @@ def stream_graph_from_file(
     with obs.span("ingest+graph"):
         results = fork_map(
             _fused_shard,
-            (text, line_starts, format, path.name, mode, want_payload),
+            (text, line_starts, format, path.name, mode),
             len(spans),
             jobs,
             shards=spans,
@@ -321,19 +271,48 @@ def stream_graph_from_file(
         _raise_earliest_strict_error(results)
         report = IngestReport(source=path.name, mode=mode)
         rejects: List[str] = []
-        blocks: List[Optional[bytes]] = []
-        for result in _merge_shard_tallies(results, report, rejects):
-            blocks.append(result.block)
+        _merge_shard_tallies(results, report, rejects)
         finalize_ingest(
             report, rejects, budget=budget, quarantine_dir=quarantine_dir, obs=obs
         )
-        graph = finish_graph_from_bundles(
+        graph, tables = finish_graph_from_bundles(
             [result.bundle for result in results if result.bundle is not None], obs
         )
-    payload: Optional[bytes] = None
-    if want_payload and report.ok and all(block is not None for block in blocks):
-        payload = concat_flat_bytes([block for block in blocks if block is not None])
-    return graph, report, payload
+    return graph, report, tables
+
+
+def finish_graph_from_bundles(
+    bundles: Sequence[FlatGraphBundle], obs: Observability = NULL_OBS
+) -> Tuple[InterfaceGraph, GraphTables]:
+    """Merge fold bundles and finish the interface graph.
+
+    The deterministic tail of the fused loader (one bundle per shard)
+    and of a warm ``.mapitc`` hit (the entry's one bundle):
+    set-union merge with sorted-key rebuild, the serial sanitize
+    gauges, ``perf.flat.*`` accounting, and the shared
+    :func:`finish_interface_graph` (same ``graph.built`` event as the
+    serial builder).  Returns the graph and the merged tables.
+    O(total members) in the merged tables.
+    """
+    tables = merge_graph_bundles(bundles)
+    retained, discarded, buggy = tables.counts
+    tables.universe.update(tables.seen)
+    if obs.enabled:
+        obs.gauge("sanitize.retained", retained)
+        obs.gauge("sanitize.discarded", discarded)
+        obs.gauge("sanitize.buggy_hops_removed", buggy)
+        obs.gauge("perf.flat.shards", len(bundles))
+        obs.inc(
+            "perf.flat.bundle_bytes", sum(bundle.nbytes for bundle in bundles)
+        )
+    graph = finish_interface_graph(
+        InterfaceGraph(forward=tables.forward, backward=tables.backward),
+        tables.seen,
+        tables.universe,
+        default_special_registry().is_special,
+        obs,
+    )
+    return graph, tables
 
 
 # ----------------------------------------------------------------------

@@ -182,6 +182,10 @@ def fork_map(
 
     global _PAYLOAD
     ranges = list(shards) if shards is not None else shard_ranges(count, jobs)
+    # A worker may run a map of its own (a sweep cell loads its world
+    # through the fused loader): the inner map must hand the outer
+    # map's payload back, not clear it under the outer's later shards.
+    previous = _PAYLOAD
     # mapitlint: disable=FORK001 -- parent-side CoW stash, set pre-fork
     _PAYLOAD = payload
     try:
@@ -207,4 +211,4 @@ def fork_map(
             )
     finally:
         # mapitlint: disable=FORK001 -- parent-side cleanup post-join
-        _PAYLOAD = None
+        _PAYLOAD = previous

@@ -21,9 +21,9 @@ output is byte-identical to the golden run.  Schedules:
     journal and cache writes fail with ``ENOSPC`` — durability
     degrades, the run itself completes;
 ``corrupt-cache``
-    a *binary* (v2 struct-packed) ``.mapitc`` entry is bit-flipped
-    between runs — the warm run must detect the checksum mismatch and
-    re-parse;
+    a *binary* (struct-packed) ``.mapitc`` entry is bit-flipped
+    between runs — the warm run must detect the checksum mismatch
+    (one ``perf.cache.invalid``, no hit) and re-parse;
 ``serve``
     the incremental daemon is killed mid-ingest (after one durable
     checkpoint; a later checkpoint write hits ``ENOSPC`` and degrades)
@@ -308,10 +308,13 @@ def _schedule_corrupt_cache(
 ) -> ScheduleResult:
     """Bit-flip a *binary* cache entry between runs -> warm re-parse.
 
-    Also pins the entry format: the cold run must have stored a v2
+    Also pins the entry format: the cold run must have stored a
     struct-packed entry (the layout this release writes), so the flip
-    lands in binary column data and the checksum verification — not a
-    JSON parse error — is what catches it.
+    lands in binary table data and the checksum verification — not a
+    JSON parse error — is what catches it.  The warm run's metrics
+    must show that detection (one ``perf.cache.invalid``, no hit): a
+    flipped byte need not change the output, so equal bytes alone
+    cannot tell a detected entry from a served one.
     """
     from repro.perf.cache import BINARY_MAGIC
 
@@ -328,14 +331,28 @@ def _schedule_corrupt_cache(
     data = bytearray(entry.read_bytes())
     if not data.startswith(BINARY_MAGIC):
         return ScheduleResult(
-            "corrupt-cache", False, "stored entry is not a v2 binary entry"
+            "corrupt-cache", False, "stored entry is not a binary entry"
         )
     position = len(data) // 2
     data[position] ^= 0xFF
     entry.write_bytes(bytes(data))
     warm = root / "out-cache-warm.json"
-    code, _ = _run_to(world, warm, "--jobs", "1", "--cache", str(cache_dir))
-    return _compare("corrupt-cache", code, warm, golden_sha)
+    metrics = root / "metrics-cache-warm.json"
+    code, _ = _run_to(
+        world, warm, "--jobs", "1", "--cache", str(cache_dir), "--metrics", str(metrics)
+    )
+    result = _compare("corrupt-cache", code, warm, golden_sha)
+    if not result.ok:
+        return result
+    counters = json.loads(metrics.read_text())["counters"]
+    detected = (counters.get("perf.cache.invalid", 0), counters.get("perf.cache.hits", 0))
+    if detected != (1, 0):
+        return ScheduleResult(
+            "corrupt-cache",
+            False,
+            f"flipped entry not detected (invalid, hits) = {detected}, expected (1, 0)",
+        )
+    return result
 
 
 def _schedule_serve(

@@ -49,7 +49,7 @@ class BundleHealth:
     warnings: List[str] = field(default_factory=list)
     checksum_failures: List[str] = field(default_factory=list)
     ingest: Optional[IngestReport] = None
-    #: entry format version ("v2") when traces came from a verified
+    #: entry format version ("v3") when the graph came from a verified
     #: bundle-cache hit; None on a cold parse or uncached load
     cache_format: Optional[str] = None
 

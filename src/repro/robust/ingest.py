@@ -26,8 +26,10 @@ returning a fraction of the dataset.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.errors import (
@@ -52,16 +54,15 @@ from repro.traceroute.parse import (
 MODES = ("strict", "lenient", "quarantine")
 FORMATS = ("text", "jsonl", "atlas")
 
+#: what a record parser returns: a Trace or a RecordTuple
+Record = TypeVar("Record")
+
 
 def _check_mode(mode: str, quarantine_dir) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {MODES}")
     if mode == "quarantine" and quarantine_dir is None:
         raise ValueError("quarantine mode requires a quarantine_dir")
-
-
-def _snippet(line: str) -> str:
-    return line[:SNIPPET_LIMIT]
 
 
 def _write_quarantine(
@@ -139,6 +140,69 @@ def record_parser(format: str) -> Callable[[str, int], Optional[RecordTuple]]:
     return parse
 
 
+@dataclass
+class RecordTally:
+    """What :func:`policy_records` counts over one run of lines."""
+
+    parsed: int = 0
+    malformed: int = 0
+    skipped: int = 0
+    errors: List[IngestError] = field(default_factory=list)
+    rejects: List[str] = field(default_factory=list)
+    #: strict mode: (reason, line_number, text) of the first bad record
+    strict_error: Optional[Tuple[str, Optional[int], Optional[str]]] = None
+
+
+def policy_records(
+    tally,
+    lines: Iterable[str],
+    first_line_number: int,
+    format: str,
+    source: str,
+    mode: str,
+    parse: Callable[[str, int], Optional[Record]],
+) -> Iterator[Record]:
+    """The per-record policy loop over *lines*, tallying into *tally*
+    (a :class:`RecordTally`, or any object with its fields).
+
+    Skips blank lines (and ``#`` comments in text) and yields
+    ``parse(line, line_number)`` for every record that parses;
+    ``None`` results count as skipped.  A malformed record raises
+    nothing here: strict mode records the error in
+    ``tally.strict_error`` and ends the iteration, the tolerant modes
+    count it, keep its detail up to ``MAX_DETAILED_ERRORS`` and, in
+    quarantine, its line.  O(lines); the one copy of the policy
+    semantics, driven by the serial ingester and the fused loader's
+    shards alike, whichever record format *parse* reads.
+    """
+    for offset, raw in enumerate(lines):
+        line_number = first_line_number + offset
+        line = raw.strip()
+        if not line:
+            continue
+        if format == "text" and line.startswith("#"):
+            continue
+        try:
+            record = parse(line, line_number)
+            if record is None:
+                tally.skipped += 1
+                continue
+        except TraceParseError as exc:
+            if mode == "strict":
+                tally.strict_error = (exc.reason, exc.line_number, exc.text)
+                return
+            tally.malformed += 1
+            if len(tally.errors) < MAX_DETAILED_ERRORS:
+                tally.errors.append(
+                    IngestError(source, line_number, exc.reason, line[:SNIPPET_LIMIT])
+                )
+            if mode == "quarantine":
+                tally.rejects.append(line)
+            continue
+        tally.parsed += 1
+        yield record
+
+
 def finalize_ingest(
     report: IngestReport,
     rejects: List[str],
@@ -193,36 +257,22 @@ def ingest_traces(
     _check_mode(mode, quarantine_dir)
     if format not in FORMATS:
         raise ValueError(f"unknown trace format {format!r}; expected one of {FORMATS}")
-    report = IngestReport(source=source, mode=mode)
-    traces: List[Trace] = []
-    rejects: List[str] = []
+    tally = RecordTally()
+    parse = partial(parse_record, format=format)
     with obs.span("ingest"):
-        for line_number, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if format == "text" and line.startswith("#"):
-                continue
-            try:
-                trace = parse_record(line, line_number, format)
-                if trace is None:
-                    report.skipped += 1
-                    continue
-            except TraceParseError as exc:
-                if mode == "strict":
-                    raise
-                report.malformed += 1
-                if len(report.errors) < MAX_DETAILED_ERRORS:
-                    report.errors.append(
-                        IngestError(source, line_number, exc.reason, _snippet(line))
-                    )
-                if mode == "quarantine":
-                    rejects.append(line)
-                continue
-            report.parsed += 1
-            traces.append(trace)
+        traces = list(policy_records(tally, lines, 1, format, source, mode, parse))
+        if tally.strict_error is not None:
+            raise TraceParseError(*tally.strict_error)
+    report = IngestReport(
+        source=source,
+        mode=mode,
+        parsed=tally.parsed,
+        malformed=tally.malformed,
+        skipped=tally.skipped,
+        errors=tally.errors,
+    )
     finalize_ingest(
-        report, rejects, budget=budget, quarantine_dir=quarantine_dir, obs=obs
+        report, tally.rejects, budget=budget, quarantine_dir=quarantine_dir, obs=obs
     )
     return traces, report
 

@@ -3,14 +3,15 @@
 A serve checkpoint is one blob appended with the same
 :class:`~repro.robust.journal.RunJournal` machinery batch runs use
 (``<dir>/<run-id>.serve<NNNNNN>.blob`` + a checksummed journal line).
-The blob is the daemon's fold state as the counter-bundle codec packs
-it — the :class:`~repro.perf.flat.FlatGraphBundle` the fused loader's
-shards return: forward table, backward table, seen set and address
-universe, back to back.  The journal line's checksummed JSON payload
-carries the rest: the four buffer lengths, the three fold counts, the
-byte offset and line count reached in each followed source file, the
-counters and the fingerprint.  Nothing in a checkpoint is executed on
-load.
+The blob is the daemon's fold state in the one encoding of a folded
+graph, :meth:`~repro.perf.flat.FlatGraphBundle.to_bytes` — the same
+self-describing codec a ``.mapitc`` cache entry's payload uses: a
+header with the buffer lengths and the three fold counts, then the
+forward table, backward table, retained addresses and address
+universe.  The journal line's checksummed JSON payload carries the
+rest: the byte offset and line count reached in each followed source
+file, the counters and the fingerprint.  Nothing in a checkpoint is
+executed on load.
 
 Inference state is *not* checkpointed: it is a pure function of the
 graph and is recomputed on the first quiesce after a restore, which is
@@ -26,7 +27,6 @@ configuration by accident.
 from __future__ import annotations
 
 import hashlib
-from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
@@ -36,7 +36,7 @@ from repro.robust.journal import RunJournal, run_identity
 
 #: bump when the checkpoint layout changes; it keys the serve run id,
 #: so checkpoints of another layout are never decoded
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: journal unit name for serve checkpoints
 CHECKPOINT_UNIT = "serve-checkpoint"
@@ -87,15 +87,12 @@ def write_checkpoint(
     durability — the daemon keeps serving, exactly like batch
     journaling (docs/ROBUSTNESS.md).
     """
-    buffers = (fold.forward, fold.backward, fold.seen, fold.universe)
     return journal.append_with_blob(
         CHECKPOINT_UNIT,
         f"serve{seq:06d}",
-        b"".join(buffers),
+        fold.to_bytes(),
         extra={
             "checkpoint": seq,
-            "lengths": [len(buffer) for buffer in buffers],
-            "counts": [fold.retained, fold.discarded, fold.buggy_hops_removed],
             "offsets": dict(offsets),
             "lines": dict(lines),
             "stats": dict(stats),
@@ -104,31 +101,16 @@ def write_checkpoint(
     )
 
 
-def _uints(values: Any, size: int) -> bool:
-    """*values* is a list of *size* non-negative ints."""
-    return (
-        isinstance(values, list)
-        and len(values) == size
-        and all(type(value) is int and value >= 0 for value in values)
-    )
-
-
 def _well_formed(payload: Any) -> bool:
     """Every payload field a restore reads is present and typed."""
     if not isinstance(payload, dict):
         return False
-    return (
-        all(
-            isinstance(payload.get(key), str)
-            for key in ("blob", "sha256", "fingerprint")
-        )
-        and _uints(payload.get("lengths"), 4)
-        and _uints(payload.get("counts"), 3)
-        and all(
-            isinstance(payload.get(key), dict)
-            and _uints(list(payload[key].values()), len(payload[key]))
-            for key in ("offsets", "lines", "stats")
-        )
+    return all(
+        isinstance(payload.get(key), str) for key in ("blob", "sha256", "fingerprint")
+    ) and all(
+        isinstance(payload.get(key), dict)
+        and all(type(value) is int and value >= 0 for value in payload[key].values())
+        for key in ("offsets", "lines", "stats")
     )
 
 
@@ -140,8 +122,8 @@ def restore_latest_checkpoint(
 
     Walks the verified journal records newest-first.  A checkpoint
     whose payload is malformed, whose blob fails its sha256 or does
-    not split into its four lengths, or whose buffers *restore*
-    rejects with :class:`ValueError` counts as
+    not decode (:meth:`FlatGraphBundle.from_bytes`), or whose buffers
+    *restore* rejects with :class:`ValueError` counts as
     ``robust.journal.blob_corrupt`` and degrades to the previous
     checkpoint — never to a crash.  *restore* must decode before it
     adopts anything, so a rejected checkpoint changes no state.
@@ -157,13 +139,8 @@ def restore_latest_checkpoint(
         data = journal.load_blob(payload["blob"], payload["sha256"])
         if data is None:
             continue
-        bounds = [0, *accumulate(payload["lengths"])]
-        if bounds[-1] != len(data):
-            journal.obs.inc("robust.journal.blob_corrupt")
-            continue
-        buffers = [data[start:end] for start, end in zip(bounds, bounds[1:])]
         try:
-            restore(FlatGraphBundle(*buffers, *payload["counts"]))
+            restore(FlatGraphBundle.from_bytes(data))
         except ValueError:
             journal.obs.inc("robust.journal.blob_corrupt")
             continue

@@ -231,19 +231,21 @@ class ServeDaemon:
         self.obs.inc("serve.ingested")
         self._process(source, number, line, offset)
 
-    def warm_fold(
-        self, flat, parsed: int, skipped: int, source: str, offset: int
+    def warm_start(
+        self, bundle, parsed: int, skipped: int, source: str, offset: int
     ) -> int:
-        """Fold a verified columnar cache payload as the warm base.
+        """Restore a verified ``.mapitc`` entry's folded graph as the
+        warm base; returns the records it covers.
 
-        Runs on the pump thread before any reader starts, but keeps
-        the same locked-counter discipline as the live path so the
-        warm start is not a special case the concurrency rules exempt.
-        The folds count toward the quiesce cadence, so the warm base is
-        published as soon as the daemon goes idle.  Returns traces
-        folded.
+        :meth:`IncrementalIndex.restore_state` replaces the tables, so
+        this is only for an index that has folded nothing yet.  Runs on
+        the pump thread before any reader starts, but keeps the same
+        locked-counter discipline as the live path so the warm start is
+        not a special case the concurrency rules exempt.  The entry's
+        parsed records count as folds toward the quiesce cadence, so
+        the warm base is published as soon as the daemon goes idle.
         """
-        self.index.fold_flat(flat, 0, len(flat))
+        self.index.restore_state(bundle)
         self._bump("ingested", parsed + skipped)
         self._bump("parsed", parsed)
         self._bump("skipped", skipped)

@@ -32,8 +32,6 @@ from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
 from repro.perf.flat import (
     FlatGraphBundle,
-    FlatTraces,
-    accumulate_flat,
     bundle_tables,
     fold_hops,
     merge_address_blob,
@@ -109,26 +107,6 @@ class IncrementalIndex:
             self.discarded += 1
         return kept
 
-    def fold_flat(self, flat: FlatTraces, start: int, end: int) -> int:
-        """Fold a pre-packed columnar block (the ``.mapitc`` v2
-        warm-start path folds a cache hit's payload directly)."""
-        with self.obs.span("serve/fold"):
-            retained, discarded, buggy = accumulate_flat(
-                flat,
-                start,
-                end,
-                self.forward,
-                self.backward,
-                self.seen,
-                self.universe,
-                self._is_special,
-                dirty=self._dirty,
-            )
-        self.retained += retained
-        self.discarded += discarded
-        self.buggy += buggy
-        return retained
-
     # -- quiescing ----------------------------------------------------------
 
     @property
@@ -173,7 +151,8 @@ class IncrementalIndex:
 
     def export_state(self) -> FlatGraphBundle:
         """The fold state a checkpoint captures, packed with the
-        counter-bundle codec (the fused loader's shard result).
+        counter-bundle codec (the fused loader's shard result, and a
+        ``.mapitc`` entry's payload).
 
         Inference state is deliberately absent: it is a pure function
         of the graph and is recomputed (cache cold) on the first quiesce
@@ -188,9 +167,11 @@ class IncrementalIndex:
         )
 
     def restore_state(self, state: FlatGraphBundle) -> None:
-        """Adopt fold state captured by :meth:`export_state`.
+        """Adopt fold state captured by :meth:`export_state` — a
+        checkpoint's, or a ``.mapitc`` entry's (the warm start).
 
-        The bundle is decoded into fresh tables first, so a malformed
+        The bundle replaces every table.  It is decoded into fresh
+        tables first, so a malformed
         one raises :class:`ValueError` and leaves the index untouched.
         The dicts are then updated in place so the engine's graph alias
         stays valid; the tally cache, dirty tracking and other-side

@@ -211,7 +211,7 @@ class SocketSource:
 
 def read_file_size(path: Union[str, Path]) -> int:
     """Current byte size of *path* (0 when absent) — the offset a
-    warm start records after folding a cache hit whole."""
+    warm start records after restoring a cache hit whole."""
     try:
         return os.path.getsize(path)
     except OSError:

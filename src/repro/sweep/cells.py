@@ -75,16 +75,15 @@ def _dataset_cell(
     """Score one materialized world at one f (the evaluate pipeline)."""
     from repro.eval.verify import build_verification, score_inferences
     from repro.core.mapit import run_mapit_graph
-    from repro.graph.neighbors import graph_from_traces
     from repro.io import load_bundle
 
     world_dir = Path(workdir) / "worlds" / cell.world_id
-    bundle = load_bundle(world_dir, jobs=1, cache=cache_dir)
+    bundle = load_bundle(world_dir, jobs=1, cache=cache_dir, graph_only=True)
     if bundle.health.cache_format:
         meta["cache_hits"] += 1
     else:
         meta["cache_misses"] += 1
-    graph, report = graph_from_traces(bundle.traces)
+    graph = bundle.graph
     result = run_mapit_graph(
         graph,
         bundle.ip2as,
@@ -92,11 +91,14 @@ def _dataset_cell(
         rel=bundle.relationships,
         config=cell_config(cell.f, stub, remove_rule),
     )
-    retained = set(report.retained_addresses)
     scores: Dict[str, Any] = {}
     for asn in bundle.manifest.get("verification_asns") or []:
         dataset = build_verification(
-            bundle.ground_truth, asn, graph, retained, bundle.ip2as.asn
+            bundle.ground_truth,
+            asn,
+            graph,
+            bundle.retained_addresses,
+            bundle.ip2as.asn,
         )
         scores[f"AS{asn}"] = _score_json(
             score_inferences(result.inferences, dataset, bundle.as2org, graph)

@@ -78,6 +78,69 @@ class TestEvaluate:
         (tmp_path / "cymru.txt").write_text("9.0.0.0/16|100\n")
         assert main(["evaluate", str(tmp_path)]) == 2
 
+    def test_scores_what_the_object_pipeline_scores(self, tmp_path, capsys):
+        """Scoring sees every address of a retained trace, special ones
+        included, and no quoted-TTL-0 hop: a border link numbered from
+        RFC 1918 space by the connected AS, seen only on its private
+        side, is eligible and missing, and an internal interface seen
+        only as a TTL-0 hop is not the target's.  Uncached, cold and
+        warm, ``mapit evaluate`` prints exactly the object pipeline's
+        rows."""
+        import io
+
+        from repro.cli import _print_rows
+        from repro.core.config import MapItConfig
+        from repro.core.mapit import run_mapit_graph
+        from repro.eval.verify import build_verification, score_inferences
+        from repro.graph.neighbors import graph_from_traces
+        from repro.io.bundle import load_bundle
+        from repro.net.ipv4 import parse_address
+
+        dataset = tmp_path / "ds"
+        dataset.mkdir()
+        (dataset / "cymru.txt").write_text(
+            "9.0.0.0/16|100\n9.1.0.0/16|200\n9.2.0.0/16|300\n"
+        )
+        (dataset / "traces.txt").write_text(
+            "m1|9.2.0.99|9.0.0.1 9.0.0.5 10.0.0.1 9.1.0.1 9.1.0.5 9.2.0.1\n"
+            "m1|9.2.0.98|9.0.0.1 9.0.0.5 9.0.0.7@0 9.1.0.2 9.2.0.2\n"
+            "m2|9.2.0.97|9.0.0.9 9.0.0.5 9.1.0.1 9.1.0.6\n"
+        )
+        (dataset / "groundtruth.txt").write_text(
+            "border|10.0.0.1|100|200|10.0.0.2|200\n"
+            "border|10.0.0.2|200|100|10.0.0.1|200\n"
+            "border|9.0.0.5|100|200|9.0.0.6|100\n"
+            "internal|9.0.0.1|100\n"
+            "internal|9.0.0.7|100\n"
+        )
+        objects = load_bundle(dataset)
+        graph, report = graph_from_traces(objects.traces)
+        assert parse_address("10.0.0.1") in report.retained_addresses
+        assert parse_address("9.0.0.7") not in report.retained_addresses
+        result = run_mapit_graph(
+            graph,
+            objects.ip2as,
+            org=objects.as2org,
+            rel=objects.relationships,
+            config=MapItConfig(f=0.5, enable_stub_heuristic=True, remove_rule="majority"),
+        )
+        verification = build_verification(
+            objects.ground_truth, 100, graph, report.retained_addresses, objects.ip2as.asn
+        )
+        private_link = (parse_address("10.0.0.1"), parse_address("10.0.0.2"))
+        assert private_link in verification.eligible
+        score = score_inferences(result.inferences, verification, objects.as2org, graph)
+        assert score.fn >= 1
+        expected = io.StringIO()
+        _print_rows([{"network": "AS100", **score.row()}], stream=expected)
+        evaluate = ["evaluate", str(dataset), "--asn", "100"]
+        cache = ["--cache", str(tmp_path / "cache")]
+        for extra in (["--no-cache"], cache, cache):
+            capsys.readouterr()
+            assert main(evaluate + extra) == 0
+            assert capsys.readouterr().out == expected.getvalue()
+        assert len(list((tmp_path / "cache").glob("*.mapitc"))) == 1
+
 
 class TestExperiment:
     def test_stats(self, capsys):

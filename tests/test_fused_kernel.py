@@ -5,11 +5,12 @@ folds trace text straight to integer neighbor tables, without building
 a ``Trace`` or ``Hop``.  These tests hold it, at one and two shards, to
 the object pipeline it replaces (``parse_text_trace`` →
 ``sanitize_traces`` → ``accumulate_neighbors``) on seeded generated
-text under every ingest mode, pin its cache payload to
-``pack_traces`` of the object parse byte for byte, and check that a
-graph-only load — and every command built on one: ``run`` (journaled
-or not, resumed or not), ``explain`` and ``report`` — never calls the
-object parsers at all.
+text under every ingest mode — tables, tallies and the retained
+addresses scoring reads — pin its cache payload to the bundle of the
+object pipeline's tables byte for byte, and check that a graph-only
+load — and every command built on one: ``run`` (journaled or not,
+resumed or not), ``explain`` and ``report`` — never calls the object
+parsers at all.
 """
 
 import json
@@ -21,11 +22,13 @@ import repro.robust.ingest as robust_ingest
 import repro.traceroute.parse as trace_parse
 from repro.cli import main
 from repro.graph.neighbors import build_interface_graph
+from repro.io.atomic import file_sha256
 from repro.io.bundle import load_bundle
-from repro.net.ipv4 import format_address
+from repro.net.ipv4 import format_address, parse_address
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
-from repro.perf.flat import pack_traces
+from repro.perf.cache import BundleCache
+from repro.perf.flat import bundle_tables
 from repro.perf.ingest import stream_graph_from_file
 from repro.robust.errors import MAX_DETAILED_ERRORS
 from repro.robust.ingest import ingest_trace_file
@@ -109,12 +112,13 @@ def _oracle(path, mode, quarantine_dir):
         obs=Observability(metrics=metrics),
     )
     tallies = (len(sanitized.traces), sanitized.discarded, sanitized.buggy_hops_removed)
-    return graph, report, tallies, metrics.gauges["graph.addresses"]
+    gauge = metrics.gauges["graph.addresses"]
+    return graph, report, tallies, gauge, sanitized.retained_addresses
 
 
 def _kernel(path, jobs, mode, quarantine_dir):
     metrics = Metrics()
-    graph, report, _ = stream_graph_from_file(
+    graph, report, tables = stream_graph_from_file(
         path, jobs, mode=mode, quarantine_dir=quarantine_dir, obs=Observability(metrics=metrics)
     )
     gauges = metrics.gauges
@@ -123,17 +127,19 @@ def _kernel(path, jobs, mode, quarantine_dir):
         gauges["sanitize.discarded"],
         gauges["sanitize.buggy_hops_removed"],
     )
-    return graph, report, tallies, gauges["graph.addresses"]
+    # tables.seen is the set a graph load hands to scoring
+    return graph, report, tallies, gauges["graph.addresses"], tables.seen
 
 
 def _assert_same(oracle, kernel, oracle_dir, kernel_dir):
-    (want_graph, want_report, want_tallies, want_seen) = oracle
-    (graph, report, tallies, seen) = kernel
+    (want_graph, want_report, want_tallies, want_gauge, want_retained) = oracle
+    (graph, report, tallies, gauge, retained) = kernel
     assert graph.forward == want_graph.forward
     assert graph.backward == want_graph.backward
     assert graph.other_sides == want_graph.other_sides
     assert tallies == want_tallies
-    assert seen == want_seen
+    assert gauge == want_gauge
+    assert retained == want_retained
     if want_report.quarantine_path is not None:
         assert report.quarantine_path is not None
         for suffix in (".rejects.txt", ".errors.jsonl"):
@@ -162,7 +168,17 @@ class TestKernelMatchesObjectPipeline:
         path.write_text(_text(random.Random(4_243 * (seed + 1)), malformed=False))
         oracle = _oracle(path, "strict", None)
         assert oracle[2][1] > 0 and oracle[2][2] > 0  # cycles and buggy hops occur
+        assert any(address in oracle[4] for address in map(parse_address, SPECIAL))
         _assert_same(oracle, _kernel(path, jobs, "strict", None), None, None)
+        # the graph load's retained set, cold and from a warm entry
+        (tmp_path / "cymru.txt").write_text("9.0.0.0/8|64500\n")
+        cache = tmp_path / "cache"
+        for want_format in (None, "v3"):
+            bundle = load_bundle(tmp_path, jobs=jobs, cache=cache, graph_only=True)
+            assert bundle.health.cache_format == want_format
+            assert bundle.retained_addresses == oracle[4]
+            assert bundle.graph.forward == oracle[0].forward
+            assert bundle.graph.backward == oracle[0].backward
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -234,19 +250,41 @@ def _clean_text(rng):
     return "\n".join(lines) + "\n"
 
 
+def _object_bundle(traces):
+    """The object pipeline's folded graph, packed as a cache payload is."""
+    sanitized = sanitize_traces(traces)
+    graph = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
+    counts = (len(sanitized.traces), sanitized.discarded, sanitized.buggy_hops_removed)
+    return bundle_tables(
+        graph.forward,
+        graph.backward,
+        sanitized.retained_addresses,
+        sanitized.all_addresses,
+        counts,
+    )
+
+
 class TestColdCachePayload:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_text_payload_equals_pack_traces(self, jobs, tmp_path):
-        path = tmp_path / "traces.txt"
+    def test_text_payload_is_the_object_tables(self, jobs, tmp_bundle, tmp_path, capsys):
+        """A cold store's entry holds the object pipeline's tables,
+        retained set, universe and counts, byte for byte at any shard
+        count."""
+        dataset = tmp_bundle(seed=3, copy=True)
+        path = dataset / "traces.txt"
         path.write_text(_clean_text(random.Random(11)))
-        _, _, payload = stream_graph_from_file(path, jobs, want_payload=True)
-        assert payload == pack_traces(ingest_trace_file(path)[0]).to_bytes()
+        cache = tmp_path / "cache"
+        load_bundle(dataset, jobs=jobs, cache=cache, graph_only=True)
+        hit = BundleCache(cache).load_entry(file_sha256(path), "text")
+        assert hit is not None
+        want = _object_bundle(ingest_trace_file(path)[0])
+        assert hit.bundle.to_bytes() == want.to_bytes()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("suffix", [".jsonl", ".atlas"])
     def test_parse_record_formats_fold_the_same(self, suffix, jobs, tmp_path):
         """jsonl and atlas records go through parse_record, then the
-        same integer fold and column writer as text."""
+        same integer fold as text."""
         text_path = tmp_path / "traces.txt"
         text_path.write_text(_clean_text(random.Random(12)))
         traces = ingest_trace_file(text_path)[0]
@@ -257,35 +295,35 @@ class TestColdCachePayload:
             lines = [_atlas_line(trace) for trace in traces]
             lines.insert(5, json.dumps({"af": 6, "prb_id": 1, "dst_addr": "::1", "result": []}))
         path.write_text("\n".join(lines) + "\n")
-        graph, report, payload = stream_graph_from_file(path, jobs, want_payload=True)
+        graph, report, tables = stream_graph_from_file(path, jobs)
         objects, want_report = ingest_trace_file(path)
         assert report == want_report
         assert (report.skipped > 0) == (suffix == ".atlas")  # IPv6, no results
-        assert payload == pack_traces(objects).to_bytes()
+        assert bundle_tables(*tables).to_bytes() == _object_bundle(objects).to_bytes()
         sanitized = sanitize_traces(objects)
         want = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
         assert (graph.forward, graph.backward) == (want.forward, want.backward)
         assert graph.other_sides == want.other_sides
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_ttl_beyond_i64_stores_no_payload(self, jobs, tmp_bundle, tmp_path, capsys):
+    def test_ttl_beyond_i64_is_cached(self, jobs, tmp_bundle, tmp_path, capsys):
+        """A quoted TTL outside the columnar i64 range parses clean, and
+        an entry stores no TTLs: such a dataset is cached, and its warm
+        run equals its cold run and the object pipeline's."""
         dataset = tmp_bundle(seed=3, copy=True)
         with open(dataset / "traces.txt", "a") as handle:
             handle.write(f"m9|9.1.0.9|9.0.0.1 9.1.0.1@{2**63}\n")
-        graph, report, payload = stream_graph_from_file(
-            dataset / "traces.txt", jobs, want_payload=True
-        )
-        assert payload is None and report.ok
-        bundle = load_bundle(dataset)  # the object loader
-        sanitized = sanitize_traces(bundle.traces)
-        want = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
-        assert (graph.forward, graph.backward) == (want.forward, want.backward)
-        cache, out = tmp_path / "cache", tmp_path / "out.json"
-        args = ["run", str(dataset), "--json", "--output", str(out), "--cache", str(cache)]
-        assert main(args + ["--jobs", str(jobs)]) == 0
-        assert not list(cache.glob("*.mapitc"))
-        expected = bundle.run_mapit().to_json(indent=2) + "\n"
-        assert out.read_text() == expected
+        cache = tmp_path / "cache"
+        run = ["run", str(dataset), "--json", "--cache", str(cache), "--jobs", str(jobs)]
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert main(run + ["--output", str(cold)]) == 0
+        assert len(list(cache.glob("*.mapitc"))) == 1
+        metrics = tmp_path / "metrics.json"
+        assert main(run + ["--output", str(warm), "--metrics", str(metrics)]) == 0
+        assert json.loads(metrics.read_text())["counters"]["perf.cache.hits"] == 1
+        assert warm.read_bytes() == cold.read_bytes()
+        expected = load_bundle(dataset).run_mapit().to_json(indent=2) + "\n"
+        assert cold.read_text() == expected
 
 
 class TestNoObjectParse:

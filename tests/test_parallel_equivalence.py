@@ -15,7 +15,7 @@ from repro.cli import main
 from repro.graph.neighbors import graph_from_traces
 from repro.perf.cache import BundleCache
 from repro.perf.ingest import stream_graph_from_file
-from repro.perf.pool import shard_ranges
+from repro.perf.pool import fork_map, shard_ranges, shared_payload
 from repro.robust.errors import MAX_DETAILED_ERRORS, ErrorBudget, ErrorBudgetExceeded
 from repro.robust.ingest import ingest_traces
 from repro.traceroute.parse import TraceParseError
@@ -38,6 +38,30 @@ class TestShardRanges:
     def test_balanced(self):
         sizes = [end - start for start, end in shard_ranges(10, 3)]
         assert max(sizes) - min(sizes) <= 1
+
+
+def _inner_shard(shard):
+    return shared_payload()[shard[0]]
+
+
+_SINGLES = [(0, 1), (1, 2), (2, 3)]
+
+
+def _outer_shard(shard):
+    """Reads the outer payload, runs a whole inner map, reads it again."""
+    before = shared_payload()[shard[0]]
+    inner = fork_map(_inner_shard, "xyz", 3, 1, shards=_SINGLES)
+    return before, inner, shared_payload()[shard[0]]
+
+
+class TestForkMap:
+    def test_nested_inline_map_keeps_outer_payload(self):
+        """A shard that runs a map of its own (a sweep cell loading its
+        world through the fused loader) leaves the outer map's payload
+        in place for the outer map's later shards."""
+        results = fork_map(_outer_shard, ["a", "b", "c"], 3, 1, shards=_SINGLES)
+        assert results == [(word, ["x", "y", "z"], word) for word in "abc"]
+        assert shared_payload() is None
 
 
 def _fused(lines, jobs, tmp_path, **kwargs):
@@ -256,6 +280,15 @@ class TestCacheEquivalence:
         assert "perf.cache.hits" not in counters
         assert entry.read_bytes().startswith(BINARY_MAGIC)
 
+    def test_object_load_refuses_a_cache(self, dataset, tmp_path):
+        """Entries hold folded graphs: only the graph loader reads or
+        writes them."""
+        from repro.io.bundle import load_bundle
+
+        with pytest.raises(ValueError):
+            load_bundle(dataset, cache=tmp_path / "cache")
+        assert not (tmp_path / "cache").exists()
+
     def test_dirty_parse_not_cached(self, tmp_bundle, tmp_path, capsys):
         dataset = tmp_bundle(seed=3, copy=True)
         with open(dataset / "traces.txt", "a") as handle:
@@ -277,11 +310,59 @@ class TestCacheEquivalence:
 
 
 def _load(cache, source_sha256, format):
-    """``(traces, parsed, skipped)`` of a verified hit, else None."""
+    """``(bundle, parsed, skipped)`` of a verified hit, else None."""
     hit = cache.load_entry(source_sha256, format)
     if hit is None:
         return None
-    return hit.traces(), hit.parsed, hit.skipped
+    return hit.bundle, hit.parsed, hit.skipped
+
+
+def _clean_entry():
+    """The folded graph of GOOD as the object pipeline builds it, and
+    the clean report a store needs."""
+    from repro.perf.flat import bundle_tables
+    from repro.robust.errors import IngestReport
+    from repro.traceroute.parse import parse_text_traces
+
+    traces = list(parse_text_traces(GOOD))
+    graph, sanitized = graph_from_traces(traces)
+    counts = (len(sanitized.traces), sanitized.discarded, sanitized.buggy_hops_removed)
+    bundle = bundle_tables(
+        graph.forward,
+        graph.backward,
+        sanitized.retained_addresses,
+        sanitized.all_addresses,
+        counts,
+    )
+    return bundle, IngestReport(source="traces.txt", parsed=len(traces))
+
+
+def _write_v2_entry(cache, source_sha, format, traces):
+    """Fabricate an entry in the v2 layout of the previous release (the
+    same header, version 2, over a columnar trace block) at the entry's
+    canonical path, with both digests valid, and return that path."""
+    import hashlib
+    import struct
+
+    from repro.perf.cache import BINARY_MAGIC
+    from repro.perf.flat import pack_traces
+
+    payload = pack_traces(traces).to_bytes()
+    header = struct.pack(
+        "<8sHBxIIQ32s32s",
+        BINARY_MAGIC,
+        2,
+        {"text": 1, "jsonl": 2, "atlas": 3}[format],
+        len(traces),
+        0,
+        len(payload),
+        bytes.fromhex(source_sha),
+        hashlib.sha256(payload).digest(),
+    )
+    path = cache.entry_path(source_sha, format)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(header + payload)
+    return path
 
 
 class TestBundleCacheUnit:
@@ -289,49 +370,47 @@ class TestBundleCacheUnit:
         assert _load(BundleCache(tmp_path), "0" * 64, "text") is None
 
     def test_round_trip(self, tmp_path):
-        from repro.robust.errors import IngestReport
-        from repro.traceroute.parse import parse_text_traces
-
-        traces = list(parse_text_traces(GOOD))
-        report = IngestReport(source="traces.txt", parsed=len(traces))
+        bundle, report = _clean_entry()
         cache = BundleCache(tmp_path)
-        assert cache.store("a" * 64, "text", traces, report)
-        assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
+        assert _load(cache, "a" * 64, "text") == (bundle, report.parsed, 0)
         assert _load(cache, "b" * 64, "text") is None  # different source
         assert _load(cache, "a" * 64, "jsonl") is None  # different format
 
     def test_dirty_report_refused(self, tmp_path):
         from repro.robust.errors import IngestReport
 
+        bundle, _ = _clean_entry()
         report = IngestReport(source="traces.txt", parsed=1, malformed=2)
-        assert not BundleCache(tmp_path).store("a" * 64, "text", [], report)
+        assert not BundleCache(tmp_path).store_payload(
+            "a" * 64, "text", bundle.to_bytes(), report
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_stored_entries_are_binary_v2(self, tmp_path):
-        from repro.perf.cache import BINARY_MAGIC
-        from repro.robust.errors import IngestReport
-        from repro.traceroute.parse import parse_text_traces
+        """Entries keep the struct-packed binary header the v2 layout
+        introduced; this release writes it as version 3."""
+        import struct
 
-        traces = list(parse_text_traces(GOOD))
-        report = IngestReport(source="traces.txt", parsed=len(traces))
+        from repro.perf.cache import BINARY_MAGIC, CACHE_VERSION
+
+        bundle, report = _clean_entry()
         cache = BundleCache(tmp_path)
-        assert cache.store("a" * 64, "text", traces, report)
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
         raw = cache.entry_path("a" * 64, "text").read_bytes()
         assert raw.startswith(BINARY_MAGIC)
+        assert struct.unpack_from("<H", raw, 8) == (CACHE_VERSION,) == (3,)
 
     def test_header_tamper_is_invalid(self, tmp_path):
         import struct
 
-        from repro.robust.errors import IngestReport
-        from repro.traceroute.parse import parse_text_traces
-
-        traces = list(parse_text_traces(GOOD))
-        report = IngestReport(source="traces.txt", parsed=len(traces))
+        bundle, report = _clean_entry()
         cache = BundleCache(tmp_path)
-        cache.store("a" * 64, "text", traces, report)
+        cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
         path = cache.entry_path("a" * 64, "text")
         raw = bytearray(path.read_bytes())
-        # doctor the struct header's parsed-count field (offset 12, u32)
+        # doctor the struct header's parsed-count field (offset 12, u32):
+        # the payload's retained + discarded no longer add up to it
         struct.pack_into("<I", raw, 12, 999)
         path.write_bytes(bytes(raw))
         assert _load(cache, "a" * 64, "text") is None
@@ -339,11 +418,10 @@ class TestBundleCacheUnit:
     def test_v1_entry_reads_transparently(self, tmp_path, refuse_unpickling):
         """A v1 entry reads as a plain miss — no exception, no unpickling,
         counted ``perf.cache.invalid`` — and the next store overwrites it
-        in place with a v2 entry that hits."""
+        in place with a binary entry that hits."""
         from repro.obs.metrics import Metrics
         from repro.obs.observer import Observability
         from repro.perf.cache import BINARY_MAGIC
-        from repro.robust.errors import IngestReport
         from repro.traceroute.parse import parse_text_traces
 
         traces = list(parse_text_traces(GOOD))
@@ -354,16 +432,38 @@ class TestBundleCacheUnit:
         assert refuse_unpickling == []
         assert metrics.counters["perf.cache.invalid"] == 1
         assert "perf.cache.hits" not in metrics.counters
-        report = IngestReport(source="traces.txt", parsed=len(traces))
-        assert cache.store("a" * 64, "text", traces, report)
+        bundle, report = _clean_entry()
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes().startswith(BINARY_MAGIC)
-        assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
+        assert _load(cache, "a" * 64, "text") == (bundle, len(traces), 0)
+
+    def test_v2_entry_is_one_invalid_miss_then_overwritten(self, tmp_path):
+        """An entry in the previous release's v2 layout (parsed trace
+        columns) sits at the same filename: it is one counted-invalid
+        miss, and the next store overwrites it in place with a v3
+        entry that hits."""
+        from repro.obs.metrics import Metrics
+        from repro.obs.observer import Observability
+        from repro.traceroute.parse import parse_text_traces
+
+        metrics = Metrics()
+        cache = BundleCache(tmp_path, obs=Observability(metrics=metrics))
+        path = _write_v2_entry(cache, "a" * 64, "text", list(parse_text_traces(GOOD)))
+        assert cache.load_entry("a" * 64, "text") is None
+        assert metrics.counters["perf.cache.invalid"] == 1
+        assert "perf.cache.hits" not in metrics.counters
+        bundle, report = _clean_entry()
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
+        assert list(tmp_path.iterdir()) == [path]
+        hit = cache.load_entry("a" * 64, "text")
+        assert hit is not None and hit.entry_version == 3 and hit.bundle == bundle
+        assert metrics.counters["perf.cache.invalid"] == 1
 
     def test_v1_entry_tamper_still_detected(self, tmp_path, refuse_unpickling):
-        """A v1 entry doctored to look like v2 — its leading bytes
-        replaced by the v2 magic, or its header's version set to 2 —
-        still fails verification without being unpickled."""
+        """A v1 entry doctored to look like a binary entry — its leading
+        bytes replaced by the binary magic, or its header's version set
+        to 2 — still fails verification without being unpickled."""
         from repro.obs.metrics import Metrics
         from repro.obs.observer import Observability
         from repro.perf.cache import BINARY_MAGIC
@@ -387,32 +487,23 @@ class TestBundleCacheUnit:
         assert "perf.cache.hits" not in metrics.counters
 
     def test_v2_hit_counts_format_metric(self, tmp_path):
+        """A hit counts its entry format: ``perf.cache.format.v3`` for
+        the layout this release writes."""
         from repro.obs.metrics import Metrics
         from repro.obs.observer import Observability
-        from repro.robust.errors import IngestReport
-        from repro.traceroute.parse import parse_text_traces
 
-        traces = list(parse_text_traces(GOOD))
-        report = IngestReport(source="traces.txt", parsed=len(traces))
+        bundle, report = _clean_entry()
         metrics = Metrics()
         cache = BundleCache(tmp_path, obs=Observability(metrics=metrics))
-        assert cache.store("a" * 64, "text", traces, report)
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
         hit = cache.load_entry("a" * 64, "text")
-        assert hit.entry_version == 2 and hit.flat is not None
-        assert hit.traces() == traces
-        assert metrics.counters["perf.cache.format.v2"] == 1
+        assert hit.entry_version == 3 and hit.format_label == "v3"
+        assert hit.bundle == bundle
+        assert metrics.counters["perf.cache.format.v3"] == 1
 
 
 class TestCacheHardening:
     """Races and write failures degrade the cache, never the run."""
-
-    @staticmethod
-    def _clean(parsed=3):
-        from repro.robust.errors import IngestReport
-        from repro.traceroute.parse import parse_text_traces
-
-        traces = list(parse_text_traces(GOOD))
-        return traces, IngestReport(source="traces.txt", parsed=len(traces))
 
     @staticmethod
     def _metrics_obs():
@@ -423,32 +514,32 @@ class TestCacheHardening:
         return Observability(metrics=metrics), metrics
 
     def test_overwriting_existing_entry_counts_contention(self, tmp_path):
-        traces, report = self._clean()
+        bundle, report = _clean_entry()
         obs, metrics = self._metrics_obs()
         cache = BundleCache(tmp_path, obs=obs)
-        assert cache.store("a" * 64, "text", traces, report)
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
         assert "perf.cache.contended" not in metrics.counters
         # a second run racing over the same dataset stores the same key
-        assert cache.store("a" * 64, "text", traces, report)
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
         assert metrics.counters["perf.cache.contended"] == 1
-        assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
+        assert _load(cache, "a" * 64, "text") == (bundle, report.parsed, 0)
 
     def test_store_creates_missing_directory(self, tmp_path):
-        traces, report = self._clean()
+        bundle, report = _clean_entry()
         cache = BundleCache(tmp_path / "deep" / "nested")
-        assert cache.store("a" * 64, "text", traces, report)
-        assert _load(cache, "a" * 64, "text") == (traces, len(traces), 0)
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
+        assert _load(cache, "a" * 64, "text") == (bundle, report.parsed, 0)
 
     def test_enospc_store_fails_soft(self, tmp_path):
         from repro.robust.faults import ChaosInjector, chaos
 
-        traces, report = self._clean()
+        bundle, report = _clean_entry()
         obs, metrics = self._metrics_obs()
         cache = BundleCache(tmp_path, obs=obs)
         with chaos(ChaosInjector(cache_enospc=True)):
-            assert not cache.store("a" * 64, "text", traces, report)
+            assert not cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)
         assert metrics.counters["perf.cache.store_failed"] == 1
         # the failed store left no partial entry behind
         assert _load(cache, "a" * 64, "text") is None
         # and a later healthy store succeeds
-        assert cache.store("a" * 64, "text", traces, report)
+        assert cache.store_payload("a" * 64, "text", bundle.to_bytes(), report)

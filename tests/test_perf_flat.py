@@ -4,10 +4,13 @@
 fold over columnar buffers; these tests hold the flat kernels to exact
 equality with the object-based oracles (``sanitize_traces`` +
 ``accumulate_neighbors``) over seeded random datasets, and pin the
-binary block codec's round-trip and rejection behaviour.
+round-trip and rejection behaviour of the binary trace-block codec and
+of the folded-graph codec (``FlatGraphBundle.to_bytes``).
 """
 
 import random
+import struct
+import sys
 from array import array
 
 import pytest
@@ -16,20 +19,44 @@ from repro.graph.neighbors import accumulate_neighbors
 from repro.perf.flat import (
     U32,
     FlatEncodeError,
+    FlatGraphBundle,
     FlatTraces,
     accumulate_flat,
-    concat_flat_bytes,
     encode_addresses,
     encode_table,
+    fold_hops,
     merge_address_blob,
     merge_graph_bundles,
     merge_table_blob,
     bundle_tables,
     pack_traces,
-    unpack_traces,
 )
 from repro.traceroute.model import Hop, Trace
+from repro.traceroute.parse import trace_record
 from repro.traceroute.sanitize import sanitize_traces
+
+_COLUMNS = (
+    "monitor_off", "monitors", "dst", "flow", "hop_start",
+    "hop_flags", "hop_addr", "hop_quoted", "hop_rtt",
+)
+
+
+def _read_back(flat):
+    """Every trace of *flat* as :func:`trace_record` values, read
+    straight off the columns."""
+    records = []
+    for index in range(len(flat)):
+        monitor = flat.monitors[flat.monitor_off[index]:flat.monitor_off[index + 1]]
+        hops = [
+            (
+                flat.hop_addr[i] if flat.hop_flags[i] else None,
+                flat.hop_quoted[i],
+                flat.hop_rtt[i],
+            )
+            for i in range(flat.hop_start[index], flat.hop_start[index + 1])
+        ]
+        records.append((monitor.decode("utf-8"), flat.dst[index], flat.flow[index], hops))
+    return records
 
 
 def _sample_traces():
@@ -75,24 +102,19 @@ class TestBlockCodec:
         flat = pack_traces(traces)
         assert len(flat) == len(traces)
         assert flat.hop_count == sum(len(t.hops) for t in traces)
-        assert unpack_traces(flat) == traces
-
-    def test_unpack_slicing(self):
-        traces = _sample_traces()
-        flat = pack_traces(traces)
-        assert unpack_traces(flat, 1, 3) == traces[1:3]
-        assert unpack_traces(flat, 4, 4) == []
+        assert _read_back(flat) == [trace_record(trace) for trace in traces]
 
     def test_to_bytes_round_trip(self):
-        traces = _sample_traces()
-        blob = pack_traces(traces).to_bytes()
-        assert unpack_traces(FlatTraces.from_bytes(blob)) == traces
+        flat = pack_traces(_sample_traces())
+        decoded = FlatTraces.from_bytes(flat.to_bytes())
+        for column in _COLUMNS:
+            assert getattr(decoded, column) == getattr(flat, column), column
 
     def test_empty_round_trip(self):
         blob = pack_traces([]).to_bytes()
         flat = FlatTraces.from_bytes(blob)
         assert len(flat) == 0 and flat.hop_count == 0
-        assert unpack_traces(flat) == []
+        assert _read_back(flat) == []
 
     def test_from_bytes_rejects_malformed(self):
         blob = pack_traces(_sample_traces()).to_bytes()
@@ -108,20 +130,6 @@ class TestBlockCodec:
         doctored[4] = 9  # endianness tag out of range
         with pytest.raises(ValueError):
             FlatTraces.from_bytes(bytes(doctored))
-
-    def test_concat_equals_whole_pack(self):
-        rng = random.Random(20260809)
-        traces = _random_traces(rng)
-        blocks = [
-            pack_traces(traces[start:start + 7]).to_bytes()
-            for start in range(0, len(traces), 7)
-        ]
-        merged = FlatTraces.from_bytes(concat_flat_bytes(blocks))
-        assert unpack_traces(merged) == traces
-        assert concat_flat_bytes(blocks) == pack_traces(traces).to_bytes()
-
-    def test_concat_empty(self):
-        assert concat_flat_bytes([]) == pack_traces([]).to_bytes()
 
     def test_out_of_range_fields_raise(self):
         with pytest.raises(FlatEncodeError):
@@ -171,7 +179,7 @@ class TestFlatKernelOracle:
         )
         assert forward == oracle_forward
         assert backward == oracle_backward
-        assert seen == oracle_seen
+        assert seen == oracle_seen == report.retained_addresses
         assert universe == report.all_addresses
 
     @pytest.mark.parametrize("seed", range(4))
@@ -210,28 +218,26 @@ class TestFlatKernelOracle:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dirty_reports_exactly_the_grown_halves(self, seed):
-        """The ``dirty`` out-param names precisely the (address, forward)
-        halves whose neighbor set gained a member — the serve layer's
-        dirty-region invalidation depends on this being exact."""
+        """``fold_hops``'s ``dirty`` out-param names precisely the
+        (address, forward) halves whose neighbor set gained a member —
+        the serve layer's dirty-region invalidation depends on this
+        being exact."""
         rng = random.Random(31_337 + seed)
         traces = _random_traces(rng, n_traces=80)
         is_special = (lambda a: a % 7 == 0)
-        flat = pack_traces(traces)
+        records = [trace_record(trace) for trace in traces]
 
         forward, backward = {}, {}
         seen, universe = set(), set()
-        split = len(flat) // 2
-        accumulate_flat(
-            flat, 0, split, forward, backward, seen, universe, is_special
-        )
+        split = len(records) // 2
+        for record in records[:split]:
+            fold_hops(record[3], forward, backward, seen, universe, is_special)
         before_forward = {a: set(m) for a, m in forward.items()}
         before_backward = {a: set(m) for a, m in backward.items()}
 
         dirty = set()
-        accumulate_flat(
-            flat, split, len(flat), forward, backward, seen, universe,
-            is_special, dirty=dirty,
-        )
+        for record in records[split:]:
+            fold_hops(record[3], forward, backward, seen, universe, is_special, dirty)
 
         expected = set()
         for address, members in forward.items():
@@ -243,19 +249,17 @@ class TestFlatKernelOracle:
         assert dirty == expected
 
     def test_dirty_empty_on_refold(self):
-        """Re-folding the same block grows nothing: dirty stays empty."""
-        traces = _sample_traces()
-        flat = pack_traces(traces)
+        """Re-folding the same records grows nothing: dirty stays empty."""
+        records = [trace_record(trace) for trace in _sample_traces()]
         forward, backward = {}, {}
         seen, universe = set(), set()
-        accumulate_flat(
-            flat, 0, len(flat), forward, backward, seen, universe, lambda a: False
-        )
+        for record in records:
+            fold_hops(record[3], forward, backward, seen, universe, lambda a: False)
         dirty = set()
-        accumulate_flat(
-            flat, 0, len(flat), forward, backward, seen, universe,
-            lambda a: False, dirty=dirty,
-        )
+        for record in records:
+            fold_hops(
+                record[3], forward, backward, seen, universe, lambda a: False, dirty
+            )
         assert dirty == set()
 
 
@@ -286,3 +290,67 @@ class TestBundleCodec:
         a = {2: {9, 1}, 1: {3}}
         b = {1: {3}, 2: {1, 9}}
         assert encode_table(a) == encode_table(b)
+
+
+def _graph_bundle():
+    rng = random.Random(8_675_309)
+    traces = _random_traces(rng, n_traces=50)
+    forward, backward, seen, universe = {}, {}, set(), set()
+    flat = pack_traces(traces)
+    counts = accumulate_flat(
+        flat, 0, len(flat), forward, backward, seen, universe, lambda a: a % 7 == 0
+    )
+    return bundle_tables(forward, backward, seen, universe, counts)
+
+
+#: FlatGraphBundle.to_bytes header: magic, byte-order tag, three pad
+#: bytes, four u64 buffer lengths, three u64 counts (little-endian)
+_HEADER = struct.Struct("<4sBxxx4Q3Q")
+
+
+class TestGraphBundleCodec:
+    def test_round_trip(self):
+        bundle = _graph_bundle()
+        assert bundle.retained > 0 and bundle.discarded > 0
+        assert FlatGraphBundle.from_bytes(bundle.to_bytes()) == bundle
+        empty = bundle_tables({}, {}, set(), set(), (0, 0, 0))
+        assert FlatGraphBundle.from_bytes(empty.to_bytes()) == empty
+
+    def test_malformed_blobs_raise(self):
+        blob = _graph_bundle().to_bytes()
+        overrun = bytearray(blob)
+        (forward_len,) = struct.unpack_from("<Q", overrun, 8)
+        struct.pack_into("<Q", overrun, 8, forward_len + 4)
+        not_u32 = FlatGraphBundle(b"\x00" * 3, b"", b"", b"\x00").to_bytes()
+        for malformed in (
+            blob[:10],  # shorter than the header
+            blob[:-4],  # truncated buffer
+            blob + b"\x00" * 4,  # trailing bytes
+            bytes(overrun),  # a length that runs past the blob
+            b"XXXX" + blob[4:],  # bad magic
+            blob[:4] + b"\x09" + blob[5:],  # bad byte-order tag
+            not_u32,  # a buffer that is not whole u32s
+        ):
+            with pytest.raises(ValueError):
+                FlatGraphBundle.from_bytes(malformed)
+
+    def test_other_byte_order_decodes(self):
+        bundle = _graph_bundle()
+        buffers = (bundle.forward, bundle.backward, bundle.seen, bundle.universe)
+        swapped = []
+        for buffer in buffers:
+            column = array(U32)
+            column.frombytes(buffer)
+            column.byteswap()
+            swapped.append(column.tobytes())
+        foreign_tag = 2 if sys.byteorder == "little" else 1
+        header = _HEADER.pack(
+            b"FGB1",
+            foreign_tag,
+            *(len(buffer) for buffer in swapped),
+            bundle.retained,
+            bundle.discarded,
+            bundle.buggy_hops_removed,
+        )
+        assert bundle.to_bytes() != header + b"".join(swapped)
+        assert FlatGraphBundle.from_bytes(header + b"".join(swapped)) == bundle

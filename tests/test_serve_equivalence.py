@@ -13,6 +13,7 @@ import json
 import os
 import random
 import socket
+import struct
 import tempfile
 import threading
 from array import array
@@ -31,7 +32,7 @@ from repro.io.bundle import load_bundle
 from repro.obs.metrics import Metrics
 from repro.obs.observer import NULL_OBS, Observability
 from repro.obs.trace import iter_events, read_trace
-from repro.perf.flat import U32, FlatEncodeError, pack_traces
+from repro.perf.flat import U32, FlatEncodeError, FlatGraphBundle, pack_traces
 from repro.robust.journal import RunJournal
 from repro.serve.checkpoint import CHECKPOINT_UNIT
 from repro.serve.daemon import ServeDaemon
@@ -154,7 +155,11 @@ def _rewrite_newest_checkpoint(journal_dir, run_id, damage):
 
 
 def _damage(kind):
-    """A *damage* callback for :func:`_rewrite_newest_checkpoint`."""
+    """A *damage* callback for :func:`_rewrite_newest_checkpoint`.
+
+    The blob is one self-describing ``FlatGraphBundle.to_bytes()``;
+    ``lengths`` and ``overrun`` re-stamp its sha256, so only the
+    codec's own checks can catch them."""
 
     def damage(journal, payload):
         path = journal.directory / f"{journal.run_id}.{payload['blob']}.blob"
@@ -165,16 +170,19 @@ def _damage(kind):
             data[len(data) // 2] ^= 0xFF
             path.write_bytes(data)
         elif kind == "lengths":
-            payload["lengths"] = [payload["lengths"][0] + 4, *payload["lengths"][1:]]
+            # the header's forward length (a u64 at offset 8) claims
+            # four bytes more than the blob carries
+            (forward_len,) = struct.unpack_from("<Q", data, 8)
+            struct.pack_into("<Q", data, 8, forward_len + 4)
+            payload["sha256"] = journal.store_blob(payload["blob"], bytes(data))
         elif kind == "mistyped":
             payload["stats"] = {**payload["stats"], "folds": "12"}
         else:
             # a forward run claiming 100 members it does not carry, in a
-            # blob whose lengths add up and whose sha256 verifies
-            overrun = array(U32, [5, 100]).tobytes()
-            data[: payload["lengths"][0]] = overrun
-            payload["lengths"] = [len(overrun), *payload["lengths"][1:]]
-            payload["sha256"] = journal.store_blob(payload["blob"], bytes(data))
+            # blob whose header matches and whose sha256 verifies
+            bundle = FlatGraphBundle.from_bytes(bytes(data))
+            bundle.forward = array(U32, [5, 100]).tobytes()
+            payload["sha256"] = journal.store_blob(payload["blob"], bundle.to_bytes())
 
     return damage
 
@@ -453,6 +461,30 @@ def test_warm_started_loop_publishes_before_stop(tmp_bundle, tmp_path, capsys):
     assert published.seq >= 1
     assert published.fingerprint == batch.engine.state.fingerprint()
     assert published.result.to_json(indent=2) + "\n" == batch_out.read_text()
+
+
+def test_warm_start_after_a_fold_replays_the_text(tmp_bundle, tmp_path, capsys):
+    """A cache entry replaces the index's tables, so a daemon that has
+    already folded a record replays the dataset's text instead of
+    restoring the entry, which would drop that fold."""
+    full = tmp_bundle(seed=3)
+    batch_out = tmp_path / "batch.json"
+    assert cli_main(["run", str(full), "--json", "--output", str(batch_out)]) == 0
+    dataset = tmp_bundle(seed=3, copy=True)
+    lines = (dataset / "traces.txt").read_text().splitlines(keepends=True)
+    half = len(lines) // 2
+    (dataset / "traces.txt").write_text("".join(lines[:half]))
+    cache = tmp_path / "cache"
+    run = ["run", str(dataset), "--json", "--output", str(tmp_path / "half.json")]
+    assert cli_main(run + ["--cache", str(cache)]) == 0
+    capsys.readouterr()
+    metrics = Metrics()
+    daemon = _dataset_daemon(dataset, obs=Observability(metrics=metrics))
+    for line in lines[half:]:
+        daemon.ingest_entry(line, "stream")
+    assert _serve_warm_start(daemon, dataset / "traces.txt", "text", cache) == half
+    assert metrics.counter("perf.cache.hits") == 0
+    assert daemon.finalize().result.to_json(indent=2) + "\n" == batch_out.read_text()
 
 
 @pytest.mark.parametrize("follow", [False, True])

@@ -24,7 +24,6 @@ from repro.diff.worlds import world_from_bundle, world_from_preset
 from repro.graph.othersides import infer_other_sides
 from repro.net.ipv4 import format_address, parse_address
 from repro.net.special import default_special_registry
-from repro.perf.flat import pack_traces
 from repro.serve.daemon import ServeDaemon
 from repro.serve.incremental import IncrementalIndex
 from repro.serve.verify import (
@@ -142,7 +141,10 @@ def test_incremental_other_sides_equal_batch(tiny_world, batches, start):
             assert table == frozen
 
     if start == "warm":
-        daemon.warm_fold(pack_traces([parse_text_trace(lines.pop(0))]), 1, 0, "warm", 0)
+        # a .mapitc entry's payload: the fold of the first line's trace
+        base = IncrementalIndex(tiny_world.ip2as())
+        base.fold([parse_text_trace(lines.pop(0))])
+        daemon.warm_start(base.export_state(), 1, 0, "warm", 0)
         quiesce_and_check()
     elif start == "restore":
         daemon.ingest_entry(lines.pop(0), "stream")
