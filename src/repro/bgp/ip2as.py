@@ -154,10 +154,5 @@ class IP2ASBuilder:
         self._ixp = dataset
         return self
 
-    def set_special(self, registry: SpecialPurposeRegistry) -> "IP2ASBuilder":
-        """Replace the special-purpose registry (tests only)."""
-        self._special = registry
-        return self
-
     def build(self) -> IP2AS:
         return IP2AS(self._trie, self._special, self._ixp)

@@ -452,13 +452,18 @@ def cmd_run(args) -> int:
         config = _mapit_config(args)
         if journal_dir:
             from repro.obs import NULL_OBS
-            from repro.robust.journal import (
-                RunJournal,
-                journaled_run,
-                run_identity_for,
-            )
+            from repro.robust.journal import RunJournal, journaled_run, run_identity
+            from repro.traceroute.parse import trace_format_for_path
 
-            run_id = run_identity_for(args.dataset, config, args.on_error)
+            # The load hashed the traces file already (cache key,
+            # manifest check); the run id reuses that digest.
+            traces = Path(args.dataset) / bundle.health.ingest.source
+            run_id = run_identity(
+                bundle.health.digest(traces),
+                config,
+                args.on_error,
+                trace_format_for_path(traces.name),
+            )
             if args.resume and args.resume != run_id:
                 print(
                     f"error: --resume {args.resume} does not match this "
@@ -487,12 +492,13 @@ def cmd_run(args) -> int:
 
 
 def _serve_warm_start(
-    daemon: "ServeDaemon", traces_path, format: str, cache_dir
+    daemon: "ServeDaemon", traces_path: Path, cache_dir, health
 ) -> int:
     """Fold the dataset's own traces file into a serve daemon.
 
     While the index has folded nothing, a verified ``.mapitc`` entry is
-    restored as the warm base like a checkpoint (no parse, no fold);
+    restored as the warm base like a checkpoint (no parse, no fold),
+    keyed by the digest the dataset load already took (*health*);
     otherwise the file streams through the normal ingest path.  Either
     way the source's byte offset ends at end-of-file, so a later
     checkpoint resumes past the warm base.  Returns traces folded.
@@ -505,11 +511,11 @@ def _serve_warm_start(
     if offset >= size:
         return 0  # a resumed checkpoint already covered the file
     if offset == 0 and cache_dir and daemon.stats_view()["folds"] == 0:
-        from repro.io.atomic import file_sha256
         from repro.perf.cache import BundleCache
+        from repro.traceroute.parse import trace_format_for_path
 
         hit = BundleCache(cache_dir, obs=daemon.obs).load_entry(
-            file_sha256(traces_path), format
+            health.digest(traces_path), trace_format_for_path(traces_path.name)
         )
         if hit is not None:
             return daemon.warm_start(hit.bundle, hit.parsed, hit.skipped, name, size)
@@ -612,7 +618,9 @@ def cmd_serve(args) -> int:
                 print("resume: no usable checkpoint; starting cold", file=sys.stderr)
         try:
             if dataset_traces is not None:
-                _serve_warm_start(daemon, dataset_traces, format, _cache_dir(args))
+                _serve_warm_start(
+                    daemon, dataset_traces, _cache_dir(args), bundle.health
+                )
             if args.once:
                 for path in follow_paths:
                     FollowSource(

@@ -160,7 +160,7 @@ class MapIt:
 
         *dirty_halves* are the interface halves whose neighbor-set
         membership changed (as reported by
-        :func:`repro.perf.flat.fold_hops`).  The run restarts from
+        :meth:`repro.perf.flat.GraphFold.fold`).  The run restarts from
         an empty :class:`~repro.core.state.MapItState` — iteration
         counts, diagnostics, and the uncertain log are trajectory
         properties, so only the batch trajectory reproduces the batch

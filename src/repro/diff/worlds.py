@@ -307,7 +307,3 @@ def world_sweep(preset: str, worlds: int, seed: int) -> List[World]:
     ``seed + worlds - 1`` of *preset*."""
     return [world_from_preset(preset, seed + index) for index in range(worlds)]
 
-
-def load_worlds(paths: List[Union[str, Path]]) -> List[World]:
-    """Load a list of saved world bundles (``--replay``)."""
-    return [world_from_bundle(path) for path in paths]

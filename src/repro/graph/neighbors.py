@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.graph.othersides import OtherSideTable, infer_other_sides
-from repro.net.special import SpecialPurposeRegistry, default_special_registry
+from repro.net.special import default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.traceroute.model import Trace
 from repro.traceroute.sanitize import SanitizeReport, sanitize_traces
@@ -130,7 +130,6 @@ def accumulate_neighbors(
 def build_interface_graph(
     traces: Iterable[Trace],
     all_addresses: Optional[Iterable[int]] = None,
-    special: Optional[SpecialPurposeRegistry] = None,
     obs: Observability = NULL_OBS,
 ) -> InterfaceGraph:
     """Build N_F/N_B from sanitized traces and assign other sides.
@@ -139,8 +138,7 @@ def build_interface_graph(
     other-side heuristic — the paper includes addresses from discarded
     traces there.  It defaults to the addresses seen in *traces*.
     """
-    special = special or default_special_registry()
-    is_special = special.is_special
+    is_special = default_special_registry().is_special
     graph = InterfaceGraph()
     forward, backward = graph.forward, graph.backward
     seen: Set[int] = set()

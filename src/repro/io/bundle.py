@@ -23,7 +23,6 @@ from repro.bgp.ip2as import IP2AS, IP2ASBuilder
 from repro.bgp.origins import merge_collectors
 from repro.bgp.table import CollectorDump
 from repro.dns.naming import HostnameDataset
-from repro.io.atomic import file_sha256
 from repro.io.truth import GroundTruth, load_ground_truth
 from repro.ixp.dataset import IXPDataset
 from repro.obs.observer import NULL_OBS, Observability
@@ -123,7 +122,7 @@ def _verify_checksums(root: Path, manifest: Dict, health: BundleHealth) -> None:
         path = root / name
         if not path.exists():
             continue  # missing-ness is reported per dataset, not here
-        if file_sha256(path) != expected[len("sha256:"):]:
+        if health.digest(path) != expected[len("sha256:"):]:
             health.checksum_failures.append(name)
 
 
@@ -144,21 +143,22 @@ def _load_graph(
 
     Returns ``(graph, report, retained_addresses)``, with no trace
     object made on any path.  The cache key is the file's content
-    sha256 (the digest the manifest records), so a hit is provably the
-    same bytes: it restores the folded graph from the entry through the
-    fused loader's own merge-and-finish tail — no fork, no fold — and
-    emits the same ``ingest.end`` event, ``ingest.records.*`` counters
-    and ``graph.built`` event a parse would, so cold and warm runs
-    produce byte-identical ``--trace`` output; the entry's format
-    version is surfaced in *health* (``cache: hit`` in the summary).  A
-    miss runs the fused loader
+    sha256 (the digest the manifest records; *health* hashes the file
+    once for both), so a hit is provably the same bytes: it restores
+    the folded graph from the entry the way the fused loader finishes
+    its shards (:meth:`~repro.perf.flat.GraphFold.merged`) — no fork,
+    no fold — and emits the same ``ingest.end`` event,
+    ``ingest.records.*`` counters and ``graph.built`` event a parse
+    would, so cold and warm runs produce byte-identical ``--trace``
+    output; the entry's format version is surfaced in *health*
+    (``cache: hit`` in the summary).  A miss runs the fused loader
     (:func:`~repro.perf.ingest.stream_graph_from_file`, ``jobs``
-    shards, ``jobs=1`` inline) and stores its merged tables after a
+    shards, ``jobs=1`` inline) and stores its merged fold after a
     clean parse; a dirty one is never stored, so the mode-dependent
     error machinery always runs for dirty files (docs/PERFORMANCE.md).
     """
-    from repro.perf.flat import bundle_tables
-    from repro.perf.ingest import finish_graph_from_bundles, stream_graph_from_file
+    from repro.perf.flat import GraphFold
+    from repro.perf.ingest import stream_graph_from_file
     from repro.robust.ingest import finalize_ingest
     from repro.traceroute.parse import trace_format_for_path
 
@@ -169,7 +169,7 @@ def _load_graph(
         from repro.perf.cache import BundleCache
 
         bundle_cache = BundleCache(cache, obs=obs)
-        source_sha = file_sha256(traces_path)
+        source_sha = health.digest(traces_path)
         hit = bundle_cache.load_entry(source_sha, format)
         if hit is not None:
             health.cache_format = hit.format_label
@@ -181,9 +181,10 @@ def _load_graph(
             )
             with obs.span("ingest+graph"):
                 finalize_ingest(report, [], obs=obs)
-                graph, tables = finish_graph_from_bundles([hit.bundle], obs)
-            return graph, report, tables.seen
-    graph, report, tables = stream_graph_from_file(
+                fold = GraphFold.merged([hit.bundle])
+                graph = fold.finish(obs, 1, hit.bundle.nbytes)
+            return graph, report, fold.seen
+    graph, report, fold = stream_graph_from_file(
         traces_path,
         jobs,
         mode=mode,
@@ -193,9 +194,9 @@ def _load_graph(
         shard_timeout=shard_timeout,
     )
     if bundle_cache is not None and report.ok:
-        payload = bundle_tables(*tables).to_bytes()
+        payload = fold.bundle().to_bytes()
         bundle_cache.store_payload(source_sha, format, payload, report)
-    return graph, report, tables.seen
+    return graph, report, fold.seen
 
 
 def load_bundle(

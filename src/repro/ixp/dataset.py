@@ -49,9 +49,6 @@ class IXPDataset:
         self._trie.insert(record.prefix, record)
         self._records.append(record)
 
-    def add_prefix(self, prefix: Prefix, asn: Optional[int] = None, name: str = "") -> None:
-        self.add(IXPRecord(prefix, asn, name))
-
     def covers(self, address: int) -> bool:
         """True when *address* is on a known IXP LAN."""
         return address in self._trie

@@ -16,11 +16,12 @@ Entry points:
 * :func:`repro.perf.ingest.stream_graph_from_file` — the fused
   streaming loader (parse + sanitize + neighbor fold in one pass per
   shard, with no trace objects; only counter bundles cross the
-  process boundary), and :func:`~repro.perf.ingest.finish_graph_from_bundles`,
-  its merge-and-finish tail, which a warm cache hit runs too;
+  process boundary);
 * :mod:`repro.perf.flat` — the flat-array data layer: columnar trace
-  blocks, packed counter bundles and their one on-disk codec, batched
-  LPM resolution;
+  blocks, :class:`~repro.perf.flat.GraphFold` (the fold state every
+  graph source holds, and the one finishing step, which a warm cache
+  hit runs too), packed counter bundles and their one on-disk codec,
+  batched LPM resolution;
 * :class:`repro.perf.cache.BundleCache` — the checksummed on-disk
   folded-graph cache (binary v3 entries; decoding executes no code).
 

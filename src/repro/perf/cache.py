@@ -29,13 +29,13 @@ checkpoints use too::
     92     ...   payload: FlatGraphBundle.to_bytes()
 
 The payload is plain struct/array data — decoding it executes no
-code — and a hit hands it to the fused loader's own merge-and-finish
-tail (:func:`repro.perf.ingest.finish_graph_from_bundles`), so a warm
-load forks nothing and folds no hop.  The entry *filename* is keyed by
-the source alone, not the layout, so an entry in any other layout —
-the v2 column blocks and v1 pickles of earlier releases included —
-simply fails verification once and is overwritten in place by the
-re-parse's store.
+code — and a hit finishes the graph from it the way the fused loader
+finishes its shards (:meth:`repro.perf.flat.GraphFold.merged`), so a
+warm load forks nothing and folds no hop.  The entry *filename* is
+keyed by the source alone, not the layout, so an entry in any other
+layout — the v2 column blocks and v1 pickles of earlier releases
+included — simply fails verification once and is overwritten in place
+by the re-parse's store.
 
 Every load verifies magic, version, format, source checksum, payload
 length, and the payload's own sha256 before decoding, then that the
@@ -54,7 +54,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Set, Union
 
 from repro.io.atomic import atomic_write_bytes
 from repro.obs.observer import NULL_OBS, Observability
@@ -95,7 +95,7 @@ def cache_key(source_sha256: str, format: str) -> str:
 @dataclass
 class CacheHit:
     """A verified cache entry: ``bundle`` is its folded graph, ready
-    for :func:`repro.perf.ingest.finish_graph_from_bundles`."""
+    for :meth:`repro.perf.flat.GraphFold.merged`."""
 
     parsed: int
     skipped: int
@@ -122,6 +122,8 @@ class BundleCache:
     ) -> None:
         self.directory = Path(directory)
         self.obs = obs
+        #: entries this cache found invalid: rewriting one is no race
+        self._rejected: Set[Path] = set()
 
     def entry_path(self, source_sha256: str, format: str) -> Path:
         return self.directory / f"{cache_key(source_sha256, format)}.mapitc"
@@ -146,6 +148,7 @@ class BundleCache:
             hit = self._decode(data, source_sha256, format)
         except Exception:  # noqa: BLE001 - any damage is just a miss
             self.obs.inc("perf.cache.invalid")
+            self._rejected.add(path)
             return None
         self.obs.inc("perf.cache.hits")
         self.obs.inc(f"perf.cache.format.{hit.format_label}")
@@ -214,8 +217,9 @@ class BundleCache:
         path = self.entry_path(source_sha256, format)
         # Another run racing over the same dataset may have stored this
         # entry between our miss and now; the overwrite is harmless
-        # (same key -> same content) but worth counting.
-        contended = path.exists()
+        # (same key -> same content) but worth counting.  Rewriting an
+        # entry this cache found invalid is no race.
+        contended = path.exists() and path not in self._rejected
         try:
             chaos = active_chaos()
             if chaos is not None:

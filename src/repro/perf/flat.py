@@ -13,22 +13,20 @@ sharded execution layer moves around instead:
   built by :func:`pack_traces`.  It serializes to a self-describing
   binary block and supports O(1) slicing into trace index ranges — the
   stress tier's generated shards (:mod:`repro.sim.stress`).
-* :func:`accumulate_flat` — the §4.1 sanitize + §4.3 neighbor-set fold
-  executed directly over the columns, producing exactly the tallies of
-  ``sanitize_traces`` + ``accumulate_neighbors`` without materializing
-  a single ``Hop`` (property-tested against the object kernel in
-  ``tests/test_perf_flat.py``).  Its per-trace cycle check and fold,
-  :func:`fold_addresses`, is shared with :func:`fold_hops`, the
-  per-record step of the fused text loader and the serve daemon.
+* :class:`GraphFold` — the fold state every graph source holds: the
+  §4.1 sanitize + §4.3 neighbor-set fold over parsed records or column
+  blocks, producing exactly the tallies of ``sanitize_traces`` +
+  ``accumulate_neighbors`` without materializing a single ``Hop``
+  (property-tested against the object kernel in
+  ``tests/test_perf_flat.py``), and the one step that finishes the
+  interface graph.
 * :func:`encode_table` / :func:`merge_table_blob` /
   :func:`encode_addresses` / :func:`merge_address_blob` — the counter
   bundle codec: neighbor tables and address sets as packed ``uint32``
   runs.  A worker's entire result pickles as a handful of ``bytes``
   objects (near-memcpy) instead of an object graph.
-* :class:`FlatGraphBundle` / :func:`merge_graph_bundles` — what one
-  worker returns across the fork boundary and the deterministic
-  parent-side merge (set union + sorted key rebuild, so worker
-  scheduling order cannot leak into results).  A bundle of the merged
+* :class:`FlatGraphBundle` — a :class:`GraphFold` packed: what one
+  worker returns across the fork boundary.  A bundle of the merged
   tables is also the one on-disk encoding of the folded graph:
   :meth:`FlatGraphBundle.to_bytes` is the ``.mapitc`` cache payload
   and the serve checkpoint blob.
@@ -48,8 +46,12 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from functools import cache
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
+from repro.net.special import default_special_registry
+from repro.obs.observer import Observability
 from repro.traceroute.model import Trace
 from repro.traceroute.parse import HopTuple, trace_record
 
@@ -283,99 +285,7 @@ def pack_traces(traces: Sequence[Trace]) -> FlatTraces:
 
 
 # ----------------------------------------------------------------------
-# the flat sanitize + neighbor-set kernel
-
-
-def accumulate_flat(
-    flat: FlatTraces,
-    start: int,
-    end: int,
-    forward: Dict[int, Set[int]],
-    backward: Dict[int, Set[int]],
-    seen: Set[int],
-    universe: Set[int],
-    is_special: Callable[[int], bool],
-) -> Tuple[int, int, int]:
-    """Sanitize and fold ``flat[start:end]`` into neighbor tables.
-
-    The columnar twin of ``sanitize_traces`` + ``accumulate_neighbors``
-    (§4.1 + §4.3), run in one pass over the hop columns without
-    constructing a single :class:`Hop`:
-
-    * responsive hops land in *universe* before any stripping (the
-      other-side heuristic deliberately sees discarded traces);
-    * quoted-TTL-0 hops become gaps and are counted as buggy removals
-      (counted even when the trace is later discarded, exactly like the
-      serial sanitizer);
-    * a trace with an interface cycle (same address twice, separated by
-      more than one position, over the *stripped* hops) is discarded;
-    * every address of a retained trace lands in *seen*;
-    * retained adjacency folds into *forward*/*backward*, with special
-      addresses breaking adjacency.
-
-    Returns ``(retained, discarded, buggy_hops_removed)``.  O(hops in
-    range); equality with the object kernel is property-tested in
-    ``tests/test_perf_flat.py``.
-    """
-    hop_start = flat.hop_start
-    flags, addr_column, quoted = flat.hop_flags, flat.hop_addr, flat.hop_quoted
-    retained = discarded = buggy = 0
-    for index in range(start, end):
-        first, last = hop_start[index], hop_start[index + 1]
-        addresses: List[Optional[int]] = []
-        for i in range(first, last):
-            if flags[i] & _RESPONDED:
-                address = addr_column[i]
-                universe.add(address)
-                if quoted[i] == 0:
-                    buggy += 1
-                    addresses.append(None)
-                else:
-                    addresses.append(address)
-            else:
-                addresses.append(None)
-        if fold_addresses(addresses, forward, backward, seen, is_special):
-            retained += 1
-        else:
-            discarded += 1
-    return retained, discarded, buggy
-
-
-def fold_hops(
-    hops: Sequence[HopTuple],
-    forward: Dict[int, Set[int]],
-    backward: Dict[int, Set[int]],
-    seen: Set[int],
-    universe: Set[int],
-    is_special: Callable[[int], bool],
-    dirty: Optional[Set[Tuple[int, bool]]] = None,
-) -> Tuple[bool, int]:
-    """Sanitize and fold one parsed record's hops (§4.1 + §4.3).
-
-    The per-record step of every loader that parses records to plain
-    values (the fused text loader, the serve daemon): responsive hops
-    land in *universe*, quoted-TTL-0 hops become gaps, then
-    :func:`fold_addresses` runs — the per-trace semantics of
-    :func:`accumulate_flat`, which reads the same values from columns.
-    Returns ``(retained, buggy_hops_removed)``.  O(hops).
-
-    *dirty*, when given, collects the interface halves whose neighbor
-    set actually gained a member — ``(address, FORWARD)`` when a
-    forward set grew, ``(address, BACKWARD)`` when a backward set grew
-    — which is exactly the structural-dirtiness input
-    :meth:`repro.core.mapit.MapIt.run_incremental` needs (the serve
-    daemon's dirty-region tracking, docs/SERVE.md).
-    """
-    addresses: List[Optional[int]] = []
-    buggy = 0
-    for address, quoted, _ in hops:
-        if address is not None:
-            universe.add(address)
-            if quoted == 0:
-                buggy += 1
-                address = None
-        addresses.append(address)
-    return fold_addresses(addresses, forward, backward, seen, is_special, dirty), buggy
+# the sanitize + neighbor-set kernel
 
 
 def fold_addresses(
@@ -395,8 +305,8 @@ def fold_addresses(
     *seen* (``SanitizeReport.retained_addresses``, special ones too),
     its adjacency folds into *forward*/*backward* — gaps and special
     addresses break adjacency — and it returns ``True`` (retained).
-    *dirty* as in :func:`fold_hops`.  The integer kernel shared by
-    :func:`accumulate_flat` and :func:`fold_hops`; O(hops).
+    *dirty* as in :meth:`GraphFold.fold`.  The integer kernel under
+    :meth:`GraphFold.fold` and :meth:`GraphFold.fold_block`; O(hops).
     """
     last_position: Dict[int, int] = {}
     for position, address in enumerate(addresses):
@@ -528,9 +438,8 @@ class FlatGraphBundle:
         buffers' byte-order tag, three pad bytes, the four buffer
         lengths in bytes and the retained, discarded and buggy-hop
         counts, each a u64 — then the four buffers back to back in
-        field order.  A bundle packed by :func:`bundle_tables` sorts
-        keys and members, so equal tables give equal bytes.  O(total
-        bytes).
+        field order.  :meth:`GraphFold.bundle` sorts keys and members,
+        so equal fold states give equal bytes.  O(total bytes).
         """
         buffers = (self.forward, self.backward, self.seen, self.universe)
         header = _GRAPH_HEADER.pack(
@@ -580,62 +489,171 @@ class FlatGraphBundle:
         return cls(*buffers, retained, discarded, buggy)
 
 
-def bundle_tables(
-    forward: Dict[int, Set[int]],
-    backward: Dict[int, Set[int]],
-    seen: Set[int],
-    universe: Set[int],
-    counts: Tuple[int, int, int],
-) -> FlatGraphBundle:
-    """Pack accumulated tables — one shard's, or the merged
-    :class:`GraphTables` — into a bundle (O(members log members))."""
-    retained, discarded, buggy = counts
-    return FlatGraphBundle(
-        forward=encode_table(forward),
-        backward=encode_table(backward),
-        seen=encode_addresses(seen),
-        universe=encode_addresses(universe),
-        retained=retained,
-        discarded=discarded,
-        buggy_hops_removed=buggy,
-    )
+def _sorted_keys(table: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
+    return {address: table[address] for address in sorted(table)}
 
 
-class GraphTables(NamedTuple):
-    """Merged fold state: the arguments of :func:`bundle_tables`."""
+class GraphFold:
+    """What §4.1 sanitizing and the §4.3 neighbor fold leave behind,
+    plus every observed address for the §4.2 rule.
 
-    forward: Dict[int, Set[int]]
-    backward: Dict[int, Set[int]]
-    #: every address of a retained trace (``retained_addresses``)
-    seen: Set[int]
-    universe: Set[int]
-    #: (retained, discarded, buggy hops removed)
-    counts: Tuple[int, int, int]
-
-
-def merge_graph_bundles(bundles: Sequence[FlatGraphBundle]) -> GraphTables:
-    """Merge shard bundles into canonical tables.
-
-    Both tables are rebuilt in sorted-key order — the same canonical
-    form the serial builder's consumers observe, so no worker
-    scheduling order can leak into results.  O(total members).
+    ``forward``/``backward`` are the neighbor tables, ``seen`` every
+    address of a retained trace (``SanitizeReport.retained_addresses``,
+    special ones too), ``universe`` every responsive hop address before
+    any stripping (discarded traces included), and ``retained``,
+    ``discarded`` and ``buggy`` the sanitize counts.  Fused-loader
+    shards and the serve index fold records into one (:meth:`fold`),
+    the stress tier column blocks (:meth:`fold_block`); a cache hit or
+    a serve checkpoint restores one from its packed form
+    (:meth:`bundle`, :meth:`merged`).
     """
-    forward: Dict[int, Set[int]] = {}
-    backward: Dict[int, Set[int]] = {}
-    seen: Set[int] = set()
-    universe: Set[int] = set()
-    retained = discarded = buggy = 0
-    for bundle in bundles:
-        merge_table_blob(bundle.forward, forward)
-        merge_table_blob(bundle.backward, backward)
-        merge_address_blob(bundle.seen, seen)
-        merge_address_blob(bundle.universe, universe)
-        retained += bundle.retained
-        discarded += bundle.discarded
-        buggy += bundle.buggy_hops_removed
-    forward = {address: forward[address] for address in sorted(forward)}
-    backward = {address: backward[address] for address in sorted(backward)}
-    return GraphTables(forward, backward, seen, universe, (retained, discarded, buggy))
+
+    def __init__(self) -> None:
+        self.forward: Dict[int, Set[int]] = {}
+        self.backward: Dict[int, Set[int]] = {}
+        self.seen: Set[int] = set()
+        self.universe: Set[int] = set()
+        self.retained = 0
+        self.discarded = 0
+        self.buggy = 0
+        # Per-fold memo of the RFC 6890 test, shared with the other-side
+        # filter: one special-prefix lookup per distinct address.
+        self.is_special: Callable[[int], bool] = cache(
+            default_special_registry().is_special
+        )
+
+    def fold(
+        self,
+        hops: Sequence[HopTuple],
+        dirty: Optional[Set[Tuple[int, bool]]] = None,
+    ) -> bool:
+        """Sanitize and fold one parsed record's hops (§4.1 + §4.3);
+        returns whether the trace was retained.
+
+        Responsive hops land in ``universe``, quoted-TTL-0 hops become
+        gaps (counted in ``buggy`` even when the trace is then
+        discarded, as the serial sanitizer counts them), then
+        :func:`fold_addresses` runs.  O(hops).
+
+        *dirty*, when given, collects the interface halves whose
+        neighbor set actually gained a member — ``(address, FORWARD)``
+        when a forward set grew, ``(address, BACKWARD)`` when a
+        backward set grew — which is exactly the structural-dirtiness
+        input :meth:`repro.core.mapit.MapIt.run_incremental` needs (the
+        serve daemon's dirty-region tracking, docs/SERVE.md).
+        """
+        addresses: List[Optional[int]] = []
+        universe = self.universe
+        for address, quoted, _ in hops:
+            if address is not None:
+                universe.add(address)
+                if quoted == 0:
+                    self.buggy += 1
+                    address = None
+            addresses.append(address)
+        if fold_addresses(
+            addresses, self.forward, self.backward, self.seen, self.is_special, dirty
+        ):
+            self.retained += 1
+            return True
+        self.discarded += 1
+        return False
+
+    def fold_block(self, flat: FlatTraces) -> None:
+        """Sanitize and fold every trace of a column block.
+
+        :meth:`fold` read straight off the hop columns, with no hop
+        tuple built (the stress tier's streamed fold).  O(hops in the
+        block); equality with ``sanitize_traces`` +
+        ``accumulate_neighbors`` is property-tested in
+        ``tests/test_perf_flat.py``.
+        """
+        hop_start = flat.hop_start
+        flags, addr_column, quoted = flat.hop_flags, flat.hop_addr, flat.hop_quoted
+        forward, backward, seen = self.forward, self.backward, self.seen
+        universe, is_special = self.universe, self.is_special
+        retained = discarded = buggy = 0
+        for index in range(len(flat)):
+            first, last = hop_start[index], hop_start[index + 1]
+            addresses: List[Optional[int]] = []
+            for i in range(first, last):
+                if flags[i] & _RESPONDED:
+                    address = addr_column[i]
+                    universe.add(address)
+                    if quoted[i] == 0:
+                        buggy += 1
+                        addresses.append(None)
+                    else:
+                        addresses.append(address)
+                else:
+                    addresses.append(None)
+            if fold_addresses(addresses, forward, backward, seen, is_special):
+                retained += 1
+            else:
+                discarded += 1
+        self.retained += retained
+        self.discarded += discarded
+        self.buggy += buggy
+
+    def bundle(self) -> FlatGraphBundle:
+        """Pack the fold state (O(members log members))."""
+        return FlatGraphBundle(
+            forward=encode_table(self.forward),
+            backward=encode_table(self.backward),
+            seen=encode_addresses(self.seen),
+            universe=encode_addresses(self.universe),
+            retained=self.retained,
+            discarded=self.discarded,
+            buggy_hops_removed=self.buggy,
+        )
+
+    @classmethod
+    def merged(cls, bundles: Iterable[FlatGraphBundle]) -> "GraphFold":
+        """A new fold holding the union of packed *bundles*.
+
+        Set union is commutative and associative, so shard bundles
+        merged in any order hold what one serial fold would.  A
+        malformed bundle raises :class:`ValueError` before anything
+        outside the new fold changes.  O(total members).
+        """
+        fold = cls()
+        for bundle in bundles:
+            merge_table_blob(bundle.forward, fold.forward)
+            merge_table_blob(bundle.backward, fold.backward)
+            merge_address_blob(bundle.seen, fold.seen)
+            merge_address_blob(bundle.universe, fold.universe)
+            fold.retained += bundle.retained
+            fold.discarded += bundle.discarded
+            fold.buggy += bundle.buggy_hops_removed
+        return fold
+
+    def finish(self, obs: Observability, shards: int, nbytes: int) -> InterfaceGraph:
+        """The interface graph over this fold's tables.
+
+        Both tables are rebound to sorted-key copies — the canonical
+        form, so no shard or arrival order leaks into results — and
+        ``seen`` joins ``universe``.  Sets the sanitize gauges and the
+        ``perf.flat.*`` accounting (*shards* folded, *nbytes* of packed
+        or columnar input), then runs the shared
+        :func:`finish_interface_graph` (same ``graph.built`` event as
+        the serial builder).  O(total members).
+        """
+        self.forward = _sorted_keys(self.forward)
+        self.backward = _sorted_keys(self.backward)
+        self.universe.update(self.seen)
+        if obs.enabled:
+            obs.gauge("sanitize.retained", self.retained)
+            obs.gauge("sanitize.discarded", self.discarded)
+            obs.gauge("sanitize.buggy_hops_removed", self.buggy)
+            obs.gauge("perf.flat.shards", shards)
+            obs.inc("perf.flat.bundle_bytes", nbytes)
+        return finish_interface_graph(
+            InterfaceGraph(forward=self.forward, backward=self.backward),
+            self.seen,
+            self.universe,
+            self.is_special,
+            obs,
+        )
 
 
 # ----------------------------------------------------------------------

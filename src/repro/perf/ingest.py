@@ -11,8 +11,8 @@ blank/comment skipping, one parse per record, per-mode error handling —
 over its shard with *absolute* line numbers, and tokenizes its text
 straight to integer hops *and* sanitizes *and* folds neighbor sets in
 one pass.  No trace object is built on either side of the fork: a
-shard returns its tallies and a packed counter bundle
-(:class:`~repro.perf.flat.FlatGraphBundle`).  The parent concatenates
+shard returns its tallies and its packed
+:class:`~repro.perf.flat.GraphFold`.  The parent concatenates
 partials in shard order, so the merged error list, reject list, and
 counts are exactly what one serial pass would have produced, then
 hands off to :func:`repro.robust.ingest.finalize_ingest` for the budget
@@ -20,9 +20,10 @@ check, quarantine write, and observability — the shared tail
 guarantees the two ingesters are indistinguishable from the outside.
 One fork, object-free transfer, deterministic merge.
 
-:func:`finish_graph_from_bundles` is the merge-and-finish tail: the
-fused loader ends in it, and so does a warm ``.mapitc`` hit, whose
-entry is one bundle of the merged tables (:mod:`repro.perf.cache`).
+A warm ``.mapitc`` hit finishes the graph from its entry's one bundle
+the way the parent finishes it from the shards' bundles
+(:meth:`~repro.perf.flat.GraphFold.merged`, then
+:meth:`~repro.perf.flat.GraphFold.finish`).
 
 Strict mode needs care: the serial ingester raises at the first
 malformed record.  Raising inside a pool worker would surface as a
@@ -35,21 +36,12 @@ smallest line number, reconstructing the exact
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
-from repro.net.special import default_special_registry
+from repro.graph.neighbors import InterfaceGraph
 from repro.obs.observer import NULL_OBS, Observability
-from repro.perf.flat import (
-    FlatGraphBundle,
-    GraphTables,
-    accumulate_flat,
-    bundle_tables,
-    fold_hops,
-    merge_graph_bundles,
-)
+from repro.perf.flat import FlatGraphBundle, GraphFold
 from repro.perf.pool import Shard, fork_map, shared_payload
 from repro.robust.errors import (
     MAX_DETAILED_ERRORS,
@@ -129,11 +121,10 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     or ``Hop`` objects on the text path: each record goes through
     :func:`~repro.robust.ingest.record_parser` (text: a
     :class:`~repro.traceroute.parse.TextTokenizer`, each distinct token
-    parsed once) and :func:`~repro.perf.flat.fold_hops` (the §4.1
-    TTL-0 strip and cycle check, then the §4.3 fold), with the
-    special-address test memoised per address.
-    O(bytes in shard); pickles back tallies and one packed counter
-    bundle.
+    parsed once) and the shard's :meth:`GraphFold.fold
+    <repro.perf.flat.GraphFold.fold>` (the §4.1 TTL-0 strip and cycle
+    check, then the §4.3 fold).  O(bytes in shard); pickles back
+    tallies and one packed counter bundle.
     """
     text, line_starts, format, source, mode = shared_payload()
     start, end = shard
@@ -142,29 +133,16 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     if lines and lines[-1] == "":
         lines.pop()
     parse = record_parser(format)
-    # Per-shard memo: one special-prefix lookup per distinct address
-    # instead of one per hop; freed with the shard.
-    is_special = cache(default_special_registry().is_special)
-    forward: Dict[int, set] = {}
-    backward: Dict[int, set] = {}
-    seen: set = set()
-    universe: set = set()
-    retained = discarded = buggy = 0
+    fold = GraphFold()
+    fold_record = fold.fold
     records = policy_records(
         result, lines, line_starts[start], format, source, mode, parse
     )
     for _, _, _, hops in records:
-        kept, stripped = fold_hops(hops, forward, backward, seen, universe, is_special)
-        buggy += stripped
-        if kept:
-            retained += 1
-        else:
-            discarded += 1
+        fold_record(hops)
     if result.strict_error is not None:
         return result
-    result.bundle = bundle_tables(
-        forward, backward, seen, universe, (retained, discarded, buggy)
-    )
+    result.bundle = fold.bundle()
     return result
 
 
@@ -225,7 +203,7 @@ def stream_graph_from_file(
     quarantine_dir: Optional[Union[str, Path]] = None,
     obs: Observability = NULL_OBS,
     shard_timeout: Optional[float] = None,
-) -> Tuple[InterfaceGraph, IngestReport, GraphTables]:
+) -> Tuple[InterfaceGraph, IngestReport, GraphFold]:
     """Parse a traces file and build its interface graph in one fork.
 
     The graph-only loader at every *jobs*: each shard (inline
@@ -239,8 +217,8 @@ def stream_graph_from_file(
     canonical graph — and same ``graph.built`` event — as the serial
     ingest-then-build sequence.
 
-    Returns ``(graph, report, tables)``: *tables* is the merged fold
-    state, whose :func:`~repro.perf.flat.bundle_tables` is the
+    Returns ``(graph, report, fold)``: *fold* is the merged fold
+    state, whose :meth:`~repro.perf.flat.GraphFold.bundle` is the
     ``.mapitc`` payload and whose ``seen`` is every address of a
     retained trace.  O(file bytes) end to end; pickled traffic is
     O(distinct addresses), not O(hops).
@@ -275,44 +253,10 @@ def stream_graph_from_file(
         finalize_ingest(
             report, rejects, budget=budget, quarantine_dir=quarantine_dir, obs=obs
         )
-        graph, tables = finish_graph_from_bundles(
-            [result.bundle for result in results if result.bundle is not None], obs
-        )
-    return graph, report, tables
-
-
-def finish_graph_from_bundles(
-    bundles: Sequence[FlatGraphBundle], obs: Observability = NULL_OBS
-) -> Tuple[InterfaceGraph, GraphTables]:
-    """Merge fold bundles and finish the interface graph.
-
-    The deterministic tail of the fused loader (one bundle per shard)
-    and of a warm ``.mapitc`` hit (the entry's one bundle):
-    set-union merge with sorted-key rebuild, the serial sanitize
-    gauges, ``perf.flat.*`` accounting, and the shared
-    :func:`finish_interface_graph` (same ``graph.built`` event as the
-    serial builder).  Returns the graph and the merged tables.
-    O(total members) in the merged tables.
-    """
-    tables = merge_graph_bundles(bundles)
-    retained, discarded, buggy = tables.counts
-    tables.universe.update(tables.seen)
-    if obs.enabled:
-        obs.gauge("sanitize.retained", retained)
-        obs.gauge("sanitize.discarded", discarded)
-        obs.gauge("sanitize.buggy_hops_removed", buggy)
-        obs.gauge("perf.flat.shards", len(bundles))
-        obs.inc(
-            "perf.flat.bundle_bytes", sum(bundle.nbytes for bundle in bundles)
-        )
-    graph = finish_interface_graph(
-        InterfaceGraph(forward=tables.forward, backward=tables.backward),
-        tables.seen,
-        tables.universe,
-        default_special_registry().is_special,
-        obs,
-    )
-    return graph, tables
+        bundles = [result.bundle for result in results if result.bundle is not None]
+        fold = GraphFold.merged(bundles)
+        graph = fold.finish(obs, len(bundles), sum(bundle.nbytes for bundle in bundles))
+    return graph, report, fold
 
 
 # ----------------------------------------------------------------------
@@ -353,14 +297,7 @@ def fold_graph_from_blocks(
     sanitize + build sequence: same tables (sorted-key canonical form),
     same gauges, same ``graph.built`` event.  O(total hops).
     """
-    # Per-fold memo, shared with the other-side filter: each distinct
-    # address is tested against the special prefixes once.
-    is_special = cache(default_special_registry().is_special)
-    forward: Dict[int, set] = {}
-    backward: Dict[int, set] = {}
-    seen: set = set()
-    universe: set = set()
-    retained = discarded = buggy = 0
+    fold = GraphFold()
     shards = traces = stream_bytes = peak_block_bytes = 0
     with obs.span("stream_fold"):
         for flat in blocks:
@@ -369,33 +306,13 @@ def fold_graph_from_blocks(
             nbytes = flat.nbytes
             stream_bytes += nbytes
             peak_block_bytes = max(peak_block_bytes, nbytes)
-            counts = accumulate_flat(
-                flat, 0, len(flat), forward, backward, seen, universe, is_special
-            )
-            retained += counts[0]
-            discarded += counts[1]
-            buggy += counts[2]
-        forward = {address: forward[address] for address in sorted(forward)}
-        backward = {address: backward[address] for address in sorted(backward)}
-        universe.update(seen)
-        if obs.enabled:
-            obs.gauge("sanitize.retained", retained)
-            obs.gauge("sanitize.discarded", discarded)
-            obs.gauge("sanitize.buggy_hops_removed", buggy)
-            obs.gauge("perf.flat.shards", shards)
-            obs.inc("perf.flat.bundle_bytes", stream_bytes)
-        graph = finish_interface_graph(
-            InterfaceGraph(forward=forward, backward=backward),
-            seen,
-            universe,
-            is_special,
-            obs,
-        )
+            fold.fold_block(flat)
+        graph = fold.finish(obs, shards, stream_bytes)
     stats = StreamFoldStats(
         shards=shards,
         traces=traces,
-        retained=retained,
-        discarded=discarded,
+        retained=fold.retained,
+        discarded=fold.discarded,
         stream_bytes=stream_bytes,
         peak_block_bytes=peak_block_bytes,
     )

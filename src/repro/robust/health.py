@@ -13,7 +13,8 @@ their inputs were.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional
 
 from repro.robust.errors import IngestReport
 
@@ -52,6 +53,8 @@ class BundleHealth:
     #: entry format version ("v3") when the graph came from a verified
     #: bundle-cache hit; None on a cold parse or uncached load
     cache_format: Optional[str] = None
+    #: sha256 of every file this load hashed, by path (:meth:`digest`)
+    digests: Dict[Path, str] = field(default_factory=dict)
 
     def record(self, name: str, status: str, detail: str = "") -> None:
         self.statuses.append(DatasetStatus(name, status, detail))
@@ -66,6 +69,16 @@ class BundleHealth:
             and not self.checksum_failures
             and (self.ingest is None or self.ingest.ok)
         )
+
+    def digest(self, path: Path) -> str:
+        """*path*'s sha256, hashed at most once per load: the manifest
+        check, the cache key and a journaled run's id share it."""
+        if path not in self.digests:
+            # deferred: importing repro.io loads this module
+            from repro.io.atomic import file_sha256
+
+            self.digests[path] = file_sha256(path)
+        return self.digests[path]
 
     def status_of(self, name: str) -> Optional[str]:
         for status in self.statuses:

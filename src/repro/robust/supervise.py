@@ -51,10 +51,6 @@ _POLL_INTERVAL = 0.02
 _DEATH_GRACE = 0.25
 
 
-class ShardFailure(RuntimeError):
-    """A shard attempt failed (worker death, timeout, or exception)."""
-
-
 class ShardDeadlineExhausted(RuntimeError):
     """A shard missed its deadline on every attempt, including inline.
 

@@ -1,11 +1,11 @@
 """Persistent fold state + dirty-region re-inference.
 
 :class:`IncrementalIndex` is the serve daemon's heart: it owns the
-mutable neighbor tables an arriving record folds into (via
-:func:`~repro.perf.flat.fold_hops`, the fused loader's per-record
-step, which reports exactly which interface halves gained a member)
-and a persistent :class:`~repro.core.mapit.MapIt` whose engine keeps
-its tally cache across quiesces.  A quiesce re-judges other sides for
+:class:`~repro.perf.flat.GraphFold` an arriving record folds into (the
+fused loader's per-record step, which reports exactly which interface
+halves gained a member) and a persistent
+:class:`~repro.core.mapit.MapIt` whose engine keeps its tally cache
+across quiesces.  A quiesce re-judges other sides for
 the /30 blocks that gained an address, then calls
 :meth:`~repro.core.mapit.MapIt.run_incremental` with the accumulated
 dirty halves — producing a result byte-identical to a batch run over
@@ -18,8 +18,7 @@ quiesce to identical states; the differential layer in
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
 from repro.bgp.ip2as import IP2AS
 from repro.core.config import MapItConfig
@@ -27,16 +26,9 @@ from repro.core.mapit import MapIt
 from repro.core.results import MapItResult
 from repro.graph.neighbors import InterfaceGraph
 from repro.graph.othersides import block_members, patch_other_sides
-from repro.net.special import SpecialPurposeRegistry, default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
-from repro.perf.flat import (
-    FlatGraphBundle,
-    bundle_tables,
-    fold_hops,
-    merge_address_blob,
-    merge_table_blob,
-)
+from repro.perf.flat import FlatGraphBundle, GraphFold
 from repro.rel.relationships import RelationshipDataset
 from repro.traceroute.model import Trace
 from repro.traceroute.parse import RecordTuple, trace_record
@@ -52,23 +44,16 @@ class IncrementalIndex:
         rel: Optional[RelationshipDataset] = None,
         config: Optional[MapItConfig] = None,
         obs: Observability = NULL_OBS,
-        special: Optional[SpecialPurposeRegistry] = None,
     ) -> None:
-        self.forward: Dict[int, Set[int]] = {}
-        self.backward: Dict[int, Set[int]] = {}
-        self.seen: Set[int] = set()
-        self.universe: Set[int] = set()
-        self.retained = 0
-        self.discarded = 0
-        self.buggy = 0
+        #: every record folded so far (or restored)
+        self.fold_state = GraphFold()
         self.obs = obs
-        # Memo for the index's lifetime: at most one entry per address
-        # of the universe (fold and other-side filter alike).
-        self._is_special = cache((special or default_special_registry()).is_special)
         self._dirty: Set[Tuple[int, bool]] = set()
         #: the universe as of the last other-side table
         self._judged: Set[int] = set()
-        self.graph = InterfaceGraph(forward=self.forward, backward=self.backward)
+        self.graph = InterfaceGraph(
+            forward=self.fold_state.forward, backward=self.fold_state.backward
+        )
         self._mapit = MapIt(self.graph, ip2as, org=org, rel=rel, config=config, obs=obs)
         self.result: Optional[MapItResult] = None
 
@@ -91,21 +76,7 @@ class IncrementalIndex:
         :meth:`quiesce`.
         """
         with self.obs.span("serve/fold"):
-            kept, buggy = fold_hops(
-                record[3],
-                self.forward,
-                self.backward,
-                self.seen,
-                self.universe,
-                self._is_special,
-                self._dirty,
-            )
-        self.buggy += buggy
-        if kept:
-            self.retained += 1
-        else:
-            self.discarded += 1
-        return kept
+            return self.fold_state.fold(record[3], self._dirty)
 
     # -- quiescing ----------------------------------------------------------
 
@@ -125,7 +96,7 @@ class IncrementalIndex:
         from an empty state with the engine's tally cache confining
         recounts to the halves whose inputs changed (docs/SERVE.md).
         """
-        added = self.universe - self._judged
+        added = self.fold_state.universe - self._judged
         if added or self.graph.other_sides is None:
             self._judged |= added
             with self.obs.span("serve/other_sides"):
@@ -141,7 +112,8 @@ class IncrementalIndex:
 
     def _observed(self, address: int) -> bool:
         """Whether the §4.2 rule sees *address*: folded, not special."""
-        return address in self.universe and not self._is_special(address)
+        fold = self.fold_state
+        return address in fold.universe and not fold.is_special(address)
 
     def fingerprint(self) -> str:
         """The §4.6 state fingerprint of the last quiesce."""
@@ -158,46 +130,23 @@ class IncrementalIndex:
         of the graph and is recomputed (cache cold) on the first quiesce
         after a restore.
         """
-        return bundle_tables(
-            self.forward,
-            self.backward,
-            self.seen,
-            self.universe,
-            (self.retained, self.discarded, self.buggy),
-        )
+        return self.fold_state.bundle()
 
     def restore_state(self, state: FlatGraphBundle) -> None:
         """Adopt fold state captured by :meth:`export_state` — a
         checkpoint's, or a ``.mapitc`` entry's (the warm start).
 
-        The bundle replaces every table.  It is decoded into fresh
-        tables first, so a malformed
-        one raises :class:`ValueError` and leaves the index untouched.
-        The dicts are then updated in place so the engine's graph alias
-        stays valid; the tally cache, dirty tracking and other-side
-        table reset — the next quiesce judges every address and
-        recounts from scratch, which is exactly the batch trajectory.
+        The bundle replaces the whole fold state.  It is decoded into a
+        new :class:`~repro.perf.flat.GraphFold` first, so a malformed
+        one raises :class:`ValueError` and leaves the index untouched;
+        the engine's graph then points at the new tables.  The tally
+        cache, dirty tracking and other-side table reset — the next
+        quiesce judges every address and recounts from scratch, which
+        is exactly the batch trajectory.
         """
-        forward: Dict[int, Set[int]] = {}
-        backward: Dict[int, Set[int]] = {}
-        seen: Set[int] = set()
-        universe: Set[int] = set()
-        merge_table_blob(state.forward, forward)
-        merge_table_blob(state.backward, backward)
-        merge_address_blob(state.seen, seen)
-        merge_address_blob(state.universe, universe)
-        self.forward.clear()
-        self.forward.update(forward)
-        self.backward.clear()
-        self.backward.update(backward)
-        self.seen.clear()
-        self.seen.update(seen)
-        self.universe.clear()
-        self.universe.update(universe)
-        self._is_special.cache_clear()
-        self.retained = state.retained
-        self.discarded = state.discarded
-        self.buggy = state.buggy_hops_removed
+        fold = self.fold_state = GraphFold.merged([state])
+        self.graph.forward = fold.forward
+        self.graph.backward = fold.backward
         self._dirty = set()
         self._judged = set()
         self.graph.other_sides = None

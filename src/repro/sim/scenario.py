@@ -101,22 +101,6 @@ class Scenario:
         targets.extend(self.tier1_asns[:2])
         return targets
 
-    def trace_blocks(self, shard_size: int = 4096):
-        """The campaign as packed columnar blocks of *shard_size* traces.
-
-        Streamed shard export: the scenario-preset twin of
-        :func:`repro.sim.stress.stress_blocks`, so sweep cells and the
-        streamed fold (:func:`repro.perf.ingest.fold_graph_from_blocks`)
-        consume every world tier through one interface.  Blocks cover
-        ``self.traces`` exactly once in order.
-        """
-        from repro.perf.flat import pack_traces
-
-        if shard_size < 1:
-            raise ValueError("shard_size must be at least 1")
-        for start in range(0, len(self.traces), shard_size):
-            yield pack_traces(self.traces[start : start + shard_size])
-
     def router_addresses(self) -> Dict[int, Tuple[int, ...]]:
         """Every router's interface addresses, sorted.
 

@@ -15,6 +15,7 @@ parsers at all.
 
 import json
 import random
+import shutil
 
 import pytest
 
@@ -28,10 +29,11 @@ from repro.net.ipv4 import format_address, parse_address
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
 from repro.perf.cache import BundleCache
-from repro.perf.flat import bundle_tables
+from repro.perf.flat import GraphFold, pack_traces
 from repro.perf.ingest import stream_graph_from_file
 from repro.robust.errors import MAX_DETAILED_ERRORS
 from repro.robust.ingest import ingest_trace_file
+from repro.serve.incremental import IncrementalIndex
 from repro.traceroute.parse import TraceParseError, traces_to_json_lines
 from repro.traceroute.sanitize import sanitize_traces
 
@@ -118,7 +120,7 @@ def _oracle(path, mode, quarantine_dir):
 
 def _kernel(path, jobs, mode, quarantine_dir):
     metrics = Metrics()
-    graph, report, tables = stream_graph_from_file(
+    graph, report, fold = stream_graph_from_file(
         path, jobs, mode=mode, quarantine_dir=quarantine_dir, obs=Observability(metrics=metrics)
     )
     gauges = metrics.gauges
@@ -127,8 +129,8 @@ def _kernel(path, jobs, mode, quarantine_dir):
         gauges["sanitize.discarded"],
         gauges["sanitize.buggy_hops_removed"],
     )
-    # tables.seen is the set a graph load hands to scoring
-    return graph, report, tallies, gauges["graph.addresses"], tables.seen
+    # fold.seen is the set a graph load hands to scoring
+    return graph, report, tallies, gauges["graph.addresses"], fold.seen
 
 
 def _assert_same(oracle, kernel, oracle_dir, kernel_dir):
@@ -254,14 +256,12 @@ def _object_bundle(traces):
     """The object pipeline's folded graph, packed as a cache payload is."""
     sanitized = sanitize_traces(traces)
     graph = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
-    counts = (len(sanitized.traces), sanitized.discarded, sanitized.buggy_hops_removed)
-    return bundle_tables(
-        graph.forward,
-        graph.backward,
-        sanitized.retained_addresses,
-        sanitized.all_addresses,
-        counts,
-    )
+    fold = GraphFold()
+    fold.forward, fold.backward = graph.forward, graph.backward
+    fold.seen, fold.universe = sanitized.retained_addresses, sanitized.all_addresses
+    fold.retained, fold.discarded = len(sanitized.traces), sanitized.discarded
+    fold.buggy = sanitized.buggy_hops_removed
+    return fold.bundle()
 
 
 class TestColdCachePayload:
@@ -295,11 +295,11 @@ class TestColdCachePayload:
             lines = [_atlas_line(trace) for trace in traces]
             lines.insert(5, json.dumps({"af": 6, "prb_id": 1, "dst_addr": "::1", "result": []}))
         path.write_text("\n".join(lines) + "\n")
-        graph, report, tables = stream_graph_from_file(path, jobs)
+        graph, report, fold = stream_graph_from_file(path, jobs)
         objects, want_report = ingest_trace_file(path)
         assert report == want_report
         assert (report.skipped > 0) == (suffix == ".atlas")  # IPv6, no results
-        assert bundle_tables(*tables).to_bytes() == _object_bundle(objects).to_bytes()
+        assert fold.bundle().to_bytes() == _object_bundle(objects).to_bytes()
         sanitized = sanitize_traces(objects)
         want = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
         assert (graph.forward, graph.backward) == (want.forward, want.backward)
@@ -324,6 +324,49 @@ class TestColdCachePayload:
         assert warm.read_bytes() == cold.read_bytes()
         expected = load_bundle(dataset).run_mapit().to_json(indent=2) + "\n"
         assert cold.read_text() == expected
+
+
+#: a .mapitc entry's header size; its payload is the packed fold
+ENTRY_HEADER_BYTES = 92
+
+
+def test_one_fold_state_every_source_both_on_disk_uses(tmp_bundle, tmp_path, capsys):
+    """One dataset's fold packs to the same bytes from every source —
+    a serve session following the traces file (its checkpoint blob), a
+    cold ``mapit run --cache`` at one and two shards (its entry's
+    payload), a column-block fold and the serve index's trace fold."""
+    dataset = tmp_bundle(seed=3)
+    traces_path = dataset / "traces.txt"
+    packed = {}
+    for jobs in (1, 2):
+        cache = tmp_path / f"cache{jobs}"
+        run = ["run", str(dataset), "--json", "--output", str(tmp_path / "out.json")]
+        assert main(run + ["--cache", str(cache), "--jobs", str(jobs)]) == 0
+        (entry,) = cache.glob("*.mapitc")
+        packed[f"run --jobs {jobs}"] = entry.read_bytes()[ENTRY_HEADER_BYTES:]
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for path in dataset.iterdir():
+        if path.is_file() and path.name not in ("traces.txt", "manifest.json"):
+            (maps / path.name).write_bytes(path.read_bytes())
+    shutil.copytree(dataset / "bgp", maps / "bgp")
+    journal = tmp_path / "journal"
+    serve = ["serve", str(maps), "--once", "--json", "--journal", str(journal)]
+    assert main(serve + ["--follow", str(traces_path), "--output", str(tmp_path / "s")]) == 0
+    packed["serve checkpoint"] = sorted(journal.glob("*.blob"))[-1].read_bytes()
+    traces = ingest_trace_file(traces_path)[0]
+    fold = GraphFold()
+    fold.fold_block(pack_traces(traces))
+    packed["fold_block"] = fold.bundle().to_bytes()
+    bundle = load_bundle(dataset, skip_traces=True)
+    index = IncrementalIndex(bundle.ip2as)
+    index.fold(traces)
+    packed["IncrementalIndex.fold"] = index.export_state().to_bytes()
+    want = packed["fold_block"]
+    assert len(want) > ENTRY_HEADER_BYTES
+    assert {source: blob == want for source, blob in packed.items()} == dict.fromkeys(
+        packed, True
+    )
 
 
 class TestNoObjectParse:

@@ -213,6 +213,9 @@ class TestCacheEquivalence:
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["perf.cache.invalid"] == 1
         assert "perf.cache.hits" not in counters
+        # rewriting the entry this run found invalid is no race
+        assert counters["perf.cache.stores"] == 1
+        assert "perf.cache.contended" not in counters
         assert (tmp_path / "re.json").read_bytes() == (
             tmp_path / "cold.json"
         ).read_bytes()
@@ -320,21 +323,18 @@ def _load(cache, source_sha256, format):
 def _clean_entry():
     """The folded graph of GOOD as the object pipeline builds it, and
     the clean report a store needs."""
-    from repro.perf.flat import bundle_tables
+    from repro.perf.flat import GraphFold
     from repro.robust.errors import IngestReport
     from repro.traceroute.parse import parse_text_traces
 
     traces = list(parse_text_traces(GOOD))
     graph, sanitized = graph_from_traces(traces)
-    counts = (len(sanitized.traces), sanitized.discarded, sanitized.buggy_hops_removed)
-    bundle = bundle_tables(
-        graph.forward,
-        graph.backward,
-        sanitized.retained_addresses,
-        sanitized.all_addresses,
-        counts,
-    )
-    return bundle, IngestReport(source="traces.txt", parsed=len(traces))
+    fold = GraphFold()
+    fold.forward, fold.backward = graph.forward, graph.backward
+    fold.seen, fold.universe = sanitized.retained_addresses, sanitized.all_addresses
+    fold.retained, fold.discarded = len(sanitized.traces), sanitized.discarded
+    fold.buggy = sanitized.buggy_hops_removed
+    return fold.bundle(), IngestReport(source="traces.txt", parsed=len(traces))
 
 
 def _write_v2_entry(cache, source_sha, format, traces):
@@ -459,6 +459,7 @@ class TestBundleCacheUnit:
         hit = cache.load_entry("a" * 64, "text")
         assert hit is not None and hit.entry_version == 3 and hit.bundle == bundle
         assert metrics.counters["perf.cache.invalid"] == 1
+        assert "perf.cache.contended" not in metrics.counters
 
     def test_v1_entry_tamper_still_detected(self, tmp_path, refuse_unpickling):
         """A v1 entry doctored to look like a binary entry — its leading

@@ -16,19 +16,17 @@ from array import array
 import pytest
 
 from repro.graph.neighbors import accumulate_neighbors
+from repro.obs.observer import NULL_OBS
 from repro.perf.flat import (
     U32,
     FlatEncodeError,
     FlatGraphBundle,
     FlatTraces,
-    accumulate_flat,
+    GraphFold,
     encode_addresses,
     encode_table,
-    fold_hops,
     merge_address_blob,
-    merge_graph_bundles,
     merge_table_blob,
-    bundle_tables,
     pack_traces,
 )
 from repro.traceroute.model import Hop, Trace
@@ -66,6 +64,13 @@ def _sample_traces():
         Trace("m", 1, (), 0),
         Trace("mon-a", 0x0A000001, (Hop(0, 1, 0.0625),), 2**40),
     ]
+
+
+def _fold(is_special):
+    """An empty :class:`GraphFold` whose RFC 6890 test is *is_special*."""
+    fold = GraphFold()
+    fold.is_special = is_special
+    return fold
 
 
 def _random_traces(rng, n_traces=40, address_pool=24):
@@ -143,7 +148,7 @@ class TestBlockCodec:
 
 
 class TestFlatKernelOracle:
-    """accumulate_flat == sanitize_traces + accumulate_neighbors."""
+    """GraphFold == sanitize_traces + accumulate_neighbors."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_object_oracle(self, seed):
@@ -165,60 +170,49 @@ class TestFlatKernelOracle:
             report.traces, oracle_forward, oracle_backward, oracle_seen, is_special
         )
 
-        flat = pack_traces(traces)
-        forward, backward = {}, {}
-        seen, universe = set(), set()
-        counts = accumulate_flat(
-            flat, 0, len(flat), forward, backward, seen, universe, is_special
-        )
+        fold = _fold(is_special)
+        fold.fold_block(pack_traces(traces))
 
-        assert counts == (
+        assert (fold.retained, fold.discarded, fold.buggy) == (
             len(report.traces),
             report.discarded,
             report.buggy_hops_removed,
         )
-        assert forward == oracle_forward
-        assert backward == oracle_backward
-        assert seen == oracle_seen == report.retained_addresses
-        assert universe == report.all_addresses
+        assert fold.forward == oracle_forward
+        assert fold.backward == oracle_backward
+        assert fold.seen == oracle_seen == report.retained_addresses
+        assert fold.universe == report.all_addresses
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sharded_bundles_merge_to_serial(self, seed):
-        """Per-shard bundles merged == one whole-range accumulation."""
+        """Per-shard bundles merged == one whole fold."""
         rng = random.Random(7_654_321 + seed)
         traces = _random_traces(rng, n_traces=60)
         is_special = (lambda a: a % 7 == 0)
-        flat = pack_traces(traces)
 
-        whole_forward, whole_backward = {}, {}
-        whole_seen, whole_universe = set(), set()
-        whole_counts = accumulate_flat(
-            flat, 0, len(flat), whole_forward, whole_backward,
-            whole_seen, whole_universe, is_special,
-        )
+        whole = _fold(is_special)
+        whole.fold_block(pack_traces(traces))
 
         bundles = []
-        for start in range(0, len(flat), 13):
-            forward, backward = {}, {}
-            seen, universe = set(), set()
-            counts = accumulate_flat(
-                flat, start, min(start + 13, len(flat)),
-                forward, backward, seen, universe, is_special,
-            )
-            bundles.append(bundle_tables(forward, backward, seen, universe, counts))
+        for start in range(0, len(traces), 13):
+            shard = _fold(is_special)
+            shard.fold_block(pack_traces(traces[start:start + 13]))
+            bundles.append(shard.bundle())
 
-        forward, backward, seen, universe, counts = merge_graph_bundles(bundles)
-        assert counts == whole_counts
-        assert forward == whole_forward
-        assert backward == whole_backward
-        assert seen == whole_seen
-        assert universe == whole_universe
-        assert list(forward) == sorted(forward)
-        assert list(backward) == sorted(backward)
+        merged = GraphFold.merged(bundles)
+        counts = (merged.retained, merged.discarded, merged.buggy)
+        assert counts == (whole.retained, whole.discarded, whole.buggy)
+        assert merged.forward == whole.forward
+        assert merged.backward == whole.backward
+        assert merged.seen == whole.seen
+        assert merged.universe == whole.universe
+        graph = merged.finish(NULL_OBS, len(bundles), 0)
+        assert list(graph.forward) == sorted(whole.forward)
+        assert list(graph.backward) == sorted(whole.backward)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dirty_reports_exactly_the_grown_halves(self, seed):
-        """``fold_hops``'s ``dirty`` out-param names precisely the
+        """``GraphFold.fold``'s ``dirty`` out-param names precisely the
         (address, forward) halves whose neighbor set gained a member —
         the serve layer's dirty-region invalidation depends on this
         being exact."""
@@ -227,23 +221,22 @@ class TestFlatKernelOracle:
         is_special = (lambda a: a % 7 == 0)
         records = [trace_record(trace) for trace in traces]
 
-        forward, backward = {}, {}
-        seen, universe = set(), set()
+        fold = _fold(is_special)
         split = len(records) // 2
         for record in records[:split]:
-            fold_hops(record[3], forward, backward, seen, universe, is_special)
-        before_forward = {a: set(m) for a, m in forward.items()}
-        before_backward = {a: set(m) for a, m in backward.items()}
+            fold.fold(record[3])
+        before_forward = {a: set(m) for a, m in fold.forward.items()}
+        before_backward = {a: set(m) for a, m in fold.backward.items()}
 
         dirty = set()
         for record in records[split:]:
-            fold_hops(record[3], forward, backward, seen, universe, is_special, dirty)
+            fold.fold(record[3], dirty)
 
         expected = set()
-        for address, members in forward.items():
+        for address, members in fold.forward.items():
             if members != before_forward.get(address, set()):
                 expected.add((address, True))
-        for address, members in backward.items():
+        for address, members in fold.backward.items():
             if members != before_backward.get(address, set()):
                 expected.add((address, False))
         assert dirty == expected
@@ -251,15 +244,12 @@ class TestFlatKernelOracle:
     def test_dirty_empty_on_refold(self):
         """Re-folding the same records grows nothing: dirty stays empty."""
         records = [trace_record(trace) for trace in _sample_traces()]
-        forward, backward = {}, {}
-        seen, universe = set(), set()
+        fold = _fold(lambda a: False)
         for record in records:
-            fold_hops(record[3], forward, backward, seen, universe, lambda a: False)
+            fold.fold(record[3])
         dirty = set()
         for record in records:
-            fold_hops(
-                record[3], forward, backward, seen, universe, lambda a: False, dirty
-            )
+            fold.fold(record[3], dirty)
         assert dirty == set()
 
 
@@ -294,13 +284,9 @@ class TestBundleCodec:
 
 def _graph_bundle():
     rng = random.Random(8_675_309)
-    traces = _random_traces(rng, n_traces=50)
-    forward, backward, seen, universe = {}, {}, set(), set()
-    flat = pack_traces(traces)
-    counts = accumulate_flat(
-        flat, 0, len(flat), forward, backward, seen, universe, lambda a: a % 7 == 0
-    )
-    return bundle_tables(forward, backward, seen, universe, counts)
+    fold = _fold(lambda a: a % 7 == 0)
+    fold.fold_block(pack_traces(_random_traces(rng, n_traces=50)))
+    return fold.bundle()
 
 
 #: FlatGraphBundle.to_bytes header: magic, byte-order tag, three pad
@@ -313,7 +299,7 @@ class TestGraphBundleCodec:
         bundle = _graph_bundle()
         assert bundle.retained > 0 and bundle.discarded > 0
         assert FlatGraphBundle.from_bytes(bundle.to_bytes()) == bundle
-        empty = bundle_tables({}, {}, set(), set(), (0, 0, 0))
+        empty = GraphFold().bundle()
         assert FlatGraphBundle.from_bytes(empty.to_bytes()) == empty
 
     def test_malformed_blobs_raise(self):

@@ -33,6 +33,7 @@ from repro.obs.metrics import Metrics
 from repro.obs.observer import NULL_OBS, Observability
 from repro.obs.trace import iter_events, read_trace
 from repro.perf.flat import U32, FlatEncodeError, FlatGraphBundle, pack_traces
+from repro.robust.health import BundleHealth
 from repro.robust.journal import RunJournal
 from repro.serve.checkpoint import CHECKPOINT_UNIT
 from repro.serve.daemon import ServeDaemon
@@ -444,7 +445,7 @@ def test_warm_started_loop_publishes_before_stop(tmp_bundle, tmp_path, capsys):
     batch.run()
     metrics = Metrics()
     daemon = _dataset_daemon(dataset, obs=Observability(metrics=metrics))
-    assert _serve_warm_start(daemon, dataset / "traces.txt", "text", cache) > 0
+    assert _serve_warm_start(daemon, dataset / "traces.txt", cache, BundleHealth()) > 0
     assert metrics.counter("perf.cache.hits") == 1
     stop, tick = threading.Event(), threading.Event()
     pump = threading.Thread(target=daemon.run_loop, args=(stop, 0.01), daemon=True)
@@ -482,7 +483,8 @@ def test_warm_start_after_a_fold_replays_the_text(tmp_bundle, tmp_path, capsys):
     daemon = _dataset_daemon(dataset, obs=Observability(metrics=metrics))
     for line in lines[half:]:
         daemon.ingest_entry(line, "stream")
-    assert _serve_warm_start(daemon, dataset / "traces.txt", "text", cache) == half
+    traces = dataset / "traces.txt"
+    assert _serve_warm_start(daemon, traces, cache, BundleHealth()) == half
     assert metrics.counter("perf.cache.hits") == 0
     assert daemon.finalize().result.to_json(indent=2) + "\n" == batch_out.read_text()
 

@@ -134,7 +134,8 @@ def test_incremental_other_sides_equal_batch(tiny_world, batches, start):
 
     def quiesce_and_check():
         snapshot = daemon.quiesce()
-        observed = [address for address in index.universe if not special(address)]
+        universe = index.fold_state.universe
+        observed = [address for address in universe if not special(address)]
         assert index.graph.other_sides == infer_other_sides(observed)
         held.append((snapshot.other_sides, copy.deepcopy(snapshot.other_sides)))
         for table, frozen in held:
