@@ -1,10 +1,12 @@
 """``python -m repro.diff`` — the differential sweep driver.
 
 Sweeps seeded simulator worlds through oracle vs. production engine
-(both §4.5 remove-rule readings by default), layers the metamorphic
-invariant checks on the same worlds, replays checked-in regression
-bundles, and — with ``--shrink`` — minimizes any diverging world and
-writes it under ``tests/fixtures/regressions/``.
+(both §4.5 remove-rule readings by default), with ``--check-every N``
+also replays each world through serve against batch at every N-th
+prefix, layers the metamorphic invariant checks on the same worlds,
+replays checked-in regression bundles, and — with ``--shrink`` —
+minimizes any diverging world and writes it under
+``tests/fixtures/regressions/``.
 
 Exit status is 0 only when every comparison and every invariant held,
 so CI can run it directly (the ``diff`` job in ci.yml does).
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.config import REMOVE_ADD_RULE, REMOVE_MAJORITY
 from repro.diff.harness import DEFAULT_RULES, compare_world
@@ -53,6 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="remove-rule reading(s) to compare under (default both)",
     )
     parser.add_argument(
+        "--check-every",
+        type=int,
+        default=0,
+        metavar="N",
+        help="also fold each world into serve trace by trace and compare "
+        "every N-th prefix (and the last) with batch (default 0: no serve "
+        "replay)",
+    )
+    parser.add_argument(
         "--no-metamorphic",
         action="store_true",
         help="skip the metamorphic invariant checks",
@@ -63,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="BUNDLE",
         help="also compare a saved world bundle (repeatable); "
-        "regression bundles replay under their recorded remove rule",
+        "regression bundles replay under their recorded remove rule "
+        "and serve cadence",
     )
     parser.add_argument(
         "--shrink",
@@ -107,8 +119,27 @@ def _build_obs(args) -> Observability:
     return Observability(tracer=tracer, metrics=metrics)
 
 
+def _recorded(bundle: str) -> Tuple[Optional[str], Optional[int]]:
+    """The remove rule and serve cadence a regression bundle's manifest
+    records (None for each it does not)."""
+    try:
+        manifest = json.loads((Path(bundle) / "manifest.json").read_text())
+        recorded = manifest.get("diff", {})
+        rule, check_every = recorded.get("remove_rule"), recorded.get("check_every")
+    except (OSError, ValueError, AttributeError):
+        return None, None  # no manifest: replay under the sweep's settings
+    if rule not in (REMOVE_MAJORITY, REMOVE_ADD_RULE):
+        rule = None
+    if not isinstance(check_every, int) or check_every < 0:
+        check_every = None
+    return rule, check_every
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.check_every < 0:
+        parser.error(f"--check-every must be >= 0, got {args.check_every}")
     obs = _build_obs(args)
     rules = _rules_for(args.rules)
     summary = {
@@ -121,18 +152,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     failed = False
 
-    def handle_divergence(world, rule, outcome) -> None:
+    def compare(world, rule: str, check_every: int) -> None:
         nonlocal failed
+        outcome = compare_world(world, rule, obs=obs, check_every=check_every)
+        summary["comparisons"] += 1
+        summary["divergences"] += outcome.divergence_count
+        if check_every:
+            summary["prefixes"] = summary.get("prefixes", 0) + outcome.prefixes
+        if outcome.ok:
+            return
         failed = True
-        print(outcome.report or f"world {world.name}: diverged", file=sys.stderr)
+        print(outcome.report, file=sys.stderr)
         if args.shrink:
-            predicate = divergence_predicate(rule)
+            predicate = divergence_predicate(rule, check_every)
             shrunk, report = shrink_world(world, predicate, obs=obs)
             path = write_regression(
                 shrunk,
                 rule,
                 args.regressions_dir,
                 extra_manifest={"shrink": report.stages},
+                check_every=check_every,
             )
             summary["shrunk"].append(str(path))
             print(
@@ -145,11 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         world = world_from_preset(args.preset, args.seed + index)
         summary["worlds"] += 1
         for rule in rules:
-            outcome = compare_world(world, rule, obs=obs)
-            summary["comparisons"] += 1
-            summary["divergences"] += len(outcome.divergences)
-            if not outcome.ok:
-                handle_divergence(world, rule, outcome)
+            compare(world, rule, args.check_every)
         if not args.no_metamorphic:
             meta = check_world(world, rules[0], seed=args.seed + index, obs=obs)
             summary["metamorphic_failures"] += len(meta.failures)
@@ -161,21 +196,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for bundle in args.replay:
         world = world_from_bundle(bundle)
         summary["replayed"] += 1
-        replay_rules = rules
-        recorded = None
-        try:
-            manifest = json.loads((Path(bundle) / "manifest.json").read_text())
-            recorded = manifest.get("diff", {}).get("remove_rule")
-        except (OSError, ValueError, AttributeError):
-            recorded = None  # no manifest: replay under the sweep rules
-        if recorded in (REMOVE_MAJORITY, REMOVE_ADD_RULE):
-            replay_rules = [recorded]
-        for rule in replay_rules:
-            outcome = compare_world(world, rule, obs=obs)
-            summary["comparisons"] += 1
-            summary["divergences"] += len(outcome.divergences)
-            if not outcome.ok:
-                handle_divergence(world, rule, outcome)
+        rule, check_every = _recorded(bundle)
+        if check_every is None:
+            check_every = args.check_every
+        for replay_rule in [rule] if rule else rules:
+            compare(world, replay_rule, check_every)
 
     if obs.enabled:
         obs.event(
@@ -192,9 +217,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
+        prefixes = (
+            f", {summary['prefixes']} serve prefix(es)" if "prefixes" in summary else ""
+        )
         print(
             f"{summary['worlds']} world(s) + {summary['replayed']} replay(s), "
-            f"{summary['comparisons']} comparison(s): "
+            f"{summary['comparisons']} comparison(s){prefixes}: "
             f"{summary['divergences']} divergence(s), "
             f"{summary['metamorphic_failures']} metamorphic failure(s)"
         )

@@ -10,6 +10,13 @@ is rendered as a readable report: the half, which side said what, both
 sides' final neighbor-set tallies, and the oracle's journal of every
 rule that touched the half (iteration, pass, rule).
 
+With a cadence (``check_every > 0``) the harness also holds serve to
+batch: it folds the world into an
+:class:`~repro.serve.incremental.IncrementalIndex` one trace at a time,
+quiescing after every fold, and compares every ``check_every``-th
+prefix (and always the last) with :func:`reference_state` — the same
+§4.6 fingerprint and the same result JSON, byte for byte.
+
 Emits ``diff.*`` metrics (docs/OBSERVABILITY.md) when given an
 :class:`~repro.obs.observer.Observability`.
 """
@@ -93,11 +100,20 @@ class WorldOutcome:
     divergences: List[Divergence] = field(default_factory=list)
     core_inferences: int = 0
     oracle_inferences: int = 0
+    #: serve prefixes compared against batch (0 without a cadence)
+    prefixes: int = 0
+    #: the first prefix whose quiesced serve state differed from batch
+    serve_prefix: Optional[int] = None
     report: str = ""
 
     @property
+    def divergence_count(self) -> int:
+        """Halves diverging from the oracle, plus one when serve diverged."""
+        return len(self.divergences) + (self.serve_prefix is not None)
+
+    @property
     def ok(self) -> bool:
-        return not self.divergences
+        return not self.divergence_count
 
 
 def core_records(
@@ -184,7 +200,7 @@ def first_divergence_report(
     journal of the half (iteration, pass, rule)."""
     half = divergence.half
     lines = [
-        f"world {world.name} (remove_rule={rule}): first divergence",
+        f"world {world.name} (remove_rule={rule}): first divergence, core vs oracle",
         f"  {divergence.summary()}",
     ]
     engine = mapit.engine
@@ -217,13 +233,67 @@ def first_divergence_report(
     return "\n".join(lines)
 
 
+def reference_state(
+    world: World, prefix: int, config: MapItConfig
+) -> Tuple[str, str]:
+    """(§4.6 fingerprint, result JSON) of a batch run over the first
+    *prefix* traces of *world* — what a quiesced serve state must equal."""
+    graph, _ = graph_from_traces(world.traces[:prefix])
+    mapit = MapIt(graph, world.ip2as(), world.as2org, world.relationships, config)
+    result = mapit.run()
+    return mapit.engine.state.fingerprint(), result.to_json(indent=2)
+
+
+def _replay_serve(
+    world: World, config: MapItConfig, check_every: int
+) -> Tuple[int, Optional[int], str]:
+    """Fold *world* trace by trace, quiescing after every fold, and
+    compare every *check_every*-th prefix and the last with
+    :func:`reference_state`.
+
+    Returns ``(prefixes compared, first diverging prefix or None,
+    its report)``; a cadence of 0 replays nothing.
+    """
+    if check_every <= 0:
+        return 0, None, ""
+    # Imported here so that loading repro.diff loads no serve code; the
+    # dependency runs one way only (the daemon never loads repro.diff).
+    from repro.serve.incremental import IncrementalIndex
+
+    index = IncrementalIndex(
+        world.ip2as(), org=world.as2org, rel=world.relationships, config=config
+    )
+    total = len(world.traces)
+    compared = 0
+    for prefix, trace in enumerate(world.traces, start=1):
+        index.fold([trace])
+        result = index.quiesce()
+        if prefix % check_every and prefix != total:
+            continue
+        compared += 1
+        batch_fp, batch_json = reference_state(world, prefix, config)
+        serve_fp, serve_json = index.fingerprint(), result.to_json(indent=2)
+        if serve_fp != batch_fp or serve_json != batch_json:
+            report = (
+                f"world {world.name} (remove_rule={config.remove_rule}): "
+                f"first divergence, serve vs batch at prefix {prefix}\n"
+                f"  batch {batch_fp[:12]} vs serve {serve_fp[:12]}, "
+                f"json_equal={serve_json == batch_json}"
+            )
+            return compared, prefix, report
+    return compared, None, ""
+
+
 def compare_world(
     world: World,
     remove_rule: str = REMOVE_MAJORITY,
     config: Optional[MapItConfig] = None,
     obs: Observability = NULL_OBS,
+    check_every: int = 0,
 ) -> WorldOutcome:
-    """Run oracle and core on *world* and diff the final inferences."""
+    """Run oracle and core on *world* and diff the final inferences;
+    with *check_every* > 0, also replay serve against batch at that
+    prefix cadence (:func:`_replay_serve`)."""
     if config is None:
         config = MapItConfig(remove_rule=remove_rule)
     with obs.span("diff/world"):
@@ -232,33 +302,43 @@ def compare_world(
         oracle_map, oracle_result = oracle_records(
             graph, world, oracle_config_for(config)
         )
+        prefixes, serve_prefix, serve_report = _replay_serve(world, config, check_every)
     outcome = WorldOutcome(
         world=world.name,
         remove_rule=remove_rule,
         core_inferences=len(core_map),
         oracle_inferences=len(oracle_map),
+        prefixes=prefixes,
+        serve_prefix=serve_prefix,
     )
     for half in sorted(set(core_map) | set(oracle_map)):
         core = core_map.get(half)
         oracle = oracle_map.get(half)
         if core != oracle:
             outcome.divergences.append(Divergence(half, core, oracle))
+    reports = []
     if outcome.divergences:
-        outcome.report = first_divergence_report(
+        reports.append(first_divergence_report(
             world, remove_rule, outcome.divergences[0], mapit, oracle_result
-        )
+        ))
+    if serve_report:
+        reports.append(serve_report)
+    outcome.report = "\n".join(reports)
     if obs.enabled:
         obs.inc("diff.worlds")
-        obs.inc("diff.divergences", len(outcome.divergences))
+        obs.inc("diff.divergences", outcome.divergence_count)
+        if check_every > 0:
+            obs.inc("diff.prefixes", outcome.prefixes)
     return outcome
 
 
 def world_diverges(
-    world: World, remove_rule: str = REMOVE_MAJORITY
+    world: World, remove_rule: str = REMOVE_MAJORITY, check_every: int = 0
 ) -> bool:
-    """The shrinker's predicate: does *world* still diverge?"""
+    """The shrinker's predicate: does *world* still diverge (from the
+    oracle, or, with a cadence, serve from batch)?"""
     try:
-        return not compare_world(world, remove_rule).ok
+        return not compare_world(world, remove_rule, check_every=check_every).ok
     except Exception as exc:
         # A world mutilated into an outright crash is not a
         # reproduction of the original divergence; the shrinker must

@@ -58,11 +58,12 @@ class ShrinkReport:
     stages: List[str] = field(default_factory=list)
 
 
-def divergence_predicate(remove_rule: str) -> Predicate:
-    """The standard predicate: the world still diverges under *rule*."""
+def divergence_predicate(remove_rule: str, check_every: int = 0) -> Predicate:
+    """The standard predicate: the world still diverges under *rule*
+    (from the oracle, or serve from batch at the *check_every* cadence)."""
 
     def predicate(world: World) -> bool:
-        return world_diverges(world, remove_rule)
+        return world_diverges(world, remove_rule, check_every)
 
     return predicate
 
@@ -247,14 +248,17 @@ def write_regression(
     remove_rule: str,
     directory: Union[str, Path],
     extra_manifest: Optional[Dict] = None,
+    check_every: int = 0,
 ) -> Path:
     """Persist a minimal diverging world under *directory* (typically
-    ``tests/fixtures/regressions/``) for permanent replay."""
+    ``tests/fixtures/regressions/``) for permanent replay under the
+    remove rule and serve cadence it diverged at."""
     root = Path(directory) / regression_name(world, remove_rule)
     world.save(root)
     manifest_path = root / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["diff"]["remove_rule"] = remove_rule
+    manifest["diff"]["check_every"] = check_every
     if extra_manifest:
         manifest["diff"].update(extra_manifest)
     atomic_write_json(manifest_path, manifest)

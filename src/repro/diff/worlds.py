@@ -300,10 +300,3 @@ def renumber_ases(world: World, rng: random.Random) -> Tuple[World, Dict[int, in
         address_as={address: m(asn) for address, asn in world.address_as.items()},
     )
     return renumbered_world, mapping
-
-
-def world_sweep(preset: str, worlds: int, seed: int) -> List[World]:
-    """The deterministic world list of one sweep: seeds ``seed`` to
-    ``seed + worlds - 1`` of *preset*."""
-    return [world_from_preset(preset, seed + index) for index in range(worlds)]
-

@@ -464,3 +464,32 @@ def engine_fault(kind: str = "count_inflate", rate: float = 0.3, seed: int = 0):
         yield
     finally:
         Engine.plurality = original
+
+
+@contextmanager
+def dirty_tracking_fault(rate: float = 0.5, seed: int = 0) -> Iterator[None]:
+    """Temporarily drop a fraction of serve's dirty-half invalidations.
+
+    Simulates the canonical incremental-engine bug — a stale cached
+    tally (and a missed newly eligible candidate) surviving a
+    neighbor-set change — so tests can prove the serve replay of
+    :func:`repro.diff.harness.compare_world` catches it.  Only
+    :meth:`repro.core.engine.Engine.invalidate_halves` misbehaves, which
+    batch runs never call, so the batch reference stays correct.
+    Selection is per-half deterministic (the same ``(seed, half)``
+    always drops), so shrinking under the fault converges.  The
+    original method is restored on exit, even on error.
+    """
+    from repro.core.engine import Engine
+
+    original = Engine.invalidate_halves
+
+    def leaky(self, halves):
+        kept = [half for half in halves if not _half_selected(half, rate, seed)]
+        return original(self, kept)
+
+    Engine.invalidate_halves = leaky
+    try:
+        yield
+    finally:
+        Engine.invalidate_halves = original

@@ -16,10 +16,12 @@ service (docs/SERVE.md):
   line ingestion;
 * :mod:`~repro.serve.api` — the snapshot-isolated query API (health,
   links by address/AS, explain, metrics) and its stdlib HTTP transport;
-* :mod:`~repro.serve.verify` — the differential layer proving
-  serve ≡ batch over golden bundles and seeded world sweeps;
 * :mod:`~repro.serve.smoke` — the end-to-end kill/resume smoke the CI
   serve job runs.
+
+Serve ≡ batch at every prefix of seeded worlds is checked by the
+differential harness, ``python -m repro.diff --check-every N``
+(:func:`repro.diff.harness.compare_world`).
 """
 
 from repro.serve.daemon import ServeDaemon, ServeSnapshot

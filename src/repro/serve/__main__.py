@@ -1,15 +1,11 @@
-"""CI entry points: ``python -m repro.serve --sweep`` / ``--smoke``.
+"""CI entry point: ``python -m repro.serve --smoke``.
 
-Two legs, both exiting non-zero on any violation:
-
-* ``--sweep`` — the property leg: seeded worlds replayed trace by
-  trace through the incremental engine, every prefix (at the chosen
-  cadence) compared byte-for-byte against a fresh batch run
-  (:mod:`repro.serve.verify`);
-* ``--smoke`` — the integration leg: a real daemon subprocess with
-  HTTP queries, a SIGKILL mid-stream, and a checkpoint resume that
-  must land byte-identical to the batch golden
-  (:mod:`repro.serve.smoke`).
+The integration leg, exiting non-zero on any violation: a real daemon
+subprocess with HTTP queries, a SIGKILL mid-stream, and a checkpoint
+resume that must land byte-identical to the batch golden
+(:mod:`repro.serve.smoke`).  The property leg — serve replayed against
+batch at every prefix of seeded worlds — is ``python -m repro.diff
+--check-every N`` (docs/DIFFERENTIAL_TESTING.md).
 """
 
 from __future__ import annotations
@@ -23,37 +19,15 @@ from typing import List, Optional
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="serve equivalence checks (property sweep / daemon smoke)",
+        description="serve daemon smoke (stream, query, kill, resume, diff)",
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--sweep", action="store_true", help="run the world-sweep property leg"
-    )
-    mode.add_argument(
-        "--smoke", action="store_true", help="run the kill/resume daemon smoke"
-    )
-    parser.add_argument("--preset", default="tiny")
-    parser.add_argument("--worlds", type=int, default=25)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--check-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="compare against batch every N prefixes (default 1 = all)",
+        "--smoke", action="store_true", required=True,
+        help="run the kill/resume daemon smoke",
     )
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workdir", default=None)
     args = parser.parse_args(argv)
-
-    if args.sweep:
-        from repro.serve.verify import check_sweep
-
-        outcome = check_sweep(
-            args.preset, args.worlds, args.seed, check_every=args.check_every
-        )
-        for line in outcome.lines():
-            print(line)
-        return 0 if outcome.ok else 1
 
     from repro.serve.smoke import SmokeError, run_smoke
 

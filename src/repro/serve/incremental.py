@@ -12,8 +12,9 @@ dirty halves — producing a result byte-identical to a batch run over
 every trace folded so far (docs/SERVE.md proves why).
 
 Folding is order-independent (set unions), so permuted arrival orders
-quiesce to identical states; the differential layer in
-:mod:`repro.serve.verify` holds this to byte-identity.
+quiesce to identical states; the differential harness's serve replay
+(:func:`repro.diff.harness.compare_world` with a cadence) holds every
+prefix to byte-identity with batch.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class IncrementalIndex:
         """Sanitize and fold *traces* into the neighbor tables.
 
         Returns the number of traces retained (§4.1 may discard).  The
-        trace-list entry point (the differential layer, tests); the
+        trace-list entry point (the differential harness, tests); the
         daemon folds parsed records with :meth:`fold_record`.
         """
         return sum(self.fold_record(trace_record(trace)) for trace in traces)

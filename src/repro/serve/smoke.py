@@ -30,7 +30,7 @@ import sys
 import time
 import urllib.request
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.diff.worlds import world_from_preset
 
@@ -212,22 +212,3 @@ def run_smoke(
             process.kill()
             process.wait(timeout=10)
     return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI shim
-    import argparse
-    import tempfile
-
-    parser = argparse.ArgumentParser(prog="repro.serve.smoke")
-    parser.add_argument("--workdir", default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    workdir = args.workdir or tempfile.mkdtemp(prefix="mapit-serve-smoke-")
-    try:
-        for line in run_smoke(workdir, seed=args.seed):
-            print(line)
-    except SmokeError as error:
-        print(f"SMOKE FAILED: {error}", file=sys.stderr)
-        return 1
-    print("serve smoke OK")
-    return 0

@@ -11,6 +11,7 @@ unfaulted engine.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,7 @@ from repro.io import load_bundle
 from repro.org.as2org import AS2Org
 from repro.oracle import oracle_run
 from repro.rel.relationships import RelationshipDataset
-from repro.robust.faults import engine_fault
+from repro.robust.faults import dirty_tracking_fault, engine_fault
 from repro.traceroute.parse import parse_text_traces
 from repro.traceroute.sanitize import sanitize_traces
 
@@ -259,6 +260,24 @@ class TestCLI:
         assert summary["comparisons"] == 4  # both rules by default
         assert summary["divergences"] == 0
         assert summary["metamorphic_failures"] == 0
+        assert "prefixes" not in summary  # no serve replay by default
+
+    def test_check_every_adds_prefixes_to_summary(self, capsys):
+        code = diff_main(
+            ["--preset", "tiny", "--worlds", "1", "--check-every", "1",
+             "--no-metamorphic", "--json"]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        # every prefix of the one world, under both rules
+        assert summary["prefixes"] == 2 * len(world_from_preset("tiny", 0).traces)
+        assert summary["divergences"] == 0
+
+    def test_negative_check_every_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            diff_main(["--worlds", "0", "--check-every", "-1"])
+        assert exit_info.value.code == 2
+        assert "--check-every" in capsys.readouterr().err
 
     def test_single_rule_flag(self, capsys):
         code = diff_main(["--worlds", "1", "--rules", "majority", "--json"])
@@ -295,3 +314,30 @@ class TestCLI:
         code = mapit_main(["diff", "--worlds", "1", "--no-metamorphic", "--json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["worlds"] == 1
+
+
+class TestServeReplay:
+    """A serve divergence goes through the same CLI as an oracle one:
+    ``--shrink`` writes a bundle that records its cadence, and
+    ``--replay`` replays serve at that cadence."""
+
+    #: drops 90% of dirty-half invalidations; tiny seed 0 diverges
+    FAULT = dict(rate=0.9, seed=2)
+
+    def test_replay_reproduces_a_shrunk_serve_divergence(self, tmp_path, capsys):
+        regressions = tmp_path / "regressions"
+        with dirty_tracking_fault(**self.FAULT):
+            code = diff_main(
+                ["--preset", "tiny", "--worlds", "1", "--seed", "0",
+                 "--check-every", "1000", "--shrink",
+                 "--regressions-dir", str(regressions), "--no-metamorphic"]
+            )
+        assert code == 1
+        bundles = sorted(regressions.iterdir())
+        assert bundles
+        capsys.readouterr()
+        replay = ["--worlds", "0", "--replay", str(bundles[0])]
+        with dirty_tracking_fault(**self.FAULT):
+            assert diff_main(replay) == 1
+        assert re.search(r"serve vs batch at prefix \d+", capsys.readouterr().err)
+        assert diff_main(replay) == 0

@@ -115,7 +115,7 @@ def test_fork002_allows_the_supervisor_itself(tmp_path):
 
 @pytest.mark.parametrize(
     "rule, expected_clean, expected_violations",
-    [("OBS001", 0, 3), ("CLI001", 0, 1)],
+    [("OBS001", 0, 3), ("CLI001", 0, 2)],
 )
 def test_doc_sync_rule_fixtures(rule, expected_clean, expected_violations):
     clean_root = FIXTURES / "docroot_clean"

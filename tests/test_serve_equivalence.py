@@ -25,8 +25,9 @@ import repro.robust.ingest as robust_ingest
 import repro.traceroute.parse as trace_parse
 from repro.cli import _serve_warm_start
 from repro.cli import main as cli_main
-from repro.core.config import MapItConfig
+from repro.core.config import REMOVE_ADD_RULE, MapItConfig
 from repro.core.mapit import MapIt
+from repro.diff.harness import compare_world, reference_state
 from repro.diff.worlds import World, world_from_preset
 from repro.io.bundle import load_bundle
 from repro.obs.metrics import Metrics
@@ -39,7 +40,6 @@ from repro.serve.checkpoint import CHECKPOINT_UNIT
 from repro.serve.daemon import ServeDaemon
 from repro.serve.incremental import IncrementalIndex
 from repro.serve.sources import SocketSource
-from repro.serve.verify import batch_state, check_world
 from repro.traceroute.parse import (
     parse_json_trace,
     traces_to_json_lines,
@@ -69,15 +69,22 @@ def _serve_state(index: IncrementalIndex):
 
 def test_trace_by_trace_byte_identity(world):
     """Every prefix of the stream quiesces to the batch state."""
-    divergence, checked = check_world(world, check_every=1)
-    assert divergence is None, divergence.summary()
-    assert checked == len(world.traces)
+    outcome = compare_world(world, check_every=1)
+    assert outcome.ok, outcome.report
+    assert outcome.prefixes == len(world.traces)
+
+
+def test_trace_by_trace_byte_identity_add_rule(world):
+    """The same, under Alg 3's literal remove rule (§4.5's other reading)."""
+    outcome = compare_world(world, REMOVE_ADD_RULE, check_every=1)
+    assert outcome.ok, outcome.report
+    assert outcome.prefixes == len(world.traces)
 
 
 def test_permuted_arrival_order(world):
     """Folding is order-independent: a shuffled stream quiesces to the
     same bytes as the canonical order (and as batch)."""
-    batch_fp, batch_json = batch_state(world, len(world.traces), MapItConfig())
+    batch_fp, batch_json = reference_state(world, len(world.traces), MapItConfig())
     shuffled = list(world.traces)
     random.Random(7).shuffle(shuffled)
     index = _fresh_index(world)
@@ -101,7 +108,7 @@ def test_chunked_folds_match_single_fold(world):
             end = min(start + chunk, len(subject.traces))
             chunked.fold(list(subject.traces[start:end]))
             # interleaved quiesces must not perturb state
-            assert _serve_state(chunked) == batch_state(subject, end, MapItConfig())
+            assert _serve_state(chunked) == reference_state(subject, end, MapItConfig())
         assert _serve_state(whole) == _serve_state(chunked)
 
 
@@ -134,7 +141,7 @@ def test_checkpoint_restart_midstream(world, tmp_path):
         offset += len(line) + 1
         second.ingest_entry(line, "stream", offset)
     snapshot = second.finalize()
-    batch_fp, batch_json = batch_state(world, len(world.traces), MapItConfig())
+    batch_fp, batch_json = reference_state(world, len(world.traces), MapItConfig())
     assert snapshot.fingerprint == batch_fp
     assert snapshot.result.to_json(indent=2) == batch_json
 
@@ -220,7 +227,7 @@ def test_corrupt_checkpoint_falls_back(world, tmp_path, kind):
     for line in lines[third:]:
         resumed.ingest_entry(line, "stream")
     snapshot = resumed.finalize()
-    assert (snapshot.fingerprint, snapshot.result.to_json(indent=2)) == batch_state(
+    assert (snapshot.fingerprint, snapshot.result.to_json(indent=2)) == reference_state(
         world, len(world.traces), MapItConfig()
     )
 
@@ -290,7 +297,7 @@ def test_socket_ingest_reaches_batch_state(world):
             stop.set()
             pump.join(timeout=5)
             source.close()
-    batch_fp, batch_json = batch_state(world, len(world.traces), MapItConfig())
+    batch_fp, batch_json = reference_state(world, len(world.traces), MapItConfig())
     assert daemon.snapshot.fingerprint == batch_fp
     assert daemon.snapshot.result.to_json(indent=2) == batch_json
 
@@ -426,7 +433,7 @@ def test_jsonl_ttl_outside_i64_folds_like_batch(world):
     snapshot = daemon.finalize()
     assert daemon.stats["folds"] == len(lines)
     parsed = dataclasses.replace(world, traces=[parse_json_trace(line) for line in lines])
-    batch_fp, batch_json = batch_state(parsed, len(lines), MapItConfig())
+    batch_fp, batch_json = reference_state(parsed, len(lines), MapItConfig())
     assert snapshot.fingerprint == batch_fp
     assert snapshot.result.to_json(indent=2) == batch_json
 

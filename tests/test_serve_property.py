@@ -3,64 +3,72 @@
 Two directions:
 
 * a healthy incremental engine never diverges from batch across a
-  seeded world sweep (the CI job runs the big version of this);
+  seeded world sweep (the CI serve job runs the big version of this,
+  ``python -m repro.diff --check-every 1``);
 * a *broken* one — :func:`dirty_tracking_fault` drops a fraction of
   dirty-half invalidations, the canonical incremental bug — is caught
-  by the differential layer, ddmin-shrunk, and written out as a
-  replayable regression bundle that still reproduces.
+  by the differential harness's serve replay, ddmin-shrunk, and
+  written out as a replayable regression bundle that still reproduces.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from pathlib import Path
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import Engine
+from repro.diff.harness import compare_world, world_diverges
+from repro.diff.shrink import divergence_predicate, shrink_world, write_regression
 from repro.diff.worlds import world_from_bundle, world_from_preset
 from repro.graph.othersides import infer_other_sides
 from repro.net.ipv4 import format_address, parse_address
 from repro.net.special import default_special_registry
+from repro.robust.faults import dirty_tracking_fault
 from repro.serve.daemon import ServeDaemon
 from repro.serve.incremental import IncrementalIndex
-from repro.serve.verify import (
-    check_sweep,
-    check_world,
-    dirty_tracking_fault,
-    serve_world_diverges,
-    shrink_serve_divergence,
-)
 from repro.traceroute.parse import parse_text_trace
 
 
 def test_sweep_of_seeded_worlds_never_diverges():
-    outcome = check_sweep("tiny", 3, seed=11, check_every=16)
-    assert outcome.ok, "\n".join(outcome.lines())
-    assert outcome.prefixes_checked > 0
+    for seed in (11, 12, 13):
+        outcome = compare_world(world_from_preset("tiny", seed), check_every=16)
+        assert outcome.ok, outcome.report
+        assert outcome.prefixes > 0
 
 
 def test_sweep_reports_world_and_prefix_on_divergence():
     """Under an injected dirty-tracking bug the sweep names the
     diverging world and the first bad prefix."""
     with dirty_tracking_fault(rate=0.9, seed=2):
-        outcome = check_sweep("tiny", 2, seed=0, check_every=8)
-    assert not outcome.ok
-    divergence = outcome.divergences[0]
-    assert divergence.prefix >= 1
-    assert divergence.batch_fingerprint != divergence.serve_fingerprint
-    assert "divergence at prefix" in divergence.summary()
+        outcomes = [
+            compare_world(world_from_preset("tiny", seed), check_every=8)
+            for seed in (0, 1)
+        ]
+    diverged = [outcome for outcome in outcomes if not outcome.ok]
+    assert diverged
+    outcome = diverged[0]
+    assert outcome.serve_prefix >= 1
+    assert outcome.divergences == []  # batch, hence the oracle diff, is unharmed
+    assert f"world {outcome.world} (remove_rule=majority)" in outcome.report
+    assert f"serve vs batch at prefix {outcome.serve_prefix}" in outcome.report
+    batch, serve = re.search(r"batch (\w+) vs serve (\w+)", outcome.report).groups()
+    assert batch != serve
 
 
 def test_fault_is_scoped_to_the_context():
     """The fault patch restores the engine on exit: the same world
     that diverged inside the context is clean outside it."""
     world = world_from_preset("tiny", 0)
+    original = Engine.invalidate_halves
     with dirty_tracking_fault(rate=0.9, seed=2):
-        assert serve_world_diverges(world, check_every=8)
-    assert not serve_world_diverges(world, check_every=8)
+        assert world_diverges(world, check_every=8)
+    assert Engine.invalidate_halves is original
+    assert not world_diverges(world, check_every=8)
 
 
 def test_shrink_writes_replayable_regression(tmp_path):
@@ -68,28 +76,25 @@ def test_shrink_writes_replayable_regression(tmp_path):
     reproduces the divergence under the same fault."""
     world = world_from_preset("tiny", 0)
     with dirty_tracking_fault(rate=0.9, seed=2):
-        divergence, _ = check_world(world, check_every=1000)
-        assert divergence is not None
-        shrunk, report, written = shrink_serve_divergence(
-            world, directory=tmp_path, check_every=1000
-        )
-        assert written is not None
+        assert not compare_world(world, check_every=1000).ok
+        shrunk, report = shrink_world(world, divergence_predicate("majority", 1000))
+        written = write_regression(shrunk, "majority", tmp_path, check_every=1000)
         assert len(shrunk.traces) <= len(world.traces)
         assert report.tests_run >= 1
         replayed = world_from_bundle(written)
-        assert serve_world_diverges(replayed, check_every=1000)
-    # manifest records which layer the regression belongs to
-    manifest = json.loads((Path(written) / "manifest.json").read_text())
-    assert manifest["diff"]["layer"] == "serve-incremental"
+        assert world_diverges(replayed, check_every=1000)
+    # manifest records the cadence the regression replays at
+    manifest = json.loads((written / "manifest.json").read_text())
+    assert manifest["diff"]["check_every"] == 1000
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_check_world_counts_every_prefix(seed):
     world = world_from_preset("tiny", seed)
-    divergence, checked = check_world(world, check_every=len(world.traces))
-    assert divergence is None
+    outcome = compare_world(world, check_every=len(world.traces))
+    assert outcome.ok, outcome.report
     # cadence of N over N traces still always compares the final prefix
-    assert checked >= 1
+    assert outcome.prefixes == 1
 
 
 #: every address of five /30 blocks: two adjacent public blocks, one

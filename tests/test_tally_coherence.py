@@ -19,10 +19,9 @@ import repro.core.remove as remove_module
 from repro.core.config import REMOVE_ADD_RULE, REMOVE_MAJORITY, MapItConfig
 from repro.core.engine import Engine
 from repro.core.mapit import MapIt
-from repro.diff.harness import build_graph
+from repro.diff.harness import build_graph, reference_state
 from repro.diff.worlds import world_from_preset
 from repro.serve.incremental import IncrementalIndex
-from repro.serve.verify import batch_state
 
 WORLDS = [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 0), ("small", 1)]
 RULES = [REMOVE_MAJORITY, REMOVE_ADD_RULE]
@@ -109,7 +108,7 @@ def test_serve_replay_reads_coherent_tallies(checked, preset, seed, rule):
             index.quiesce()
             position, restored = saved_at, True
     assert restored
-    assert (index.fingerprint(), index.result.to_json(indent=2)) == batch_state(
+    assert (index.fingerprint(), index.result.to_json(indent=2)) == reference_state(
         world, len(traces), config
     )
     assert checked["plurality"] > 0

@@ -1,12 +1,14 @@
-"""CLI001 — CLI flag / subcommand ↔ docs/CLI.md sync.
+"""CLI001 — CLI flag / subcommand ↔ doc sync.
 
-Walks the argparse construction in ``repro/cli.py`` statically: every
-``add_parser("name", ...)`` subcommand must be shown as ``mapit name``
-in docs/CLI.md, and every literal ``--flag`` handed to
-``add_argument`` must appear there too (as a whole token — ``--f``
-does not match ``--foo``).  This supersedes the ad-hoc runtime
-coverage test: the rule needs no import of the package and composes
-with the pragma/baseline workflow.
+Walks the argparse construction of each documented command-line
+module statically — ``repro/cli.py`` against docs/CLI.md, and
+``repro/diff/cli.py`` (``python -m repro.diff``) against
+docs/DIFFERENTIAL_TESTING.md: every ``add_parser("name", ...)``
+subcommand must be shown as ``mapit name`` in the module's doc, and
+every literal ``--flag`` handed to ``add_argument`` must appear there
+too (as a whole token — ``--f`` does not match ``--foo``).  This
+supersedes the ad-hoc runtime coverage test: the rule needs no import
+of the package and composes with the pragma/baseline workflow.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ from typing import Iterator
 from tools.mapitlint.findings import Finding
 from tools.mapitlint.registry import Rule, register
 
-DOC = "docs/CLI.md"
-CLI_SUFFIX = "repro/cli.py"
+#: (command-line module path suffix, the doc that must describe it)
+CLI_DOCS = (
+    ("repro/cli.py", "docs/CLI.md"),
+    ("repro/diff/cli.py", "docs/DIFFERENTIAL_TESTING.md"),
+)
 
 
 @register
@@ -27,14 +32,18 @@ class CliDocSync(Rule):
     rule_id = "CLI001"
     name = "cli-doc-sync"
     description = (
-        "every argparse subcommand and --flag in repro/cli.py is "
-        "documented in docs/CLI.md"
+        "every argparse subcommand and --flag in repro/cli.py and "
+        "repro/diff/cli.py is documented in docs/CLI.md and "
+        "docs/DIFFERENTIAL_TESTING.md"
     )
 
     def check_project(self, ctx) -> Iterator[Finding]:
-        module = ctx.module(CLI_SUFFIX)
-        if module is None:
-            return
+        for suffix, doc in CLI_DOCS:
+            module = ctx.module(suffix)
+            if module is not None:
+                yield from self._check_module(ctx, module, doc)
+
+    def _check_module(self, ctx, module, doc) -> Iterator[Finding]:
         subcommands = []
         options = []
         for node in ast.walk(module.tree):
@@ -54,35 +63,35 @@ class CliDocSync(Rule):
                             options.append((arg.value, arg.lineno, arg.col_offset))
         if not subcommands and not options:
             return
-        doc = ctx.doc_text(DOC)
-        if doc is None:
+        text = ctx.doc_text(doc)
+        if text is None:
             anchor = subcommands[0] if subcommands else options[0]
             yield Finding(
                 rule=self.rule_id,
                 path=module.relpath,
                 line=anchor[1],
                 col=anchor[2],
-                message=f"{DOC} not found; CLI surface cannot be verified",
+                message=f"{doc} not found; CLI surface cannot be verified",
             )
             return
         for name, line, col in subcommands:
-            if f"mapit {name}" not in doc:
+            if f"mapit {name}" not in text:
                 yield Finding(
                     rule=self.rule_id,
                     path=module.relpath,
                     line=line,
                     col=col,
-                    message=f"subcommand {name!r} is not documented in {DOC}",
+                    message=f"subcommand {name!r} is not documented in {doc}",
                 )
         for option, line, col in options:
             if option == "--help":
                 continue
             pattern = re.escape(option) + r"(?![A-Za-z0-9-])"
-            if not re.search(pattern, doc):
+            if not re.search(pattern, text):
                 yield Finding(
                     rule=self.rule_id,
                     path=module.relpath,
                     line=line,
                     col=col,
-                    message=f"flag {option} is not documented in {DOC}",
+                    message=f"flag {option} is not documented in {doc}",
                 )
