@@ -18,7 +18,8 @@ from conftest import publish
 
 from repro import MapItConfig
 from repro.io import load_bundle, save_scenario
-from repro.robust import ErrorBudgetExceeded, FaultInjector
+from repro.robust import ErrorBudgetExceeded
+from repro.robust.faults import FaultInjector
 from repro.sim.presets import small_scenario
 
 RATES = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)

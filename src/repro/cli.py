@@ -35,8 +35,8 @@ from typing import Dict, Iterable, List, Optional
 from repro import MapItConfig
 from repro.io import load_bundle, save_scenario
 from repro.io.atomic import atomic_write_lines
-from repro.robust.chaos import CHAOS_SCHEDULES
 from repro.robust.errors import ErrorBudgetExceeded
+from repro.robust.hooks import CHAOS_SCHEDULES
 from repro.robust.supervise import ShardDeadlineExhausted
 
 #: the scenario presets `simulate`/`experiment` and `chaos` accept; their

@@ -106,19 +106,26 @@ def add_step(engine: Engine, hook: Optional[StageHook] = None) -> AddStepReport:
 
 
 def _direct_pass(engine: Engine, candidates: List[Half]) -> List[DirectInference]:
-    """Alg 2: one greedy pass over the interface halves."""
+    """Alg 2: one greedy pass over the interface halves.
+
+    A half found unable to fire is settled: the engine keeps it so
+    until its tally or its own mapping changes (docs/SERVE.md).
+    """
     state = engine.state
     f = engine.config.f
     tracing = engine.obs.tracer.enabled
+    settled = engine.settled()
     added: List[DirectInference] = []
     for half in candidates:
-        if half in state.direct or half in state.inferred_this_step:
+        if half in settled or half in state.direct or half in state.inferred_this_step:
             continue
         plurality = engine.plurality(half)
         if plurality is None or not plurality.satisfies_f(f):
+            settled.add(half)
             continue
         previous = engine.half_asn(half)
         if engine.canonical(previous) == plurality.canonical_as:
+            settled.add(half)
             continue
         inference = DirectInference(
             half=half,

@@ -73,6 +73,10 @@ class Plurality:
         return 2 * self.count > self.total
 
 
+#: a tally cache: per half, its :meth:`Engine.count_plurality` outcome
+Tallies = Dict[Half, Optional[Plurality]]
+
+
 class Engine:
     """Bound context for one MAP-IT run (the state Alg 1 threads
     through its add/remove steps): the interface graph, the IP2AS /
@@ -98,9 +102,17 @@ class Engine:
         self._origin_cache: Dict[int, int] = {}
         # The tally cache (docs/SERVE.md): per half, the
         # :meth:`count_plurality` outcome under the snapshot ``_synced``,
-        # the ``state.visible`` dict it was last synced to.
-        self._tallies: Dict[Half, Optional[Plurality]] = {}
+        # the ``state.visible`` dict it was last synced to, and the
+        # settled candidates, which cannot fire under that tally and
+        # their own mapping in that snapshot.
+        self._tallies: Tallies = {}
+        self._settled: Set[Half] = set()
         self._synced: Dict[Half, int] = {}
+        # Kept by :meth:`restart`: the empty snapshot's tallies and
+        # settled set between runs, and the rolling cache, parked with
+        # its snapshot while a run's first pass reads the start cache.
+        self._start: Optional[Tuple[Tallies, Set[Half]]] = None
+        self._parked: Optional[Tuple[Tallies, Set[Half], Dict[Half, int]]] = None
         self._candidate_list: Optional[List[Half]] = None
         self._candidate_set: Set[Half] = set()
 
@@ -147,30 +159,59 @@ class Engine:
     # -- the tally cache (docs/SERVE.md) --------------------------------------
 
     def reset_caches(self) -> None:
-        """Drop every cached tally and the candidate list.
+        """Drop every cached tally, settled half and start tally, and
+        the candidate list.
 
         Used after wholesale graph replacement (checkpoint restore):
         the next run recounts from the live tables, exactly like a
         fresh engine.
         """
         self._tallies = {}
+        self._settled = set()
+        self._start = self._parked = None
         self._candidate_list = None
         self._candidate_set = set()
 
+    def restart(self) -> None:
+        """Begin a new run from an empty state, keeping the start tallies.
+
+        Every run's first pass reads the empty snapshot, whose tallies
+        read only original mappings, so they change only where a fold
+        grew a neighbor set (:meth:`invalidate_halves`).  The first
+        pass reads the start cache while the rolling cache is parked;
+        the next snapshot resumes the rolling cache from the snapshot
+        it answers for and keeps the start cache for the next restart.
+        """
+        self.state = MapItState()
+        if self._parked is None:
+            self._parked = (self._tallies, self._settled, self._synced)
+            self._tallies, self._settled = self._start or ({}, set())
+            self._start = None
+            self._synced = self.state.visible
+
     def invalidate_halves(self, halves: Iterable[Half]) -> int:
         """Mark *halves* structurally dirty: their neighbor sets grew
-        (serve folds only ever add members), so their cached tallies are
-        void and a half may have become a candidate.  Returns how many
-        cached tallies were dropped.
+        (serve folds only ever add members), so their cached tallies,
+        start tallies included, are void, they are no longer settled,
+        and a half may have become a candidate.  Returns how many halves
+        had a cached tally dropped.
         """
-        tallies = self._tallies
+        caches = [(self._tallies, self._settled)]
+        if self._start is not None:
+            caches.append(self._start)
+        if self._parked is not None:
+            caches.append(self._parked[:2])
         graph = self.graph
         minimum = self.config.min_neighbors
         dropped = 0
         for half in halves:
-            if half in tallies:
-                del tallies[half]
-                dropped += 1
+            held = False
+            for tallies, settled in caches:
+                if half in tallies:
+                    del tallies[half]
+                    held = True
+                settled.discard(half)
+            dropped += held
             if self._candidate_list is None or half in self._candidate_set:
                 continue
             table = graph.forward if half[1] else graph.backward
@@ -187,19 +228,42 @@ class Engine:
         mapping on ``(n, e)`` therefore voids exactly the tallies of
         ``(a, not e)`` for ``a`` in ``N_e(n)``.  A half's own mapping
         is not part of its own tally.  Both snapshots are walked, so a
-        half that gained or lost an entry counts as changed.
+        half that gained or lost an entry counts as changed.  A settled
+        half stays settled while its tally and its own mapping stand.
+
+        The first non-empty snapshot after :meth:`restart` swaps the
+        parked rolling cache back in and diffs against its snapshot.
         """
         previous = self._synced
+        if visible and self._parked is not None:
+            self._start = (self._tallies, self._settled)
+            self._tallies, self._settled, previous = self._parked
+            self._parked = None
         changed = [half for half, asn in visible.items() if previous.get(half) != asn]
         changed += [half for half in previous if half not in visible]
         tallies = self._tallies
+        settled = self._settled
         graph = self.graph
-        for address, direction in changed:
+        for half in changed:
+            settled.discard(half)
+            address, direction = half
             table = graph.forward if direction else graph.backward
             dependent = not direction
             for neighbor in table.get(address, ()):
-                tallies.pop((neighbor, dependent), None)
+                key = (neighbor, dependent)
+                tallies.pop(key, None)
+                settled.discard(key)
         self._synced = visible
+
+    def settled(self) -> Set[Half]:
+        """The candidates that cannot fire under the current snapshot:
+        no plurality, a winner failing f, or a winner that is the half's
+        own sibling-merged AS.  The direct pass skips them and adds each
+        half it finds cannot fire."""
+        visible = self.state.visible
+        if visible is not self._synced:
+            self._sync_tallies(visible)
+        return self._settled
 
     # -- candidates -----------------------------------------------------------
 

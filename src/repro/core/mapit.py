@@ -27,7 +27,6 @@ from repro.core.results import (
     MapItResult,
     STUB,
 )
-from repro.core.state import MapItState
 from repro.core.stub import stub_step
 from repro.graph.halves import Half
 from repro.graph.neighbors import InterfaceGraph, graph_from_traces
@@ -164,17 +163,19 @@ class MapIt:
         an empty :class:`~repro.core.state.MapItState` — iteration
         counts, diagnostics, and the uncertain log are trajectory
         properties, so only the batch trajectory reproduces the batch
-        result byte-for-byte — but the engine keeps its tally cache, so
-        a pass recounts only the dirty halves and the halves next to a
-        mapping that differs from the snapshot the cache last answered
-        for.  The returned result is byte-identical to a fresh batch
-        run over the same graph.
+        result byte-for-byte — but the engine keeps its tally cache
+        (:meth:`Engine.restart`): the first pass recounts only the
+        dirty halves' start tallies, a later pass only the halves next
+        to a mapping that differs from the snapshot the rolling cache
+        last answered for, and every pass skips the settled halves.
+        The returned result is byte-identical to a fresh batch run over
+        the same graph.
         """
         engine = self.engine
         with engine.obs.span("serve/invalidate"):
             dropped = engine.invalidate_halves(dirty_halves)
         engine.obs.inc("serve.halves.invalidated", dropped)
-        engine.state = MapItState()
+        engine.restart()
         self._checkpoints = []
         return self.run()
 

@@ -27,6 +27,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.bgp.ip2as import IP2AS
 from repro.core.config import (
     MapItConfig,
     REMOVE_ADD_RULE,
@@ -234,12 +235,17 @@ def first_divergence_report(
 
 
 def reference_state(
-    world: World, prefix: int, config: MapItConfig
+    world: World, prefix: int, config: MapItConfig, ip2as: Optional[IP2AS] = None
 ) -> Tuple[str, str]:
     """(§4.6 fingerprint, result JSON) of a batch run over the first
-    *prefix* traces of *world* — what a quiesced serve state must equal."""
+    *prefix* traces of *world* — what a quiesced serve state must equal.
+
+    *ip2as* is the world's mapper when the caller already built one.
+    """
     graph, _ = graph_from_traces(world.traces[:prefix])
-    mapit = MapIt(graph, world.ip2as(), world.as2org, world.relationships, config)
+    if ip2as is None:
+        ip2as = world.ip2as()
+    mapit = MapIt(graph, ip2as, world.as2org, world.relationships, config)
     result = mapit.run()
     return mapit.engine.state.fingerprint(), result.to_json(indent=2)
 
@@ -249,7 +255,8 @@ def _replay_serve(
 ) -> Tuple[int, Optional[int], str]:
     """Fold *world* trace by trace, quiescing after every fold, and
     compare every *check_every*-th prefix and the last with
-    :func:`reference_state`.
+    :func:`reference_state`.  The world's mapper is built once, for
+    the index and every reference run alike.
 
     Returns ``(prefixes compared, first diverging prefix or None,
     its report)``; a cadence of 0 replays nothing.
@@ -260,8 +267,9 @@ def _replay_serve(
     # dependency runs one way only (the daemon never loads repro.diff).
     from repro.serve.incremental import IncrementalIndex
 
+    ip2as = world.ip2as()
     index = IncrementalIndex(
-        world.ip2as(), org=world.as2org, rel=world.relationships, config=config
+        ip2as, org=world.as2org, rel=world.relationships, config=config
     )
     total = len(world.traces)
     compared = 0
@@ -271,7 +279,7 @@ def _replay_serve(
         if prefix % check_every and prefix != total:
             continue
         compared += 1
-        batch_fp, batch_json = reference_state(world, prefix, config)
+        batch_fp, batch_json = reference_state(world, prefix, config, ip2as)
         serve_fp, serve_json = index.fingerprint(), result.to_json(indent=2)
         if serve_fp != batch_fp or serve_json != batch_json:
             report = (

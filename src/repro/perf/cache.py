@@ -60,7 +60,7 @@ from repro.io.atomic import atomic_write_bytes
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import FlatGraphBundle
 from repro.robust.errors import IngestReport
-from repro.robust.faults import active_chaos
+from repro.robust.hooks import active_chaos
 
 MAGIC = "mapit-bundle-cache"
 

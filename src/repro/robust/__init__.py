@@ -11,7 +11,9 @@ package makes the *pipeline* honor the same premise.  It provides
 - :mod:`repro.robust.faults` — a deterministic, seedable corruptor
   covering the fault taxonomy (garbled lines, invalid addresses, null
   fields, byte flips, truncated and empty files) plus crash simulation,
-  so degradation is measurable rather than anecdotal;
+  so degradation is measurable rather than anecdotal.  The package
+  does not re-export it: production code reads only the chaos switch
+  in :mod:`repro.robust.hooks`, so running and serving never load it;
 - :mod:`repro.robust.health` — the :class:`~repro.robust.health.BundleHealth`
   report ``load_bundle`` now returns alongside its data.
 
@@ -24,12 +26,6 @@ from repro.robust.errors import (
     IngestError,
     IngestReport,
 )
-from repro.robust.faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultRecord,
-    SimulatedCrash,
-)
 from repro.robust.health import BundleHealth, DatasetStatus, OPTIONAL_DATASETS
 from repro.robust.ingest import ingest_trace_file, ingest_traces
 
@@ -38,13 +34,9 @@ __all__ = [
     "DatasetStatus",
     "ErrorBudget",
     "ErrorBudgetExceeded",
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultRecord",
     "IngestError",
     "IngestReport",
     "OPTIONAL_DATASETS",
-    "SimulatedCrash",
     "ingest_trace_file",
     "ingest_traces",
 ]

@@ -49,17 +49,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.io.atomic import atomic_write_json, file_sha256
-from repro.robust.faults import ChaosInjector, FaultInjector, SimulatedCrash, chaos
-
-#: schedule names, in run order
-CHAOS_SCHEDULES = (
-    "kill",
-    "hang",
-    "torn-journal",
-    "enospc",
-    "corrupt-cache",
-    "serve",
-)
+from repro.robust.faults import ChaosInjector, FaultInjector, SimulatedCrash
+from repro.robust.hooks import CHAOS_SCHEDULES, chaos
 
 #: regression-bundle format version
 BUNDLE_VERSION = 1

@@ -378,32 +378,6 @@ class ChaosInjector:
             raise SimulatedCrash(f"simulated crash after serve fold {folds}")
 
 
-#: the armed injector, if any; forked workers inherit it copy-on-write
-_ACTIVE_CHAOS: Optional[ChaosInjector] = None
-
-
-def active_chaos() -> Optional[ChaosInjector]:
-    """The injector armed by :func:`chaos`, or None outside a chaos run."""
-    return _ACTIVE_CHAOS
-
-
-@contextmanager
-def chaos(injector: ChaosInjector) -> Iterator[ChaosInjector]:
-    """Arm *injector* for the duration of the context.
-
-    Fault hooks (:meth:`ChaosInjector.maybe_fault_shard` in pool
-    workers, write hooks in the journal and cache) consult
-    :func:`active_chaos`, so arming must happen *before* the pool forks.
-    """
-    global _ACTIVE_CHAOS
-    previous = _ACTIVE_CHAOS
-    _ACTIVE_CHAOS = injector
-    try:
-        yield injector
-    finally:
-        _ACTIVE_CHAOS = previous
-
-
 # ----------------------------------------------------------------------
 # engine-logic faults
 

@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.io.atomic import atomic_write_bytes, file_sha256
 from repro.obs.observer import NULL_OBS, Observability
-from repro.robust.faults import active_chaos
+from repro.robust.hooks import active_chaos
 
 #: bump when the record or blob layout changes; old journals then key
 #: to a different run id and are simply not resumed.  Journals of this

@@ -134,7 +134,7 @@ def _supervised_entry(
     queue = _SENTINEL_QUEUE
     if queue is not None:
         queue.put((index, attempt, os.getpid()))
-    from repro.robust.faults import active_chaos
+    from repro.robust.hooks import active_chaos
 
     chaos = active_chaos()
     if chaos is not None:

@@ -31,7 +31,7 @@ from repro.graph.othersides import OtherSideTable
 from repro.net.ipv4 import format_address
 from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.errors import ErrorBudget
-from repro.robust.faults import active_chaos
+from repro.robust.hooks import active_chaos
 from repro.robust.ingest import record_parser
 from repro.robust.journal import RunJournal
 from repro.serve.checkpoint import restore_latest_checkpoint, write_checkpoint

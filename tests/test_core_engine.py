@@ -355,6 +355,61 @@ class TestTallyCache:
         assert sorted(recounted) == halves
         assert (addr("9.2.0.5"), FORWARD) in engine.candidate_halves()
 
+    #: gives 9.0.0.9's forward half a tied neighbor set (AS200 vs
+    #: AS300): a candidate that cannot fire, so the first pass settles it
+    TIED = ["m|9.9.9.5|9.0.0.9 9.1.0.9", "m|9.9.9.6|9.0.0.9 9.2.0.9"]
+
+    def quiesced(self):
+        """A serve-style run over LINES + TIED, quiesced once."""
+        from repro.core.mapit import MapIt
+
+        engine = make_engine(self.LINES + self.TIED, BASE_PAIRS)
+        mapit = MapIt(engine.graph, engine.ip2as)
+        assert mapit.run_incremental(self.every_half(engine)).inferences
+        return mapit
+
+    @staticmethod
+    def first_pass_recounts(engine):
+        """Record every half recounted under the empty snapshot."""
+        recounted = []
+        count = engine.count_plurality
+
+        def wrapper(half):
+            if not engine.state.visible:
+                recounted.append(half)
+            return count(half)
+
+        engine.count_plurality = wrapper
+        return recounted
+
+    def test_quiesce_without_growth_recounts_no_start_tally(self):
+        mapit = self.quiesced()
+        before = mapit.run_incremental(()).to_json()
+        recounted = self.first_pass_recounts(mapit.engine)
+        assert mapit.run_incremental(()).to_json() == before
+        assert recounted == []
+
+    def test_invalidate_clears_start_tally_and_settled_half(self):
+        mapit = self.quiesced()
+        engine = mapit.engine
+        tied = (addr("9.0.0.9"), FORWARD)
+        assert tied in engine.candidate_halves()
+        recounted = self.first_pass_recounts(engine)
+        mapit.run_incremental(())
+        assert recounted == []
+        # Settled but unchanged, 9.0.0.9 is recounted only once the
+        # fold names it: a kept start tally or settled mark would skip it.
+        mapit.run_incremental([tied])
+        assert recounted == [tied]
+
+    def test_reset_clears_start_tallies_and_settled_halves(self):
+        mapit = self.quiesced()
+        engine = mapit.engine
+        recounted = self.first_pass_recounts(engine)
+        engine.reset_caches()
+        mapit.run_incremental(())
+        assert recounted == engine.candidate_halves()
+
 
 class _CountingMapper:
     def __init__(self):

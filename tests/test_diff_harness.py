@@ -31,6 +31,7 @@ from repro.diff.metamorphic import CHECKS, check_world
 from repro.diff.shrink import regression_name, shrink_world, write_regression
 from repro.diff.worlds import (
     PRESETS,
+    World,
     duplicate_traces,
     permute_traces,
     renumber_ases,
@@ -341,3 +342,23 @@ class TestServeReplay:
             assert diff_main(replay) == 1
         assert re.search(r"serve vs batch at prefix \d+", capsys.readouterr().err)
         assert diff_main(replay) == 0
+
+    def test_mapper_builds_do_not_depend_on_the_cadence(self, monkeypatch):
+        """The replay builds the world's IP2AS once and shares it with
+        every reference run, instead of one build per compared prefix."""
+        builds = []
+        build = World.ip2as
+
+        def counted(self):
+            builds.append(self.name)
+            return build(self)
+
+        monkeypatch.setattr(World, "ip2as", counted)
+        world = world_from_preset("tiny", 0)
+        counts = {}
+        for cadence in (1, 16, len(world.traces)):
+            builds.clear()
+            outcome = compare_world(world, check_every=cadence)
+            assert outcome.ok, outcome.report
+            counts[cadence] = len(builds)
+        assert len(set(counts.values())) == 1, counts

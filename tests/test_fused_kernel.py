@@ -375,7 +375,8 @@ class TestNoObjectParse:
         self, jobs, tmp_bundle, tmp_path, monkeypatch, capsys
     ):
         from repro.core.config import MapItConfig
-        from repro.robust.faults import ChaosInjector, SimulatedCrash, chaos
+        from repro.robust.faults import ChaosInjector, SimulatedCrash
+        from repro.robust.hooks import chaos
         from repro.robust.journal import run_identity_for
 
         def refuse(*args, **kwargs):

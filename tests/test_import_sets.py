@@ -4,7 +4,9 @@ Each path runs in a fresh interpreter that then lists ``sys.modules``.
 The dataset layer (``repro.io``) imports no simulator, and the
 ``sim``, ``perf`` and ``dns`` packages re-export nothing, so none of
 these paths loads the simulator, the evaluation harness or the
-baselines (docs/ARCHITECTURE.md, "Layering rules").
+baselines; they read only the chaos switch (``repro.robust.hooks``),
+never the fault injectors or the chaos harness (docs/ARCHITECTURE.md,
+"Layering rules").
 """
 
 import json
@@ -23,6 +25,8 @@ UNNEEDED = (
     "repro.analysis",
     "repro.sweep",
     "repro.dns.verification",
+    "repro.robust.faults",
+    "repro.robust.chaos",
 )
 
 

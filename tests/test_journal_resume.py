@@ -24,7 +24,8 @@ from repro.io import load_bundle
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
 from repro.obs.trace import Tracer, iter_events
-from repro.robust.faults import ChaosInjector, SimulatedCrash, chaos
+from repro.robust.faults import ChaosInjector, SimulatedCrash
+from repro.robust.hooks import chaos
 from repro.robust.journal import (
     RunJournal,
     journaled_run,

@@ -532,7 +532,8 @@ class TestCacheHardening:
         assert _load(cache, "a" * 64, "text") == (bundle, report.parsed, 0)
 
     def test_enospc_store_fails_soft(self, tmp_path):
-        from repro.robust.faults import ChaosInjector, chaos
+        from repro.robust.faults import ChaosInjector
+        from repro.robust.hooks import chaos
 
         bundle, report = _clean_entry()
         obs, metrics = self._metrics_obs()

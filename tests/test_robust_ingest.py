@@ -16,12 +16,10 @@ from repro.net.ipv4 import AddressError, parse_address
 from repro.robust import (
     ErrorBudget,
     ErrorBudgetExceeded,
-    FaultInjector,
-    SimulatedCrash,
     ingest_trace_file,
     ingest_traces,
 )
-from repro.robust.faults import LINE_FAULTS, TRACE_FAULTS
+from repro.robust.faults import LINE_FAULTS, TRACE_FAULTS, FaultInjector, SimulatedCrash
 from repro.traceroute.model import Hop, Trace
 from repro.traceroute.parse import (
     TraceParseError,

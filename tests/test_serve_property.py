@@ -8,7 +8,9 @@ Two directions:
 * a *broken* one — :func:`dirty_tracking_fault` drops a fraction of
   dirty-half invalidations, the canonical incremental bug — is caught
   by the differential harness's serve replay, ddmin-shrunk, and
-  written out as a replayable regression bundle that still reproduces.
+  written out as a replayable regression bundle that still reproduces;
+  so is an engine whose settled halves or start tallies outlive what
+  they were judged on.
 """
 
 from __future__ import annotations
@@ -86,6 +88,54 @@ def test_shrink_writes_replayable_regression(tmp_path):
     # manifest records the cadence the regression replays at
     manifest = json.loads((written / "manifest.json").read_text())
     assert manifest["diff"]["check_every"] == 1000
+
+
+def never_unsettles_own_mapping(monkeypatch):
+    """A settled half stays settled when the sync changed only its own
+    mapping (its tally survived)."""
+    sync = Engine._sync_tallies
+
+    def sticky(self, visible):
+        parked = self._parked
+        settled = parked[1] if visible and parked is not None else self._settled
+        before = set(settled)
+        sync(self, visible)
+        settled.update(half for half in before if half in self._tallies)
+
+    monkeypatch.setattr(Engine, "_sync_tallies", sticky)
+
+
+def keeps_grown_start_tallies(monkeypatch):
+    """A half the fold grew keeps its start tally (the empty snapshot's)."""
+    invalidate = Engine.invalidate_halves
+
+    def keeping(self, halves):
+        halves = list(halves)
+        start = self._start[0] if self._start is not None else {}
+        kept = {half: start[half] for half in halves if half in start}
+        dropped = invalidate(self, halves)
+        start.update(kept)
+        return dropped
+
+    monkeypatch.setattr(Engine, "invalidate_halves", keeping)
+
+
+CACHE_FAULTS = {
+    "never_unsettles_own_mapping": never_unsettles_own_mapping,
+    "keeps_grown_start_tallies": keeps_grown_start_tallies,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CACHE_FAULTS))
+def test_replay_catches_stale_settled_halves_and_start_tallies(monkeypatch, fault):
+    """The every-prefix replay of tiny seed 12 is clean, and diverges
+    from batch under either patched cache."""
+    world = world_from_preset("tiny", 12)
+    assert compare_world(world, check_every=1).ok
+    CACHE_FAULTS[fault](monkeypatch)
+    outcome = compare_world(world, check_every=1)
+    assert not outcome.ok
+    assert outcome.serve_prefix is not None
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -19,7 +19,8 @@ from repro.obs.observer import Observability
 import repro.perf.pool as pool_mod
 from repro.perf.pool import _graceful_sigterm, fork_available, fork_map
 from repro.robust.errors import ErrorBudget, ErrorBudgetExceeded
-from repro.robust.faults import ChaosInjector, chaos
+from repro.robust.faults import ChaosInjector
+from repro.robust.hooks import chaos
 from repro.robust.supervise import (
     ShardDeadlineExhausted,
     SuperviseConfig,

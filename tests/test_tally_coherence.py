@@ -7,6 +7,9 @@ quiesces and checkpoint restores.  These property tests wrap it so that
 each answer is checked against :meth:`Engine.count_plurality` on the
 spot, and check each remove decision against a fresh count under its
 rule — the majority reading against ``dominance(...).is_majority()``.
+The direct pass skips settled halves without asking
+:meth:`Engine.plurality` at all, so every such skip is checked too: a
+fresh count and the half's own mapping must agree it cannot fire.
 """
 
 from __future__ import annotations
@@ -25,14 +28,42 @@ from repro.serve.incremental import IncrementalIndex
 
 WORLDS = [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 0), ("small", 1)]
 RULES = [REMOVE_MAJORITY, REMOVE_ADD_RULE]
+#: f values besides the default 0.5, which the coherence tests run at
+OTHER_FS = [0.25, 0.75]
+
+
+class CheckedSettled:
+    """The settled set as the direct pass reads it: each skip it grants
+    is checked against a fresh count and the half's own mapping."""
+
+    def __init__(self, engine, held, checks):
+        self.engine, self.held, self.checks = engine, held, checks
+
+    def __contains__(self, half):
+        if half not in self.held:
+            return False
+        engine = self.engine
+        fresh = engine.count_plurality(half)
+        assert (
+            fresh is None
+            or not fresh.satisfies_f(engine.config.f)
+            or engine.canonical(engine.half_asn(half)) == fresh.canonical_as
+        ), f"settled half {half} can fire"
+        self.checks["settled"] += 1
+        return True
+
+    def add(self, half):
+        self.held.add(half)
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check every cached plurality and every remove decision against a
-    fresh count; returns the number of checks made so far."""
-    checks = {"plurality": 0, "remove": 0}
+    """Check every cached plurality, every settled skip and every remove
+    decision against a fresh count; returns the number of checks made
+    so far."""
+    checks = {"plurality": 0, "settled": 0, "remove": 0}
     plurality = Engine.plurality
+    settled = Engine.settled
     still_holds = remove_module._still_holds
 
     def checked_plurality(self, half):
@@ -58,34 +89,46 @@ def checked(monkeypatch):
         return holds
 
     monkeypatch.setattr(Engine, "plurality", checked_plurality)
+    monkeypatch.setattr(
+        Engine, "settled", lambda self: CheckedSettled(self, settled(self), checks)
+    )
     monkeypatch.setattr(remove_module, "_still_holds", checked_still_holds)
     return checks
 
 
-@pytest.mark.parametrize("rule", RULES)
-@pytest.mark.parametrize("preset,seed", WORLDS)
-def test_batch_passes_read_coherent_tallies(checked, preset, seed, rule):
-    world = world_from_preset(preset, seed)
+def batch_run(world, config):
     mapit = MapIt(
         build_graph(world),
         world.ip2as(),
         org=world.as2org,
         rel=world.relationships,
-        config=MapItConfig(remove_rule=rule),
+        config=config,
     )
-    result = mapit.run()
-    assert result.inferences
-    assert checked["plurality"] > 0
-    assert checked["remove"] > 0
+    return mapit.run()
 
 
 @pytest.mark.parametrize("rule", RULES)
-@pytest.mark.parametrize("preset,seed", [("tiny", 0), ("small", 0)])
-def test_serve_replay_reads_coherent_tallies(checked, preset, seed, rule):
+@pytest.mark.parametrize("preset,seed", WORLDS)
+def test_batch_passes_read_coherent_tallies(checked, preset, seed, rule):
+    result = batch_run(world_from_preset(preset, seed), MapItConfig(remove_rule=rule))
+    assert result.inferences
+    assert checked["plurality"] > 0
+    assert checked["settled"] > 0
+    assert checked["remove"] > 0
+
+
+@pytest.mark.parametrize("f", OTHER_FS)
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("preset,seed", WORLDS)
+def test_batch_settled_skips_cannot_fire(checked, preset, seed, rule, f):
+    batch_run(world_from_preset(preset, seed), MapItConfig(f=f, remove_rule=rule))
+    assert checked["settled"] > 0
+
+
+def replay_with_restore(world, config):
     """Quiesce every 8 folds; halfway, restore a checkpoint taken 24
-    folds earlier and re-fold from there, as a resumed daemon does."""
-    world = world_from_preset(preset, seed)
-    config = MapItConfig(remove_rule=rule)
+    folds earlier and re-fold from there, as a resumed daemon does.
+    Returns the index after the last quiesce."""
     index = IncrementalIndex(
         world.ip2as(), org=world.as2org, rel=world.relationships, config=config
     )
@@ -108,8 +151,31 @@ def test_serve_replay_reads_coherent_tallies(checked, preset, seed, rule):
             index.quiesce()
             position, restored = saved_at, True
     assert restored
+    return index
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("preset,seed", [("tiny", 0), ("small", 0)])
+def test_serve_replay_reads_coherent_tallies(checked, preset, seed, rule):
+    world = world_from_preset(preset, seed)
+    config = MapItConfig(remove_rule=rule)
+    index = replay_with_restore(world, config)
     assert (index.fingerprint(), index.result.to_json(indent=2)) == reference_state(
-        world, len(traces), config
+        world, len(world.traces), config
     )
     assert checked["plurality"] > 0
+    assert checked["settled"] > 0
     assert checked["remove"] > 0
+
+
+@pytest.mark.parametrize("f", OTHER_FS)
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("preset,seed", [("tiny", 0), ("small", 0)])
+def test_serve_replay_settled_skips_cannot_fire(checked, preset, seed, rule, f):
+    world = world_from_preset(preset, seed)
+    config = MapItConfig(f=f, remove_rule=rule)
+    index = replay_with_restore(world, config)
+    assert (index.fingerprint(), index.result.to_json(indent=2)) == reference_state(
+        world, len(world.traces), config
+    )
+    assert checked["settled"] > 0
