@@ -36,13 +36,11 @@ from repro import MapItConfig
 from repro.io import load_bundle, save_scenario
 from repro.io.atomic import atomic_write_lines
 from repro.robust.errors import ErrorBudgetExceeded
-from repro.robust.hooks import CHAOS_SCHEDULES
 from repro.robust.supervise import ShardDeadlineExhausted
 
-#: the scenario presets `simulate`/`experiment` and `chaos` accept; their
-#: factories (repro.sim.presets) load only in the commands that build one
+#: the scenario presets `simulate`/`experiment` accept; their factories
+#: (repro.sim.presets) load only in the commands that build one
 _PRESETS = ("dense", "paper", "small")
-_CHAOS_PRESETS = ("paper", "small", "tiny")
 #: every preset `mapit sweep` accepts: scenario worlds plus the
 #: shard-generated stress tiers (repro.sweep.grid holds the registries)
 _SWEEP_PRESETS = (
@@ -593,7 +591,9 @@ def cmd_serve(args) -> int:
         )
         journal = None
         if journal_dir:
-            run_id = serve_run_identity(args.dataset, config, format)
+            run_id = serve_run_identity(
+                args.dataset, config, format, bundle.health
+            )
             journal = RunJournal(journal_dir, run_id, obs=handle)
             print(f"journal: serve run {run_id} in {journal_dir}", file=sys.stderr)
         daemon = ServeDaemon(
@@ -858,40 +858,6 @@ def cmd_inspect_trace(args) -> int:
         print()
         print(f"slowest spans (top {args.top}, by total duration):")
         _print_rows(summary.spans)
-    return 0
-
-
-def cmd_chaos(args) -> int:
-    from repro.perf.pool import resolve_jobs
-    from repro.robust.chaos import replay_bundle, run_chaos, write_bundle
-
-    jobs = resolve_jobs(args.jobs)
-    if args.replay:
-        try:
-            outcome = replay_bundle(
-                args.replay, jobs=jobs, workdir=args.workdir
-            )
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: unreadable chaos bundle: {exc}", file=sys.stderr)
-            return 2
-    else:
-        schedules = None
-        if args.schedule and "all" not in args.schedule:
-            schedules = list(dict.fromkeys(args.schedule))
-        outcome = run_chaos(
-            preset=args.preset,
-            seed=args.seed,
-            schedules=schedules,
-            jobs=jobs,
-            workdir=args.workdir,
-        )
-    for line in outcome.lines():
-        print(line)
-    if not outcome.ok:
-        return 1
-    if args.record:
-        write_bundle(args.record, outcome)
-        print(f"recorded regression bundle at {args.record}", file=sys.stderr)
     return 0
 
 
@@ -1166,44 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument("diff_args", nargs=argparse.REMAINDER)
     diff.set_defaults(func=cmd_diff)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a seeded world under seeded fault schedules and verify "
-        "output is byte-identical to the fault-free golden run",
-    )
-    chaos.add_argument("--preset", choices=_CHAOS_PRESETS, default="tiny")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
-        "--schedule",
-        action="append",
-        choices=sorted(CHAOS_SCHEDULES) + ["all"],
-        help="fault schedule(s) to run (repeatable; default all)",
-    )
-    chaos.add_argument(
-        "--jobs",
-        type=_jobs_type,
-        default=4,
-        help="worker processes for faulted runs (0 = all cores)",
-    )
-    chaos.add_argument(
-        "--workdir",
-        metavar="DIR",
-        help="keep scratch datasets and journals in DIR instead of a temp dir",
-    )
-    chaos.add_argument(
-        "--replay",
-        metavar="FILE",
-        help="replay a recorded chaos regression bundle (JSON) instead of "
-        "the preset/seed/schedule flags",
-    )
-    chaos.add_argument(
-        "--record",
-        metavar="FILE",
-        help="write a regression bundle (preset, seed, schedules, golden "
-        "sha256) after a passing run",
-    )
-    chaos.set_defaults(func=cmd_chaos)
 
     sweep = sub.add_parser(
         "sweep",

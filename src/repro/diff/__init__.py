@@ -6,11 +6,14 @@ engine and the paper-literal oracle (:mod:`repro.oracle`), diffs the
 final inference sets half-by-half, checks metamorphic invariants
 (trace-order permutation, duplicate injection, AS renumbering), and
 delta-debugs any diverging world down to a minimal regression bundle
-under ``tests/fixtures/regressions/``.
+under ``tests/fixtures/regressions/``.  On request it also holds serve
+to batch at every prefix, and the CLI's runs under the chaos schedules
+(:mod:`repro.diff.chaos`, not imported here) to the core run's bytes.
 """
 
 from repro.diff.harness import (
     DEFAULT_RULES,
+    ChaosRun,
     Divergence,
     WorldOutcome,
     compare_world,
@@ -32,6 +35,7 @@ from repro.diff.worlds import (
 
 __all__ = [
     "DEFAULT_RULES",
+    "ChaosRun",
     "Divergence",
     "MetamorphicOutcome",
     "ShrinkReport",

@@ -3,9 +3,11 @@
 Sweeps seeded simulator worlds through oracle vs. production engine
 (both §4.5 remove-rule readings by default), with ``--check-every N``
 also replays each world through serve against batch at every N-th
-prefix, layers the metamorphic invariant checks on the same worlds,
-replays checked-in regression bundles, and — with ``--shrink`` —
-minimizes any diverging world and writes it under
+prefix, with ``--chaos NAME`` also holds the CLI's faulted runs to
+the core run's bytes (:mod:`repro.diff.chaos`), layers the
+metamorphic invariant checks on the same worlds, replays checked-in
+regression bundles, and — with ``--shrink`` — minimizes any world
+diverging from the oracle or from batch and writes it under
 ``tests/fixtures/regressions/``.
 
 Exit status is 0 only when every comparison and every invariant held,
@@ -62,6 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="also fold each world into serve trace by trace and compare "
         "every N-th prefix (and the last) with batch (default 0: no serve "
         "replay)",
+    )
+    parser.add_argument(
+        "--chaos",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="also run the CLI on each compared world under chaos schedule "
+        "NAME and hold its output to the core run's bytes (repeatable; 'all' "
+        "runs every schedule; docs/DIFFERENTIAL_TESTING.md lists them)",
     )
     parser.add_argument(
         "--no-metamorphic",
@@ -135,11 +146,28 @@ def _recorded(bundle: str) -> Tuple[Optional[str], Optional[int]]:
     return rule, check_every
 
 
+def _schedules(parser: argparse.ArgumentParser, names: List[str]) -> Tuple[str, ...]:
+    """The chaos schedules ``--chaos`` names; the registry loads only
+    when the flag is given."""
+    if not names:
+        return ()
+    from repro.diff.chaos import CHAOS_SCHEDULES
+
+    unknown = sorted(set(names) - set(CHAOS_SCHEDULES) - {"all"})
+    if unknown:
+        parser.error(
+            f"unknown chaos schedule(s) {', '.join(unknown)}; choose from "
+            f"{', '.join(CHAOS_SCHEDULES)} or all"
+        )
+    return CHAOS_SCHEDULES if "all" in names else tuple(names)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.check_every < 0:
         parser.error(f"--check-every must be >= 0, got {args.check_every}")
+    chaos = _schedules(parser, args.chaos)
     obs = _build_obs(args)
     rules = _rules_for(args.rules)
     summary = {
@@ -154,16 +182,27 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     def compare(world, rule: str, check_every: int) -> None:
         nonlocal failed
-        outcome = compare_world(world, rule, obs=obs, check_every=check_every)
+        outcome = compare_world(
+            world, rule, obs=obs, check_every=check_every, chaos=chaos
+        )
         summary["comparisons"] += 1
         summary["divergences"] += outcome.divergence_count
         if check_every:
             summary["prefixes"] = summary.get("prefixes", 0) + outcome.prefixes
+        if chaos:
+            summary["chaos"] = summary.get("chaos", 0) + len(outcome.chaos)
+            for run in outcome.chaos:
+                if not run.failure:
+                    print(outcome.chaos_line(run), file=sys.stderr)
         if outcome.ok:
             return
         failed = True
         print(outcome.report, file=sys.stderr)
-        if args.shrink:
+        if args.shrink and not outcome.divergences and outcome.serve_prefix is None:
+            # Only chaos failed.  Its predicate runs would fork pools and
+            # start daemons, and regression bundles record no schedules.
+            print("  chaos failures are not shrunk", file=sys.stderr)
+        elif args.shrink:
             predicate = divergence_predicate(rule, check_every)
             shrunk, report = shrink_world(world, predicate, obs=obs)
             path = write_regression(
@@ -220,9 +259,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         prefixes = (
             f", {summary['prefixes']} serve prefix(es)" if "prefixes" in summary else ""
         )
+        runs = f", {summary['chaos']} chaos run(s)" if "chaos" in summary else ""
         print(
             f"{summary['worlds']} world(s) + {summary['replayed']} replay(s), "
-            f"{summary['comparisons']} comparison(s){prefixes}: "
+            f"{summary['comparisons']} comparison(s){prefixes}{runs}: "
             f"{summary['divergences']} divergence(s), "
             f"{summary['metamorphic_failures']} metamorphic failure(s)"
         )

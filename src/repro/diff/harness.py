@@ -17,6 +17,12 @@ quiescing after every fold, and compares every ``check_every``-th
 prefix (and always the last) with :func:`reference_state` — the same
 §4.6 fingerprint and the same result JSON, byte for byte.
 
+With chaos schedules (``chaos=...``, :mod:`repro.diff.chaos`) it also
+runs the real CLI on the saved world under each fault — killed and hung
+workers, a torn journal, a full disk, a flipped cache byte, a SIGKILLed
+serve daemon — and holds every faulted run to the bytes of the core
+run the oracle comparison checked.
+
 Emits ``diff.*`` metrics (docs/OBSERVABILITY.md) when given an
 :class:`~repro.obs.observer.Observability`.
 """
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.ip2as import IP2AS
 from repro.core.config import (
@@ -34,6 +40,7 @@ from repro.core.config import (
     REMOVE_MAJORITY,
 )
 from repro.core.mapit import MapIt
+from repro.core.results import MapItResult
 from repro.diff.worlds import World
 from repro.graph.neighbors import InterfaceGraph, graph_from_traces
 from repro.obs.observer import NULL_OBS, Observability
@@ -92,6 +99,23 @@ class Divergence:
         )
 
 
+@dataclass(frozen=True)
+class ChaosRun:
+    """One chaos schedule's verdict against the core bytes."""
+
+    schedule: str
+    #: why the faulted run does not count; empty when it wrote the
+    #: core bytes and its fault fired
+    failure: str = ""
+    #: the counters that show the fault fired
+    evidence: str = ""
+
+    def verdict(self) -> str:
+        if self.failure:
+            return self.failure
+        return f"ok ({self.evidence})" if self.evidence else "ok"
+
+
 @dataclass
 class WorldOutcome:
     """Result of one world under one remove rule."""
@@ -105,23 +129,34 @@ class WorldOutcome:
     prefixes: int = 0
     #: the first prefix whose quiesced serve state differed from batch
     serve_prefix: Optional[int] = None
+    #: chaos runs held to the core bytes, in run order (``serial`` first)
+    chaos: List[ChaosRun] = field(default_factory=list)
     report: str = ""
 
     @property
     def divergence_count(self) -> int:
-        """Halves diverging from the oracle, plus one when serve diverged."""
-        return len(self.divergences) + (self.serve_prefix is not None)
+        """Halves diverging from the oracle, plus one when serve
+        diverged, plus one per failed chaos run."""
+        failed = sum(1 for run in self.chaos if run.failure)
+        return len(self.divergences) + (self.serve_prefix is not None) + failed
 
     @property
     def ok(self) -> bool:
         return not self.divergence_count
 
+    def chaos_line(self, run: ChaosRun) -> str:
+        return (
+            f"world {self.world} (remove_rule={self.remove_rule}): "
+            f"chaos {run.schedule}: {run.verdict()}"
+        )
+
 
 def core_records(
     graph: InterfaceGraph, world: World, config: MapItConfig
-) -> Tuple[Dict[Half, Record], MapIt]:
-    """Run the production engine; returns its record map and the run
-    object (kept alive so the divergence report can re-tally halves)."""
+) -> Tuple[Dict[Half, Record], MapIt, MapItResult]:
+    """Run the production engine; returns its record map, the run
+    object (kept alive so the divergence report can re-tally halves)
+    and its result."""
     mapit = MapIt(graph, world.ip2as(), world.as2org, world.relationships, config)
     result = mapit.run()
     records: Dict[Half, Record] = {}
@@ -132,7 +167,7 @@ def core_records(
             inference.kind,
             inference.uncertain,
         )
-    return records, mapit
+    return records, mapit, result
 
 
 def oracle_records(
@@ -298,19 +333,31 @@ def compare_world(
     config: Optional[MapItConfig] = None,
     obs: Observability = NULL_OBS,
     check_every: int = 0,
+    chaos: Sequence[str] = (),
 ) -> WorldOutcome:
     """Run oracle and core on *world* and diff the final inferences;
     with *check_every* > 0, also replay serve against batch at that
-    prefix cadence (:func:`_replay_serve`)."""
+    prefix cadence (:func:`_replay_serve`); with *chaos* schedules, also
+    hold the CLI's faulted runs to the core run's bytes
+    (:func:`repro.diff.chaos.run_schedules`, which runs ``serial``
+    first)."""
     if config is None:
         config = MapItConfig(remove_rule=remove_rule)
     with obs.span("diff/world"):
         graph = build_graph(world)
-        core_map, mapit = core_records(graph, world, config)
+        core_map, mapit, result = core_records(graph, world, config)
         oracle_map, oracle_result = oracle_records(
             graph, world, oracle_config_for(config)
         )
         prefixes, serve_prefix, serve_report = _replay_serve(world, config, check_every)
+        runs: List[ChaosRun] = []
+        if chaos:
+            # Imported here, as the serve replay is, so that loading
+            # repro.diff loads no chaos code.
+            from repro.diff.chaos import run_schedules
+
+            expected = result.to_json(indent=2) + "\n"
+            runs = run_schedules(world, config, expected, chaos)
     outcome = WorldOutcome(
         world=world.name,
         remove_rule=remove_rule,
@@ -318,6 +365,7 @@ def compare_world(
         oracle_inferences=len(oracle_map),
         prefixes=prefixes,
         serve_prefix=serve_prefix,
+        chaos=runs,
     )
     for half in sorted(set(core_map) | set(oracle_map)):
         core = core_map.get(half)
@@ -331,6 +379,7 @@ def compare_world(
         ))
     if serve_report:
         reports.append(serve_report)
+    reports.extend(outcome.chaos_line(run) for run in runs if run.failure)
     outcome.report = "\n".join(reports)
     if obs.enabled:
         obs.inc("diff.worlds")

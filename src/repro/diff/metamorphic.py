@@ -73,7 +73,7 @@ class MetamorphicOutcome:
 
 def _engine_map(world: World, config: MapItConfig) -> Dict[Half, Record]:
     graph = build_graph(world)
-    records, _ = core_records(graph, world, config)
+    records, _, _ = core_records(graph, world, config)
     return records
 
 

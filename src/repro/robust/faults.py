@@ -298,15 +298,16 @@ class FaultInjector:
 
 @dataclass
 class ChaosInjector:
-    """Seeded process-level fault schedule for the chaos harness.
+    """Seeded process-level fault schedule for the chaos schedules
+    (:mod:`repro.diff.chaos`) and the recovery tests.
 
     One injector describes *when* faults fire, keyed by deterministic
     coordinates — ``(shard_index, attempt)`` for worker faults, journal
-    sequence numbers for write faults, the journaled result or a fold
-    count for crashes — so the same schedule replays identically on
-    every run.  Worker faults are pid-guarded: they only fire in forked
-    children, never in the parent, so the supervisor's inline
-    degradation (and every serial/golden run) always stays clean.
+    sequence numbers for write faults, the journaled result for the
+    crash — so the same schedule replays identically on every run.
+    Worker faults are pid-guarded: they only fire in forked children,
+    never in the parent, so the supervisor's inline degradation (and
+    every serial run) always stays clean.
 
     ``kill_shards``
         ``(shard_index, attempt)`` pairs whose worker dies abruptly
@@ -322,11 +323,7 @@ class ChaosInjector:
         (fires once);
     ``crash_after_result``
         raise :class:`SimulatedCrash` right after a journaled run's
-        result is journaled — the resume test's kill switch;
-    ``serve_crash_after_folds``
-        raise :class:`SimulatedCrash` right after the serve daemon's
-        *k*-th trace fold — the serve schedule's kill switch (fires
-        once, so the resumed run streams through unharmed).
+        result is journaled — the resume test's kill switch.
     """
 
     seed: int = 0
@@ -336,7 +333,6 @@ class ChaosInjector:
     journal_enospc_seqs: FrozenSet[int] = frozenset()
     cache_enospc: bool = False
     crash_after_result: bool = False
-    serve_crash_after_folds: Optional[int] = None
     _parent_pid: int = field(default_factory=os.getpid)
     _fired: Set[str] = field(default_factory=set)
 
@@ -370,12 +366,6 @@ class ChaosInjector:
         """Model the process dying right after its result was journaled."""
         if self.crash_after_result:
             raise SimulatedCrash("simulated crash after the journaled result")
-
-    def maybe_crash_fold(self, folds: int) -> None:
-        """Model the serve daemon dying right after fold *k* (fires once)."""
-        if folds == self.serve_crash_after_folds and "serve_fold" not in self._fired:
-            self._fired.add("serve_fold")
-            raise SimulatedCrash(f"simulated crash after serve fold {folds}")
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """The chaos hook: the one piece of fault injection production code reads.
 
-The journal, the bundle cache, the shard supervisor and the serve
-daemon ask :func:`active_chaos` whether a chaos run armed an injector.
-This module holds only that switch and the schedule names ``mapit
-chaos`` offers, so running, serving and folding load neither the
-injectors (:mod:`repro.robust.faults`) nor the harness
-(:mod:`repro.robust.chaos`).
+The journal, the bundle cache and the shard supervisor ask
+:func:`active_chaos` whether a chaos run armed an injector.  This
+module holds only that switch, so running, serving and folding load
+neither the injectors (:mod:`repro.robust.faults`) nor the chaos
+schedules (:mod:`repro.diff.chaos`).
 """
 
 from __future__ import annotations
@@ -15,16 +14,6 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
     from repro.robust.faults import ChaosInjector
-
-#: chaos schedule names, in run order (:mod:`repro.robust.chaos`)
-CHAOS_SCHEDULES = (
-    "kill",
-    "hang",
-    "torn-journal",
-    "enospc",
-    "corrupt-cache",
-    "serve",
-)
 
 #: the armed injector, if any; forked workers inherit it copy-on-write
 _ACTIVE_CHAOS: Optional[ChaosInjector] = None

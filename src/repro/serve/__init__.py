@@ -15,13 +15,12 @@ service (docs/SERVE.md):
 * :mod:`~repro.serve.sources` — file-follow tailing and unix-socket
   line ingestion;
 * :mod:`~repro.serve.api` — the snapshot-isolated query API (health,
-  links by address/AS, explain, metrics) and its stdlib HTTP transport;
-* :mod:`~repro.serve.smoke` — the end-to-end kill/resume smoke the CI
-  serve job runs.
+  links by address/AS, explain, metrics) and its stdlib HTTP transport.
 
 Serve ≡ batch at every prefix of seeded worlds is checked by the
 differential harness, ``python -m repro.diff --check-every N``
-(:func:`repro.diff.harness.compare_world`).
+(:func:`repro.diff.harness.compare_world`), and a SIGKILLed daemon's
+resume by its ``serve`` chaos schedule (``--chaos serve``).
 """
 
 from repro.serve.daemon import ServeDaemon, ServeSnapshot

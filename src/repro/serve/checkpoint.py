@@ -15,8 +15,8 @@ executed on load.
 
 Inference state is *not* checkpointed: it is a pure function of the
 graph and is recomputed on the first quiesce after a restore, which is
-exactly the batch trajectory, so recovery is byte-identical (the chaos
-serve schedule enforces this).
+exactly the batch trajectory, so recovery is byte-identical (the
+``serve`` chaos schedule of :mod:`repro.diff.chaos` enforces this).
 
 The serve run id is keyed on the *mapping* datasets plus the config and
 stream format — the inputs that determine results for a given stream —
@@ -30,8 +30,8 @@ import hashlib
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
-from repro.io.atomic import file_sha256
 from repro.perf.flat import FlatGraphBundle
+from repro.robust.health import BundleHealth
 from repro.robust.journal import RunJournal, run_identity
 
 #: bump when the checkpoint layout changes; it keys the serve run id,
@@ -50,24 +50,28 @@ _IDENTITY_FILES = (
 )
 
 
-def serve_run_identity(dataset: Union[str, Path], config: Any, format: str) -> str:
+def serve_run_identity(
+    dataset: Union[str, Path], config: Any, format: str, health: BundleHealth
+) -> str:
     """The run id for a serve session over *dataset*'s mappings.
 
     Hashes the content of every mapping file present (BGP dumps,
     cymru, IXP, org, relationships) so a resumed session provably runs
     against the same IP2AS world; the config and stream format
     contribute through :func:`~repro.robust.journal.run_identity`.
+    The digests come from *health*, the dataset load's, which hashed
+    every file the manifest lists already.
     """
     root = Path(dataset)
     digests = [f"serve:{CHECKPOINT_VERSION}"]
     bgp_dir = root / "bgp"
     if bgp_dir.is_dir():
         for path in sorted(bgp_dir.glob("*.txt")):
-            digests.append(f"bgp/{path.name}:{file_sha256(path)}")
+            digests.append(f"bgp/{path.name}:{health.digest(path)}")
     for name in _IDENTITY_FILES:
         path = root / name
         if path.exists():
-            digests.append(f"{name}:{file_sha256(path)}")
+            digests.append(f"{name}:{health.digest(path)}")
     material = hashlib.sha256("\n".join(digests).encode()).hexdigest()
     return run_identity(material, config, "serve", format)
 

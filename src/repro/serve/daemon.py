@@ -31,7 +31,6 @@ from repro.graph.othersides import OtherSideTable
 from repro.net.ipv4 import format_address
 from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.errors import ErrorBudget
-from repro.robust.hooks import active_chaos
 from repro.robust.ingest import record_parser
 from repro.robust.journal import RunJournal
 from repro.serve.checkpoint import restore_latest_checkpoint, write_checkpoint
@@ -297,13 +296,10 @@ class ServeDaemon:
         self._bump("parsed")
         self.obs.inc("serve.parsed")
         self.index.fold_record(record)
-        folds = self._bump("folds")
+        self._bump("folds")
         self.obs.inc("serve.folds")
         self._folds_since_quiesce += 1
         self._folds_since_checkpoint += 1
-        chaos = active_chaos()
-        if chaos is not None:
-            chaos.maybe_crash_fold(folds)
         if self.quiesce_every and self._folds_since_quiesce >= self.quiesce_every:
             self.quiesce()
         if (

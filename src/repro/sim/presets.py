@@ -20,9 +20,10 @@ from repro.sim.stress import StressConfig
 def tiny_config(seed: int = 0) -> ScenarioConfig:
     """The smallest world that still exercises every pass.
 
-    Sub-second end to end — sized for the chaos harness, which runs the
-    full pipeline many times per schedule (golden run, faulted run,
-    resumed run) and needs each to be cheap.
+    Sub-second end to end — sized for the chaos schedules of the
+    differential harness, which run the full pipeline many times per
+    world (serial run, faulted run, resumed run) and need each to be
+    cheap.
     """
     return ScenarioConfig(
         seed=seed,
@@ -133,7 +134,7 @@ def stress_smoke_config(seed: int = 0) -> StressConfig:
     )
 
 
-#: simulator-built worlds by name (simulate, experiment, chaos, sweep;
+#: simulator-built worlds by name (simulate, experiment, sweep;
 #: a sweep materializes them to dataset directories when it needs them)
 SCENARIO_PRESETS = {
     "tiny": tiny_config,

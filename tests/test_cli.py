@@ -27,10 +27,10 @@ class TestSimulate:
         assert not (tmp_path / "d" / "hostnames.txt").exists()
 
     def test_preset_names_have_factories(self):
-        from repro.cli import _CHAOS_PRESETS, _PRESETS
+        from repro.cli import _PRESETS
         from repro.sim.presets import SCENARIO_PRESETS
 
-        assert set(_PRESETS) | set(_CHAOS_PRESETS) <= set(SCENARIO_PRESETS)
+        assert set(_PRESETS) <= set(SCENARIO_PRESETS)
 
 
 class TestRun:

@@ -1,17 +1,21 @@
-"""Each command hashes the traces file once.
+"""Each command hashes each dataset file once.
 
 The cache key, the manifest checksum check and a journaled run's id
-all need the traces file's sha256; a dataset load computes it once
+all need the traces file's sha256, and a journaled serve session's id
+needs every mapping file's; a dataset load computes each once
 (``BundleHealth.digest``) and every consumer reuses it.  A counting
 shim on :func:`repro.io.atomic.file_sha256` — patched wherever a module
-holds it — counts the hashes of ``traces.txt`` per command.
+holds it — counts the hashes per command.
 """
 
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import repro.io.atomic as atomic
+import repro.serve.checkpoint  # noqa: F401 - bound before a shim: a module first imported under one keeps it
 from repro.cli import main
 from repro.core.config import MapItConfig
 from repro.robust.journal import run_identity_for
@@ -72,3 +76,17 @@ def test_serve_once_cache_hashes_traces_once(tmp_bundle, tmp_path, capsys, trace
     assert _traces_count(traces_hashes) == 1
     served = (tmp_path / "serve.json").read_bytes()
     assert served == (tmp_path / "run.json").read_bytes()
+
+
+def test_serve_journal_hashes_each_dataset_file_once(
+    tmp_bundle, tmp_path, capsys, traces_hashes
+):
+    """The manifest check and the serve run id share every mapping
+    file's digest."""
+    dataset = tmp_bundle(seed=3)
+    serve = ["serve", str(dataset), "--once", "--json", "--journal", str(tmp_path / "j")]
+    assert main(serve + ["--output", str(tmp_path / "serve.json")]) == 0
+    counts = Counter(Path(path).name for path in traces_hashes)
+    assert {"as2org.txt", "cymru.txt", "ixp.txt", "relationships.txt"} <= set(counts)
+    assert any(name.startswith("collector") for name in counts), counts
+    assert set(counts.values()) == {1}, counts

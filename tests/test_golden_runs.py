@@ -12,16 +12,34 @@ Regenerating an expectation after an intentional behavior change::
 
     PYTHONPATH=src python -m repro.cli run tests/fixtures/golden/<name> \
         --json --output tests/fixtures/golden/<name>/expected.json
+
+The differential harness's core run of ``world_from_preset("tiny", 0)``
+is pinned too: it is the output every chaos schedule must write
+(tests/test_chaos.py).
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.core.config import MapItConfig
+from repro.diff.harness import build_graph, core_records
+from repro.diff.worlds import world_from_preset
 
 GOLDEN_ROOT = Path(__file__).parent / "fixtures" / "golden"
 BUNDLES = sorted(path.name for path in GOLDEN_ROOT.iterdir() if path.is_dir())
+
+#: sha256 of the core run of tiny seed 0, as ``mapit run --json`` writes it
+TINY_SEED0_SHA256 = "9b2768e24fdf41b8474d96c9ab7de065d6be5fd15c26c8df63c656d5b9655476"
+
+
+def core_json(world):
+    """The bytes ``mapit run --json`` writes for *world*: its core run's
+    ``to_json(indent=2)`` and a newline."""
+    _, _, result = core_records(build_graph(world), world, MapItConfig())
+    return result.to_json(indent=2) + "\n"
 
 
 def test_fixtures_present():
@@ -58,3 +76,8 @@ def test_fig2_inference_is_the_papers(capsys):
     out = capsys.readouterr().out
     assert "109.105.98.10" in out
     assert "2603" in out and "11537" in out
+
+
+def test_tiny_seed0_core_run_is_pinned():
+    output = core_json(world_from_preset("tiny", 0))
+    assert hashlib.sha256(output.encode()).hexdigest() == TINY_SEED0_SHA256

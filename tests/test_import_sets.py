@@ -5,8 +5,9 @@ The dataset layer (``repro.io``) imports no simulator, and the
 ``sim``, ``perf`` and ``dns`` packages re-export nothing, so none of
 these paths loads the simulator, the evaluation harness or the
 baselines; they read only the chaos switch (``repro.robust.hooks``),
-never the fault injectors or the chaos harness (docs/ARCHITECTURE.md,
-"Layering rules").
+never the fault injectors or the chaos schedules (docs/ARCHITECTURE.md,
+"Layering rules").  The differential sweep loads the chaos schedules
+only when ``--chaos`` asks for them.
 """
 
 import json
@@ -26,7 +27,6 @@ UNNEEDED = (
     "repro.sweep",
     "repro.dns.verification",
     "repro.robust.faults",
-    "repro.robust.chaos",
 )
 
 
@@ -82,3 +82,12 @@ def test_stress_generator_loads_no_other_simulator_module():
     modules = loaded_after("import repro.sim.stress")
     assert [name for name in modules if name.startswith("repro.sim.")] == ["repro.sim.stress"]
     assert [name for name in modules if name.split(".")[:2] == ["repro", "io"]] == []
+
+
+def test_diff_sweep_loads_no_chaos_schedules():
+    modules = loaded_after(
+        "from repro.diff.cli import main\n"
+        "assert main(['--preset', 'tiny', '--worlds', '1', '--no-metamorphic']) == 0\n"
+    )
+    assert "repro.diff.harness" in modules
+    assert [name for name in modules if name in ("repro.diff.chaos", "repro.robust.faults")] == []

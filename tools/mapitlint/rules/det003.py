@@ -9,8 +9,9 @@ through helper functions, into any artifact the byte-identity contract
 covers:
 
 * **fingerprints** — calls to (or returns of) anything named
-  ``*fingerprint*`` (the §4.6 state fingerprint is the contract every
-  differential and chaos harness checks);
+  ``*fingerprint*`` (the §4.6 state fingerprint is the contract the
+  differential harness checks, its serve replay and its chaos
+  schedules included);
 * **journal records** — ``RunJournal.append`` /
   ``append_with_blob`` / ``store_blob`` and ``write_checkpoint``
   (a resumed run must replay to the same bytes);
