@@ -100,8 +100,8 @@ def accumulate_neighbors(
 ) -> None:
     """Fold *traces* into partial N_F/N_B tables and the seen-set.
 
-    The object twin of :func:`repro.perf.flat.fold_addresses`: one
-    adjacency contributes one member regardless of multiplicity, so
+    The object twin of :class:`repro.perf.flat.GraphFold`'s §4.3 fold:
+    one adjacency contributes one member regardless of multiplicity, so
     partial tables built over disjoint trace shards merge into exactly
     the serial result by set union.  *seen* gains every address of
     *traces*, special ones too — over sanitized traces, exactly

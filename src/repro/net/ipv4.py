@@ -10,6 +10,10 @@ from __future__ import annotations
 
 MAX_ADDRESS = (1 << 32) - 1
 
+#: every octet text the checks in :func:`parse_address` accept — ASCII
+#: digits, no leading zero, at most 255 — mapped to its value
+_OCTETS = {str(value): value for value in range(256)}
+
 
 class AddressError(ValueError):
     """Raised when a dotted-quad string cannot be parsed."""
@@ -27,6 +31,12 @@ def parse_address(text: str) -> int:
     parts = text.split(".")
     if len(parts) != 4:
         raise AddressError(f"expected 4 octets, got {len(parts)}: {text!r}")
+    try:
+        a, b, c, d = map(_OCTETS.__getitem__, parts)
+    except KeyError:
+        pass  # a bad octet: the checks below name it
+    else:
+        return (a << 24) | (b << 16) | (c << 8) | d
     value = 0
     for part in parts:
         # isascii() matters: str.isdigit() accepts Unicode digits like

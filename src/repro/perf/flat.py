@@ -15,9 +15,10 @@ sharded execution layer moves around instead:
   stress tier's generated shards (:mod:`repro.sim.stress`).
 * :class:`GraphFold` — the fold state every graph source holds: the
   §4.1 sanitize + §4.3 neighbor-set fold over parsed records or column
-  blocks, producing exactly the tallies of ``sanitize_traces`` +
-  ``accumulate_neighbors`` without materializing a single ``Hop``
-  (property-tested against the object kernel in
+  blocks, each distinct adjacency of a buffer of traces folded once
+  (:data:`FLUSH_SLOTS`), producing exactly the tallies of
+  ``sanitize_traces`` + ``accumulate_neighbors`` without materializing
+  a single ``Hop`` (property-tested against the object kernel in
   ``tests/test_perf_flat.py``), and the one step that finishes the
   interface graph.
 * :func:`encode_table` / :func:`merge_table_blob` /
@@ -45,15 +46,28 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
 from repro.net.special import default_special_registry
 from repro.obs.observer import Observability
 from repro.traceroute.model import Trace
-from repro.traceroute.parse import HopTuple, trace_record
+from repro.traceroute.parse import HopTuple, RecordTuple, trace_record
 
 #: array typecode with a 4-byte unsigned item (u32 addresses)
 U32 = "I" if array("I").itemsize == 4 else "L"
@@ -287,59 +301,29 @@ def pack_traces(traces: Sequence[Trace]) -> FlatTraces:
 # ----------------------------------------------------------------------
 # the sanitize + neighbor-set kernel
 
+#: hop slots (gaps and one separator per trace included) a fold
+#: buffers before it folds their distinct adjacencies; neighbor sets
+#: are sets, so an adjacency repeated inside one buffer is folded once
+FLUSH_SLOTS = 1 << 16
 
-def fold_addresses(
-    addresses: List[Optional[int]],
-    forward: Dict[int, Set[int]],
-    backward: Dict[int, Set[int]],
-    seen: Set[int],
-    is_special: Callable[[int], bool],
-    dirty: Optional[Set[Tuple[int, bool]]] = None,
-) -> bool:
-    """The §4.1 cycle check and §4.3 neighbor fold of one trace.
+_hop_address = itemgetter(0)
+_hop_quoted = itemgetter(1)
+_ZERO = frozenset((0,))
 
-    *addresses* are the trace's hop addresses after the TTL-0 strip,
-    ``None`` for a gap.  A trace with an interface cycle (the same
-    address twice, more than one position apart) folds nothing and
-    returns ``False`` (discarded); otherwise every address lands in
-    *seen* (``SanitizeReport.retained_addresses``, special ones too),
-    its adjacency folds into *forward*/*backward* — gaps and special
-    addresses break adjacency — and it returns ``True`` (retained).
-    *dirty* as in :meth:`GraphFold.fold`.  The integer kernel under
-    :meth:`GraphFold.fold` and :meth:`GraphFold.fold_block`; O(hops).
-    """
+
+def _has_cycle(addresses: Sequence[Optional[int]]) -> bool:
+    """§4.1's interface cycle: the same address twice, more than one
+    position apart (gaps count as positions), as
+    :func:`repro.traceroute.sanitize.find_cycle` judges it.  O(hops)."""
     last_position: Dict[int, int] = {}
     for position, address in enumerate(addresses):
         if address is None:
             continue
         previous = last_position.get(address)
         if previous is not None and position - previous > 1:
-            return False
+            return True
         last_position[address] = position
-    previous_address: Optional[int] = None
-    for address in addresses:
-        if address is None:
-            previous_address = None
-            continue
-        seen.add(address)
-        if is_special(address):
-            previous_address = None
-            continue
-        if previous_address is not None:
-            if dirty is None:
-                forward.setdefault(previous_address, set()).add(address)
-                backward.setdefault(address, set()).add(previous_address)
-            else:
-                members = forward.setdefault(previous_address, set())
-                if address not in members:
-                    members.add(address)
-                    dirty.add((previous_address, True))
-                members = backward.setdefault(address, set())
-                if previous_address not in members:
-                    members.add(previous_address)
-                    dirty.add((address, False))
-        previous_address = address
-    return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -502,10 +486,10 @@ class GraphFold:
     special ones too), ``universe`` every responsive hop address before
     any stripping (discarded traces included), and ``retained``,
     ``discarded`` and ``buggy`` the sanitize counts.  Fused-loader
-    shards and the serve index fold records into one (:meth:`fold`),
-    the stress tier column blocks (:meth:`fold_block`); a cache hit or
-    a serve checkpoint restores one from its packed form
-    (:meth:`bundle`, :meth:`merged`).
+    shards fold record streams into one (:meth:`fold_all`), the serve
+    index one record at a time (:meth:`fold`), the stress tier column
+    blocks (:meth:`fold_block`); a cache hit or a serve checkpoint
+    restores one from its packed form (:meth:`bundle`, :meth:`merged`).
     """
 
     def __init__(self) -> None:
@@ -532,8 +516,12 @@ class GraphFold:
 
         Responsive hops land in ``universe``, quoted-TTL-0 hops become
         gaps (counted in ``buggy`` even when the trace is then
-        discarded, as the serial sanitizer counts them), then
-        :func:`fold_addresses` runs.  O(hops).
+        discarded, as the serial sanitizer counts them), a trace with
+        an interface cycle is discarded, and a retained trace's
+        addresses land in ``seen`` and its adjacencies in the tables;
+        gaps and special addresses break adjacency.  The one-record
+        step serve takes per line, walking the trace's own adjacencies
+        (:meth:`fold_all` folds a record stream).  O(hops).
 
         *dirty*, when given, collects the interface halves whose
         neighbor set actually gained a member — ``(address, FORWARD)``
@@ -542,58 +530,154 @@ class GraphFold:
         input :meth:`repro.core.mapit.MapIt.run_incremental` needs (the
         serve daemon's dirty-region tracking, docs/SERVE.md).
         """
-        addresses: List[Optional[int]] = []
-        universe = self.universe
-        for address, quoted, _ in hops:
-            if address is not None:
-                universe.add(address)
-                if quoted == 0:
-                    self.buggy += 1
-                    address = None
-            addresses.append(address)
-        if fold_addresses(
-            addresses, self.forward, self.backward, self.seen, self.is_special, dirty
-        ):
-            self.retained += 1
-            return True
-        self.discarded += 1
-        return False
+        addresses = self._stripped(hops)
+        if not self._admit(addresses):
+            return False
+        forward, backward, is_special = self.forward, self.backward, self.is_special
+        previous: Optional[int] = None
+        for address in addresses:
+            if address is None or is_special(address):
+                previous = None
+                continue
+            if previous is not None:
+                members = forward.get(previous)
+                if members is None:
+                    members = forward[previous] = set()
+                if address not in members:
+                    members.add(address)
+                    if dirty is not None:
+                        dirty.add((previous, True))
+                members = backward.get(address)
+                if members is None:
+                    members = backward[address] = set()
+                if previous not in members:
+                    members.add(previous)
+                    if dirty is not None:
+                        dirty.add((address, False))
+            previous = address
+        return True
+
+    def fold_all(self, records: Iterable[RecordTuple]) -> None:
+        """Sanitize and fold every parsed record of *records*, as
+        :meth:`fold` would one at a time (the fused loader's shard).
+        The chunked kernel: per record only C-level steps, and per
+        :data:`FLUSH_SLOTS` buffered hop slots one Python step per
+        distinct adjacency.  O(hops)."""
+        self._fold_traces(self._stripped(record[3]) for record in records)
 
     def fold_block(self, flat: FlatTraces) -> None:
         """Sanitize and fold every trace of a column block.
 
-        :meth:`fold` read straight off the hop columns, with no hop
-        tuple built (the stress tier's streamed fold).  O(hops in the
-        block); equality with ``sanitize_traces`` +
+        :meth:`fold_all` read straight off the hop columns, with no hop
+        tuple built (the stress tier's streamed fold): the columns
+        become lists a run of traces at a time and are sliced per
+        trace.  O(hops in the block); equality with ``sanitize_traces`` +
         ``accumulate_neighbors`` is property-tested in
         ``tests/test_perf_flat.py``.
         """
+        self._fold_traces(self._block_traces(flat))
+
+    # -- the kernel ----------------------------------------------------------
+
+    def _stripped(self, hops: Sequence[HopTuple]) -> List[Optional[int]]:
+        """A record's hop addresses after §4.1's TTL-0 strip."""
+        addresses = [*map(_hop_address, hops)]
+        if _ZERO.isdisjoint(map(_hop_quoted, hops)):
+            return addresses
+        return self._strip(addresses, [*map(_hop_quoted, hops)])
+
+    def _block_traces(self, flat: FlatTraces) -> Iterator[List[Optional[int]]]:
+        """Each trace's hop addresses in a column block, after §4.1's
+        TTL-0 strip.  The columns become lists one run of traces at a
+        time, at most :data:`FLUSH_SLOTS` hops unless a single trace is
+        longer, so the lists stay within the fold's buffer bound
+        whatever the block size."""
         hop_start = flat.hop_start
-        flags, addr_column, quoted = flat.hop_flags, flat.hop_addr, flat.hop_quoted
-        forward, backward, seen = self.forward, self.backward, self.seen
-        universe, is_special = self.universe, self.is_special
-        retained = discarded = buggy = 0
-        for index in range(len(flat)):
-            first, last = hop_start[index], hop_start[index + 1]
-            addresses: List[Optional[int]] = []
-            for i in range(first, last):
-                if flags[i] & _RESPONDED:
-                    address = addr_column[i]
-                    universe.add(address)
-                    if quoted[i] == 0:
-                        buggy += 1
-                        addresses.append(None)
-                    else:
-                        addresses.append(address)
+        traces = len(flat)
+        index = 0
+        while index < traces:
+            base = hop_start[index]
+            stop = bisect_right(hop_start, base + FLUSH_SLOTS, index + 1, traces + 1)
+            stop = max(stop - 1, index + 1)
+            end = hop_start[stop]
+            addresses = flat.hop_addr[base:end].tolist()
+            flags = flat.hop_flags[base:end]
+            if flags.count(_RESPONDED) != len(flags):
+                addresses = [
+                    address if flag & _RESPONDED else None
+                    for address, flag in zip(addresses, flags)
+                ]
+            quoted = flat.hop_quoted[base:end]
+            quoted = quoted.tolist() if 0 in quoted else None
+            bounds = [start - base for start in hop_start[index : stop + 1]]
+            for first, last in zip(bounds, islice(bounds, 1, None)):
+                if quoted is None or _ZERO.isdisjoint(quoted[first:last]):
+                    yield addresses[first:last]
                 else:
-                    addresses.append(None)
-            if fold_addresses(addresses, forward, backward, seen, is_special):
-                retained += 1
-            else:
-                discarded += 1
-        self.retained += retained
-        self.discarded += discarded
-        self.buggy += buggy
+                    yield self._strip(addresses[first:last], quoted[first:last])
+            index = stop
+
+    def _strip(
+        self, addresses: List[Optional[int]], quoted: Sequence[int]
+    ) -> List[Optional[int]]:
+        """§4.1's TTL-0 strip: a responsive hop quoting TTL 0 becomes a
+        gap, counted in ``buggy``; its address still joins ``universe``."""
+        stripped: List[Optional[int]] = []
+        for address, ttl in zip(addresses, quoted):
+            if address is not None and ttl == 0:
+                self.universe.add(address)
+                self.buggy += 1
+                address = None
+            stripped.append(address)
+        return stripped
+
+    def _admit(self, addresses: List[Optional[int]]) -> bool:
+        """§4.1 for one stripped trace: its addresses join ``universe``;
+        a trace with an interface cycle counts as discarded, any other
+        as retained, its addresses joining ``seen``.  The positional
+        cycle check runs only for a trace that repeats an address."""
+        distinct = {*addresses}
+        distinct.discard(None)
+        self.universe |= distinct
+        repeats = len(distinct) != len(addresses) - addresses.count(None)
+        if repeats and _has_cycle(addresses):
+            self.discarded += 1
+            return False
+        self.retained += 1
+        self.seen |= distinct
+        return True
+
+    def _fold_traces(self, traces: Iterable[List[Optional[int]]]) -> None:
+        """Admit each stripped trace and buffer the retained ones, a
+        ``None`` after each so that no adjacency spans two traces;
+        fold the buffer's adjacencies whenever it reaches
+        :data:`FLUSH_SLOTS` slots, and at the end."""
+        admit = self._admit
+        pending: List[Optional[int]] = []
+        for addresses in traces:
+            if admit(addresses):
+                pending += addresses
+                pending.append(None)
+                if len(pending) >= FLUSH_SLOTS:
+                    self._fold_adjacencies(pending)
+                    pending = []
+        self._fold_adjacencies(pending)
+
+    def _fold_adjacencies(self, pending: List[Optional[int]]) -> None:
+        """§4.3 over a buffer of traces: each distinct adjacency once,
+        in order of first appearance, skipping those with a gap or a
+        special address."""
+        forward, backward, is_special = self.forward, self.backward, self.is_special
+        for previous, address in dict.fromkeys(zip(pending, islice(pending, 1, None))):
+            if (
+                previous is None
+                or address is None
+                or is_special(previous)
+                or is_special(address)
+            ):
+                continue
+            forward.setdefault(previous, set()).add(address)
+            backward.setdefault(address, set()).add(previous)
 
     def bundle(self) -> FlatGraphBundle:
         """Pack the fold state (O(members log members))."""

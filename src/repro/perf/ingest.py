@@ -121,9 +121,10 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     or ``Hop`` objects on the text path: each record goes through
     :func:`~repro.robust.ingest.record_parser` (text: a
     :class:`~repro.traceroute.parse.TextTokenizer`, each distinct token
-    parsed once) and the shard's :meth:`GraphFold.fold
-    <repro.perf.flat.GraphFold.fold>` (the §4.1 TTL-0 strip and cycle
-    check, then the §4.3 fold).  O(bytes in shard); pickles back
+    parsed once), and the record stream through the shard's
+    :meth:`GraphFold.fold_all <repro.perf.flat.GraphFold.fold_all>`
+    (the §4.1 TTL-0 strip and cycle check per record, then the §4.3
+    fold of each distinct adjacency).  O(bytes in shard); pickles back
     tallies and one packed counter bundle.
     """
     text, line_starts, format, source, mode = shared_payload()
@@ -132,14 +133,12 @@ def _fused_shard(shard: Shard) -> _ShardResult:
     lines = text[start:end].split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    parse = record_parser(format)
     fold = GraphFold()
-    fold_record = fold.fold
-    records = policy_records(
-        result, lines, line_starts[start], format, source, mode, parse
+    fold.fold_all(
+        policy_records(
+            result, lines, line_starts[start], format, source, mode, record_parser(format)
+        )
     )
-    for _, _, _, hops in records:
-        fold_record(hops)
     if result.strict_error is not None:
         return result
     result.bundle = fold.bundle()
@@ -271,7 +270,9 @@ class StreamFoldStats:
     cell results that embed it stay byte-identical across resumes.
     ``stream_bytes`` is the total columnar volume that passed through
     the fold; ``peak_block_bytes`` is the largest single block, i.e. the
-    fold's residency bound beyond the accumulated tables.
+    fold's residency bound beyond the accumulated tables and the
+    kernel's fixed buffer (:data:`~repro.perf.flat.FLUSH_SLOTS` hop
+    slots).
     """
 
     shards: int
@@ -292,7 +293,9 @@ def fold_graph_from_blocks(
     shard-by-shard producer) and are folded with the flat kernel as they
     appear — at no point is more than one block resident beyond the
     accumulated neighbor tables, so a multi-million-trace world folds in
-    memory bounded by ``peak_block_bytes`` plus the table size.
+    memory bounded by ``peak_block_bytes`` plus the table size and the
+    kernel's fixed buffer (:data:`~repro.perf.flat.FLUSH_SLOTS` hop
+    slots, whatever the block size).
     Downstream-equivalent to decoding every block and running the serial
     sanitize + build sequence: same tables (sorted-key canonical form),
     same gauges, same ``graph.built`` event.  O(total hops).

@@ -19,6 +19,7 @@ import shutil
 
 import pytest
 
+import repro.perf.flat as perf_flat
 import repro.robust.ingest as robust_ingest
 import repro.traceroute.parse as trace_parse
 from repro.cli import main
@@ -230,6 +231,85 @@ class TestKernelMatchesObjectPipeline:
             (3, "m2|9.0.0.4|9.0.0.999 9.0.0.2"),
         ]
         assert report == ingest_trace_file(path, mode="lenient")[1]
+
+
+#: records whose ends fall on flush edges at small flush bounds (the
+#: 10/8 and 192.168/16 addresses are RFC 6890 special)
+EDGE_RECORDS = [
+    "m1|9.0.0.1|9.0.0.2 9.0.0.3 9.0.0.3 9.0.0.4",  # a self-loop member, no cycle
+    "m1|9.0.0.1|* 9.0.0.2 9.0.0.5",
+    "m1|9.0.0.1|9.0.0.5 9.0.0.2 *",
+    "m1|9.0.0.1|10.0.0.1 9.0.0.2 9.0.0.3",
+    "m1|9.0.0.1|9.0.0.3 9.0.0.4 192.168.1.1",
+    "m1|9.0.0.1|9.0.0.4 * 9.0.0.4",  # a cycle through a gap
+    "m1|9.0.0.1|9.0.0.6 9.0.0.7@0 9.0.0.8",
+    "m1|9.0.0.1|9.0.0.8",
+    "m1|9.0.0.1|*",
+    "m1|9.0.0.1|9.0.0.9 9.0.0.9 9.0.0.9 10.0.0.1 10.0.0.1",
+]
+
+#: bad tokens after memoised ones on the same line: each must fail
+#: with the object parser's reason, at its own line, in token order
+LATE_BAD_TOKENS = [
+    "m2|9.0.0.1|9.0.0.2 9.0.0.3 9.0.0.999",
+    "m2|9.0.0.1|9.0.0.2 9.0.0.66 9.0.0.3@x",
+    "m2|9.0.0.1|9.0.0.3 9.0.0.2@x 9.0.0.777",
+]
+
+
+class TestFlushBoundaries:
+    """The loader's shards fold through the chunked kernel; with its
+    flush bound cut to a few hop slots every record end is a flush
+    edge, and every mode must still match the object pipeline."""
+
+    @pytest.mark.parametrize("slots", [1, 4, 9])
+    @pytest.mark.parametrize("mode", ["strict", "lenient", "quarantine"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_mode_matches_the_object_pipeline(
+        self, slots, mode, jobs, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(perf_flat, "FLUSH_SLOTS", slots)
+        flushes = []
+        fold_adjacencies = perf_flat.GraphFold._fold_adjacencies
+
+        def counted(fold, pending):
+            flushes.append(len(pending))
+            fold_adjacencies(fold, pending)
+
+        monkeypatch.setattr(perf_flat.GraphFold, "_fold_adjacencies", counted)
+        rng = random.Random(slots * 31 + jobs)
+        lines = _text(rng, lines=80, malformed=mode != "strict").splitlines()
+        lines[10:10] = EDGE_RECORDS + EDGE_RECORDS[::-1]
+        if mode != "strict":
+            lines[40:40] = LATE_BAD_TOKENS
+        path = tmp_path / "traces.txt"
+        path.write_text("\n".join(lines) + "\n")
+        oracle = _oracle(path, mode, tmp_path / "qa")
+        assert oracle[2][1] > 0 and oracle[2][2] > 0  # cycles and buggy hops
+        kernel = _kernel(path, jobs, mode, tmp_path / "qb")
+        _assert_same(oracle, kernel, tmp_path / "qa", tmp_path / "qb")
+        if jobs == 1:  # the bound was live: no flush held much more
+            assert len(flushes) > 1 and max(flushes) < slots + 12
+        if mode != "strict":
+            reasons = {error.line_number: error.reason for error in kernel[1].errors}
+            assert [reasons[line] for line in range(41, 44)] == [
+                "bad hop address: octet 999 out of range in '9.0.0.999'",
+                "bad quoted TTL 'x'",
+                "bad quoted TTL 'x'",
+            ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strict_raises_at_a_late_bad_token(self, jobs, tmp_path, monkeypatch):
+        monkeypatch.setattr(perf_flat, "FLUSH_SLOTS", 3)
+        for bad in LATE_BAD_TOKENS:
+            path = tmp_path / "traces.txt"
+            path.write_text("\n".join(EDGE_RECORDS + [bad] + EDGE_RECORDS) + "\n")
+            with pytest.raises(TraceParseError) as want:
+                ingest_trace_file(path, mode="strict")
+            with pytest.raises(TraceParseError) as got:
+                stream_graph_from_file(path, jobs, mode="strict")
+            assert str(got.value) == str(want.value)
+            assert got.value.line_number == len(EDGE_RECORDS) + 1
 
 
 def _atlas_line(trace):

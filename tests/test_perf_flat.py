@@ -15,6 +15,7 @@ from array import array
 
 import pytest
 
+import repro.perf.flat as perf_flat
 from repro.graph.neighbors import accumulate_neighbors
 from repro.obs.observer import NULL_OBS
 from repro.perf.flat import (
@@ -251,6 +252,118 @@ class TestFlatKernelOracle:
         for record in records:
             fold.fold(record[3], dirty)
         assert dirty == set()
+
+
+#: traces whose ends fall on flush edges at small flush bounds: an
+#: address repeated only adjacently (a self-loop member, no cycle),
+#: gaps and special addresses (20, 25) first and last, a cycle through
+#: a gap, a buggy hop, a single hop, no hops
+_EDGE_TRACES = [
+    Trace("m", 1, (Hop(11), Hop(12), Hop(12), Hop(13))),
+    Trace("m", 1, (Hop(None), Hop(11), Hop(15))),
+    Trace("m", 1, (Hop(15), Hop(11), Hop(None))),
+    Trace("m", 1, (Hop(20), Hop(11), Hop(12))),
+    Trace("m", 1, (Hop(12), Hop(13), Hop(25))),
+    Trace("m", 1, (Hop(13), Hop(None), Hop(13))),
+    Trace("m", 1, (Hop(14), Hop(16, 0), Hop(17))),
+    Trace("m", 1, (Hop(17),)),
+    Trace("m", 1, ()),
+    Trace("m", 1, (Hop(18), Hop(18), Hop(18), Hop(25), Hop(25))),
+]
+
+_EDGE_SPECIAL = {20, 25}.__contains__
+
+
+def _oracle_tables(traces, is_special):
+    """``sanitize_traces`` + ``accumulate_neighbors``: tables, seen,
+    universe and the three counts."""
+    report = sanitize_traces(traces)
+    forward, backward, seen = {}, {}, set()
+    accumulate_neighbors(report.traces, forward, backward, seen, is_special)
+    counts = (len(report.traces), report.discarded, report.buggy_hops_removed)
+    return forward, backward, seen, report.all_addresses, counts
+
+
+def _fold_tables(fold):
+    counts = (fold.retained, fold.discarded, fold.buggy)
+    return fold.forward, fold.backward, fold.seen, fold.universe, counts
+
+
+class TestFlushBoundaries:
+    """The chunked kernel folds each distinct adjacency of a buffer of
+    up to ``FLUSH_SLOTS`` hop slots once; with the bound cut to a few
+    slots every trace end is a flush edge, and the folds must still
+    equal the object oracle."""
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4, 5, 7, 11])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fold_block_and_fold_all(self, slots, seed, monkeypatch):
+        monkeypatch.setattr(perf_flat, "FLUSH_SLOTS", slots)
+        rng = random.Random(90_210 + seed)
+        traces = _EDGE_TRACES * 2 + _random_traces(rng, n_traces=30, address_pool=12)
+        rng.shuffle(traces)
+        is_special = lambda a: a in (20, 25) or a % 9 == 0  # noqa: E731
+        want = _oracle_tables(traces, is_special)
+        assert want[4][1] > 0 and want[4][2] > 0  # cycles and buggy hops
+
+        blocks = _fold(is_special)
+        cuts = sorted(rng.sample(range(1, len(traces)), 3))
+        bounds = [0, *cuts, len(traces)]
+        for start, end in zip(bounds, bounds[1:]):
+            blocks.fold_block(pack_traces(traces[start:end]))
+        assert _fold_tables(blocks) == want
+
+        one_block = _fold(is_special)
+        one_block.fold_block(pack_traces(traces))
+        assert _fold_tables(one_block) == want
+
+        records = _fold(is_special)
+        records.fold_all(trace_record(trace) for trace in traces)
+        assert _fold_tables(records) == want
+
+    def test_edge_traces(self, monkeypatch):
+        """The hand-built edge cases alone, at every small bound."""
+        want = _oracle_tables(_EDGE_TRACES, _EDGE_SPECIAL)
+        assert 12 in want[0][12] and 18 in want[0][18]  # self-loop members
+        for slots in range(1, 12):
+            monkeypatch.setattr(perf_flat, "FLUSH_SLOTS", slots)
+            fold = _fold(_EDGE_SPECIAL)
+            fold.fold_all(trace_record(trace) for trace in _EDGE_TRACES)
+            assert _fold_tables(fold) == want, slots
+
+    @pytest.mark.parametrize("slots", [1, 3, 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fold_after_flushed_fold_all_reports_exact_dirty_halves(
+        self, slots, seed, monkeypatch
+    ):
+        """Records folded by the chunked kernel, then one at a time with
+        ``dirty``: the dirty set names exactly the grown halves, and the
+        tables end equal to the oracle's over every record."""
+        monkeypatch.setattr(perf_flat, "FLUSH_SLOTS", slots)
+        rng = random.Random(4_242 + seed)
+        traces = _EDGE_TRACES + _random_traces(rng, n_traces=60, address_pool=16)
+        rng.shuffle(traces)
+        is_special = lambda a: a in (20, 25) or a % 7 == 0  # noqa: E731
+        split = len(traces) // 2
+        fold = _fold(is_special)
+        fold.fold_all(trace_record(trace) for trace in traces[:split])
+        before = {
+            True: {a: set(m) for a, m in fold.forward.items()},
+            False: {a: set(m) for a, m in fold.backward.items()},
+        }
+        dirty = set()
+        retained = [fold.fold(trace_record(trace)[3], dirty) for trace in traces[split:]]
+        expected = {
+            (address, direction)
+            for direction, table in ((True, fold.forward), (False, fold.backward))
+            for address, members in table.items()
+            if members != before[direction].get(address, set())
+        }
+        assert dirty == expected
+        want = _oracle_tables(traces, is_special)
+        assert _fold_tables(fold) == want
+        tail = sanitize_traces(traces[split:])
+        assert retained.count(True) == len(tail.traces)
 
 
 class TestBundleCodec:

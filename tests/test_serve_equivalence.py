@@ -95,6 +95,39 @@ def test_permuted_arrival_order(world):
     assert payload == batch_json
 
 
+@pytest.mark.parametrize("stub_heuristic", [True, False])
+def test_published_fingerprint_is_the_state_fingerprint(world, monkeypatch, stub_heuristic):
+    """A quiesce publishes the §4.6 digest of the state its run left,
+    both where the Alg 4 stub step inferred something after the last
+    iteration and where it did not (or did not run)."""
+    import repro.core.mapit as core_mapit
+
+    inferred = []
+
+    def recording_stub_step(engine):
+        report = stub_step(engine)
+        inferred.append(report.inferred)
+        return report
+
+    stub_step = core_mapit.stub_step
+    monkeypatch.setattr(core_mapit, "stub_step", recording_stub_step)
+    index = IncrementalIndex(
+        world.ip2as(),
+        org=world.as2org,
+        rel=world.relationships,
+        config=MapItConfig(enable_stub_heuristic=stub_heuristic),
+    )
+    daemon = ServeDaemon(index, format="text", quiesce_every=0)
+    for line in traces_to_text_lines(world.traces):
+        daemon.ingest_entry(line, "traces.txt")
+        snapshot = daemon.quiesce()
+        assert snapshot.fingerprint == index._mapit.engine.state.fingerprint()
+    if stub_heuristic:
+        assert 0 in inferred and any(inferred)
+    else:
+        assert inferred == []
+
+
 def test_chunked_folds_match_single_fold(world):
     """Chunk boundaries are invisible: many small folds == one big one,
     and every chunk boundary quiesces to the batch state of its prefix
