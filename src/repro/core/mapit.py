@@ -82,7 +82,9 @@ class MapIt:
                 max_iterations=config.max_iterations,
                 stub_heuristic=config.enable_stub_heuristic,
             )
-        seen_fingerprints = {engine.state.fingerprint()}
+        # §4.6 compares exact states, as the oracle does; the sha256
+        # digest (MapItState.fingerprint) is only for publishing.
+        seen = {engine.state.state_key()}
         iterations = 0
         engine.state.refresh_visible()
         converged = False
@@ -100,8 +102,8 @@ class MapIt:
                 with obs.span("pass/remove"):
                     remove_step(engine)
             self._checkpoint(f"iteration {iterations}")
-            fingerprint = engine.state.fingerprint()
-            repeated = fingerprint in seen_fingerprints
+            key = engine.state.state_key()
+            repeated = key in seen
             if obs.enabled:
                 obs.event(
                     "iteration.end",
@@ -113,7 +115,7 @@ class MapIt:
             if repeated:
                 converged = True
                 break
-            seen_fingerprints.add(fingerprint)
+            seen.add(key)
         if config.enable_stub_heuristic:
             with obs.span("pass/stub"):
                 stub_step(engine)
@@ -190,8 +192,13 @@ class MapIt:
         are dropped.  Indirect inferences inherit the uncertainty of
         their supporting direct.
         """
-        engine = self.engine
-        state = engine.state
+        state = self.engine.state
+        directs = state.direct
+        # This loop runs once per inference per run or quiesce: records
+        # are built positionally (LinkInference's field order) and the
+        # other-side lookup is bound once.
+        other_sides = self.engine.graph.other_sides
+        other_side = {}.get if other_sides is None else other_sides.other_side.get
         confident: List[LinkInference] = []
         uncertain: List[LinkInference] = []
         # Uncertain pairs are typically added and removed forever (the
@@ -199,43 +206,43 @@ class MapIt:
         # not currently held as direct inferences are reported from the
         # log.
         for half, direct in sorted(state.uncertain_log.items()):
-            if half in state.direct:
+            if half in directs:
                 continue
             uncertain.append(
                 LinkInference(
-                    address=half[0],
-                    forward=half[1],
-                    local_as=direct.local_as,
-                    remote_as=direct.remote_as,
-                    kind=STUB if direct.via_stub else DIRECT,
-                    other_side=engine.graph.other_side(half[0]),
-                    uncertain=True,
+                    half[0],
+                    half[1],
+                    direct.local_as,
+                    direct.remote_as,
+                    STUB if direct.via_stub else DIRECT,
+                    other_side(half[0]),
+                    True,
                 )
             )
-        for half, direct in sorted(state.direct.items()):
+        for (address, forward), direct in sorted(directs.items()):
             record = LinkInference(
-                address=half[0],
-                forward=half[1],
-                local_as=direct.local_as,
-                remote_as=direct.remote_as,
-                kind=STUB if direct.via_stub else DIRECT,
-                other_side=engine.graph.other_side(half[0]),
-                uncertain=direct.uncertain,
+                address,
+                forward,
+                direct.local_as,
+                direct.remote_as,
+                STUB if direct.via_stub else DIRECT,
+                other_side(address),
+                direct.uncertain,
             )
             (uncertain if direct.uncertain else confident).append(record)
         for half, indirect in sorted(state.indirect.items()):
-            if half in state.direct or indirect.detached:
+            if half in directs or indirect.detached:
                 continue
-            source = state.direct.get(indirect.source)
+            source = directs.get(indirect.source)
             source_uncertain = source.uncertain if source is not None else False
             record = LinkInference(
-                address=half[0],
-                forward=half[1],
-                local_as=indirect.local_as,
-                remote_as=indirect.remote_as,
-                kind=INDIRECT,
-                other_side=indirect.source[0],
-                uncertain=source_uncertain,
+                half[0],
+                half[1],
+                indirect.local_as,
+                indirect.remote_as,
+                INDIRECT,
+                indirect.source[0],
+                source_uncertain,
             )
             (uncertain if source_uncertain else confident).append(record)
         return confident, uncertain

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.graph.halves import Half, half_str
 from repro.net.ipv4 import format_address
@@ -21,14 +22,26 @@ DIRECT = "direct"
 INDIRECT = "indirect"
 STUB = "stub"
 
+_ADDRESS = attrgetter("address")
+_AS_PAIR = attrgetter("local_as", "remote_as")
 
-@dataclass(frozen=True)
-class LinkInference:
+
+def _unordered(first: int, second: int) -> Tuple[int, int]:
+    """The pair ascending, as ``tuple(sorted(...))`` orders it."""
+    return (first, second) if first <= second else (second, first)
+
+
+class LinkInference(NamedTuple):
     """One inferred inter-AS link interface half.
 
     ``kind`` records the mechanism that produced it: ``direct``
     (Alg 2), ``indirect`` (§4.4.2 other-side propagation), or their
     stub-heuristic variants (Alg 4, §4.8).
+
+    A record is an immutable tuple of its fields, in the order below:
+    it unpacks, and it equals and hashes as a plain tuple of the same
+    values.  Hashing, comparison and field reads run in C, and no
+    record carries a ``__dict__``.
     """
 
     address: int
@@ -46,8 +59,7 @@ class LinkInference:
 
     def pair(self) -> Tuple[int, int]:
         """The unordered AS pair the link connects."""
-        low, high = sorted((self.local_as, self.remote_as))
-        return (low, high)
+        return _unordered(self.local_as, self.remote_as)
 
     def involves(self, asn: int) -> bool:
         """True when *asn* is one of the link's endpoints."""
@@ -132,11 +144,15 @@ class MapItResult:
 
     def addresses(self) -> Set[int]:
         """Addresses carrying at least one high-confidence inference."""
-        return {inference.address for inference in self.inferences}
+        return set(map(_ADDRESS, self.inferences))
 
     def as_links(self) -> Set[Tuple[int, int]]:
-        """The AS-level links implied by the high-confidence inferences."""
-        return {inference.pair() for inference in self.inferences}
+        """The AS-level links implied by the high-confidence inferences:
+        each distinct (local, remote) pair ordered once, not each record."""
+        return {
+            _unordered(local, remote)
+            for local, remote in dict.fromkeys(map(_AS_PAIR, self.inferences))
+        }
 
     def involving(self, asn: int) -> List[LinkInference]:
         """High-confidence inferences with *asn* as an endpoint."""
@@ -190,20 +206,52 @@ class MapItResult:
         )
 
 
+#: ``to_dict``'s keys in its order, each with the ``%`` conversion that
+#: writes its value the way ``json.dumps`` does (the string values
+#: arrive quoted or escaped; see :func:`_records_json`)
+_RECORD_FIELDS = (
+    ("address", '"%s"'),
+    ("direction", '"%s"'),
+    ("local_as", "%d"),
+    ("remote_as", "%d"),
+    ("kind", "%s"),
+    ("other_side", "%s"),
+    ("uncertain", "%s"),
+)
+
+
 def _records_json(records: List[LinkInference], pad: str) -> str:
     """*records* as ``json.dumps`` lays out a list at depth 1 of a
-    document indented by *pad*, from one C-encoder call that puts each
-    field on its depth-3 line; only the record boundaries then need
-    their depth-2 braces.  The rewrite cannot touch a string: encoders
-    escape newlines in strings, and ``to_dict`` records are flat, so
-    ``},<newline>{`` occurs only between records."""
+    document indented by *pad*: one ``%`` template per record, built
+    from ``to_dict``'s key order, so no record becomes a dict.
+    Addresses and directions are digits, dots and letters, which JSON
+    never escapes; ``kind`` is any string, so it goes through
+    ``json.dumps`` once per distinct value in the call."""
     if not records:
         return "[]"
     fields, braces = "\n" + pad * 3, "\n" + pad * 2
-    body = json.dumps(
-        [record.to_dict() for record in records], separators=("," + fields, ": ")
+    template = (
+        "{"
+        + ",".join(f'{fields}"{key}": {spec}' for key, spec in _RECORD_FIELDS)
+        + braces
+        + "}"
     )
-    records_text = body[2:-2].replace(
-        "}," + fields + "{", braces + "}," + braces + "{" + fields
-    )
-    return f"[{braces}{{{fields}{records_text}{braces}}}\n{pad}]"
+    kinds: Dict[str, str] = {}
+    blocks = []
+    for address, forward, local_as, remote_as, kind, other_side, uncertain in records:
+        quoted = kinds.get(kind)
+        if quoted is None:
+            quoted = kinds[kind] = json.dumps(kind)
+        blocks.append(
+            template
+            % (
+                format_address(address),
+                "forward" if forward else "backward",
+                local_as,
+                remote_as,
+                quoted,
+                "null" if other_side is None else f'"{format_address(other_side)}"',
+                "true" if uncertain else "false",
+            )
+        )
+    return f"[{braces}{(',' + braces).join(blocks)}\n{pad}]"

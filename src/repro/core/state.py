@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.graph.halves import Half, half_str
 
@@ -81,8 +81,8 @@ class MapItState:
     Live direct/indirect inference tables, the per-pass mapping
     snapshot of §4.4.5 (``visible``, refreshed between passes so every
     pass reads end-of-previous-pass state), the §4.4.4 uncertain log,
-    and the order-independent fingerprint the §4.6 convergence test
-    compares.
+    the exact state key the §4.6 convergence test compares, and the
+    order-independent digest of that state serve publishes.
     """
 
     def __init__(self) -> None:
@@ -167,12 +167,34 @@ class MapItState:
 
     # -- convergence ---------------------------------------------------------
 
-    def fingerprint(self) -> str:
-        """Deterministic, order-independent digest of the inference state.
+    def state_key(self) -> Tuple[FrozenSet, FrozenSet]:
+        """The exact inference state section 4.6's stopping rule
+        compares: the overall loop ends when the state at the end of a
+        remove step repeats.
 
-        Used by section 4.6's stopping rule: the overall loop ends when
-        the state at the end of a remove step repeats.  The digest is a
-        sha256 over a canonical sorted encoding — *not* Python's
+        Frozensets of the fields :meth:`fingerprint` hashes, as the
+        oracle's ``state_snapshot`` builds them, so two states have
+        equal keys exactly when they have equal fingerprints (neither
+        reads a direct's ``via_stub`` or an indirect's ``local_as``).
+        A key is compared only inside the run that made it, so it
+        needs no canonical text and no digest: one tuple per inference.
+        """
+        return (
+            frozenset(
+                (half, direct.local_as, direct.remote_as, direct.uncertain)
+                for half, direct in self.direct.items()
+            ),
+            frozenset(
+                (half, indirect.remote_as, indirect.source, indirect.detached)
+                for half, indirect in self.indirect.items()
+            ),
+        )
+
+    def fingerprint(self) -> str:
+        """Deterministic, order-independent digest of the inference state
+        (the state :meth:`state_key` names).
+
+        A sha256 over a canonical sorted encoding — *not* Python's
         ``hash()``, whose per-process string salt (PYTHONHASHSEED)
         would make fingerprints incomparable across processes — serve
         publishes them in snapshots and checkpoints.

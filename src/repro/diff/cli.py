@@ -198,9 +198,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return
         failed = True
         print(outcome.report, file=sys.stderr)
-        if args.shrink and not outcome.divergences and outcome.serve_prefix is None:
-            # Only chaos failed.  Its predicate runs would fork pools and
-            # start daemons, and regression bundles record no schedules.
+        if args.shrink and outcome.only_chaos_failed:
+            # Shrinking chaos would fork pools and start daemons in every
+            # predicate run, and regression bundles record no schedules.
             print("  chaos failures are not shrunk", file=sys.stderr)
         elif args.shrink:
             predicate = divergence_predicate(rule, check_every)

@@ -8,7 +8,9 @@ inferred by only one side, or inferred with a different AS pair, kind,
 or uncertainty — is a :class:`Divergence`, and the first one per world
 is rendered as a readable report: the half, which side said what, both
 sides' final neighbor-set tallies, and the oracle's journal of every
-rule that touched the half (iteration, pass, rule).
+rule that touched the half (iteration, pass, rule).  The §4.6
+trajectory is held to the oracle too: both sides must run the same
+number of outer iterations and agree on whether the state repeated.
 
 With a cadence (``check_every > 0``) the harness also holds serve to
 batch: it folds the world into an
@@ -125,6 +127,9 @@ class WorldOutcome:
     divergences: List[Divergence] = field(default_factory=list)
     core_inferences: int = 0
     oracle_inferences: int = 0
+    #: ``((iterations, converged) of core, of oracle)`` when the two
+    #: §4.6 loops ran differently; None when they agree
+    trajectory: Optional[Tuple[Tuple[int, bool], Tuple[int, bool]]] = None
     #: serve prefixes compared against batch (0 without a cadence)
     prefixes: int = 0
     #: the first prefix whose quiesced serve state differed from batch
@@ -135,10 +140,25 @@ class WorldOutcome:
 
     @property
     def divergence_count(self) -> int:
-        """Halves diverging from the oracle, plus one when serve
-        diverged, plus one per failed chaos run."""
+        """Halves diverging from the oracle, plus one when the §4.6
+        trajectory differs, plus one when serve diverged, plus one per
+        failed chaos run."""
         failed = sum(1 for run in self.chaos if run.failure)
-        return len(self.divergences) + (self.serve_prefix is not None) + failed
+        return (
+            len(self.divergences)
+            + (self.trajectory is not None)
+            + (self.serve_prefix is not None)
+            + failed
+        )
+
+    @property
+    def only_chaos_failed(self) -> bool:
+        """True when every failure is a chaos run's (nothing to shrink)."""
+        return (
+            not self.divergences
+            and self.trajectory is None
+            and self.serve_prefix is None
+        )
 
     @property
     def ok(self) -> bool:
@@ -269,6 +289,20 @@ def first_divergence_report(
     return "\n".join(lines)
 
 
+def trajectory_report(
+    world: World, rule: str, trajectory: Tuple[Tuple[int, bool], Tuple[int, bool]]
+) -> str:
+    """Render a §4.6 trajectory mismatch: each side's iteration count
+    and whether its loop stopped on a repeated state."""
+    (core_iterations, core_converged), (oracle_iterations, oracle_converged) = trajectory
+    return (
+        f"world {world.name} (remove_rule={rule}): §4.6 trajectory differs, "
+        f"core vs oracle\n"
+        f"  core {core_iterations} iteration(s), converged={core_converged}; "
+        f"oracle {oracle_iterations} iteration(s), converged={oracle_converged}"
+    )
+
+
 def reference_state(
     world: World, prefix: int, config: MapItConfig, ip2as: Optional[IP2AS] = None
 ) -> Tuple[str, str]:
@@ -335,10 +369,11 @@ def compare_world(
     check_every: int = 0,
     chaos: Sequence[str] = (),
 ) -> WorldOutcome:
-    """Run oracle and core on *world* and diff the final inferences;
-    with *check_every* > 0, also replay serve against batch at that
-    prefix cadence (:func:`_replay_serve`); with *chaos* schedules, also
-    hold the CLI's faulted runs to the core run's bytes
+    """Run oracle and core on *world* and diff the final inferences and
+    the §4.6 trajectory (iterations, converged); with *check_every* >
+    0, also replay serve against batch at that prefix cadence
+    (:func:`_replay_serve`); with *chaos* schedules, also hold the
+    CLI's faulted runs to the core run's bytes
     (:func:`repro.diff.chaos.run_schedules`, which runs ``serial``
     first)."""
     if config is None:
@@ -358,11 +393,18 @@ def compare_world(
 
             expected = result.to_json(indent=2) + "\n"
             runs = run_schedules(world, config, expected, chaos)
+    core_trajectory = (result.iterations, result.converged)
+    oracle_trajectory = (oracle_result.iterations, oracle_result.converged)
     outcome = WorldOutcome(
         world=world.name,
         remove_rule=remove_rule,
         core_inferences=len(core_map),
         oracle_inferences=len(oracle_map),
+        trajectory=(
+            None
+            if core_trajectory == oracle_trajectory
+            else (core_trajectory, oracle_trajectory)
+        ),
         prefixes=prefixes,
         serve_prefix=serve_prefix,
         chaos=runs,
@@ -377,6 +419,8 @@ def compare_world(
         reports.append(first_divergence_report(
             world, remove_rule, outcome.divergences[0], mapit, oracle_result
         ))
+    if outcome.trajectory is not None:
+        reports.append(trajectory_report(world, remove_rule, outcome.trajectory))
     if serve_report:
         reports.append(serve_report)
     reports.extend(outcome.chaos_line(run) for run in runs if run.failure)
@@ -393,7 +437,8 @@ def world_diverges(
     world: World, remove_rule: str = REMOVE_MAJORITY, check_every: int = 0
 ) -> bool:
     """The shrinker's predicate: does *world* still diverge (from the
-    oracle, or, with a cadence, serve from batch)?"""
+    oracle, in records or trajectory, or, with a cadence, serve from
+    batch)?"""
     try:
         return not compare_world(world, remove_rule, check_every=check_every).ok
     except Exception as exc:

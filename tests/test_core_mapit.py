@@ -292,3 +292,26 @@ class TestRemoveStep:
     def test_converges(self):
         result = run(self.LINES, self.PAIRS)
         assert result.converged
+
+
+class TestStateHashes:
+    """§4.6 compares exact state keys; the sha256 fingerprint is only
+    for publishing, so a batch run computes none."""
+
+    def test_batch_run_hashes_nothing(self, monkeypatch):
+        from repro.core.mapit import run_mapit_graph
+        from repro.core.state import MapItState
+        from repro.diff.harness import build_graph
+        from repro.diff.worlds import world_from_preset
+
+        calls = []
+        fingerprint = MapItState.fingerprint
+        monkeypatch.setattr(
+            MapItState, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
+        )
+        world = world_from_preset("small", 7)
+        result = run_mapit_graph(
+            build_graph(world), world.ip2as(), world.as2org, world.relationships
+        )
+        assert result.converged and result.iterations >= 2
+        assert calls == []

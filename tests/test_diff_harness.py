@@ -138,6 +138,44 @@ class TestFaultDetection:
                 pass
 
 
+class TestTrajectory:
+    """The §4.6 loop is held to the oracle's on every world: the same
+    number of outer iterations, and the same answer to whether the
+    state repeated (``TestSweep`` holds clean worlds to it)."""
+
+    def test_a_loop_that_never_sees_a_repeat_fails_the_world(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.core.state import MapItState
+
+        # every state key is new, so the core loop runs to max_iterations
+        monkeypatch.setattr(MapItState, "state_key", lambda self: object())
+        outcome = compare_world(world_from_preset("tiny", 0), "majority")
+        core, oracle = outcome.trajectory
+        assert core == (MapItConfig().max_iterations, False)
+        assert oracle[1] is True and oracle[0] < core[0]
+        assert not outcome.ok
+        assert outcome.divergence_count == len(outcome.divergences) + 1
+        assert "§4.6 trajectory differs, core vs oracle" in outcome.report
+        assert f"oracle {oracle[0]} iteration(s), converged=True" in outcome.report
+
+        metrics_path = tmp_path / "metrics.json"
+        code = diff_main(
+            [
+                "--preset", "tiny", "--worlds", "1", "--rules", "majority",
+                "--no-metamorphic", "--metrics", str(metrics_path),
+                "--shrink", "--regressions-dir", str(tmp_path / "regressions"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "§4.6 trajectory differs" in err
+        # a trajectory failure is shrunk like a record divergence
+        assert "not shrunk" not in err and "minimized" in err
+        counters = json.loads(metrics_path.read_text())["counters"]
+        assert counters["diff.divergences"] == outcome.divergence_count
+
+
 class TestShrinker:
     def test_minimizes_faulty_world(self):
         world = world_from_preset("small", FAULTY_SEED)

@@ -128,6 +128,29 @@ def test_published_fingerprint_is_the_state_fingerprint(world, monkeypatch, stub
         assert inferred == []
 
 
+def test_one_state_hash_per_quiesce(monkeypatch):
+    """A quiesce hashes the inference state once, for the digest it
+    publishes: the §4.6 loop compares exact state keys."""
+    from repro.core.state import MapItState
+
+    calls = []
+    fingerprint = MapItState.fingerprint
+    monkeypatch.setattr(
+        MapItState, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
+    )
+    small = world_from_preset("small", 7)
+    daemon = ServeDaemon(_fresh_index(small), format="text", quiesce_every=0)
+    quiesces = iterations = 0
+    for number, line in enumerate(traces_to_text_lines(small.traces), start=1):
+        daemon.ingest_entry(line, "traces.txt")
+        if number % 64 == 0:
+            snapshot = daemon.quiesce()
+            quiesces += 1
+            iterations += snapshot.result.iterations
+    assert quiesces >= 4 and iterations > quiesces
+    assert len(calls) == quiesces
+
+
 def test_chunked_folds_match_single_fold(world):
     """Chunk boundaries are invisible: many small folds == one big one,
     and every chunk boundary quiesces to the batch state of its prefix
