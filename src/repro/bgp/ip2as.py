@@ -17,10 +17,11 @@ update mappings of unannounced addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.bgp.cymru import CymruTable
-from repro.bgp.origins import OriginTable
+from repro.bgp.origins import OriginTable, merge_collectors
+from repro.bgp.table import CollectorDump
 from repro.ixp.dataset import IXPDataset
 from repro.net.prefix import Prefix
 from repro.net.special import SpecialPurposeRegistry, default_special_registry
@@ -156,3 +157,17 @@ class IP2ASBuilder:
 
     def build(self) -> IP2AS:
         return IP2AS(self._trie, self._special, self._ixp)
+
+
+def assemble_ip2as(
+    dumps: Sequence[CollectorDump], cymru: CymruTable, ixp: IXPDataset
+) -> IP2AS:
+    """The section 5 mapper from its raw datasets: the BGP layer from
+    the merged collector *dumps* (when there are any), then the *cymru*
+    fallback, then the *ixp* overlay.  The loader, the simulator and
+    the differential harness's worlds all assemble it here; an empty
+    table adds no entry."""
+    builder = IP2ASBuilder()
+    if dumps:
+        builder.add_bgp(merge_collectors(dumps))
+    return builder.add_cymru(cymru).set_ixp(ixp).build()

@@ -87,16 +87,21 @@ class CollectorDump:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "CollectorDump":
-        """Parse the format produced by :meth:`dump_lines`."""
+        """Parse the format produced by :meth:`dump_lines`.
+
+        A ``#`` line whose first token is exactly ``#collector`` is the
+        header; every other ``#`` line is a comment.
+        """
         dump = cls(name="unnamed")
         for line in lines:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#collector"):
+            if line.startswith("#"):
                 parts = line.split(maxsplit=2)
-                dump.name = parts[1] if len(parts) > 1 else "unnamed"
-                dump.location = parts[2] if len(parts) > 2 else ""
-                continue
+                if parts[0] == "#collector":
+                    dump.name = parts[1] if len(parts) > 1 else "unnamed"
+                    dump.location = parts[2] if len(parts) > 2 else ""
+                continue  # any other ``#`` line is a comment
             dump.add(Announcement.from_line(line))
         return dump

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from repro import MapItConfig
-from repro.io import load_bundle, save_scenario
+from repro.io import find_traces, load_bundle, save_scenario
 from repro.io.atomic import atomic_write_lines
 from repro.robust.errors import ErrorBudgetExceeded
 from repro.robust.supervise import ShardDeadlineExhausted
@@ -413,7 +413,7 @@ def cmd_simulate(args) -> int:
 
     try:
         _, report = ingest_trace_file(
-            root / "traces.txt",
+            find_traces(root),
             mode=args.on_error,
             budget=ErrorBudget(args.max_error_rate),
         )
@@ -534,7 +534,7 @@ def cmd_serve(args) -> int:
     from repro.serve.daemon import ServeDaemon
     from repro.serve.incremental import IncrementalIndex
     from repro.serve.sources import FollowSource, SocketSource
-    from repro.traceroute.parse import TraceParseError
+    from repro.traceroute.parse import TraceParseError, trace_format_for_path
 
     journal_dir = args.journal or os.environ.get("MAPIT_JOURNAL") or None
     if args.resume and not journal_dir:
@@ -559,21 +559,14 @@ def cmd_serve(args) -> int:
         )
         for line in bundle.health.summary_lines():
             print(line, file=sys.stderr)
-        root = Path(args.dataset)
-        dataset_traces = None
-        for name in ("traces.txt", "traces.jsonl"):
-            if (root / name).exists():
-                dataset_traces = root / name
-                break
+        dataset_traces = find_traces(args.dataset)
         follow_paths = [Path(p) for p in (args.follow or [])]
         stream_paths = ([dataset_traces] if dataset_traces else []) + follow_paths
-        formats = {
-            "jsonl" if path.suffix == ".jsonl" else "text" for path in stream_paths
-        }
+        formats = {trace_format_for_path(path.name) for path in stream_paths}
         if len(formats) > 1:
             print(
-                "error: mixed text/jsonl sources; one serve session "
-                "streams one record format",
+                f"error: mixed {'/'.join(sorted(formats))} sources; one serve "
+                "session streams one record format",
                 file=sys.stderr,
             )
             return 2
@@ -695,8 +688,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from repro.core.mapit import run_mapit_graph
-    from repro.eval.verify import build_verification, score_inferences
+    from repro.eval.verify import score_bundle
 
     obs = _build_obs(args)
     try:
@@ -708,15 +700,7 @@ def cmd_evaluate(args) -> int:
                 "dataset has no groundtruth.txt; nothing to evaluate", file=sys.stderr
             )
             return 2
-        graph = bundle.graph
-        result = run_mapit_graph(
-            graph,
-            bundle.ip2as,
-            org=bundle.as2org,
-            rel=bundle.relationships,
-            config=_mapit_config(args),
-            obs=obs,
-        )
+        result = bundle.run_mapit(_mapit_config(args), obs=obs)
     finally:
         _finish_obs(obs, args)
     targets = args.asn or bundle.manifest.get("verification_asns") or []
@@ -725,16 +709,8 @@ def cmd_evaluate(args) -> int:
         return 2
     rows = []
     for asn in targets:
-        dataset = build_verification(
-            bundle.ground_truth,
-            asn,
-            graph,
-            bundle.retained_addresses,
-            bundle.ip2as.asn,
-        )
-        score = score_inferences(result.inferences, dataset, bundle.as2org, graph)
         row = {"network": f"AS{asn}"}
-        row.update(score.row())
+        row.update(score_bundle(bundle, result.inferences, asn).row())
         rows.append(row)
     _print_rows(rows)
     return 0

@@ -59,6 +59,7 @@ from repro import cli
 from repro.core.config import MapItConfig
 from repro.diff.harness import ChaosRun
 from repro.diff.worlds import World
+from repro.io.bundle import find_traces
 from repro.perf.cache import BINARY_MAGIC
 from repro.robust.faults import ChaosInjector, FaultInjector, SimulatedCrash
 from repro.robust.hooks import chaos
@@ -263,11 +264,11 @@ def _corrupt_cache(context: _Context) -> str:
 def _serve(context: _Context) -> str:
     dataset = context.root / "serve-dataset"
     shutil.copytree(context.dataset, dataset)
-    (dataset / "traces.txt").unlink()
+    find_traces(dataset).unlink()
     stream = context.root / "stream.txt"
     stream.write_text("")
     journal = context.root / "journal-serve"
-    lines = (context.dataset / "traces.txt").read_text().splitlines(keepends=True)
+    lines = find_traces(context.dataset).read_text().splitlines(keepends=True)
     half = max(1, len(lines) // 2)
     # every 5 folds, or often enough for a shrunk world's first half
     checkpoint_every = str(min(5, half))

@@ -26,10 +26,11 @@ from repro.core.config import REMOVE_ADD_RULE, REMOVE_MAJORITY
 from repro.diff.harness import DEFAULT_RULES, compare_world
 from repro.diff.metamorphic import check_world
 from repro.diff.shrink import divergence_predicate, shrink_world, write_regression
-from repro.diff.worlds import PRESETS, world_from_bundle, world_from_preset
+from repro.diff.worlds import world_from_bundle, world_from_preset
 from repro.obs.metrics import Metrics
 from repro.obs.observer import NULL_OBS, Observability
 from repro.obs.trace import Tracer
+from repro.sim.presets import SCENARIO_PRESETS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--preset",
-        choices=sorted(PRESETS),
+        choices=sorted(SCENARIO_PRESETS),
         default="small",
         help="scenario preset for sweep worlds (default small)",
     )

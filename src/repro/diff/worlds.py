@@ -3,9 +3,9 @@
 A :class:`World` is a self-contained MAP-IT input — traces plus the
 raw datasets the IP2AS stack is assembled from — in a mutable shape
 the shrinker can carve up and the metamorphic checks can transform,
-and that round-trips through the standard dataset-directory format
-(:mod:`repro.io`) so a failing world can be checked in as a regression
-bundle and replayed by ``python -m repro.diff --replay``.
+and that round-trips through the dataset directory's own writer and
+readers (:mod:`repro.io`) so a failing world can be checked in as a
+regression bundle and replayed by ``python -m repro.diff --replay``.
 
 Worlds come from three places: seeded :mod:`repro.sim` scenarios (the
 sweep), saved bundles (replay), and transformations of other worlds
@@ -20,31 +20,19 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from repro.bgp.cymru import CymruTable
-from repro.bgp.ip2as import IP2AS, IP2ASBuilder
-from repro.bgp.origins import merge_collectors
+from repro.bgp.ip2as import IP2AS, assemble_ip2as
 from repro.bgp.table import Announcement, CollectorDump
-from repro.io.atomic import atomic_write_json, atomic_write_lines
-from repro.io.bundle import load_bundle
+from repro.io.atomic import atomic_write_json
+from repro.io.bundle import find_traces, read_manifest, read_mappings
+from repro.io.save import write_dataset
 from repro.ixp.dataset import IXPDataset, IXPRecord
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import RelationshipDataset
-from repro.sim.presets import (
-    dense_scenario,
-    paper_scenario,
-    small_scenario,
-    tiny_scenario,
-)
-from repro.sim.scenario import Scenario
+from repro.robust.health import BundleHealth
+from repro.robust.ingest import ingest_trace_file
+from repro.sim.presets import SCENARIO_PRESETS
+from repro.sim.scenario import Scenario, build_scenario
 from repro.traceroute.model import Trace
-from repro.traceroute.parse import traces_to_text_lines
-
-#: preset name -> scenario factory, as accepted by ``--preset``
-PRESETS = {
-    "tiny": tiny_scenario,
-    "small": small_scenario,
-    "paper": paper_scenario,
-    "dense": dense_scenario,
-}
 
 
 @dataclass
@@ -69,14 +57,9 @@ class World:
     address_as: Dict[int, int] = field(default_factory=dict)
 
     def ip2as(self) -> IP2AS:
-        """Assemble the composite IP2AS mapper from the raw datasets,
-        exactly the way :func:`repro.io.bundle.load_bundle` does."""
-        builder = IP2ASBuilder()
-        if self.collector_dumps:
-            builder.add_bgp(merge_collectors(self.collector_dumps))
-        builder.add_cymru(self.cymru)
-        builder.set_ixp(self.ixp)
-        return builder.build()
+        """The composite IP2AS mapper of the raw datasets, assembled as
+        :func:`repro.io.bundle.load_bundle` assembles it."""
+        return assemble_ip2as(self.collector_dumps, self.cymru, self.ixp)
 
     def replaced(self, **changes) -> "World":
         """A shallow copy with *changes* applied (shrinker steps)."""
@@ -87,31 +70,19 @@ class World:
     def save(self, directory: Union[str, Path]) -> Path:
         """Write this world as a loadable dataset directory.
 
-        The layout matches :func:`repro.io.save.save_scenario`; shrink
+        The files are :func:`repro.io.save.write_dataset`'s; shrink
         metadata rides along inside ``manifest.json`` under ``"diff"``
         so a replayed regression world can keep shrinking.
         """
         root = Path(directory)
-        root.mkdir(parents=True, exist_ok=True)
-        checksums: Dict[str, str] = {}
-        checksums["traces.txt"] = atomic_write_lines(
-            root / "traces.txt", traces_to_text_lines(self.traces)
-        )
-        bgp_dir = root / "bgp"
-        bgp_dir.mkdir(exist_ok=True)
-        for dump in self.collector_dumps:
-            checksums[f"bgp/{dump.name}.txt"] = atomic_write_lines(
-                bgp_dir / f"{dump.name}.txt", dump.dump_lines()
-            )
-        checksums["cymru.txt"] = atomic_write_lines(
-            root / "cymru.txt", self.cymru.dump_lines()
-        )
-        checksums["ixp.txt"] = atomic_write_lines(root / "ixp.txt", self.ixp.dump_lines())
-        checksums["as2org.txt"] = atomic_write_lines(
-            root / "as2org.txt", self.as2org.dump_lines()
-        )
-        checksums["relationships.txt"] = atomic_write_lines(
-            root / "relationships.txt", self.relationships.dump_lines()
+        checksums = write_dataset(
+            root,
+            self.traces,
+            self.collector_dumps,
+            self.cymru,
+            self.ixp,
+            self.as2org,
+            self.relationships,
         )
         manifest = {
             "format": "mapit-dataset-v1",
@@ -152,42 +123,34 @@ def world_from_scenario(scenario: Scenario, name: str) -> World:
 
 
 def world_from_preset(preset: str, seed: int) -> World:
-    """Build the *seed*-th world of a named preset sweep."""
+    """Build the *seed*-th world of a named preset sweep
+    (:data:`repro.sim.presets.SCENARIO_PRESETS`)."""
     try:
-        factory = PRESETS[preset]
+        config = SCENARIO_PRESETS[preset]
     except KeyError:
         raise ValueError(
-            f"unknown preset {preset!r} (choose from {sorted(PRESETS)})"
+            f"unknown preset {preset!r} (choose from {sorted(SCENARIO_PRESETS)})"
         ) from None
-    return world_from_scenario(factory(seed=seed), name=f"{preset}-seed{seed}")
+    return world_from_scenario(build_scenario(config(seed)), name=f"{preset}-seed{seed}")
 
 
 def world_from_bundle(directory: Union[str, Path]) -> World:
     """Load a saved world (e.g. a checked-in regression bundle).
 
-    Raw datasets are re-read from the individual files rather than
-    through the composite mapper so the world stays transformable;
-    shrink metadata is recovered from the manifest when present.
+    Reads the raw datasets with the loader's own readers
+    (:func:`repro.io.bundle.read_mappings`, ``mapit run``'s strict
+    rules: an optional file that fails to parse degrades to empty) so
+    the world stays transformable; shrink metadata is recovered from
+    the manifest when present.
     """
     root = Path(directory)
-    bundle = load_bundle(root)
-    dumps: List[CollectorDump] = []
-    bgp_dir = root / "bgp"
-    if bgp_dir.is_dir():
-        for path in sorted(bgp_dir.glob("*.txt")):
-            with open(path) as handle:
-                dumps.append(CollectorDump.from_lines(handle.read().splitlines()))
-    cymru = CymruTable()
-    cymru_path = root / "cymru.txt"
-    if cymru_path.exists():
-        with open(cymru_path) as handle:
-            cymru = CymruTable.from_lines(handle.read().splitlines())
-    ixp = IXPDataset()
-    ixp_path = root / "ixp.txt"
-    if ixp_path.exists():
-        with open(ixp_path) as handle:
-            ixp = IXPDataset.from_lines(handle.read().splitlines())
-    diff_meta = bundle.manifest.get("diff", {}) if bundle.manifest else {}
+    traces_path = find_traces(root)
+    if traces_path is None:
+        raise FileNotFoundError(f"no traces.txt or traces.jsonl in {root}")
+    traces, _ = ingest_trace_file(traces_path)
+    health = BundleHealth()
+    dumps, cymru, ixp, as2org, relationships = read_mappings(root, "strict", health)
+    diff_meta = read_manifest(root, health).get("diff", {})
     router_addresses = {
         int(router): tuple(addresses)
         for router, addresses in diff_meta.get("router_addresses", {}).items()
@@ -197,12 +160,12 @@ def world_from_bundle(directory: Union[str, Path]) -> World:
     }
     return World(
         name=diff_meta.get("world", root.name),
-        traces=list(bundle.traces),
+        traces=traces,
         collector_dumps=dumps,
         cymru=cymru,
         ixp=ixp,
-        as2org=bundle.as2org,
-        relationships=bundle.relationships,
+        as2org=as2org,
+        relationships=relationships,
         router_addresses=router_addresses,
         address_as=address_as,
     )

@@ -22,13 +22,16 @@ of link inferences against it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.results import LinkInference
 from repro.eval.metrics import Score
 from repro.graph.neighbors import InterfaceGraph
 from repro.io.truth import GroundTruth
 from repro.org.as2org import AS2Org
+
+if TYPE_CHECKING:
+    from repro.io.bundle import InputBundle
 
 LinkKey = Tuple[int, int]
 
@@ -172,6 +175,17 @@ def score_inferences(
     score.tp = len(matched)
     score.fn = sum(1 for key in dataset.eligible if key not in matched)
     return score
+
+
+def score_bundle(bundle: InputBundle, inferences: Iterable[LinkInference], asn: int) -> Score:
+    """Score a run's *inferences* over a loaded dataset against its
+    verification network *asn* (``mapit evaluate``, sweep dataset
+    cells).  *bundle* comes from ``load_bundle(..., graph_only=True)``:
+    its graph and retained addresses are what the run saw."""
+    dataset = build_verification(
+        bundle.ground_truth, asn, bundle.graph, bundle.retained_addresses, bundle.ip2as.asn
+    )
+    return score_inferences(inferences, dataset, bundle.as2org, bundle.graph)
 
 
 def _adjacent_duplicate(

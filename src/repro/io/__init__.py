@@ -17,20 +17,36 @@ dataset/
   groundtruth.txt      # optional: simulator truth for evaluation
 ```
 
-:func:`save_scenario` writes a synthetic scenario out;
-:func:`load_bundle` reads any conforming directory — including one
+``#`` comment lines are skipped in every file, bgp dumps included.
+This package is the one module that names, finds, reads and writes
+these files; the rest of the code calls :func:`find_traces`,
+:func:`mapping_paths`, :func:`read_mappings`, :func:`read_manifest`,
+:func:`write_dataset` and :func:`save_scenario` (a synthetic scenario),
+and :func:`load_bundle` reads any conforming directory — including one
 assembled from real measurement data — into the objects
 :func:`repro.run_mapit` consumes.
 """
 
-from repro.io.bundle import InputBundle, load_bundle
-from repro.io.save import save_scenario
+from repro.io.bundle import (
+    InputBundle,
+    find_traces,
+    load_bundle,
+    mapping_paths,
+    read_manifest,
+    read_mappings,
+)
+from repro.io.save import save_scenario, write_dataset
 from repro.io.truth import load_ground_truth, save_ground_truth
 
 __all__ = [
     "InputBundle",
+    "find_traces",
     "load_bundle",
     "load_ground_truth",
+    "mapping_paths",
+    "read_manifest",
+    "read_mappings",
     "save_ground_truth",
     "save_scenario",
+    "write_dataset",
 ]

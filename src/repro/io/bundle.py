@@ -16,11 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.bgp.cymru import CymruTable
-from repro.bgp.ip2as import IP2AS, IP2ASBuilder
-from repro.bgp.origins import merge_collectors
+from repro.bgp.ip2as import IP2AS, assemble_ip2as
 from repro.bgp.table import CollectorDump
 from repro.dns.naming import HostnameDataset
 from repro.io.truth import GroundTruth, load_ground_truth
@@ -92,6 +91,39 @@ def _read_lines(path: Path):
         return handle.read().splitlines()
 
 
+def find_traces(directory: Union[str, Path]) -> Optional[Path]:
+    """The dataset's traces file: ``traces.txt``, else ``traces.jsonl``,
+    else None."""
+    root = Path(directory)
+    for name in ("traces.txt", "traces.jsonl"):
+        path = root / name
+        if path.exists():
+            return path
+    return None
+
+
+def _dump_paths(root: Path) -> List[Path]:
+    bgp_dir = root / "bgp"
+    return sorted(bgp_dir.glob("*.txt")) if bgp_dir.is_dir() else []
+
+
+def mapping_paths(directory: Union[str, Path]) -> List[Path]:
+    """The mapping files present: sorted ``bgp/*.txt``, then
+    ``cymru.txt``, ``ixp.txt``, ``as2org.txt`` and ``relationships.txt``
+    (what a serve session's run id hashes)."""
+    root = Path(directory)
+    paths = _dump_paths(root)
+    for name in ("cymru.txt", "ixp.txt", "as2org.txt", "relationships.txt"):
+        if (root / name).exists():
+            paths.append(root / name)
+    return paths
+
+
+def _from_lines(cls) -> Callable[[Path], object]:
+    """A loader parsing a file with *cls*'s ``from_lines``."""
+    return lambda path: cls.from_lines(_read_lines(path))
+
+
 def _load_optional(
     health: BundleHealth,
     path: Path,
@@ -109,6 +141,66 @@ def _load_optional(
         return fallback()
     health.record(path.name, "ok")
     return value
+
+
+def read_mappings(
+    directory: Union[str, Path], on_error: str, health: BundleHealth
+) -> Tuple[List[CollectorDump], CymruTable, IXPDataset, AS2Org, RelationshipDataset]:
+    """Read ``(dumps, cymru, ixp, as2org, relationships)``.
+
+    A malformed dump or ``cymru.txt`` raises under ``strict``
+    *on_error*, else is recorded ``corrupt`` in *health* and dropped
+    (``cymru.txt`` only while a dump parsed); at least one IP2AS source
+    must parse.  The other three degrade to empty with a warning."""
+    root = Path(directory)
+    dumps: List[CollectorDump] = []
+    for path in _dump_paths(root):
+        try:
+            dumps.append(CollectorDump.from_lines(_read_lines(path)))
+        except Exception as exc:  # noqa: BLE001
+            if on_error == "strict":
+                raise
+            health.record(f"bgp/{path.name}", "corrupt", f"{type(exc).__name__}: {exc}")
+    cymru_path = root / "cymru.txt"
+    cymru = CymruTable()
+    cymru_loaded = False
+    if cymru_path.exists():
+        try:
+            cymru = CymruTable.from_lines(_read_lines(cymru_path))
+            cymru_loaded = True
+            health.record("cymru.txt", "ok")
+        except Exception as exc:  # noqa: BLE001
+            if on_error == "strict" or not dumps:
+                raise
+            health.record("cymru.txt", "corrupt", f"{type(exc).__name__}: {exc}")
+    if not dumps and not cymru_loaded:
+        if not (root / "bgp").is_dir() and not cymru_path.exists():
+            raise FileNotFoundError(f"no IP2AS source (bgp/ or cymru.txt) in {root}")
+        raise ValueError(f"no usable IP2AS source (bgp/ or cymru.txt) in {root}")
+    ixp, as2org, relationships = (
+        _load_optional(health, root / name, _from_lines(cls), cls)
+        for name, cls in (
+            ("ixp.txt", IXPDataset),
+            ("as2org.txt", AS2Org),
+            ("relationships.txt", RelationshipDataset),
+        )
+    )
+    return dumps, cymru, ixp, as2org, relationships
+
+
+def read_manifest(directory: Union[str, Path], health: BundleHealth) -> Dict:
+    """``manifest.json`` as a dict; missing or malformed, ``{}`` with a
+    *health* warning."""
+    manifest = _load_optional(
+        health,
+        Path(directory) / "manifest.json",
+        lambda path: json.loads(Path(path).read_text()),
+        dict,
+    )
+    if not isinstance(manifest, dict):
+        health.record("manifest.json", "degraded", "manifest is not a JSON object")
+        manifest = {}
+    return manifest
 
 
 def _verify_checksums(root: Path, manifest: Dict, health: BundleHealth) -> None:
@@ -255,15 +347,8 @@ def load_bundle(
     health = BundleHealth()
     budget = ErrorBudget(max_error_rate) if max_error_rate is not None else None
 
-    traces_txt = root / "traces.txt"
-    traces_jsonl = root / "traces.jsonl"
-    if traces_txt.exists():
-        traces_path = traces_txt
-    elif traces_jsonl.exists():
-        traces_path = traces_jsonl
-    elif skip_traces:
-        traces_path = None
-    else:
+    traces_path = find_traces(root)
+    if traces_path is None and not skip_traces:
         raise FileNotFoundError(f"no traces.txt or traces.jsonl in {root}")
     traces: List[Trace] = []
     graph = retained = None
@@ -301,76 +386,17 @@ def load_bundle(
             else f"{ingest_report.malformed} malformed record(s) rejected",
         )
 
-    builder = IP2ASBuilder()
-    bgp_dir = root / "bgp"
-    dumps: List[CollectorDump] = []
-    if bgp_dir.is_dir():
-        for path in sorted(bgp_dir.glob("*.txt")):
-            try:
-                dumps.append(CollectorDump.from_lines(_read_lines(path)))
-            except Exception as exc:  # noqa: BLE001
-                if on_error == "strict":
-                    raise
-                health.record(
-                    f"bgp/{path.name}", "corrupt", f"{type(exc).__name__}: {exc}"
-                )
-    if dumps:
-        builder.add_bgp(merge_collectors(dumps))
-    cymru_path = root / "cymru.txt"
-    cymru_loaded = False
-    if cymru_path.exists():
-        try:
-            builder.add_cymru(CymruTable.from_lines(_read_lines(cymru_path)))
-            cymru_loaded = True
-            health.record("cymru.txt", "ok")
-        except Exception as exc:  # noqa: BLE001
-            if on_error == "strict" or not dumps:
-                raise
-            health.record("cymru.txt", "corrupt", f"{type(exc).__name__}: {exc}")
-    if not dumps and not cymru_loaded:
-        if not bgp_dir.is_dir() and not cymru_path.exists():
-            raise FileNotFoundError(f"no IP2AS source (bgp/ or cymru.txt) in {root}")
-        raise ValueError(f"no usable IP2AS source (bgp/ or cymru.txt) in {root}")
-    ixp = _load_optional(
-        health,
-        root / "ixp.txt",
-        lambda path: IXPDataset.from_lines(_read_lines(path)),
-        IXPDataset,
-    )
-    if ixp is not None:
-        builder.set_ixp(ixp)
-    ip2as = builder.build()
+    dumps, cymru, ixp, as2org, relationships = read_mappings(root, on_error, health)
+    ip2as = assemble_ip2as(dumps, cymru, ixp)
+    del dumps, cymru  # the mapper holds what lookups need
 
-    as2org = _load_optional(
-        health,
-        root / "as2org.txt",
-        lambda path: AS2Org.from_lines(_read_lines(path)),
-        AS2Org,
-    )
-    relationships = _load_optional(
-        health,
-        root / "relationships.txt",
-        lambda path: RelationshipDataset.from_lines(_read_lines(path)),
-        RelationshipDataset,
-    )
     ground_truth = _load_optional(
         health, root / "groundtruth.txt", load_ground_truth, lambda: None
     )
     hostnames = _load_optional(
-        health,
-        root / "hostnames.txt",
-        lambda path: HostnameDataset.from_lines(_read_lines(path)),
-        lambda: None,
+        health, root / "hostnames.txt", _from_lines(HostnameDataset), lambda: None
     )
-    manifest = _load_optional(
-        health,
-        root / "manifest.json",
-        lambda path: json.loads(Path(path).read_text()),
-        dict,
-    )
-    if not isinstance(manifest, dict):
-        health.record("manifest.json", "degraded", "manifest is not a JSON object")
-        manifest = {}
+    manifest = read_manifest(root, health)
     _verify_checksums(root, manifest, health)
     return InputBundle(
         traces=traces,

@@ -1,4 +1,9 @@
-"""Writing a scenario out as a dataset directory.
+"""Writing a dataset directory.
+
+:func:`write_dataset` writes the traces and mapping files of any
+dataset; :func:`save_scenario` (a simulated scenario, plus its ground
+truth and hostnames) and the differential harness's ``World.save``
+call it, then write their own manifests.
 
 All files are written crash-safely (temp file + atomic rename, see
 :mod:`repro.io.atomic`): an interrupted ``mapit simulate`` never leaves
@@ -11,7 +16,7 @@ parsing alone would not catch.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
 
 from repro.dns.naming import HostnameDataset
 from repro.io.atomic import atomic_write_json, atomic_write_lines
@@ -19,12 +24,56 @@ from repro.io.truth import save_ground_truth
 from repro.traceroute.parse import traces_to_json_lines, traces_to_text_lines
 
 if TYPE_CHECKING:
+    from repro.bgp.cymru import CymruTable
+    from repro.bgp.table import CollectorDump
+    from repro.ixp.dataset import IXPDataset
+    from repro.org.as2org import AS2Org
+    from repro.rel.relationships import RelationshipDataset
     from repro.sim.scenario import Scenario
+    from repro.traceroute.model import Trace
 
 
-def _write_lines(path: Path, lines) -> str:
-    """Write newline-terminated *lines* atomically; returns the sha256."""
-    return atomic_write_lines(path, lines)
+def write_dataset(
+    directory: Union[str, Path],
+    traces: Iterable[Trace],
+    collector_dumps: Sequence[CollectorDump],
+    cymru: CymruTable,
+    ixp: IXPDataset,
+    as2org: AS2Org,
+    relationships: RelationshipDataset,
+    trace_format: str = "text",
+) -> Dict[str, str]:
+    """Write a dataset directory's traces and mapping files; returns
+    each file's sha256 by its path relative to the directory.
+
+    *trace_format* is ``"text"`` (``traces.txt``, the default) or
+    ``"jsonl"`` (``traces.jsonl``, the scamper-like JSON-lines form).
+    The caller writes ``manifest.json`` last, with these checksums.
+    """
+    root = Path(directory)
+    root.mkdir(parents=True, exist_ok=True)
+    writers = {
+        "text": ("traces.txt", traces_to_text_lines),
+        "jsonl": ("traces.jsonl", traces_to_json_lines),
+    }
+    if trace_format not in writers:
+        raise ValueError(f"unknown trace_format {trace_format!r}")
+    name, encode = writers[trace_format]
+    checksums = {name: atomic_write_lines(root / name, encode(traces))}
+    bgp_dir = root / "bgp"
+    bgp_dir.mkdir(exist_ok=True)
+    for dump in collector_dumps:
+        checksums[f"bgp/{dump.name}.txt"] = atomic_write_lines(
+            bgp_dir / f"{dump.name}.txt", dump.dump_lines()
+        )
+    for name, dataset in (
+        ("cymru.txt", cymru),
+        ("ixp.txt", ixp),
+        ("as2org.txt", as2org),
+        ("relationships.txt", relationships),
+    ):
+        checksums[name] = atomic_write_lines(root / name, dataset.dump_lines())
+    return checksums
 
 
 def save_scenario(
@@ -33,43 +82,24 @@ def save_scenario(
     hostnames: Optional[HostnameDataset] = None,
     trace_format: str = "text",
 ) -> Path:
-    """Persist *scenario* as a dataset directory; returns its path.
-
-    *trace_format* is ``"text"`` (default) or ``"jsonl"`` for the
-    scamper-like JSON-lines form.
-    """
+    """Persist *scenario* as a dataset directory (*trace_format* as in
+    :func:`write_dataset`); returns its path."""
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    checksums: Dict[str, str] = {}
-    if trace_format == "jsonl":
-        checksums["traces.jsonl"] = _write_lines(
-            root / "traces.jsonl", traces_to_json_lines(scenario.traces)
-        )
-    elif trace_format == "text":
-        checksums["traces.txt"] = _write_lines(
-            root / "traces.txt", traces_to_text_lines(scenario.traces)
-        )
-    else:
-        raise ValueError(f"unknown trace_format {trace_format!r}")
-
-    bgp_dir = root / "bgp"
-    bgp_dir.mkdir(exist_ok=True)
-    for dump in scenario.collector_dumps:
-        checksums[f"bgp/{dump.name}.txt"] = _write_lines(
-            bgp_dir / f"{dump.name}.txt", dump.dump_lines()
-        )
-
-    checksums["cymru.txt"] = _write_lines(root / "cymru.txt", scenario.cymru.dump_lines())
-    checksums["ixp.txt"] = _write_lines(root / "ixp.txt", scenario.ixp_dataset.dump_lines())
-    checksums["as2org.txt"] = _write_lines(root / "as2org.txt", scenario.as2org.dump_lines())
-    checksums["relationships.txt"] = _write_lines(
-        root / "relationships.txt", scenario.relationships.dump_lines()
+    checksums = write_dataset(
+        root,
+        scenario.traces,
+        scenario.collector_dumps,
+        scenario.cymru,
+        scenario.ixp_dataset,
+        scenario.as2org,
+        scenario.relationships,
+        trace_format,
     )
     checksums["groundtruth.txt"] = save_ground_truth(
         scenario.ground_truth, root / "groundtruth.txt"
     )
     if hostnames is not None:
-        checksums["hostnames.txt"] = _write_lines(
+        checksums["hostnames.txt"] = atomic_write_lines(
             root / "hostnames.txt", hostnames.dump_lines()
         )
 

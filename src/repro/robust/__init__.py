@@ -26,7 +26,7 @@ from repro.robust.errors import (
     IngestError,
     IngestReport,
 )
-from repro.robust.health import BundleHealth, DatasetStatus, OPTIONAL_DATASETS
+from repro.robust.health import BundleHealth, DatasetStatus
 from repro.robust.ingest import ingest_trace_file, ingest_traces
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ErrorBudgetExceeded",
     "IngestError",
     "IngestReport",
-    "OPTIONAL_DATASETS",
     "ingest_trace_file",
     "ingest_traces",
 ]

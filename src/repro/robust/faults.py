@@ -45,6 +45,7 @@ from typing import (
     Union,
 )
 
+from repro.io.bundle import find_traces
 from repro.traceroute.model import Hop, Trace
 
 #: line-level fault kinds, applicable to individual records
@@ -211,30 +212,27 @@ class FaultInjector:
         directory: Union[str, Path],
         rate: float = 0.05,
         kinds: Sequence[str] = LINE_FAULTS,
-        targets: Sequence[str] = ("traces.txt", "traces.jsonl"),
     ) -> List[FaultRecord]:
-        """Damage the trace files of a dataset directory in place."""
-        root = Path(directory)
+        """Damage a dataset directory's traces file
+        (:func:`~repro.io.bundle.find_traces`) in place; a directory
+        without one gets no fault."""
+        path = find_traces(directory)
+        if path is None:
+            return []
         faults: List[FaultRecord] = []
         line_kinds = [kind for kind in kinds if kind in LINE_FAULTS]
         file_kinds = [kind for kind in kinds if kind in FILE_FAULTS]
-        for name in targets:
-            path = root / name
-            if not path.exists():
-                continue
-            if line_kinds:
-                format = "jsonl" if path.suffix == ".jsonl" else "text"
-                lines = path.read_text().splitlines()
-                damaged, line_faults = self.corrupt_lines(
-                    lines, rate, line_kinds, format
-                )
-                path.write_text("\n".join(damaged) + ("\n" if damaged else ""))
-                faults.extend(
-                    FaultRecord(fault.kind, name, fault.line_number)
-                    for fault in line_faults
-                )
-            for kind in file_kinds:
-                faults.extend(self.corrupt_file(path, kind))
+        if line_kinds:
+            format = "jsonl" if path.suffix == ".jsonl" else "text"
+            lines = path.read_text().splitlines()
+            damaged, line_faults = self.corrupt_lines(lines, rate, line_kinds, format)
+            path.write_text("\n".join(damaged) + ("\n" if damaged else ""))
+            faults.extend(
+                FaultRecord(fault.kind, path.name, fault.line_number)
+                for fault in line_faults
+            )
+        for kind in file_kinds:
+            faults.extend(self.corrupt_file(path, kind))
         return faults
 
     # ------------------------------------------------------------------

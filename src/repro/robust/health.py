@@ -18,16 +18,6 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.robust.errors import IngestReport
 
-#: datasets whose absence or corruption must never abort a load
-OPTIONAL_DATASETS = (
-    "ixp.txt",
-    "as2org.txt",
-    "relationships.txt",
-    "hostnames.txt",
-    "groundtruth.txt",
-    "manifest.json",
-)
-
 
 @dataclass(frozen=True)
 class DatasetStatus:

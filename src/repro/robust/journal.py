@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.io.atomic import atomic_write_bytes, file_sha256
+from repro.io.bundle import find_traces
 from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.hooks import active_chaos
 
@@ -76,17 +77,14 @@ def run_identity(
 
 
 def run_identity_for(directory: Union[str, Path], config: Any, mode: str) -> str:
-    """The run id for a dataset directory (locates the traces file)."""
+    """The run id for a dataset directory's traces file
+    (:func:`~repro.io.bundle.find_traces`)."""
     from repro.traceroute.parse import trace_format_for_path
 
-    root = Path(directory)
-    for name in ("traces.txt", "traces.jsonl"):
-        path = root / name
-        if path.exists():
-            return run_identity(
-                file_sha256(path), config, mode, trace_format_for_path(name)
-            )
-    raise FileNotFoundError(f"no traces.txt or traces.jsonl in {root}")
+    path = find_traces(directory)
+    if path is None:
+        raise FileNotFoundError(f"no traces.txt or traces.jsonl in {Path(directory)}")
+    return run_identity(file_sha256(path), config, mode, trace_format_for_path(path.name))
 
 
 class RunJournal:
@@ -275,13 +273,12 @@ def journaled_run(
     """Run MAP-IT over ``bundle.graph`` and journal the result.
 
     *bundle* must come from ``load_bundle(..., graph_only=True)``; the
-    run is :func:`repro.core.mapit.run_mapit_graph` exactly — same
-    engine, same result.  With ``resume=True`` a result the journal
+    run is its :meth:`~repro.io.bundle.InputBundle.run_mapit` exactly —
+    same engine, same result.  With ``resume=True`` a result the journal
     already holds is replayed instead; without one the passes run
     again.  Either way the returned result is byte-identical
     (``to_json``) to an uninterrupted unjournaled run.
     """
-    from repro.core.mapit import run_mapit_graph
     from repro.core.results import MapItResult
 
     if bundle.graph is None:
@@ -296,14 +293,7 @@ def journaled_run(
         if effective_obs.enabled:
             effective_obs.event("journal.resume", run_id=journal.run_id)
 
-    result = run_mapit_graph(
-        bundle.graph,
-        bundle.ip2as,
-        org=bundle.as2org,
-        rel=bundle.relationships,
-        config=config,
-        obs=obs,
-    )
+    result = bundle.run_mapit(config, obs=obs)
     journal.append("result", {"json": result.to_json()})
     chaos = active_chaos()
     if chaos is not None:

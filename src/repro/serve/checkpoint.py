@@ -30,6 +30,7 @@ import hashlib
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
+from repro.io.bundle import mapping_paths
 from repro.perf.flat import FlatGraphBundle
 from repro.robust.health import BundleHealth
 from repro.robust.journal import RunJournal, run_identity
@@ -41,22 +42,15 @@ CHECKPOINT_VERSION = 3
 #: journal unit name for serve checkpoints
 CHECKPOINT_UNIT = "serve-checkpoint"
 
-#: mapping files that contribute to the serve run identity
-_IDENTITY_FILES = (
-    "cymru.txt",
-    "ixp.txt",
-    "as2org.txt",
-    "relationships.txt",
-)
-
 
 def serve_run_identity(
     dataset: Union[str, Path], config: Any, format: str, health: BundleHealth
 ) -> str:
     """The run id for a serve session over *dataset*'s mappings.
 
-    Hashes the content of every mapping file present (BGP dumps,
-    cymru, IXP, org, relationships) so a resumed session provably runs
+    Hashes the content of every mapping file present
+    (:func:`repro.io.bundle.mapping_paths`, each as ``<path relative
+    to the dataset>:<sha256>``) so a resumed session provably runs
     against the same IP2AS world; the config and stream format
     contribute through :func:`~repro.robust.journal.run_identity`.
     The digests come from *health*, the dataset load's, which hashed
@@ -64,14 +58,8 @@ def serve_run_identity(
     """
     root = Path(dataset)
     digests = [f"serve:{CHECKPOINT_VERSION}"]
-    bgp_dir = root / "bgp"
-    if bgp_dir.is_dir():
-        for path in sorted(bgp_dir.glob("*.txt")):
-            digests.append(f"bgp/{path.name}:{health.digest(path)}")
-    for name in _IDENTITY_FILES:
-        path = root / name
-        if path.exists():
-            digests.append(f"{name}:{health.digest(path)}")
+    for path in mapping_paths(root):
+        digests.append(f"{path.relative_to(root).as_posix()}:{health.digest(path)}")
     material = hashlib.sha256("\n".join(digests).encode()).hexdigest()
     return run_identity(material, config, "serve", format)
 

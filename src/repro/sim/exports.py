@@ -14,8 +14,7 @@ import random
 from typing import List
 
 from repro.bgp.cymru import CymruTable
-from repro.bgp.ip2as import IP2ASBuilder
-from repro.bgp.origins import merge_collectors
+from repro.bgp.ip2as import assemble_ip2as
 from repro.bgp.table import CollectorDump
 from repro.ixp.dataset import IXPDataset, IXPRecord
 from repro.org.as2org import AS2Org
@@ -123,11 +122,6 @@ def build_ip2as(
     persisted alongside the composite mapper.
     """
     dumps = export_bgp_dumps(network, as_routes, collector_asns)
-    origins = merge_collectors(dumps)
     cymru = export_cymru(network, rng, cymru_coverage)
     ixp = export_ixp_dataset(network, rng, ixp_completeness)
-    builder = IP2ASBuilder()
-    builder.add_bgp(origins)
-    builder.add_cymru(cymru)
-    builder.set_ixp(ixp)
-    return builder.build(), dumps, cymru, ixp
+    return assemble_ip2as(dumps, cymru, ixp), dumps, cymru, ixp

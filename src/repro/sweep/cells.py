@@ -73,8 +73,7 @@ def _dataset_cell(
     meta: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Score one materialized world at one f (the evaluate pipeline)."""
-    from repro.eval.verify import build_verification, score_inferences
-    from repro.core.mapit import run_mapit_graph
+    from repro.eval.verify import score_bundle
     from repro.io import load_bundle
 
     world_dir = Path(workdir) / "worlds" / cell.world_id
@@ -83,26 +82,11 @@ def _dataset_cell(
         meta["cache_hits"] += 1
     else:
         meta["cache_misses"] += 1
-    graph = bundle.graph
-    result = run_mapit_graph(
-        graph,
-        bundle.ip2as,
-        org=bundle.as2org,
-        rel=bundle.relationships,
-        config=cell_config(cell.f, stub, remove_rule),
-    )
-    scores: Dict[str, Any] = {}
-    for asn in bundle.manifest.get("verification_asns") or []:
-        dataset = build_verification(
-            bundle.ground_truth,
-            asn,
-            graph,
-            bundle.retained_addresses,
-            bundle.ip2as.asn,
-        )
-        scores[f"AS{asn}"] = _score_json(
-            score_inferences(result.inferences, dataset, bundle.as2org, graph)
-        )
+    result = bundle.run_mapit(cell_config(cell.f, stub, remove_rule))
+    scores: Dict[str, Any] = {
+        f"AS{asn}": _score_json(score_bundle(bundle, result.inferences, asn))
+        for asn in bundle.manifest.get("verification_asns") or []
+    }
     return {
         "cell": cell.cell_id,
         "kind": "dataset",

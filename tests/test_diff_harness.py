@@ -12,13 +12,17 @@ unfaulted engine.
 
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro import MapItConfig, run_mapit
+from repro.bgp.cymru import CymruTable
 from repro.bgp.ip2as import IP2AS
+from repro.bgp.table import CollectorDump
 from repro.core.engine import Engine
+from repro.diff.cli import build_parser as diff_parser
 from repro.diff.cli import main as diff_main
 from repro.diff.harness import (
     DEFAULT_RULES,
@@ -30,7 +34,6 @@ from repro.diff.harness import (
 from repro.diff.metamorphic import CHECKS, check_world
 from repro.diff.shrink import regression_name, shrink_world, write_regression
 from repro.diff.worlds import (
-    PRESETS,
     World,
     duplicate_traces,
     permute_traces,
@@ -39,11 +42,13 @@ from repro.diff.worlds import (
     world_from_preset,
 )
 from repro.graph.neighbors import build_interface_graph
-from repro.io import load_bundle
+from repro.io import atomic, load_bundle
+from repro.ixp.dataset import IXPDataset
 from repro.org.as2org import AS2Org
 from repro.oracle import oracle_run
 from repro.rel.relationships import RelationshipDataset
 from repro.robust.faults import dirty_tracking_fault, engine_fault
+from repro.sim.presets import SCENARIO_PRESETS
 from repro.traceroute.parse import parse_text_traces
 from repro.traceroute.sanitize import sanitize_traces
 
@@ -68,7 +73,13 @@ class TestSweep:
             assert outcome.core_inferences == outcome.oracle_inferences > 0
 
     def test_presets_cover_all_factories(self):
-        assert set(PRESETS) == {"tiny", "small", "paper", "dense"}
+        assert set(SCENARIO_PRESETS) == {"tiny", "small", "paper", "dense"}
+        choices = next(
+            action.choices
+            for action in diff_parser()._actions
+            if "--preset" in action.option_strings
+        )
+        assert choices == sorted(SCENARIO_PRESETS)
 
     def test_oracle_config_mapping_is_total(self):
         config = MapItConfig(f=0.7, min_neighbors=3, remove_rule="add_rule")
@@ -204,6 +215,70 @@ class TestShrinker:
         # shrink metadata survives, so a replayed world can keep shrinking
         assert replayed.router_addresses == world.router_addresses
         assert replayed.address_as == world.address_as
+
+
+def traced_addresses(world):
+    return sorted(
+        {hop.address for trace in world.traces for hop in trace.hops if hop.address is not None}
+    )
+
+
+class TestReplayReader:
+    """A replayed bundle is read by the loader's own readers
+    (:func:`repro.io.bundle.read_mappings`), so it loads whatever
+    ``load_bundle`` loads, degrades as ``mapit run`` degrades, and its
+    mapper equals the loader's."""
+
+    def assert_maps_like_the_loader(self, world, directory):
+        want = load_bundle(directory).ip2as
+        addresses = traced_addresses(world)
+        assert addresses
+        assert [world.ip2as().asn(a) for a in addresses] == [want.asn(a) for a in addresses]
+
+    def test_latin1_collector_header(self, tmp_path):
+        """Regression: a non-UTF-8 byte in a dump's ``#collector`` line
+        raised ``UnicodeDecodeError`` in replay, not in the loader."""
+        directory = world_from_preset("tiny", 0).save(tmp_path / "world")
+        dump = directory / "bgp" / "collector-0.txt"
+        head, _, rest = dump.read_bytes().partition(b"\n")
+        dump.write_bytes(head + b" Z\xfcrich\n" + rest)
+        world = world_from_bundle(directory)
+        assert world.collector_dumps[0].location.endswith("rich")
+        self.assert_maps_like_the_loader(world, directory)
+
+    def test_garbled_ixp_degrades_to_empty(self, tmp_path):
+        """Regression: a garbled ``ixp.txt`` raised in replay while the
+        loader degrades it to an empty IXP set."""
+        directory = world_from_preset("small", 4).save(tmp_path / "world")
+        assert len(world_from_bundle(directory).ixp) > 0
+        (directory / "ixp.txt").write_text("not-a-prefix|64500|garbled\n")
+        assert load_bundle(directory).health.status_of("ixp.txt") == "degraded"
+        world = world_from_bundle(directory)
+        assert len(world.ixp) == 0
+        self.assert_maps_like_the_loader(world, directory)
+
+    def test_reads_each_file_once_and_hashes_none(self, tmp_path, monkeypatch):
+        """A replay parses each dump, ``cymru.txt`` and ``ixp.txt`` once
+        and hashes no file.  (It used to load the bundle, then parse
+        the three again, and hash every file for a manifest check whose
+        result it never read.)"""
+        directory = world_from_preset("small", 4).save(tmp_path / "world")
+        calls = Counter()
+        for owner in (CollectorDump, CymruTable, IXPDataset):
+            parse = owner.from_lines
+
+            def counted(cls, lines, parse=parse, name=owner.__name__):
+                calls[name] += 1
+                return parse(lines)
+
+            monkeypatch.setattr(owner, "from_lines", classmethod(counted))
+        sha256 = atomic.file_sha256
+        monkeypatch.setattr(
+            atomic, "file_sha256", lambda path: calls.update(["sha256"]) or sha256(path)
+        )
+        world = world_from_bundle(directory)
+        assert len(world.collector_dumps) == 3
+        assert calls == {"CollectorDump": 3, "CymruTable": 1, "IXPDataset": 1}
 
 
 class TestRegressionFixture:

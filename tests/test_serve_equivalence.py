@@ -29,7 +29,7 @@ from repro.core.config import REMOVE_ADD_RULE, MapItConfig
 from repro.core.mapit import MapIt
 from repro.diff.harness import compare_world, reference_state
 from repro.diff.worlds import World, world_from_preset
-from repro.io.bundle import load_bundle
+from repro.io.bundle import find_traces, load_bundle
 from repro.obs.metrics import Metrics
 from repro.obs.observer import NULL_OBS, Observability
 from repro.obs.trace import iter_events, read_trace
@@ -45,6 +45,7 @@ from repro.traceroute.parse import (
     traces_to_json_lines,
     traces_to_text_lines,
 )
+from tests.test_fused_kernel import _atlas_line
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +409,39 @@ def test_cli_follow_file_named_like_dataset_traces(tmp_bundle, tmp_path, capsys)
     capsys.readouterr()
     assert code == 0
     assert serve_out.read_bytes() == batch_out.read_bytes()
+
+
+def test_cli_follow_atlas_folds_like_text(world, tmp_path, capsys):
+    """``--follow`` takes each file's format from its suffix, as the
+    loader does: the same traces followed as RIPE Atlas lines and as
+    text write the same bytes.  (Regression: serve read every
+    non-``.jsonl`` file as text, so an ``.atlas`` follow exited 3.)"""
+    dataset = world.save(tmp_path / "maps")
+    find_traces(dataset).unlink()
+    outputs = {}
+    for suffix, lines in (
+        (".txt", traces_to_text_lines(world.traces)),
+        (".atlas", map(_atlas_line, world.traces)),
+    ):
+        stream = tmp_path / f"stream{suffix}"
+        stream.write_text("".join(f"{line}\n" for line in lines))
+        output = tmp_path / f"serve{suffix}.json"
+        argv = ["serve", str(dataset), "--follow", str(stream), "--once", "--json"]
+        assert cli_main([*argv, "--output", str(output)]) == 0
+        outputs[suffix] = output.read_bytes()
+    capsys.readouterr()
+    assert json.loads(outputs[".txt"])["inferences"]
+    assert outputs[".atlas"] == outputs[".txt"]
+
+
+def test_cli_serve_mixed_formats_exit_2(world, tmp_path, capsys):
+    """One session streams one record format; the error names the
+    formats it found."""
+    dataset = world.save(tmp_path / "maps")  # its traces file is text
+    stream = tmp_path / "stream.atlas"
+    stream.write_text("")
+    assert cli_main(["serve", str(dataset), "--follow", str(stream), "--once"]) == 2
+    assert "error: mixed atlas/text sources" in capsys.readouterr().err
 
 
 def test_cli_serve_budget_exit(tmp_bundle, tmp_path, capsys):
