@@ -27,6 +27,7 @@ docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -61,7 +62,7 @@ exit codes (docs/CLI.md has the full contract table):
   1    unexpected internal error (uncaught exception)
   2    usage or data error (missing ground truth, no verification ASNs,
        unreadable trace file, --resume id mismatch — run or sweep,
-       negative --jobs)
+       negative --jobs, a --shard-timeout not > 0)
   3    ingest error budget exceeded: under --on-error lenient/quarantine,
        more than --max-error-rate of the records were malformed (strict
        mode exits 3 on the first malformed record; serve counts shed
@@ -112,9 +113,9 @@ performance (see docs/PERFORMANCE.md):
                   sha256 matches (default $MAPIT_CACHE or off)
   --no-cache      always parse from source
   --shard-timeout SECONDS
-                  run/explain/report/sweep: per-shard deadline; late
-                  shards are retried and degraded to inline execution
-                  (default $MAPIT_SHARD_TIMEOUT or none;
+                  run/explain/report/sweep: per-shard deadline (> 0);
+                  late shards are retried and degraded to inline
+                  execution (default $MAPIT_SHARD_TIMEOUT or none;
                   docs/ROBUSTNESS.md)
 
 resilience (run; see docs/ROBUSTNESS.md):
@@ -212,6 +213,19 @@ def _jobs_type(text: str) -> int:
     return value
 
 
+def _shard_timeout_type(text: str) -> float:
+    """argparse type for ``--shard-timeout``: finite seconds, > 0.
+
+    Zero, a negative or a non-finite deadline is a usage error (exit 2)
+    at any ``--jobs``, not a traceback from the pool (``SIGALRM``
+    cannot arm an infinite timer) or a silent no-op.
+    """
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds and finite, got {text}")
+    return value
+
+
 def _add_perf_options(parser: argparse.ArgumentParser, shards: bool = True) -> None:
     """The performance group: ``--cache``/``--no-cache`` always, and
     ``--jobs``/``--shard-timeout`` only for commands that shard work
@@ -246,7 +260,7 @@ def _add_perf_options(parser: argparse.ArgumentParser, shards: bool = True) -> N
     if shards:
         group.add_argument(
             "--shard-timeout",
-            type=float,
+            type=_shard_timeout_type,
             default=None,
             metavar="SECONDS",
             help=(
@@ -264,17 +278,12 @@ def _cache_dir(args) -> Optional[str]:
 
 
 def _perf_settings(args):
-    """Resolve (jobs, cache_dir, shard_timeout) from flags and env."""
+    """Resolve (jobs, cache_dir, shard_timeout) from flags and env
+    (``$MAPIT_SHARD_TIMEOUT`` is read where a pool starts,
+    :func:`repro.perf.pool.fork_map`)."""
     from repro.perf.pool import resolve_jobs
-    from repro.robust.supervise import default_shard_timeout
 
-    jobs = resolve_jobs(args.jobs)
-    timeout = (
-        args.shard_timeout
-        if args.shard_timeout is not None
-        else default_shard_timeout()
-    )
-    return jobs, _cache_dir(args), timeout
+    return resolve_jobs(args.jobs), _cache_dir(args), args.shard_timeout
 
 
 def _build_obs(args):
@@ -491,34 +500,40 @@ def cmd_run(args) -> int:
 
 def _serve_warm_start(
     daemon: "ServeDaemon", traces_path: Path, cache_dir, health
-) -> int:
+) -> None:
     """Fold the dataset's own traces file into a serve daemon.
 
-    While the index has folded nothing, a verified ``.mapitc`` entry is
-    restored as the warm base like a checkpoint (no parse, no fold),
-    keyed by the digest the dataset load already took (*health*);
-    otherwise the file streams through the normal ingest path.  Either
-    way the source's byte offset ends at end-of-file, so a later
-    checkpoint resumes past the warm base.  Returns traces folded.
+    A fresh session — nothing folded, no offset for the file — loads it
+    the way ``mapit run --cache`` does (the graph loader at one shard,
+    under the daemon's ingest mode and error budget: a verified
+    ``.mapitc`` hit keyed by the digest the dataset load already took
+    in *health*, else a parse that quarantines its rejects and stores
+    the entry when clean) and adopts the fold as its warm base.  A
+    resumed session replays the file's tail, as every followed file
+    resumes.
     """
-    from repro.serve.sources import FollowSource, read_file_size
+    from repro.io.bundle import _load_graph
+    from repro.serve.sources import FollowSource, file_extent
 
     name = str(traces_path)
-    offset = daemon.offsets.get(name, 0)
-    size = read_file_size(traces_path)
-    if offset >= size:
-        return 0  # a resumed checkpoint already covered the file
-    if offset == 0 and cache_dir and daemon.stats_view()["folds"] == 0:
-        from repro.perf.cache import BundleCache
-        from repro.traceroute.parse import trace_format_for_path
-
-        hit = BundleCache(cache_dir, obs=daemon.obs).load_entry(
-            health.digest(traces_path), trace_format_for_path(traces_path.name)
-        )
-        if hit is not None:
-            return daemon.warm_start(hit.bundle, hit.parsed, hit.skipped, name, size)
-    source = FollowSource(traces_path, offset=offset)
-    return source.replay(daemon)
+    if daemon.stats_view()["folds"] or name in daemon.offsets:
+        FollowSource(traces_path, offset=daemon.offsets.get(name, 0)).replay(daemon)
+        return
+    # measured before the load: a line appended meanwhile is re-read
+    # by a follow of the file, never skipped (folds are idempotent)
+    offset, lines = file_extent(traces_path)
+    _, report, fold = _load_graph(
+        traces_path,
+        mode=daemon.on_error,
+        budget=daemon.budget,
+        quarantine_dir=None,
+        obs=daemon.obs,
+        jobs=1,
+        cache=cache_dir,
+        shard_timeout=None,
+        health=health,
+    )
+    daemon.adopt(fold, report, name, offset, lines)
 
 
 def cmd_serve(args) -> int:
@@ -862,7 +877,6 @@ def cmd_sweep(args) -> int:
         cache_dir=Path(cache) if cache else None,
         jobs=jobs,
         shard_timeout=shard_timeout,
-        shard_size=args.shard_size,
         enable_stub_heuristic=not args.no_stub_heuristic,
         remove_rule=args.remove_rule,
         resume=args.resume,
@@ -968,7 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
         "dataset",
         help=(
             "dataset directory with the IP2AS mapping files; its own "
-            "traces file (if present) is folded as the warm base"
+            "traces file (if present) is loaded as `mapit run` loads it "
+            "into the warm base"
         ),
     )
     serve.add_argument(
@@ -1165,14 +1180,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="DIR",
         help="result directory (cells/ and sweep.json; default WORKDIR/results)",
-    )
-    sweep.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="traces per generated block for stress presets "
-        "(default: the preset's own)",
     )
     sweep.add_argument(
         "--journal",

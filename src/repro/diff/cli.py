@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.core.config import REMOVE_ADD_RULE, REMOVE_MAJORITY
@@ -131,15 +130,11 @@ def _build_obs(args) -> Observability:
     return Observability(tracer=tracer, metrics=metrics)
 
 
-def _recorded(bundle: str) -> Tuple[Optional[str], Optional[int]]:
-    """The remove rule and serve cadence a regression bundle's manifest
+def _recorded(world) -> Tuple[Optional[str], Optional[int]]:
+    """The remove rule and serve cadence a replayed world's manifest
     records (None for each it does not)."""
-    try:
-        manifest = json.loads((Path(bundle) / "manifest.json").read_text())
-        recorded = manifest.get("diff", {})
-        rule, check_every = recorded.get("remove_rule"), recorded.get("check_every")
-    except (OSError, ValueError, AttributeError):
-        return None, None  # no manifest: replay under the sweep's settings
+    rule = world.recorded.get("remove_rule")
+    check_every = world.recorded.get("check_every")
     if rule not in (REMOVE_MAJORITY, REMOVE_ADD_RULE):
         rule = None
     if not isinstance(check_every, int) or check_every < 0:
@@ -236,7 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for bundle in args.replay:
         world = world_from_bundle(bundle)
         summary["replayed"] += 1
-        rule, check_every = _recorded(bundle)
+        rule, check_every = _recorded(world)
         if check_every is None:
             check_every = args.check_every
         for replay_rule in [rule] if rule else rules:

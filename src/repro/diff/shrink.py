@@ -26,7 +26,6 @@ delta debugging.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -35,7 +34,6 @@ from repro.bgp.cymru import CymruTable
 from repro.bgp.table import CollectorDump
 from repro.diff.harness import world_diverges
 from repro.diff.worlds import World
-from repro.io.atomic import atomic_write_json
 from repro.ixp.dataset import IXPDataset
 from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
@@ -253,13 +251,7 @@ def write_regression(
     """Persist a minimal diverging world under *directory* (typically
     ``tests/fixtures/regressions/``) for permanent replay under the
     remove rule and serve cadence it diverged at."""
+    recorded = {"remove_rule": remove_rule, "check_every": check_every}
+    recorded.update(extra_manifest or {})
     root = Path(directory) / regression_name(world, remove_rule)
-    world.save(root)
-    manifest_path = root / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["diff"]["remove_rule"] = remove_rule
-    manifest["diff"]["check_every"] = check_every
-    if extra_manifest:
-        manifest["diff"].update(extra_manifest)
-    atomic_write_json(manifest_path, manifest)
-    return root
+    return world.replaced(recorded=recorded).save(root)

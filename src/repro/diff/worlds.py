@@ -22,9 +22,8 @@ from typing import Dict, List, Tuple, Union
 from repro.bgp.cymru import CymruTable
 from repro.bgp.ip2as import IP2AS, assemble_ip2as
 from repro.bgp.table import Announcement, CollectorDump
-from repro.io.atomic import atomic_write_json
 from repro.io.bundle import find_traces, read_manifest, read_mappings
-from repro.io.save import write_dataset
+from repro.io.save import write_dataset, write_manifest
 from repro.ixp.dataset import IXPDataset, IXPRecord
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import RelationshipDataset
@@ -43,7 +42,8 @@ class World:
     ``address_as`` (address -> ground-truth AS) are shrink metadata:
     they let the shrinker drop whole routers and whole ASes instead of
     only whole traces.  Both may be empty for replayed bundles that
-    never recorded them.
+    never recorded them; ``recorded`` is empty for any world not
+    replayed from a regression bundle.
     """
 
     name: str
@@ -55,6 +55,9 @@ class World:
     relationships: RelationshipDataset = field(default_factory=RelationshipDataset)
     router_addresses: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     address_as: Dict[int, int] = field(default_factory=dict)
+    #: what a regression bundle records beside the world (the remove
+    #: rule and serve cadence it diverged at, the shrink stages)
+    recorded: Dict[str, object] = field(default_factory=dict)
 
     def ip2as(self) -> IP2AS:
         """The composite IP2AS mapper of the raw datasets, assembled as
@@ -71,8 +74,9 @@ class World:
         """Write this world as a loadable dataset directory.
 
         The files are :func:`repro.io.save.write_dataset`'s; shrink
-        metadata rides along inside ``manifest.json`` under ``"diff"``
-        so a replayed regression world can keep shrinking.
+        metadata and ``recorded`` ride along in the manifest under
+        ``"diff"``, so a replayed regression world can keep shrinking
+        and replays under the settings it recorded.
         """
         root = Path(directory)
         checksums = write_dataset(
@@ -100,9 +104,10 @@ class World:
                 "address_as": {
                     str(address): asn for address, asn in sorted(self.address_as.items())
                 },
+                **self.recorded,
             },
         }
-        atomic_write_json(root / "manifest.json", manifest)
+        write_manifest(root, manifest)
         return root
 
 
@@ -140,8 +145,8 @@ def world_from_bundle(directory: Union[str, Path]) -> World:
     Reads the raw datasets with the loader's own readers
     (:func:`repro.io.bundle.read_mappings`, ``mapit run``'s strict
     rules: an optional file that fails to parse degrades to empty) so
-    the world stays transformable; shrink metadata is recovered from
-    the manifest when present.
+    the world stays transformable; shrink metadata and ``recorded``
+    are recovered from the manifest when present.
     """
     root = Path(directory)
     traces_path = find_traces(root)
@@ -158,6 +163,11 @@ def world_from_bundle(directory: Union[str, Path]) -> World:
     address_as = {
         int(address): asn for address, asn in diff_meta.get("address_as", {}).items()
     }
+    recorded = {
+        key: value
+        for key, value in diff_meta.items()
+        if key not in ("world", "router_addresses", "address_as")
+    }
     return World(
         name=diff_meta.get("world", root.name),
         traces=traces,
@@ -168,6 +178,7 @@ def world_from_bundle(directory: Union[str, Path]) -> World:
         relationships=relationships,
         router_addresses=router_addresses,
         address_as=address_as,
+        recorded=recorded,
     )
 
 

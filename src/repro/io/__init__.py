@@ -21,8 +21,9 @@ dataset/
 This package is the one module that names, finds, reads and writes
 these files; the rest of the code calls :func:`find_traces`,
 :func:`mapping_paths`, :func:`read_mappings`, :func:`read_manifest`,
-:func:`write_dataset` and :func:`save_scenario` (a synthetic scenario),
-and :func:`load_bundle` reads any conforming directory — including one
+:func:`write_dataset`, :func:`write_manifest`, :func:`dataset_complete`
+and :func:`save_scenario` (a synthetic scenario), and
+:func:`load_bundle` reads any conforming directory — including one
 assembled from real measurement data — into the objects
 :func:`repro.run_mapit` consumes.
 """
@@ -35,11 +36,12 @@ from repro.io.bundle import (
     read_manifest,
     read_mappings,
 )
-from repro.io.save import save_scenario, write_dataset
+from repro.io.save import dataset_complete, save_scenario, write_dataset, write_manifest
 from repro.io.truth import load_ground_truth, save_ground_truth
 
 __all__ = [
     "InputBundle",
+    "dataset_complete",
     "find_traces",
     "load_bundle",
     "load_ground_truth",
@@ -49,4 +51,5 @@ __all__ = [
     "save_ground_truth",
     "save_scenario",
     "write_dataset",
+    "write_manifest",
 ]

@@ -233,10 +233,13 @@ def _load_graph(
     """Load the traces file's interface graph, via the cache when one
     is given.
 
-    Returns ``(graph, report, retained_addresses)``, with no trace
-    object made on any path.  The cache key is the file's content
-    sha256 (the digest the manifest records; *health* hashes the file
-    once for both), so a hit is provably the same bytes: it restores
+    Returns ``(graph, report, fold)``, with no trace object made on any
+    path: *fold* is the finished :class:`~repro.perf.flat.GraphFold`
+    the graph shares its tables with, whose ``seen`` is the retained
+    addresses (a serve session adopts it as its warm base).  The cache
+    key is the file's content sha256 (the digest the manifest records;
+    *health* hashes the file once for both), so a hit is provably the
+    same bytes: it restores
     the folded graph from the entry the way the fused loader finishes
     its shards (:meth:`~repro.perf.flat.GraphFold.merged`) — no fork,
     no fold — and emits the same ``ingest.end`` event,
@@ -275,7 +278,7 @@ def _load_graph(
                 finalize_ingest(report, [], obs=obs)
                 fold = GraphFold.merged([hit.bundle])
                 graph = fold.finish(obs, 1, hit.bundle.nbytes)
-            return graph, report, fold.seen
+            return graph, report, fold
     graph, report, fold = stream_graph_from_file(
         traces_path,
         jobs,
@@ -288,7 +291,7 @@ def _load_graph(
     if bundle_cache is not None and report.ok:
         payload = fold.bundle().to_bytes()
         bundle_cache.store_payload(source_sha, format, payload, report)
-    return graph, report, fold.seen
+    return graph, report, fold
 
 
 def load_bundle(
@@ -358,7 +361,7 @@ def load_bundle(
         if on_error == "quarantine" and quarantine_dir is None:
             quarantine_dir = root / "quarantine"
         if graph_only:
-            graph, ingest_report, retained = _load_graph(
+            graph, ingest_report, fold = _load_graph(
                 traces_path,
                 mode=on_error,
                 budget=budget,
@@ -369,6 +372,7 @@ def load_bundle(
                 shard_timeout=shard_timeout,
                 health=health,
             )
+            retained = fold.seen
         else:
             traces, ingest_report = ingest_trace_file(
                 traces_path,

@@ -3,7 +3,8 @@
 :func:`write_dataset` writes the traces and mapping files of any
 dataset; :func:`save_scenario` (a simulated scenario, plus its ground
 truth and hostnames) and the differential harness's ``World.save``
-call it, then write their own manifests.
+call it, then build their own manifests and write them last with
+:func:`write_manifest`.
 
 All files are written crash-safely (temp file + atomic rename, see
 :mod:`repro.io.atomic`): an interrupted ``mapit simulate`` never leaves
@@ -48,7 +49,8 @@ def write_dataset(
 
     *trace_format* is ``"text"`` (``traces.txt``, the default) or
     ``"jsonl"`` (``traces.jsonl``, the scamper-like JSON-lines form).
-    The caller writes ``manifest.json`` last, with these checksums.
+    The caller writes its manifest last (:func:`write_manifest`), with
+    these checksums.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -114,5 +116,18 @@ def save_scenario(
         "tier1_asns": scenario.tier1_asns,
         "checksums": {name: f"sha256:{value}" for name, value in sorted(checksums.items())},
     }
-    atomic_write_json(root / "manifest.json", manifest)
+    write_manifest(root, manifest)
     return root
+
+
+def write_manifest(directory: Union[str, Path], manifest: Dict) -> None:
+    """Write a dataset directory's ``manifest.json`` — the last file a
+    writer writes, so its presence marks the directory complete
+    (:func:`dataset_complete`).  Keys keep the caller's order."""
+    atomic_write_json(Path(directory) / "manifest.json", manifest)
+
+
+def dataset_complete(directory: Union[str, Path]) -> bool:
+    """Whether a writer finished *directory*: its manifest exists (a
+    killed write leaves none)."""
+    return (Path(directory) / "manifest.json").exists()

@@ -238,9 +238,8 @@ def stream_graph_from_file(
         results = fork_map(
             _fused_shard,
             (text, line_starts, format, path.name, mode),
-            len(spans),
+            spans,
             jobs,
-            shards=spans,
             timeout=shard_timeout,
             obs=obs,
             budget=budget,

@@ -11,8 +11,8 @@ the (much smaller) per-shard results are pickled back.
 The pooled path runs under the supervisor in
 :mod:`repro.robust.supervise`: per-shard deadlines, dead/hung-worker
 detection, retries with backoff, and inline degradation on the final
-attempt.  When jobs <= 1, the item list is empty, or the platform has
-no ``fork`` start method, :func:`fork_map` degrades to running the
+attempt.  When jobs <= 1, there is at most one shard, or the platform
+has no ``fork`` start method, :func:`fork_map` degrades to running the
 worker inline in the parent — the degraded path is bit-for-bit the
 parallel path minus the processes, so callers never branch on platform.
 
@@ -24,6 +24,7 @@ from every worker.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -79,29 +80,6 @@ def resolve_jobs(value: Optional[int]) -> int:
     return value
 
 
-def shard_ranges(count: int, shards: int) -> List[Shard]:
-    """Split ``range(count)`` into at most *shards* contiguous ranges.
-
-    Ranges are returned in order and cover every index exactly once, so
-    an order-preserving concatenation of per-shard results equals the
-    serial result.  Sizes differ by at most one.  ``count == 0``
-    returns no ranges at all — an empty input must never dispatch a
-    worker over zero items.  O(shards); allocates nothing that crosses
-    a process boundary except the tuples themselves.
-    """
-    if count <= 0:
-        return []
-    shards = max(1, min(shards, count))
-    base, extra = divmod(count, shards)
-    ranges: List[Shard] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
 def fork_available() -> bool:
     """True when the ``fork`` start method exists on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
@@ -139,31 +117,31 @@ class _graceful_sigterm:
 def fork_map(
     worker: Callable[[Shard], Any],
     payload: Any,
-    count: int,
+    shards: Sequence[Shard],
     jobs: int,
-    shards: Optional[Sequence[Shard]] = None,
     *,
     timeout: Optional[float] = None,
     obs: Observability = NULL_OBS,
     budget=None,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
-    """Run *worker* over index shards of *payload*, in processes.
+    """Run *worker* over each of *shards*, index ranges of *payload*,
+    in processes.
 
     *worker* must be a module-level function (pickled by reference)
     that reads the payload through :func:`shared_payload`.  Results
-    come back in shard order.  With ``jobs <= 1`` — or without fork
-    support — the shards run inline in the parent.  *on_result*, when
-    given, fires with ``(shard_index, value)`` as each shard completes
-    (exactly once per shard, completion order) — on the inline path it
-    fires after each serial shard, so checkpointing callers behave the
-    same with and without a pool.
+    come back in shard order.  With ``jobs <= 1``, one shard or none —
+    or without fork support — the shards run inline in the parent.
+    *on_result*, when given, fires with ``(shard_index, value)`` as
+    each shard completes (exactly once per shard, completion order) —
+    on the inline path it fires after each serial shard, so
+    checkpointing callers behave the same with and without a pool.
 
-    *timeout* is the per-shard deadline in seconds; when ``None`` it
-    falls back to ``MAPIT_SHARD_TIMEOUT``.  Pooled shards that time
-    out, crash, or raise are retried and finally degraded to inline
-    execution by the supervisor; *budget*, when armed, counts the
-    rescued-shard fraction against the run's
+    *timeout* is the per-shard deadline in seconds, positive and
+    finite; when ``None`` it falls back to ``MAPIT_SHARD_TIMEOUT``.
+    Pooled shards that time out, crash, or raise are retried and
+    finally degraded to inline execution by the supervisor; *budget*,
+    when armed, counts the rescued-shard fraction against the run's
     :class:`~repro.robust.errors.ErrorBudget`.
 
     What pickles: *nothing* of the payload (copy-on-write through the
@@ -174,14 +152,11 @@ def fork_map(
     Cost beyond the workers' own time: one ``fork`` per pool worker
     plus O(total result bytes) for the return trip.
     """
-    from repro.robust.supervise import (
-        SuperviseConfig,
-        default_shard_timeout,
-        supervised_pool_map,
-    )
+    from repro.robust.supervise import default_shard_timeout, supervised_pool_map
 
     global _PAYLOAD
-    ranges = list(shards) if shards is not None else shard_ranges(count, jobs)
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be positive and finite, got {timeout}")
     # A worker may run a map of its own (a sweep cell loads its world
     # through the fused loader): the inner map must hand the outer
     # map's payload back, not clear it under the outer's later shards.
@@ -189,9 +164,9 @@ def fork_map(
     # mapitlint: disable=FORK001 -- parent-side CoW stash, set pre-fork
     _PAYLOAD = payload
     try:
-        if jobs <= 1 or count == 0 or len(ranges) <= 1 or not fork_available():
+        if jobs <= 1 or len(shards) <= 1 or not fork_available():
             results = []
-            for index, shard in enumerate(ranges):
+            for index, shard in enumerate(shards):
                 value = worker(shard)
                 results.append(value)
                 if on_result is not None:
@@ -202,9 +177,9 @@ def fork_map(
         with _graceful_sigterm():
             return supervised_pool_map(
                 worker,
-                ranges,
+                shards,
                 jobs,
-                config=SuperviseConfig(timeout=timeout),
+                timeout=timeout,
                 obs=obs,
                 budget=budget,
                 on_result=on_result,

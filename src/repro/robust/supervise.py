@@ -28,12 +28,12 @@ goes through :func:`repro.perf.pool.fork_map`.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.observer import NULL_OBS, Observability
@@ -67,35 +67,22 @@ class ShardDeadlineExhausted(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class SuperviseConfig:
-    """Policy knobs for one supervised map.
+#: every try of a shard, the final inline one included: two pooled
+#: tries, then the in-parent fallback
+MAX_ATTEMPTS = 3
 
-    ``timeout`` is the per-shard deadline in seconds (``None`` = no
-    deadline; worker deaths are still detected and retried).
-    ``max_attempts`` counts every try including the final inline one,
-    so ``max_attempts=3`` means two pooled tries then the in-parent
-    fallback.  Backoff before retry *n* is
-    ``min(backoff_cap, backoff_base * 2**(n-1))`` seconds.
-    """
-
-    timeout: Optional[float] = None
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+#: backoff before retry round *n* is
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(n-1))`` seconds
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 1.0
 
 
 def default_shard_timeout() -> Optional[float]:
     """The per-shard deadline used when a caller does not pass one.
 
     Reads ``MAPIT_SHARD_TIMEOUT`` (seconds; the CLI's
-    ``--shard-timeout`` overrides it) and falls back to no deadline.
+    ``--shard-timeout`` overrides it) and falls back to no deadline,
+    which a value that is not finite and > 0 also means.
     """
     raw = os.environ.get("MAPIT_SHARD_TIMEOUT", "").strip()
     if not raw:
@@ -104,7 +91,7 @@ def default_shard_timeout() -> Optional[float]:
         value = float(raw)
     except ValueError:
         return None
-    return value if value > 0 else None
+    return value if 0 < value < math.inf else None
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +144,7 @@ def _run_inline(
     worker: Callable[[Shard], Any],
     shard: Shard,
     attempts: int,
-    config: SuperviseConfig,
+    timeout: Optional[float],
 ) -> Any:
     """The final, in-parent attempt — the serial path, deadline-armed.
 
@@ -165,14 +152,14 @@ def _run_inline(
     overrun raises :class:`ShardDeadlineExhausted`; without enforcement
     the shard simply runs to completion, exactly like serial mode.
     """
-    if config.timeout is None or not _alarm_usable():
+    if timeout is None or not _alarm_usable():
         return worker(shard)
 
     def _on_alarm(signum, frame):
-        raise ShardDeadlineExhausted(shard, attempts, config.timeout)
+        raise ShardDeadlineExhausted(shard, attempts, timeout)
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, config.timeout)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
         return worker(shard)
     finally:
@@ -192,7 +179,7 @@ def supervised_pool_map(
     ranges: Sequence[Shard],
     jobs: int,
     *,
-    config: Optional[SuperviseConfig] = None,
+    timeout: Optional[float] = None,
     obs: Observability = NULL_OBS,
     budget: Optional[ErrorBudget] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
@@ -201,10 +188,12 @@ def supervised_pool_map(
 
     The caller (:func:`repro.perf.pool.fork_map`) has already stashed
     the shared payload; results come back in shard order, exactly as
-    ``pool.map`` would return them.  Raises whatever the worker raises
-    (after retries and the inline fallback), or
-    :class:`ShardDeadlineExhausted` when a deadline can't be met even
-    inline.
+    ``pool.map`` would return them.  *timeout* is the per-shard
+    deadline in seconds (``None``: none; worker deaths are still
+    detected and retried); each shard gets :data:`MAX_ATTEMPTS` tries.
+    Raises whatever the worker raises (after retries and the inline
+    fallback), or :class:`ShardDeadlineExhausted` when a deadline
+    can't be met even inline.
 
     *on_result*, when given, fires in the parent with ``(index, value)``
     the moment a shard's result lands — exactly once per shard, in
@@ -212,7 +201,6 @@ def supervised_pool_map(
     orchestrator) use it to make each shard durable before the map as a
     whole finishes; a crash mid-map then loses only in-flight shards.
     """
-    config = config or SuperviseConfig()
     global _SENTINEL_QUEUE
     context = multiprocessing.get_context("fork")
     results: List[Any] = [_UNSET] * len(ranges)
@@ -225,15 +213,12 @@ def supervised_pool_map(
         while todo:
             round_number += 1
             if round_number > 1:
-                delay = min(
-                    config.backoff_cap,
-                    config.backoff_base * (2 ** (round_number - 2)),
-                )
+                delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (round_number - 2)))
                 time.sleep(delay)
             pooled, inline = [], []
             for index in todo:
                 attempts[index] += 1
-                if attempts[index] >= config.max_attempts:
+                if attempts[index] >= MAX_ATTEMPTS:
                     inline.append(index)
                 else:
                     pooled.append(index)
@@ -247,7 +232,7 @@ def supervised_pool_map(
                         initializer=_quiet_worker_signals,
                     )
                 done, failed = _dispatch_round(
-                    pool, worker, ranges, pooled, attempts, config, obs,
+                    pool, worker, ranges, pooled, attempts, timeout, obs,
                     on_result=on_result,
                 )
                 if failed:
@@ -262,7 +247,7 @@ def supervised_pool_map(
                 obs.inc("robust.supervise.degraded_inline")
                 rescued.add(index)
                 results[index] = _run_inline(
-                    worker, ranges[index], attempts[index], config
+                    worker, ranges[index], attempts[index], timeout
                 )
                 if on_result is not None:
                     on_result(index, results[index])
@@ -301,7 +286,7 @@ def _dispatch_round(
     ranges: Sequence[Shard],
     todo: Sequence[int],
     attempts: Dict[int, int],
-    config: SuperviseConfig,
+    timeout: Optional[float],
     obs: Observability,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> Tuple[Dict[int, Any], Dict[int, str]]:
@@ -352,7 +337,7 @@ def _dispatch_round(
             if start is None:
                 continue
             start_time, pid = start
-            if config.timeout is not None and now - start_time > config.timeout:
+            if timeout is not None and now - start_time > timeout:
                 obs.inc("robust.supervise.timeouts")
                 failed[index] = "timeout"
                 _kill_worker(pid)

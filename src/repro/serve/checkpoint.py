@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.io.bundle import mapping_paths
-from repro.perf.flat import FlatGraphBundle
+from repro.perf.flat import FlatGraphBundle, GraphFold
 from repro.robust.health import BundleHealth
 from repro.robust.journal import RunJournal, run_identity
 
@@ -107,18 +107,19 @@ def _well_formed(payload: Any) -> bool:
 
 
 def restore_latest_checkpoint(
-    journal: RunJournal, restore: Callable[[FlatGraphBundle], None]
+    journal: RunJournal, restore: Callable[[GraphFold], None]
 ) -> Optional[Dict[str, Any]]:
     """Restore the newest intact checkpoint in *journal* through
-    *restore*; returns its payload, or None when none is intact.
+    *restore*, which adopts its decoded fold; returns its payload, or
+    None when none is intact.
 
     Walks the verified journal records newest-first.  A checkpoint
     whose payload is malformed, whose blob fails its sha256 or does
-    not decode (:meth:`FlatGraphBundle.from_bytes`), or whose buffers
-    *restore* rejects with :class:`ValueError` counts as
+    not decode (:meth:`FlatGraphBundle.from_bytes`, then
+    :meth:`GraphFold.merged` over its buffers) counts as
     ``robust.journal.blob_corrupt`` and degrades to the previous
-    checkpoint — never to a crash.  *restore* must decode before it
-    adopts anything, so a rejected checkpoint changes no state.
+    checkpoint — never to a crash.  Decoding finishes before *restore*
+    runs, so a rejected checkpoint changes no state.
     """
     records = [
         record for record in journal.read() if record.get("unit") == CHECKPOINT_UNIT
@@ -132,9 +133,10 @@ def restore_latest_checkpoint(
         if data is None:
             continue
         try:
-            restore(FlatGraphBundle.from_bytes(data))
+            fold = GraphFold.merged([FlatGraphBundle.from_bytes(data)])
         except ValueError:
             journal.obs.inc("robust.journal.blob_corrupt")
             continue
+        restore(fold)
         return payload
     return None

@@ -30,7 +30,8 @@ from repro.core.results import LinkInference, MapItResult
 from repro.graph.othersides import OtherSideTable
 from repro.net.ipv4 import format_address
 from repro.obs.observer import NULL_OBS, Observability
-from repro.robust.errors import ErrorBudget
+from repro.perf.flat import GraphFold
+from repro.robust.errors import ErrorBudget, IngestReport
 from repro.robust.ingest import record_parser
 from repro.robust.journal import RunJournal
 from repro.serve.checkpoint import restore_latest_checkpoint, write_checkpoint
@@ -230,28 +231,38 @@ class ServeDaemon:
         self.obs.inc("serve.ingested")
         self._process(source, number, line, offset)
 
-    def warm_start(
-        self, bundle, parsed: int, skipped: int, source: str, offset: int
-    ) -> int:
-        """Restore a verified ``.mapitc`` entry's folded graph as the
-        warm base; returns the records it covers.
+    def adopt(
+        self, fold: GraphFold, report: IngestReport, source: str, offset: int, lines: int
+    ) -> None:
+        """Adopt a whole file's batch load as the warm base: *fold* and
+        *report* are what the graph loader built from *source*'s first
+        *offset* bytes, *lines* lines.
 
         :meth:`IncrementalIndex.restore_state` replaces the tables, so
-        this is only for an index that has folded nothing yet.  Runs on
-        the pump thread before any reader starts, but keeps the same
-        locked-counter discipline as the live path so the warm start is
-        not a special case the concurrency rules exempt.  The entry's
-        parsed records count as folds toward the quiesce cadence, so
-        the warm base is published as soon as the daemon goes idle.
+        this is only for an index that has folded nothing yet.  The
+        counters and ``serve.*`` metrics advance as if :meth:`_process`
+        had taken each line, and the source's numbering continues from
+        the file's end.  Runs on the pump thread before any reader
+        starts, but keeps the locked-counter discipline of the live
+        path.  The folds count toward the quiesce cadence, so one
+        quiesce publishes the base.
         """
-        self.index.restore_state(bundle)
-        self._bump("ingested", parsed + skipped)
-        self._bump("parsed", parsed)
-        self._bump("skipped", skipped)
-        self._bump("folds", parsed)
-        self._folds_since_quiesce += parsed
+        self.index.restore_state(fold)
+        for key, amount in (
+            ("ingested", lines),
+            ("parsed", report.parsed),
+            ("malformed", report.malformed),
+            ("skipped", report.skipped),
+            ("folds", report.parsed),
+        ):
+            if amount:
+                self._bump(key, amount)
+                self.obs.inc(f"serve.{key}", amount)
+        self._folds_since_quiesce += report.parsed
         self.offsets[source] = offset
-        return parsed
+        self.line_counts[source] = lines
+        with self._lock:
+            self._line_numbers[source] = lines
 
     def _bump(self, key: str, amount: int = 1) -> int:
         """Locked counter increment; returns the new value.

@@ -133,19 +133,17 @@ class IncrementalIndex:
         """
         return self.fold_state.bundle()
 
-    def restore_state(self, state: FlatGraphBundle) -> None:
-        """Adopt fold state captured by :meth:`export_state` — a
-        checkpoint's, or a ``.mapitc`` entry's (the warm start).
+    def restore_state(self, fold: GraphFold) -> None:
+        """Adopt *fold* as the whole fold state: a checkpoint's, decoded
+        from what :meth:`export_state` captured, or the fold a batch
+        load of the dataset's traces file built (the serve warm base).
 
-        The bundle replaces the whole fold state.  It is decoded into a
-        new :class:`~repro.perf.flat.GraphFold` first, so a malformed
-        one raises :class:`ValueError` and leaves the index untouched;
-        the engine's graph then points at the new tables.  The tally
+        The engine's graph then points at the fold's tables.  The tally
         cache, dirty tracking and other-side table reset — the next
         quiesce judges every address and recounts from scratch, which
         is exactly the batch trajectory.
         """
-        fold = self.fold_state = GraphFold.merged([state])
+        self.fold_state = fold
         self.graph.forward = fold.forward
         self.graph.backward = fold.backward
         self._dirty = set()

@@ -20,7 +20,6 @@ sleeping tail immediately, and no wall-clock reads are needed
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 from pathlib import Path
@@ -115,18 +114,16 @@ class FollowSource:
             delivered += 1
         return delivered
 
-    def replay(self, daemon: ServeDaemon, stop: Optional[threading.Event] = None) -> int:
+    def replay(self, daemon: ServeDaemon, stop: Optional[threading.Event] = None) -> None:
         """Synchronously fold the file into *daemon* (the ``--once``
-        and warm-start path): no queue, no shedding, arrival order.
+        path, and a resumed session's dataset traces file): no queue,
+        no shedding, arrival order.
 
         Must run on the pump thread — it calls straight into
         :meth:`ServeDaemon.ingest_entry`, which folds.
         """
-        delivered = 0
         for line, offset in self.lines(stop=stop, once=True):
             daemon.ingest_entry(line, self.name, offset)
-            delivered += 1
-        return delivered
 
 
 class SocketSource:
@@ -209,10 +206,17 @@ class SocketSource:
                 pass
 
 
-def read_file_size(path: Union[str, Path]) -> int:
-    """Current byte size of *path* (0 when absent) — the offset a
-    warm start records after restoring a cache hit whole."""
+def file_extent(path: Union[str, Path]) -> Tuple[int, int]:
+    """``(bytes, lines)`` of *path* as a :class:`FollowSource` replay to
+    end-of-file consumes them — every newline ends a line, and an
+    unterminated last line counts; ``(0, 0)`` when absent.  The offset
+    and line count a serve warm base records for the file."""
     try:
-        return os.path.getsize(path)
-    except OSError:
-        return 0
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return 0, 0
+    lines = data.count(b"\n")
+    if data and not data.endswith(b"\n"):
+        lines += 1
+    return len(data), lines

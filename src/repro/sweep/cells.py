@@ -26,7 +26,6 @@ Task shapes by sweep kind:
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
@@ -34,8 +33,8 @@ from repro import MapItConfig
 from repro.perf.pool import Shard, shared_payload
 from repro.sweep.grid import SCENARIO_PRESETS, STRESS_PRESETS, SweepCell
 
-#: payload tuple: (kind, tasks, workdir, cache_dir, stub, remove_rule,
-#: shard_size); a task is (preset, seed, (f, ...))
+#: payload tuple: (kind, tasks, workdir, cache_dir, stub, remove_rule);
+#: a task is (preset, seed, (f, ...))
 SweepTask = Tuple[str, int, Tuple[float, ...]]
 
 
@@ -100,7 +99,6 @@ def _dataset_cell(
 
 def _stress_cell(
     cell: SweepCell,
-    shard_size,
     stub: bool,
     remove_rule: str,
     meta: Dict[str, Any],
@@ -116,8 +114,6 @@ def _stress_cell(
     )
 
     config = STRESS_PRESETS[cell.preset](cell.seed)
-    if shard_size is not None:
-        config = replace(config, shard_size=shard_size)
     graph, stats = fold_graph_from_blocks(stress_blocks(config))
     result = run_mapit_graph(
         graph,
@@ -204,9 +200,7 @@ def cell_worker(shard: Shard) -> List[str]:
     (task, f); the orchestrator's ``on_result`` callback persists each
     document as it lands.
     """
-    kind, tasks, workdir, cache_dir, stub, remove_rule, shard_size = (
-        shared_payload()
-    )
+    kind, tasks, workdir, cache_dir, stub, remove_rule = shared_payload()
     start, end = shard
     meta: Dict[str, Any] = {
         "tasks": end - start,
@@ -226,9 +220,7 @@ def cell_worker(shard: Shard) -> List[str]:
         for f in f_values:
             cell = SweepCell(preset, seed, f)
             if cell.is_stress:
-                documents.append(
-                    _stress_cell(cell, shard_size, stub, remove_rule, meta)
-                )
+                documents.append(_stress_cell(cell, stub, remove_rule, meta))
             else:
                 documents.append(
                     _dataset_cell(

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import MapItConfig
 from repro.io.atomic import atomic_write_bytes
+from repro.io import dataset_complete
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.pool import fork_map
 from repro.robust.journal import RunJournal
@@ -65,8 +66,6 @@ class SweepPlan:
     cache_dir: Optional[Path] = None
     jobs: int = 1
     shard_timeout: Optional[float] = None
-    #: stress generator block size override (None = preset default)
-    shard_size: Optional[int] = None
     enable_stub_heuristic: bool = True
     remove_rule: str = "majority"
     #: sweep id to resume, or None for a fresh run
@@ -178,7 +177,7 @@ def _build_worlds(
     missing: List[Tuple[str, int]] = []
     for preset, seed in needed:
         world_dir = plan.workdir / "worlds" / f"{preset}-s{seed:04d}"
-        if (world_dir / "manifest.json").exists():
+        if dataset_complete(world_dir):
             outcome.worlds_reused += 1
             obs.inc("sweep.worlds.reused")
         else:
@@ -198,9 +197,8 @@ def _build_worlds(
         fork_map(
             world_worker,
             (missing, str(plan.workdir)),
-            len(missing),
+            [(index, index + 1) for index in range(len(missing))],
             plan.jobs,
-            shards=[(index, index + 1) for index in range(len(missing))],
             timeout=plan.shard_timeout,
             obs=obs,
             on_result=on_world,
@@ -319,11 +317,9 @@ def run_sweep(plan: SweepPlan, obs: Observability = NULL_OBS) -> SweepOutcome:
                     str(plan.cache_dir) if plan.cache_dir else None,
                     plan.enable_stub_heuristic,
                     plan.remove_rule,
-                    plan.shard_size,
                 ),
-                len(tasks),
+                [(index, index + 1) for index in range(len(tasks))],
                 plan.jobs,
-                shards=[(index, index + 1) for index in range(len(tasks))],
                 timeout=plan.shard_timeout,
                 obs=obs,
                 on_result=on_cells,

@@ -2,7 +2,8 @@
 
 ``repro.io`` names, finds, reads and writes a dataset's files
 (``find_traces``, ``mapping_paths``, ``read_mappings``,
-``write_dataset``); every other module calls it.  A second spelling of
+``read_manifest``, ``write_dataset``, ``write_manifest``,
+``dataset_complete``); every other module calls it.  A second spelling of
 a file name outside it is a second copy of the format, free to drift
 from the loader's (docs/ARCHITECTURE.md, "Layering rules").
 """
@@ -22,6 +23,7 @@ DATA_FILES = {
     "relationships.txt",
     "groundtruth.txt",
     "hostnames.txt",
+    "manifest.json",
 }
 
 

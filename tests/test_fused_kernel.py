@@ -412,9 +412,10 @@ ENTRY_HEADER_BYTES = 92
 
 def test_one_fold_state_every_source_both_on_disk_uses(tmp_bundle, tmp_path, capsys):
     """One dataset's fold packs to the same bytes from every source —
-    a serve session following the traces file (its checkpoint blob), a
-    cold ``mapit run --cache`` at one and two shards (its entry's
-    payload), a column-block fold and the serve index's trace fold."""
+    a serve session following the traces file and one whose warm base
+    is the dataset's own (their checkpoint blobs), a cold ``mapit run
+    --cache`` at one and two shards (its entry's payload), a
+    column-block fold and the serve index's trace fold."""
     dataset = tmp_bundle(seed=3)
     traces_path = dataset / "traces.txt"
     packed = {}
@@ -434,6 +435,10 @@ def test_one_fold_state_every_source_both_on_disk_uses(tmp_bundle, tmp_path, cap
     serve = ["serve", str(maps), "--once", "--json", "--journal", str(journal)]
     assert main(serve + ["--follow", str(traces_path), "--output", str(tmp_path / "s")]) == 0
     packed["serve checkpoint"] = sorted(journal.glob("*.blob"))[-1].read_bytes()
+    warm = tmp_path / "warm"
+    serve = ["serve", str(dataset), "--once", "--json", "--journal", str(warm)]
+    assert main(serve + ["--output", str(tmp_path / "w")]) == 0
+    packed["serve warm base checkpoint"] = sorted(warm.glob("*.blob"))[-1].read_bytes()
     traces = ingest_trace_file(traces_path)[0]
     fold = GraphFold()
     fold.fold_block(pack_traces(traces))

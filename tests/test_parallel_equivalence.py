@@ -15,7 +15,7 @@ from repro.cli import main
 from repro.graph.neighbors import graph_from_traces
 from repro.perf.cache import BundleCache
 from repro.perf.ingest import stream_graph_from_file
-from repro.perf.pool import fork_map, shard_ranges, shared_payload
+from repro.perf.pool import fork_map, shared_payload
 from repro.robust.errors import MAX_DETAILED_ERRORS, ErrorBudget, ErrorBudgetExceeded
 from repro.robust.ingest import ingest_traces
 from repro.traceroute.parse import TraceParseError
@@ -25,19 +25,6 @@ GOOD = [
     "m1|9.1.0.9|9.0.0.1 * 9.1.0.2@0",
     "m2|9.1.0.9|9.0.0.2 9.1.0.1",
 ]
-
-
-class TestShardRanges:
-    def test_covers_every_index_once(self):
-        for count in (0, 1, 5, 16, 97):
-            for shards in (1, 2, 3, 8, 200):
-                ranges = shard_ranges(count, shards)
-                flat = [i for start, end in ranges for i in range(start, end)]
-                assert flat == list(range(count))
-
-    def test_balanced(self):
-        sizes = [end - start for start, end in shard_ranges(10, 3)]
-        assert max(sizes) - min(sizes) <= 1
 
 
 def _inner_shard(shard):
@@ -50,7 +37,7 @@ _SINGLES = [(0, 1), (1, 2), (2, 3)]
 def _outer_shard(shard):
     """Reads the outer payload, runs a whole inner map, reads it again."""
     before = shared_payload()[shard[0]]
-    inner = fork_map(_inner_shard, "xyz", 3, 1, shards=_SINGLES)
+    inner = fork_map(_inner_shard, "xyz", _SINGLES, 1)
     return before, inner, shared_payload()[shard[0]]
 
 
@@ -59,7 +46,7 @@ class TestForkMap:
         """A shard that runs a map of its own (a sweep cell loading its
         world through the fused loader) leaves the outer map's payload
         in place for the outer map's later shards."""
-        results = fork_map(_outer_shard, ["a", "b", "c"], 3, 1, shards=_SINGLES)
+        results = fork_map(_outer_shard, ["a", "b", "c"], _SINGLES, 1)
         assert results == [(word, ["x", "y", "z"], word) for word in "abc"]
         assert shared_payload() is None
 

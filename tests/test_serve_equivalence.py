@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import random
+import shutil
 import socket
 import struct
 import tempfile
@@ -542,8 +543,9 @@ def test_warm_started_loop_publishes_before_stop(tmp_bundle, tmp_path, capsys):
     batch.run()
     metrics = Metrics()
     daemon = _dataset_daemon(dataset, obs=Observability(metrics=metrics))
-    assert _serve_warm_start(daemon, dataset / "traces.txt", cache, BundleHealth()) > 0
+    _serve_warm_start(daemon, dataset / "traces.txt", cache, BundleHealth())
     assert metrics.counter("perf.cache.hits") == 1
+    assert daemon.stats["folds"] == bundle.health.ingest.parsed > 0
     stop, tick = threading.Event(), threading.Event()
     pump = threading.Thread(target=daemon.run_loop, args=(stop, 0.01), daemon=True)
     pump.start()
@@ -581,8 +583,10 @@ def test_warm_start_after_a_fold_replays_the_text(tmp_bundle, tmp_path, capsys):
     for line in lines[half:]:
         daemon.ingest_entry(line, "stream")
     traces = dataset / "traces.txt"
-    assert _serve_warm_start(daemon, traces, cache, BundleHealth()) == half
+    _serve_warm_start(daemon, traces, cache, BundleHealth())
     assert metrics.counter("perf.cache.hits") == 0
+    assert daemon.stats["folds"] == len(lines)
+    assert daemon.offsets[str(traces)] == traces.stat().st_size
     assert daemon.finalize().result.to_json(indent=2) + "\n" == batch_out.read_text()
 
 
@@ -613,3 +617,116 @@ def test_cli_serve_once_warm_cache_matches_run(follow, tmp_bundle, tmp_path, cap
     assert code == 0
     assert json.loads(metrics.read_text())["counters"]["perf.cache.hits"] == 1
     assert serve_out.read_bytes() == batch_out.read_bytes()
+
+
+def _serve_counters(metrics):
+    counters = json.loads(metrics.read_text())["counters"]
+    return {key: value for key, value in counters.items() if key.startswith("serve.")}
+
+
+def test_cold_serve_stores_the_run_entry_and_counts_like_warm(tmp_bundle, tmp_path, capsys):
+    """A cold ``serve --once --cache`` loads the dataset's traces as
+    ``mapit run --cache`` does: it leaves one entry byte-equal to
+    run's, a second session hits it, and both sessions count every
+    line and publish the warm base in one quiesce.  (The whole-file
+    replay stored nothing and quiesced every 64 folds.)"""
+    dataset = tmp_bundle(seed=3)
+    run_cache = tmp_path / "run-cache"
+    run = ["run", str(dataset), "--json", "--output", str(tmp_path / "run.json")]
+    assert cli_main(run + ["--cache", str(run_cache)]) == 0
+    (run_entry,) = run_cache.glob("*.mapitc")
+    cache = tmp_path / "cache"
+    counters = {}
+    for session in ("cold", "warm"):
+        out, metrics = tmp_path / f"{session}.json", tmp_path / f"{session}.metrics"
+        serve = ["serve", str(dataset), "--once", "--json", "--output", str(out)]
+        assert cli_main(serve + ["--cache", str(cache), "--metrics", str(metrics)]) == 0
+        assert out.read_bytes() == (tmp_path / "run.json").read_bytes()
+        hits = json.loads(metrics.read_text())["counters"].get("perf.cache.hits", 0)
+        assert hits == (session == "warm")
+        counters[session] = _serve_counters(metrics)
+        (entry,) = cache.glob("*.mapitc")
+        assert entry.name == run_entry.name
+        assert entry.read_bytes() == run_entry.read_bytes()
+    capsys.readouterr()
+    lines = len((dataset / "traces.txt").read_text().splitlines())
+    assert counters["cold"] == counters["warm"]
+    assert counters["cold"]["serve.quiesces"] == 1
+    assert counters["cold"]["serve.ingested"] == lines
+    assert counters["cold"]["serve.parsed"] == counters["cold"]["serve.folds"] == lines
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_followed_dataset_traces_number_from_the_files_end(
+    cached, tmp_bundle, tmp_path, monkeypatch, capsys
+):
+    """Following the dataset's own traces file, a line appended after
+    the warm base loaded is line N+1 of the N-line file — in the strict
+    error, in the lenient ``serve.reject`` event and in the checkpoint's
+    line count — whether the base came from a cache hit or a parse.
+    (After a hit it was numbered 1.)"""
+    dataset = tmp_bundle(seed=3, copy=True)
+    traces = dataset / "traces.txt"
+    original = traces.read_bytes()
+    n = original.count(b"\n")
+    cache = ["--cache", str(tmp_path / "cache")] if cached else ["--no-cache"]
+    if cached:
+        run = ["run", str(dataset), "--json", "--output", str(tmp_path / "run.json")]
+        assert cli_main(run + cache) == 0
+    adopt = ServeDaemon.adopt
+
+    def adopt_then_append(self, *args):
+        adopt(self, *args)
+        with open(traces, "a") as handle:
+            handle.write("!!not-a-trace!!\n")
+
+    monkeypatch.setattr(ServeDaemon, "adopt", adopt_then_append)
+    journal, trace = tmp_path / "journal", tmp_path / "trace.jsonl"
+    serve = [
+        "serve", str(dataset), "--follow", str(traces), "--once", *cache,
+        "--output", str(tmp_path / "out.txt"), "--metrics", str(tmp_path / "m.json"),
+    ]
+    capsys.readouterr()
+    assert cli_main(serve) == 3
+    assert f"error: line {n + 1}: " in capsys.readouterr().err
+    traces.write_bytes(original)
+    lenient = ["--on-error", "lenient", "--trace", str(trace), "--journal", str(journal)]
+    assert cli_main(serve + lenient) == 0
+    capsys.readouterr()
+    hits = json.loads((tmp_path / "m.json").read_text())["counters"].get("perf.cache.hits")
+    assert hits == (1 if cached else None)
+    (reject,) = iter_events(read_trace(trace), "serve.reject")
+    assert reject["line"] == n + 1
+    (log,) = journal.glob("*.journal.jsonl")
+    (record,) = RunJournal(journal, log.name.split(".")[0]).read()
+    assert record["payload"]["lines"] == {str(traces): n + 1}
+    assert record["payload"]["offsets"] == {str(traces): traces.stat().st_size}
+
+
+def test_warm_base_follows_batch_ingest_policy(tmp_bundle, tmp_path, capsys):
+    """The warm base ingests like ``mapit run``: a damaged block at the
+    head of the file is judged against the whole file's budget (the
+    replay judged the running fraction at its first quiesce and exited
+    3), and ``--on-error quarantine`` writes the same reject files
+    where run writes them (the replay wrote none)."""
+    dataset = tmp_bundle(seed=3, copy=True)
+    traces = dataset / "traces.txt"
+    good = traces.read_text()
+    bad = 30
+    assert bad / (good.count("\n") + bad) < 0.1 < bad / (64 + bad)
+    traces.write_text("".join(f"!!bad-{i}!!\n" for i in range(bad)) + good)
+    quarantine = dataset / "quarantine"
+    written = {}
+    for command in ("run", "serve"):
+        out = tmp_path / f"{command}.json"
+        argv = [command, str(dataset), "--json", "--output", str(out)]
+        argv += ["--on-error", "quarantine"] + (["--once"] if command == "serve" else [])
+        assert cli_main(argv) == 0
+        written[command] = {
+            path.name: path.read_bytes() for path in sorted(quarantine.iterdir())
+        }
+        shutil.rmtree(quarantine)
+    capsys.readouterr()
+    assert sorted(written["run"]) == ["traces.txt.errors.jsonl", "traces.txt.rejects.txt"]
+    assert written["serve"] == written["run"]
+    assert (tmp_path / "serve.json").read_bytes() == (tmp_path / "run.json").read_bytes()

@@ -30,6 +30,9 @@ from repro.diff.worlds import world_from_bundle, world_from_preset
 from repro.graph.othersides import infer_other_sides
 from repro.net.ipv4 import format_address, parse_address
 from repro.net.special import default_special_registry
+from repro.obs.observer import NULL_OBS
+from repro.perf.flat import GraphFold
+from repro.robust.errors import IngestReport
 from repro.robust.faults import dirty_tracking_fault
 from repro.serve.daemon import ServeDaemon
 from repro.serve.incremental import IncrementalIndex
@@ -197,17 +200,19 @@ def test_incremental_other_sides_equal_batch(tiny_world, batches, start):
             assert table == frozen
 
     if start == "warm":
-        # a .mapitc entry's payload: the fold of the first line's trace
+        # a batch load's finished fold of the first line's trace
         base = IncrementalIndex(tiny_world.ip2as())
         base.fold([parse_text_trace(lines.pop(0))])
-        daemon.warm_start(base.export_state(), 1, 0, "warm", 0)
+        fold = GraphFold.merged([base.export_state()])
+        fold.finish(NULL_OBS, 1, 0)
+        daemon.adopt(fold, IngestReport(source="warm", parsed=1), "warm", 0, 1)
         quiesce_and_check()
     elif start == "restore":
         daemon.ingest_entry(lines.pop(0), "stream")
         saved = copy.deepcopy(index.export_state())
         daemon.ingest_entry(lines.pop(0), "stream")
         quiesce_and_check()
-        index.restore_state(saved)
+        index.restore_state(GraphFold.merged([saved]))
         quiesce_and_check()
     for line in lines:
         daemon.ingest_entry(line, "stream")

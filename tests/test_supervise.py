@@ -21,9 +21,9 @@ from repro.perf.pool import _graceful_sigterm, fork_available, fork_map
 from repro.robust.errors import ErrorBudget, ErrorBudgetExceeded
 from repro.robust.faults import ChaosInjector
 from repro.robust.hooks import chaos
+import repro.robust.supervise as supervise_mod
 from repro.robust.supervise import (
     ShardDeadlineExhausted,
-    SuperviseConfig,
     default_shard_timeout,
     supervised_pool_map,
 )
@@ -59,20 +59,30 @@ def _metrics_obs():
     return Observability(metrics=metrics), metrics
 
 
-QUICK = SuperviseConfig(timeout=30.0, backoff_base=0.01, backoff_cap=0.05)
+def _quarters(count):
+    """Four equal shards over ``range(count)``."""
+    size, rest = divmod(count, 4)
+    assert not rest
+    return [(index * size, (index + 1) * size) for index in range(4)]
+
+
+@pytest.fixture(autouse=True)
+def quick_backoff(monkeypatch):
+    monkeypatch.setattr(supervise_mod, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(supervise_mod, "BACKOFF_CAP", 0.05)
 
 
 class TestEquivalence:
     def test_pooled_matches_serial(self):
         values = list(range(200))
-        serial = fork_map(_sum_shard, values, len(values), 1)
-        pooled = fork_map(_sum_shard, values, len(values), 4)
+        serial = fork_map(_sum_shard, values, _quarters(len(values)), 1)
+        pooled = fork_map(_sum_shard, values, _quarters(len(values)), 4)
         assert sum(pooled) == sum(serial) == sum(values)
         assert len(pooled) == 4
 
     def test_results_come_back_in_shard_order(self):
         ranges = [(0, 5), (5, 9), (9, 20)]
-        out = supervised_pool_map(_identity_shard, ranges, 3, config=QUICK)
+        out = supervised_pool_map(_identity_shard, ranges, 3, timeout=30.0)
         assert out == ranges
 
 
@@ -81,7 +91,7 @@ class TestFaultRecovery:
         obs, metrics = _metrics_obs()
         values = list(range(100))
         with chaos(ChaosInjector(kill_shards={(0, 1)})):
-            pooled = fork_map(_sum_shard, values, len(values), 4, obs=obs)
+            pooled = fork_map(_sum_shard, values, _quarters(len(values)), 4, obs=obs)
         assert sum(pooled) == sum(values)
         assert metrics.counters["robust.supervise.worker_deaths"] == 1
         assert metrics.counters["robust.supervise.retries"] == 1
@@ -92,7 +102,7 @@ class TestFaultRecovery:
         # attempts 1 and 2 die in the pool; attempt 3 is the in-parent
         # fallback, which the injector's pid guard leaves untouched
         with chaos(ChaosInjector(kill_shards={(1, 1), (1, 2)})):
-            pooled = fork_map(_sum_shard, values, len(values), 4, obs=obs)
+            pooled = fork_map(_sum_shard, values, _quarters(len(values)), 4, obs=obs)
         assert sum(pooled) == sum(values)
         assert metrics.counters["robust.supervise.degraded_inline"] == 1
         assert metrics.counters["robust.supervise.worker_deaths"] == 2
@@ -102,27 +112,23 @@ class TestFaultRecovery:
         values = list(range(60))
         with chaos(ChaosInjector(hang_shards={(2, 1)}, hang_seconds=30.0)):
             pooled = fork_map(
-                _sum_shard, values, len(values), 4, timeout=0.75, obs=obs
+                _sum_shard, values, _quarters(len(values)), 4, timeout=0.75, obs=obs
             )
         assert sum(pooled) == sum(values)
         assert metrics.counters["robust.supervise.timeouts"] == 1
         assert metrics.counters["robust.supervise.retries"] == 1
 
-    def test_worker_exception_retried_then_raised(self):
+    def test_worker_exception_retried_then_raised(self, monkeypatch):
         obs, metrics = _metrics_obs()
-        config = SuperviseConfig(max_attempts=2, backoff_base=0.01)
+        monkeypatch.setattr(supervise_mod, "MAX_ATTEMPTS", 2)
         with pytest.raises(ValueError, match="poisoned shard"):
-            supervised_pool_map(
-                _raise_shard, [(0, 1), (1, 2)], 2, config=config, obs=obs
-            )
+            supervised_pool_map(_raise_shard, [(0, 1), (1, 2)], 2, obs=obs)
         assert metrics.counters["robust.supervise.worker_errors"] >= 1
 
-    def test_deadline_exhausted_raises_124_material(self):
-        config = SuperviseConfig(
-            timeout=0.4, max_attempts=2, backoff_base=0.01
-        )
+    def test_deadline_exhausted_raises_124_material(self, monkeypatch):
+        monkeypatch.setattr(supervise_mod, "MAX_ATTEMPTS", 2)
         with pytest.raises(ShardDeadlineExhausted) as excinfo:
-            supervised_pool_map(_sleep_shard, [(0, 1), (1, 2)], 2, config=config)
+            supervised_pool_map(_sleep_shard, [(0, 1), (1, 2)], 2, timeout=0.4)
         assert excinfo.value.timeout == 0.4
         assert "deadline" in str(excinfo.value)
 
@@ -131,17 +137,36 @@ class TestFaultRecovery:
         values = list(range(80))
         with chaos(ChaosInjector(kill_shards={(0, 1)})):
             with pytest.raises(ErrorBudgetExceeded):
-                fork_map(
-                    _sum_shard, values, len(values), 4, budget=budget
-                )
+                fork_map(_sum_shard, values, _quarters(len(values)), 4, budget=budget)
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SuperviseConfig(max_attempts=0)
-        with pytest.raises(ValueError):
-            SuperviseConfig(timeout=0.0)
+        """A non-positive or infinite library timeout is rejected at
+        any jobs."""
+        for jobs in (1, 2):
+            for timeout in (0.0, -5.0, float("inf")):
+                with pytest.raises(ValueError, match="timeout must be positive"):
+                    fork_map(_sum_shard, [1, 2], [(0, 1), (1, 2)], jobs, timeout=timeout)
+
+    def test_cli_nonpositive_shard_timeout_is_usage_error(
+        self, tmp_bundle, tmp_path, monkeypatch, capsys
+    ):
+        """``--shard-timeout`` must be finite and > 0 at any ``--jobs``
+        (exit 2, naming the flag); ``$MAPIT_SHARD_TIMEOUT <= 0`` still
+        means no deadline.  (``--jobs 2 --shard-timeout 0`` raised ``ValueError``
+        from the pool, exit 1; ``--jobs 1 --shard-timeout -5`` ran.)"""
+        dataset = tmp_bundle(seed=3)
+        for jobs in ("1", "2"):
+            for value in ("0", "-5", "inf"):
+                run = ["run", str(dataset), "--jobs", jobs, "--shard-timeout", value]
+                with pytest.raises(SystemExit) as excinfo:
+                    main(run)
+                assert excinfo.value.code == 2
+                assert "argument --shard-timeout: must be > 0" in capsys.readouterr().err
+        monkeypatch.setenv("MAPIT_SHARD_TIMEOUT", "0")
+        out = ["--output", str(tmp_path / "out.txt")]
+        assert main(["run", str(dataset), "--jobs", "2"] + out) == 0
 
     def test_default_shard_timeout_env(self, monkeypatch):
         monkeypatch.delenv("MAPIT_SHARD_TIMEOUT", raising=False)
@@ -151,6 +176,9 @@ class TestConfig:
         monkeypatch.setenv("MAPIT_SHARD_TIMEOUT", "not-a-number")
         assert default_shard_timeout() is None
         monkeypatch.setenv("MAPIT_SHARD_TIMEOUT", "-3")
+        assert default_shard_timeout() is None
+        # signal.setitimer cannot arm an infinite deadline inline
+        monkeypatch.setenv("MAPIT_SHARD_TIMEOUT", "inf")
         assert default_shard_timeout() is None
 
 

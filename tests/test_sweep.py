@@ -25,7 +25,7 @@ from repro import MapItConfig
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
 from repro.perf.ingest import _shard_spans, fold_graph_from_blocks
-from repro.perf.pool import default_jobs, resolve_jobs, shard_ranges
+from repro.perf.pool import default_jobs, resolve_jobs
 from repro.sim.presets import stress_smoke_config
 from repro.sim.stress import StressConfig, stress_blocks
 from repro.sweep import (
@@ -81,8 +81,7 @@ class TestJobsResolution:
 
 class TestShardSpans:
     def test_zero_count_has_no_shards(self):
-        assert shard_ranges(0, 4) == []
-        assert shard_ranges(-1, 4) == []
+        assert _shard_spans("", 4) == ([], {})
 
     def test_small_file_many_jobs_collapses_empty_spans(self):
         text = "a 1.2.3.4\nb 5.6.7.8\n"
@@ -390,7 +389,6 @@ class TestStressTier:
             out_dir=tmp_path / "out",
             journal_dir=tmp_path / "journal",
             jobs=1,
-            shard_size=1024,
         )
         outcome = run_sweep(plan, obs=Observability(metrics=metrics))
         assert outcome.completed == 1

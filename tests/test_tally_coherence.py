@@ -24,6 +24,7 @@ from repro.core.engine import Engine
 from repro.core.mapit import MapIt
 from repro.diff.harness import build_graph, reference_state
 from repro.diff.worlds import world_from_preset
+from repro.perf.flat import GraphFold
 from repro.serve.incremental import IncrementalIndex
 
 WORLDS = [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 0), ("small", 1)]
@@ -147,7 +148,7 @@ def replay_with_restore(world, config):
             continue
         index.quiesce()
         if position == restore_at and not restored:
-            index.restore_state(saved)
+            index.restore_state(GraphFold.merged([saved]))
             index.quiesce()
             position, restored = saved_at, True
     assert restored
