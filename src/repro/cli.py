@@ -213,17 +213,35 @@ def _jobs_type(text: str) -> int:
     return value
 
 
-def _shard_timeout_type(text: str) -> float:
-    """argparse type for ``--shard-timeout``: finite seconds, > 0.
+def _seconds_type(text: str) -> float:
+    """argparse type for ``--shard-timeout`` and serve's
+    ``--poll-interval``: finite seconds, > 0.
 
-    Zero, a negative or a non-finite deadline is a usage error (exit 2)
-    at any ``--jobs``, not a traceback from the pool (``SIGALRM``
-    cannot arm an infinite timer) or a silent no-op.
+    Zero, a negative or a non-finite value is a usage error (exit 2),
+    not a traceback from the pool (``SIGALRM`` cannot arm an infinite
+    timer), a silent no-op, or an idle daemon that spins (a wait of
+    zero or less returns at once).
     """
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be > 0 seconds and finite, got {text}")
     return value
+
+
+def _bounded_int_type(low: int, high: Optional[int] = None):
+    """argparse type: an int in ``[low, high]``; anything else is a
+    usage error (exit 2) naming the flag (serve's cadences, queue limit
+    and port)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"between {low} and {high}" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _add_perf_options(parser: argparse.ArgumentParser, shards: bool = True) -> None:
@@ -260,7 +278,7 @@ def _add_perf_options(parser: argparse.ArgumentParser, shards: bool = True) -> N
     if shards:
         group.add_argument(
             "--shard-timeout",
-            type=_shard_timeout_type,
+            type=_seconds_type,
             default=None,
             metavar="SECONDS",
             help=(
@@ -268,6 +286,19 @@ def _add_perf_options(parser: argparse.ArgumentParser, shards: bool = True) -> N
                 "and finally run inline (default $MAPIT_SHARD_TIMEOUT or none)"
             ),
         )
+
+
+def _missing_journal(journal_dir: Optional[str], *flags) -> bool:
+    """Whether one of *flags*, ``(name, value)`` pairs of options that
+    need a journal, is set without one; prints the usage error (the
+    command then exits 2)."""
+    if journal_dir:
+        return False
+    for name, value in flags:
+        if value:
+            print(f"error: {name} requires --journal (or $MAPIT_JOURNAL)", file=sys.stderr)
+            return True
+    return False
 
 
 def _cache_dir(args) -> Optional[str]:
@@ -441,11 +472,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_run(args) -> int:
     journal_dir = args.journal or os.environ.get("MAPIT_JOURNAL") or None
-    if args.resume and not journal_dir:
-        print(
-            "error: --resume requires --journal (or $MAPIT_JOURNAL)",
-            file=sys.stderr,
-        )
+    if _missing_journal(journal_dir, ("--resume", args.resume)):
         return 2
     if journal_dir and not args.no_cache and args.cache is None:
         # Journaled runs default their graph cache next to the journal,
@@ -508,7 +535,8 @@ def _serve_warm_start(
     under the daemon's ingest mode and error budget: a verified
     ``.mapitc`` hit keyed by the digest the dataset load already took
     in *health*, else a parse that quarantines its rejects and stores
-    the entry when clean) and adopts the fold as its warm base.  A
+    the entry when clean), records its ingest report in *health* as
+    ``mapit run``'s load does, and adopts the fold as its warm base.  A
     resumed session replays the file's tail, as every followed file
     resumes.
     """
@@ -533,6 +561,7 @@ def _serve_warm_start(
         shard_timeout=None,
         health=health,
     )
+    health.record_ingest(traces_path.name, report)
     daemon.adopt(fold, report, name, offset, lines)
 
 
@@ -552,11 +581,9 @@ def cmd_serve(args) -> int:
     from repro.traceroute.parse import TraceParseError, trace_format_for_path
 
     journal_dir = args.journal or os.environ.get("MAPIT_JOURNAL") or None
-    if args.resume and not journal_dir:
-        print(
-            "error: --resume requires --journal (or $MAPIT_JOURNAL)",
-            file=sys.stderr,
-        )
+    if _missing_journal(
+        journal_dir, ("--resume", args.resume), ("--checkpoint-every", args.checkpoint_every)
+    ):
         return 2
     obs = _build_obs(args)
     handle = obs if obs is not None else NULL_OBS
@@ -572,8 +599,6 @@ def cmd_serve(args) -> int:
             obs=handle,
             skip_traces=True,
         )
-        for line in bundle.health.summary_lines():
-            print(line, file=sys.stderr)
         dataset_traces = find_traces(args.dataset)
         follow_paths = [Path(p) for p in (args.follow or [])]
         stream_paths = ([dataset_traces] if dataset_traces else []) + follow_paths
@@ -629,6 +654,10 @@ def cmd_serve(args) -> int:
                 _serve_warm_start(
                     daemon, dataset_traces, _cache_dir(args), bundle.health
                 )
+            # printed once the base is taken, so it reports the warm
+            # base's ingest as `mapit run` reports its load
+            for line in bundle.health.summary_lines():
+                print(line, file=sys.stderr)
             if args.once:
                 for path in follow_paths:
                     FollowSource(
@@ -1011,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--quiesce-every",
-        type=int,
+        type=_bounded_int_type(0),
         default=64,
         metavar="N",
         help="re-run inference after every N folded traces (default 64; "
@@ -1019,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_bounded_int_type(0),
         default=0,
         metavar="N",
         help="checkpoint fold state to the journal every N folds "
@@ -1039,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--http",
-        type=int,
+        type=_bounded_int_type(0, 65535),
         default=None,
         metavar="PORT",
         help="serve the query API on 127.0.0.1:PORT (0 = ephemeral; the "
@@ -1047,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue-limit",
-        type=int,
+        type=_bounded_int_type(1),
         default=1024,
         metavar="N",
         help="bound the ingest queue at N lines; arrivals beyond it are "
@@ -1055,7 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--poll-interval",
-        type=float,
+        type=_seconds_type,
         default=0.1,
         metavar="SECONDS",
         help="file-tail polling interval (default 0.1)",

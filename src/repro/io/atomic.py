@@ -23,23 +23,26 @@ from pathlib import Path
 from typing import Iterable, Union
 
 
-def _temp_path(path: Path) -> Path:
-    return path.with_name(f"{path.name}.tmp.{os.getpid()}")
-
-
-def atomic_write_text(path: Union[str, Path], text: str) -> str:
-    """Atomically write *text* to *path*; returns the content's sha256."""
+def _atomic_write(path: Union[str, Path], mode: str, chunks: Iterable) -> None:
+    """Write *chunks* to a temp sibling of *path* in *mode*, flush,
+    fsync, and move it into place; on any error (a chunk iterator that
+    raises included) the temp file is removed and *path* is untouched."""
     path = Path(path)
-    temp = _temp_path(path)
+    temp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
-        with open(temp, "w") as handle:
-            handle.write(text)
+        with open(temp, mode) as handle:
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: Union[str, Path], text: str) -> str:
+    """Atomically write *text* to *path*; returns the content's sha256."""
+    _atomic_write(path, "w", (text,))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -50,21 +53,15 @@ def atomic_write_lines(path: Union[str, Path], lines: Iterable[str]) -> str:
     touched — if it raises partway (a crash mid-serialization), the
     destination keeps its previous state.  Returns the sha256.
     """
-    path = Path(path)
-    temp = _temp_path(path)
     digest = hashlib.sha256()
-    try:
-        with open(temp, "w") as handle:
-            for line in lines:
-                data = line + "\n"
-                handle.write(data)
-                digest.update(data.encode())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+
+    def terminated():
+        for line in lines:
+            data = line + "\n"
+            digest.update(data.encode())
+            yield data
+
+    _atomic_write(path, "w", terminated())
     return digest.hexdigest()
 
 
@@ -74,19 +71,10 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> str:
     Used by the bundle cache (:mod:`repro.perf.cache`) whose entries
     carry a binary payload: a reader either sees a complete entry or no
     entry, never a torn one, so a crash mid-store can only cost a cache
-    miss, not serve corrupt traces.
+    miss, not serve corrupt traces.  Run-journal blobs are written the
+    same way.
     """
-    path = Path(path)
-    temp = _temp_path(path)
-    try:
-        with open(temp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+    _atomic_write(path, "wb", (data,))
     return hashlib.sha256(data).hexdigest()
 
 

@@ -315,10 +315,11 @@ def load_bundle(
     the returned bundle's ``health``).
 
     *skip_traces* loads only the mapping datasets: the traces file is
-    neither required nor read and the returned bundle's ``traces`` list
-    is empty.  The serve daemon uses this — its traces arrive over a
-    stream, so a serve dataset directory may legitimately carry no
-    traces file at all (docs/SERVE.md).
+    neither required, read nor recorded in ``health``, and the returned
+    bundle's ``traces`` list is empty.  The serve daemon uses this — its
+    traces arrive over a stream, so a serve dataset directory may
+    legitimately carry no traces file at all (docs/SERVE.md), and a
+    fresh session records its warm base's ingest itself.
 
     *on_error* selects the trace-ingestion policy (``strict`` /
     ``lenient`` / ``quarantine``); *max_error_rate* arms an
@@ -355,9 +356,7 @@ def load_bundle(
         raise FileNotFoundError(f"no traces.txt or traces.jsonl in {root}")
     traces: List[Trace] = []
     graph = retained = None
-    if skip_traces:
-        health.record("traces", "skipped", "stream-fed (serve)")
-    else:
+    if not skip_traces:
         if on_error == "quarantine" and quarantine_dir is None:
             quarantine_dir = root / "quarantine"
         if graph_only:
@@ -381,14 +380,7 @@ def load_bundle(
                 quarantine_dir=quarantine_dir,
                 obs=obs,
             )
-        health.ingest = ingest_report
-        health.record(
-            traces_path.name,
-            "ok" if ingest_report.ok else "degraded",
-            ""
-            if ingest_report.ok
-            else f"{ingest_report.malformed} malformed record(s) rejected",
-        )
+        health.record_ingest(traces_path.name, ingest_report)
 
     dumps, cymru, ixp, as2org, relationships = read_mappings(root, on_error, health)
     ip2as = assemble_ip2as(dumps, cymru, ixp)

@@ -51,6 +51,15 @@ class BundleHealth:
         if status in ("degraded", "corrupt"):
             self.warnings.append(f"{name} {status}: {detail}" if detail else f"{name} {status}")
 
+    def record_ingest(self, name: str, report: IngestReport) -> None:
+        """Attach the traces file *name*'s ingest *report* and record its
+        status ahead of the mapping files', as a dataset load does (a
+        serve session records its warm base after the mappings)."""
+        self.ingest = report
+        detail = "" if report.ok else f"{report.malformed} malformed record(s) rejected"
+        self.record(name, "ok" if report.ok else "degraded", detail)
+        self.statuses.insert(0, self.statuses.pop())
+
     @property
     def ok(self) -> bool:
         """True when nothing degraded, failed a checksum, or was rejected."""

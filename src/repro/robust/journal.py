@@ -16,21 +16,27 @@ opened.
 Layout, next to the ``.mapitc`` cache entries::
 
     <dir>/<run-id>.journal.jsonl     # one JSON record per unit
+    <dir>/<run-id>.seq<NNNNNN>.blob  # the binary payload of record NNNNNN
 
 Other journal users (the sweep orchestrator's cells, serve
-checkpoints) append their own units, and serve checkpoints store a
-packed blob beside their records (:meth:`RunJournal.append_with_blob`).
+checkpoints) append their own units; a serve checkpoint stores its
+fold state as a blob beside its record.  The journal alone decides
+where a record goes and what its blob is called: before its first
+append it finds its verified records, so every append continues the
+sequence whoever opened it, and a blob is named by its record's seq,
+so no two records ever share one.
 
 The run id is a sha256 prefix over (traces sha256, format, ingest
 mode, config repr) — the inputs that determine the result — so a
 journal can never be resumed against different inputs by accident.
 
 Each journal line carries its own sha256; appends are flushed and
-fsynced.  A crash mid-append leaves a *torn tail*: :meth:`RunJournal.read`
+fsynced.  A crash mid-append leaves a *torn tail*: opening the journal
 verifies every line and stops at the first damaged one, so the units
-before it remain usable.  A failed write (ENOSPC) disables journaling
-for the rest of the run — durability degrades, the run itself never
-fails because of its journal.
+before it remain usable, and truncates the damaged tail once.  A
+failed write (ENOSPC) disables journaling for the rest of the run —
+durability degrades, the run itself never fails because of its
+journal.
 """
 
 from __future__ import annotations
@@ -88,7 +94,12 @@ def run_identity_for(directory: Union[str, Path], config: Any, mode: str) -> str
 
 
 class RunJournal:
-    """Append-only journal of one run's completed units."""
+    """Append-only journal of one run's completed units.
+
+    The journal file is read once, on the first :meth:`read` or
+    :meth:`append`: its verified records are kept, a damaged tail is
+    truncated, and appends continue the sequence after them.
+    """
 
     def __init__(
         self,
@@ -101,7 +112,8 @@ class RunJournal:
         self.obs = obs
         #: set after a failed write: the run continues unjournaled
         self.disabled = False
-        self._seq = 0
+        #: the verified records, once the file has been read
+        self._records: Optional[List[Dict[str, Any]]] = None
 
     @property
     def path(self) -> Path:
@@ -112,23 +124,35 @@ class RunJournal:
 
     # -- writing -----------------------------------------------------------
 
-    def append(self, unit: str, payload: Dict[str, Any]) -> bool:
+    def append(
+        self, unit: str, payload: Dict[str, Any], blob: Optional[bytes] = None
+    ) -> bool:
         """Durably append one completed unit; returns whether it stuck.
 
+        The record takes the next seq after the journal's verified
+        records.  A *blob* is written atomically first, as
+        ``<run-id>.seq<NNNNNN>.blob`` for the record's seq, and the
+        payload records its name (``blob``) and sha256 (``sha256``).
         The line's sha256 covers ``(seq, unit, payload)`` in canonical
         JSON, so a torn or bit-flipped tail is detectable on read.
         """
+        records = self._verified()
         if self.disabled:
             return False
-        record = {"seq": self._seq, "unit": unit, "payload": payload}
-        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        record["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        seq = len(records)
         try:
             chaos = active_chaos()
             if chaos is not None:
-                chaos.maybe_fail_write("journal", self._seq)
+                chaos.maybe_fail_write("journal", seq)
             self.directory.mkdir(parents=True, exist_ok=True)
+            if blob is not None:
+                name = f"seq{seq:06d}"
+                sha = atomic_write_bytes(self._blob_path(name), blob)
+                payload = {**payload, "blob": name, "sha256": sha}
+            record = {"seq": seq, "unit": unit, "payload": payload}
+            body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            stamped = {**record, "sha256": hashlib.sha256(body.encode()).hexdigest()}
+            line = json.dumps(stamped, sort_keys=True, separators=(",", ":"))
             with open(self.path, "a") as handle:
                 handle.write(line + "\n")
                 handle.flush()
@@ -138,62 +162,31 @@ class RunJournal:
             self.disabled = True
             self.obs.inc("robust.journal.write_failed")
             return False
-        self._seq += 1
+        records.append(record)
         self.obs.inc("robust.journal.units")
         return True
 
-    def store_blob(self, name: str, data: bytes) -> Optional[str]:
-        """Atomically write a unit's binary payload; returns its sha256."""
-        if self.disabled:
-            return None
-        try:
-            chaos = active_chaos()
-            if chaos is not None:
-                chaos.maybe_fail_write("journal", self._seq)
-            self.directory.mkdir(parents=True, exist_ok=True)
-            return atomic_write_bytes(self._blob_path(name), data)
-        except OSError:
-            self.disabled = True
-            self.obs.inc("robust.journal.write_failed")
-            return None
-
-    def append_with_blob(
-        self,
-        unit: str,
-        name: str,
-        data: bytes,
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Store *data* as a blob, then journal the unit referencing it."""
-        sha = self.store_blob(name, data)
-        if sha is None:
-            return False
-        payload = dict(extra or {})
-        payload["blob"] = name
-        payload["sha256"] = sha
-        return self.append(unit, payload)
-
     # -- reading -----------------------------------------------------------
 
-    def read(self) -> List[Dict[str, Any]]:
-        """The journal's verified records, in order.
+    def _verified(self) -> List[Dict[str, Any]]:
+        """The verified records, reading the file on first use.
 
         Stops at the first line that is torn, corrupt, or out of
         sequence — everything before it is trusted, everything after
-        is not.  Leaves the journal positioned to append after the
-        last verified record (the journal file is rewritten to the
-        verified prefix so seq numbers stay dense).
+        is not — counts ``robust.journal.torn_tail`` and rewrites the
+        file as the verified lines, so appends keep seq numbers dense.
         """
+        if self._records is not None:
+            return self._records
         records: List[Dict[str, Any]] = []
+        self._records = records
         try:
             # errors="replace": a bit-flipped byte that breaks UTF-8 must
             # surface as a torn line (sha mismatch), not a decode crash
             with open(self.path, errors="replace") as handle:
                 lines = handle.read().splitlines()
         except OSError:
-            self._seq = 0
             return records
-        torn = False
         for index, line in enumerate(lines):
             try:
                 record = json.loads(line)
@@ -203,56 +196,41 @@ class RunJournal:
                     stored_sha == hashlib.sha256(body.encode()).hexdigest()
                     and record.get("seq") == index
                 )
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, AttributeError):
                 ok = False
             if not ok:
-                torn = True
                 self.obs.inc("robust.journal.torn_tail")
+                self._truncate_to(lines[:index])
                 break
             records.append(record)
-        self._seq = len(records)
-        if torn:
-            self._truncate_to(records)
         return records
 
-    def _truncate_to(self, records: List[Dict[str, Any]]) -> None:
-        """Rewrite the journal as its verified prefix (drop a torn tail)."""
+    def _truncate_to(self, lines: List[str]) -> None:
+        """Rewrite the journal as its verified lines (drop a torn tail)."""
         try:
-            lines = []
-            for record in records:
-                body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-                stamped = dict(record)
-                stamped["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-                lines.append(
-                    json.dumps(stamped, sort_keys=True, separators=(",", ":"))
-                )
-            atomic_write_bytes(
-                self.path, ("\n".join(lines) + "\n" if lines else "").encode()
-            )
+            atomic_write_bytes(self.path, "".join(f"{line}\n" for line in lines).encode())
         except OSError:
             self.disabled = True
             self.obs.inc("robust.journal.write_failed")
 
-    def units(self, unit: str) -> List[Dict[str, Any]]:
-        """The payloads of every verified record of kind *unit*, in order.
+    def read(self) -> List[Dict[str, Any]]:
+        """The journal's verified records, in order (see :meth:`_verified`)."""
+        return list(self._verified())
 
-        Convenience over :meth:`read` for callers (the sweep
-        orchestrator) that checkpoint many homogeneous units and replay
-        them on resume.
-        """
+    def units(self, unit: str) -> List[Dict[str, Any]]:
+        """The payloads of every verified record of kind *unit*, in order."""
         return [
-            record["payload"]
-            for record in self.read()
-            if record.get("unit") == unit
+            record["payload"] for record in self._verified() if record.get("unit") == unit
         ]
 
-    def load_blob(self, name: str, expected_sha256: str) -> Optional[bytes]:
-        """A unit's binary payload, or None if missing or corrupt."""
+    def load_blob(self, payload: Dict[str, Any]) -> Optional[bytes]:
+        """The blob a record's *payload* names, or None if missing or
+        corrupt (``robust.journal.blob_corrupt``)."""
         try:
-            data = self._blob_path(name).read_bytes()
+            data = self._blob_path(payload["blob"]).read_bytes()
         except OSError:
             return None
-        if hashlib.sha256(data).hexdigest() != expected_sha256:
+        if hashlib.sha256(data).hexdigest() != payload["sha256"]:
             self.obs.inc("robust.journal.blob_corrupt")
             return None
         return data
@@ -286,10 +264,10 @@ def journaled_run(
     effective_obs = obs if obs is not None else NULL_OBS
 
     if resume:
-        results = [r for r in journal.read() if r.get("unit") == "result"]
+        results = journal.units("result")
         if results:
             effective_obs.inc("robust.journal.replayed")
-            return MapItResult.from_json(results[-1]["payload"]["json"])
+            return MapItResult.from_json(results[-1]["json"])
         if effective_obs.enabled:
             effective_obs.event("journal.resume", run_id=journal.run_id)
 

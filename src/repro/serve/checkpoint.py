@@ -1,8 +1,10 @@
 """Serve checkpoints: durable fold state via the run journal.
 
-A serve checkpoint is one blob appended with the same
-:class:`~repro.robust.journal.RunJournal` machinery batch runs use
-(``<dir>/<run-id>.serve<NNNNNN>.blob`` + a checksummed journal line).
+A serve checkpoint is one :data:`CHECKPOINT_UNIT` record appended to
+the same :class:`~repro.robust.journal.RunJournal` batch runs use,
+with a blob the journal names by the record's seq
+(``<dir>/<run-id>.seq<NNNNNN>.blob`` beside a checksummed journal
+line; :meth:`~repro.serve.daemon.ServeDaemon.checkpoint` writes it).
 The blob is the daemon's fold state in the one encoding of a folded
 graph, :meth:`~repro.perf.flat.FlatGraphBundle.to_bytes` — the same
 self-describing codec a ``.mapitc`` cache entry's payload uses: a
@@ -64,35 +66,6 @@ def serve_run_identity(
     return run_identity(material, config, "serve", format)
 
 
-def write_checkpoint(
-    journal: RunJournal,
-    seq: int,
-    fold: FlatGraphBundle,
-    offsets: Dict[str, int],
-    lines: Dict[str, int],
-    stats: Dict[str, int],
-    fingerprint: str,
-) -> bool:
-    """Append checkpoint *seq* to *journal*; returns whether it stuck.
-
-    A failed write (ENOSPC) disables the journal and costs only
-    durability — the daemon keeps serving, exactly like batch
-    journaling (docs/ROBUSTNESS.md).
-    """
-    return journal.append_with_blob(
-        CHECKPOINT_UNIT,
-        f"serve{seq:06d}",
-        fold.to_bytes(),
-        extra={
-            "checkpoint": seq,
-            "offsets": dict(offsets),
-            "lines": dict(lines),
-            "stats": dict(stats),
-            "fingerprint": fingerprint,
-        },
-    )
-
-
 def _well_formed(payload: Any) -> bool:
     """Every payload field a restore reads is present and typed."""
     if not isinstance(payload, dict):
@@ -121,15 +94,11 @@ def restore_latest_checkpoint(
     checkpoint — never to a crash.  Decoding finishes before *restore*
     runs, so a rejected checkpoint changes no state.
     """
-    records = [
-        record for record in journal.read() if record.get("unit") == CHECKPOINT_UNIT
-    ]
-    for record in reversed(records):
-        payload = record.get("payload")
+    for payload in reversed(journal.units(CHECKPOINT_UNIT)):
         if not _well_formed(payload):
             journal.obs.inc("robust.journal.blob_corrupt")
             continue
-        data = journal.load_blob(payload["blob"], payload["sha256"])
+        data = journal.load_blob(payload)
         if data is None:
             continue
         try:

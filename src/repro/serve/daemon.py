@@ -34,7 +34,7 @@ from repro.perf.flat import GraphFold
 from repro.robust.errors import ErrorBudget, IngestReport
 from repro.robust.ingest import record_parser
 from repro.robust.journal import RunJournal
-from repro.serve.checkpoint import restore_latest_checkpoint, write_checkpoint
+from repro.serve.checkpoint import CHECKPOINT_UNIT, restore_latest_checkpoint
 from repro.serve.incremental import IncrementalIndex
 from repro.traceroute.parse import TraceParseError
 
@@ -144,15 +144,21 @@ class ServeDaemon:
         checkpoint_every: int = 0,
         queue_limit: int = 1024,
     ) -> None:
+        if quiesce_every < 0 or checkpoint_every < 0:
+            raise ValueError("the quiesce and checkpoint cadences must be >= 0")
+        if checkpoint_every and journal is None:
+            raise ValueError("a checkpoint cadence needs a journal")
+        if queue_limit < 1:
+            raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         self.index = index
         self.format = format
         self.on_error = on_error
         self.budget = budget
         self.journal = journal
         self.obs = obs
-        self.quiesce_every = max(0, quiesce_every)
-        self.checkpoint_every = max(0, checkpoint_every)
-        self.queue_limit = max(1, queue_limit)
+        self.quiesce_every = quiesce_every
+        self.checkpoint_every = checkpoint_every
+        self.queue_limit = queue_limit
         self._parse = record_parser(format)
         self.snapshot = ServeSnapshot.empty()
         self.offsets: Dict[str, int] = {}
@@ -367,20 +373,27 @@ class ServeDaemon:
         return snapshot
 
     def checkpoint(self) -> bool:
-        """Write fold state + source offsets and line counts to the journal."""
+        """Append the fold state (as the record's blob), source offsets
+        and line counts to the journal; returns whether it stuck.
+
+        A failed write (ENOSPC) disables the journal and costs only
+        durability — the daemon keeps serving, as batch journaling does
+        (docs/ROBUSTNESS.md).
+        """
         if self.journal is None:
             return False
         self._folds_since_checkpoint = 0
         stats = self.stats_view()
         seq = stats["checkpoints"]
-        stuck = write_checkpoint(
-            self.journal,
-            seq,
-            self.index.export_state(),
-            self.offsets,
-            self.line_counts,
-            stats,
-            self.snapshot.fingerprint,
+        stuck = self.journal.append(
+            CHECKPOINT_UNIT,
+            {
+                "offsets": dict(self.offsets),
+                "lines": dict(self.line_counts),
+                "stats": stats,
+                "fingerprint": self.snapshot.fingerprint,
+            },
+            blob=self.index.export_state().to_bytes(),
         )
         if stuck:
             self._bump("checkpoints")

@@ -162,7 +162,6 @@ def _verified_cells(
 
 def _build_worlds(
     plan: SweepPlan,
-    journal: RunJournal,
     outcome: SweepOutcome,
     obs: Observability,
 ) -> None:
@@ -187,7 +186,6 @@ def _build_worlds(
 
     def on_world(index: int, built: List[str]) -> None:
         for world_id in built:
-            journal.append("world", {"world": world_id})
             outcome.worlds_built += 1
             obs.inc("sweep.worlds.built")
             if obs.enabled:
@@ -255,12 +253,6 @@ def run_sweep(plan: SweepPlan, obs: Observability = NULL_OBS) -> SweepOutcome:
                 "sweep.resume", sweep_id=sweep_id, verified_cells=len(done)
             )
     else:
-        # A fresh run owns its journal: drop any stale file so sequence
-        # numbers start dense at zero.
-        try:
-            journal.path.unlink()
-        except OSError:
-            pass
         journal.append("plan", _plan_payload(plan))
     if obs.enabled:
         obs.event(
@@ -276,7 +268,7 @@ def run_sweep(plan: SweepPlan, obs: Observability = NULL_OBS) -> SweepOutcome:
     for _ in range(len(done)):
         obs.inc("sweep.cells.skipped")
 
-    _build_worlds(plan, journal, outcome, obs)
+    _build_worlds(plan, outcome, obs)
 
     pending = [cell for cell in all_cells if cell.cell_id not in done]
     tasks = _cell_tasks(plan, pending)
@@ -351,7 +343,6 @@ def run_sweep(plan: SweepPlan, obs: Observability = NULL_OBS) -> SweepOutcome:
         plan.out_dir / "sweep.json",
         (json.dumps(aggregate, sort_keys=True, indent=2) + "\n").encode(),
     )
-    journal.append("done", {"cells": len(documents)})
 
     if stress_peak_block:
         obs.gauge("sweep.stress.peak_block_bytes", stress_peak_block)

@@ -238,3 +238,45 @@ class TestAspathExperiment:
         assert main(["experiment", "aspath", "--scale", "small", "--seed", "3"]) == 0
         captured = capsys.readouterr()
         assert "corrected_accuracy" in captured.out
+
+
+class TestServeFlags:
+    """Serve's flags are checked where they are parsed: a usage error
+    (exit 2) naming the flag, not a silent clamp, a spinning daemon or
+    a traceback from ``bind()``."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--quiesce-every", "-3"),
+            ("--checkpoint-every", "-2"),
+            ("--queue-limit", "0"),
+            ("--poll-interval", "0"),
+            ("--poll-interval", "-1"),
+            ("--poll-interval", "inf"),
+            ("--http", "70000"),
+            ("--http", "-1"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(tmp_path), "--once", flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_checkpoint_cadence_needs_a_journal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("MAPIT_JOURNAL", raising=False)
+        assert main(["serve", str(tmp_path), "--once", "--checkpoint-every", "5"]) == 2
+        assert "--checkpoint-every requires --journal" in capsys.readouterr().err
+
+    def test_daemon_rejects_what_the_cli_rejects(self):
+        from repro.serve.daemon import ServeDaemon
+
+        for kwargs in (
+            {"quiesce_every": -3},
+            {"checkpoint_every": -2},
+            {"queue_limit": 0},
+            {"checkpoint_every": 5},
+        ):
+            with pytest.raises(ValueError):
+                ServeDaemon(None, **kwargs)

@@ -34,6 +34,8 @@ from repro.perf.flat import GraphFold, pack_traces
 from repro.perf.ingest import stream_graph_from_file
 from repro.robust.errors import MAX_DETAILED_ERRORS
 from repro.robust.ingest import ingest_trace_file
+from repro.robust.journal import RunJournal
+from repro.serve.checkpoint import CHECKPOINT_UNIT
 from repro.serve.incremental import IncrementalIndex
 from repro.traceroute.parse import TraceParseError, traces_to_json_lines
 from repro.traceroute.sanitize import sanitize_traces
@@ -410,6 +412,13 @@ class TestColdCachePayload:
 ENTRY_HEADER_BYTES = 92
 
 
+def _newest_checkpoint_blob(journal_dir):
+    """The blob the newest serve checkpoint in *journal_dir* names."""
+    (log,) = journal_dir.glob("*.journal.jsonl")
+    journal = RunJournal(journal_dir, log.name[: -len(".journal.jsonl")])
+    return journal.load_blob(journal.units(CHECKPOINT_UNIT)[-1])
+
+
 def test_one_fold_state_every_source_both_on_disk_uses(tmp_bundle, tmp_path, capsys):
     """One dataset's fold packs to the same bytes from every source —
     a serve session following the traces file and one whose warm base
@@ -434,11 +443,11 @@ def test_one_fold_state_every_source_both_on_disk_uses(tmp_bundle, tmp_path, cap
     journal = tmp_path / "journal"
     serve = ["serve", str(maps), "--once", "--json", "--journal", str(journal)]
     assert main(serve + ["--follow", str(traces_path), "--output", str(tmp_path / "s")]) == 0
-    packed["serve checkpoint"] = sorted(journal.glob("*.blob"))[-1].read_bytes()
+    packed["serve checkpoint"] = _newest_checkpoint_blob(journal)
     warm = tmp_path / "warm"
     serve = ["serve", str(dataset), "--once", "--json", "--journal", str(warm)]
     assert main(serve + ["--output", str(tmp_path / "w")]) == 0
-    packed["serve warm base checkpoint"] = sorted(warm.glob("*.blob"))[-1].read_bytes()
+    packed["serve warm base checkpoint"] = _newest_checkpoint_blob(warm)
     traces = ingest_trace_file(traces_path)[0]
     fold = GraphFold()
     fold.fold_block(pack_traces(traces))

@@ -107,16 +107,52 @@ class TestJournalFile:
         resumed.append("iteration", {"iteration": 1})
         records = RunJournal(tmp_path, "abc123").read()
         assert [r["seq"] for r in records] == [0, 1]
+        # a journal opened on used records continues them unread
+        obs, metrics = _metrics_obs()
+        assert RunJournal(tmp_path, "abc123", obs=obs).append("result", {"json": "{}"})
+        records = RunJournal(tmp_path, "abc123").read()
+        assert [(r["seq"], r["unit"]) for r in records] == [
+            (0, "graph"), (1, "iteration"), (2, "result")
+        ]
+        assert "robust.journal.torn_tail" not in metrics.counters
 
     def test_blob_roundtrip_and_corruption(self, tmp_path):
         obs, metrics = _metrics_obs()
         journal = RunJournal(tmp_path, "abc123", obs=obs)
-        sha = journal.store_blob("graph", b"payload-bytes")
-        assert journal.load_blob("graph", sha) == b"payload-bytes"
-        blob_path = tmp_path / "abc123.graph.blob"
+        assert journal.append("unit", {"field": 1}, blob=b"payload-bytes")
+        (record,) = RunJournal(tmp_path, "abc123").read()
+        payload = record["payload"]
+        assert payload["field"] == 1
+        assert journal.load_blob(payload) == b"payload-bytes"
+        blob_path = tmp_path / f"abc123.{payload['blob']}.blob"
         blob_path.write_bytes(b"tampered")
-        assert journal.load_blob("graph", sha) is None
+        assert journal.load_blob(payload) is None
         assert metrics.counters["robust.journal.blob_corrupt"] == 1
+
+    def test_records_never_share_a_blob(self, tmp_path):
+        """Each blob is named by its record's seq, whichever journal
+        object appends it: a second writer on the same journal (a fresh
+        serve session) never overwrites the first one's blob."""
+        first = RunJournal(tmp_path, "abc123")
+        assert first.append("unit", {}, blob=b"first")
+        second = RunJournal(tmp_path, "abc123")
+        assert second.append("unit", {}, blob=b"second")
+        assert second.append("unit", {}, blob=b"third")
+        reader = RunJournal(tmp_path, "abc123")
+        payloads = reader.units("unit")
+        assert len({payload["blob"] for payload in payloads}) == 3
+        assert [reader.load_blob(p) for p in payloads] == [b"first", b"second", b"third"]
+        assert len(list(tmp_path.glob("abc123.*.blob"))) == 3
+
+    def test_enospc_fails_blob_and_record_together(self, tmp_path):
+        obs, metrics = _metrics_obs()
+        journal = RunJournal(tmp_path, "abc123", obs=obs)
+        assert journal.append("unit", {})
+        with chaos(ChaosInjector(journal_enospc_seqs={1})):
+            assert not journal.append("unit", {}, blob=b"never written")
+        assert metrics.counters["robust.journal.write_failed"] == 1
+        assert list(tmp_path.glob("*.blob")) == []
+        assert [r["seq"] for r in RunJournal(tmp_path, "abc123").read()] == [0]
 
     def test_enospc_disables_but_never_raises(self, tmp_path):
         obs, metrics = _metrics_obs()
@@ -210,9 +246,7 @@ class TestJournaledRun:
         resume re-runs every pass from iteration 0."""
         plain = bundle.run_mapit()
         journal = RunJournal(tmp_path, "run5")
-        assert journal.append_with_blob(
-            "iteration", "iter0001", b"not a pickle", extra={"iteration": 1}
-        )
+        assert journal.append("iteration", {"iteration": 1}, blob=b"not a pickle")
         metrics = Metrics()
         tracer = Tracer(timestamps=False)
         obs = Observability(tracer=tracer, metrics=metrics)
@@ -241,10 +275,8 @@ class TestJournaledRun:
         iterations; a resume skips both and never reads either blob."""
         plain = bundle.run_mapit()
         journal = RunJournal(tmp_path, "run7")
-        assert journal.append_with_blob("graph", "graph", b"never unpickled")
-        assert journal.append_with_blob(
-            "iteration", "iter0001", b"never unpickled", extra={"iteration": 1}
-        )
+        assert journal.append("graph", {}, blob=b"never unpickled")
+        assert journal.append("iteration", {"iteration": 1}, blob=b"never unpickled")
         obs, metrics = _metrics_obs()
         resumed = journaled_run(
             bundle,
@@ -290,9 +322,7 @@ def _write_parent_journal(journal_dir, run_id, dataset, monkeypatch):
     graph_bundle = load_bundle(dataset, graph_only=True)
     journal = RunJournal(journal_dir, run_id)
     journal.path.unlink()
-    assert journal.append_with_blob(
-        "graph", "graph", pickle.dumps(graph_bundle.graph)
-    )
+    assert journal.append("graph", {}, blob=pickle.dumps(graph_bundle.graph))
     for iterations in (1, 2):
         mapit = MapIt(
             graph_bundle.graph,
@@ -311,9 +341,7 @@ def _write_parent_journal(journal_dir, run_id, dataset, monkeypatch):
                 EngineSnapshot(iterations, state, [state.fingerprint()]),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-        assert journal.append_with_blob(
-            "iteration", f"iter{iterations:04d}", blob, extra={"iteration": iterations}
-        )
+        assert journal.append("iteration", {"iteration": iterations}, blob=blob)
 
 
 class TestCliJournal:
@@ -344,6 +372,29 @@ class TestCliJournal:
         assert first_out.read_bytes() == plain_out.read_bytes()
         assert resumed_out.read_bytes() == plain_out.read_bytes()
         assert json.loads(resumed_out.read_text())
+
+    def test_second_run_appends_after_the_first(self, tmp_bundle, tmp_path, capsys):
+        """Two journaled runs of one dataset share a run id: the second
+        appends its result as seq 1 (it had rewritten seq 0, so the
+        resume counted a torn tail and rewrote the journal), and a
+        resume replays it — three equal outputs."""
+        dataset = tmp_bundle(seed=3)
+        journal_dir = tmp_path / "journal"
+        run = ["run", str(dataset), "--json", "--journal", str(journal_dir)]
+        outputs = [tmp_path / f"out{index}.json" for index in range(3)]
+        assert main(run + ["--output", str(outputs[0])]) == 0
+        assert main(run + ["--output", str(outputs[1])]) == 0
+        run_id = capsys.readouterr().err.split("journal: run ")[1].split()[0]
+        metrics = tmp_path / "m.json"
+        resume = ["--resume", run_id, "--metrics", str(metrics)]
+        assert main(run + ["--output", str(outputs[2])] + resume) == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert "robust.journal.torn_tail" not in counters
+        assert counters["robust.journal.replayed"] == 1
+        records = RunJournal(journal_dir, run_id).read()
+        assert [(r["seq"], r["unit"]) for r in records] == [(0, "result"), (1, "result")]
+        assert outputs[1].read_bytes() == outputs[0].read_bytes()
+        assert outputs[2].read_bytes() == outputs[0].read_bytes()
 
     def test_parent_journal_resumes_without_unpickling(
         self, tmp_bundle, tmp_path, capsys, monkeypatch, refuse_unpickling

@@ -30,6 +30,7 @@ from repro.core.config import REMOVE_ADD_RULE, MapItConfig
 from repro.core.mapit import MapIt
 from repro.diff.harness import compare_world, reference_state
 from repro.diff.worlds import World, world_from_preset
+from repro.io.atomic import atomic_write_bytes
 from repro.io.bundle import find_traces, load_bundle
 from repro.obs.metrics import Metrics
 from repro.obs.observer import NULL_OBS, Observability
@@ -206,8 +207,9 @@ def test_checkpoint_restart_midstream(world, tmp_path):
 
 def _rewrite_newest_checkpoint(journal_dir, run_id, damage):
     """Re-journal every record, letting *damage* edit the newest
-    checkpoint's payload (and blob, through the journal it is given)
-    before its line is re-stamped with a valid sha256."""
+    checkpoint's payload and blob file before its line is re-stamped
+    with a valid sha256; a blob *damage* returns is appended with the
+    record, which then names it with a matching sha256."""
     records = RunJournal(journal_dir, run_id).read()
     RunJournal(journal_dir, run_id).path.unlink()
     journal = RunJournal(journal_dir, run_id)
@@ -216,19 +218,18 @@ def _rewrite_newest_checkpoint(journal_dir, run_id, damage):
     newest = records[-1]
     assert newest["unit"] == CHECKPOINT_UNIT
     payload = dict(newest["payload"])
-    damage(journal, payload)
-    journal.append(newest["unit"], payload)
+    blob = damage(journal.directory / f"{run_id}.{payload['blob']}.blob", payload)
+    journal.append(newest["unit"], payload, blob=blob)
 
 
 def _damage(kind):
     """A *damage* callback for :func:`_rewrite_newest_checkpoint`.
 
     The blob is one self-describing ``FlatGraphBundle.to_bytes()``;
-    ``lengths`` and ``overrun`` re-stamp its sha256, so only the
-    codec's own checks can catch them."""
+    ``lengths`` and ``overrun`` are re-journaled with their sha256, so
+    only the codec's own checks can catch them."""
 
-    def damage(journal, payload):
-        path = journal.directory / f"{journal.run_id}.{payload['blob']}.blob"
+    def damage(path, payload):
         data = bytearray(path.read_bytes())
         if kind == "truncated":
             path.write_bytes(data[: len(data) // 2])
@@ -240,7 +241,7 @@ def _damage(kind):
             # four bytes more than the blob carries
             (forward_len,) = struct.unpack_from("<Q", data, 8)
             struct.pack_into("<Q", data, 8, forward_len + 4)
-            payload["sha256"] = journal.store_blob(payload["blob"], bytes(data))
+            return bytes(data)
         elif kind == "mistyped":
             payload["stats"] = {**payload["stats"], "folds": "12"}
         else:
@@ -248,7 +249,8 @@ def _damage(kind):
             # blob whose header matches and whose sha256 verifies
             bundle = FlatGraphBundle.from_bytes(bytes(data))
             bundle.forward = array(U32, [5, 100]).tobytes()
-            payload["sha256"] = journal.store_blob(payload["blob"], bundle.to_bytes())
+            return bundle.to_bytes()
+        return None
 
     return damage
 
@@ -297,6 +299,122 @@ def test_corrupt_checkpoint_falls_back(world, tmp_path, kind):
     fresh = ServeDaemon(_fresh_index(world), format="text", journal=lone)
     assert not fresh.resume()
     assert fresh.stats["folds"] == 0
+
+
+def test_parent_checkpoint_restores_by_its_payload(world, tmp_path):
+    """A checkpoint record written before the journal named its blobs —
+    blob ``serve000000`` from the daemon's own counter, a ``checkpoint``
+    field — restores through ``load_blob(payload)``, and the session's
+    next checkpoint takes a blob of its own."""
+    lines = list(traces_to_text_lines(world.traces))
+    half = len(lines) // 2
+    first = ServeDaemon(_fresh_index(world), format="text")
+    for line in lines[:half]:
+        first.ingest_entry(line, "stream")
+    first.quiesce()
+    journal_dir = tmp_path / "journal"
+    journal_dir.mkdir()
+    blob = first.index.export_state().to_bytes()
+    payload = {
+        "checkpoint": 0,
+        "blob": "serve000000",
+        "sha256": atomic_write_bytes(journal_dir / "s.serve000000.blob", blob),
+        "offsets": dict(first.offsets),
+        "lines": dict(first.line_counts),
+        "stats": first.stats_view(),
+        "fingerprint": first.snapshot.fingerprint,
+    }
+    assert RunJournal(journal_dir, "s").append(CHECKPOINT_UNIT, payload)
+    resumed = ServeDaemon(
+        _fresh_index(world), format="text", journal=RunJournal(journal_dir, "s")
+    )
+    assert resumed.resume()
+    assert resumed.stats["folds"] == first.stats["folds"]
+    for line in lines[half:]:
+        resumed.ingest_entry(line, "stream")
+    snapshot = resumed.finalize()
+    assert (snapshot.fingerprint, snapshot.result.to_json(indent=2)) == reference_state(
+        world, len(world.traces), MapItConfig()
+    )
+    assert sorted(path.name for path in journal_dir.glob("*.blob")) == [
+        "s.seq000001.blob", "s.serve000000.blob"
+    ]
+
+
+def test_fresh_session_on_a_used_journal_appends(tmp_bundle, tmp_path, capsys):
+    """A fresh session on a journal an earlier session used appends its
+    checkpoint after the earlier one's, under a blob of its own, and
+    ``--resume`` restores the newest.  (Regression: the second session
+    rewrote seq 0 and the first session's blob, so the resume counted a
+    torn tail and a corrupt blob and started cold.)"""
+    dataset = tmp_bundle(seed=3, copy=True)
+    lines = (dataset / "traces.txt").read_text().splitlines(keepends=True)
+    assert len(lines) >= 400
+    (dataset / "traces.txt").unlink()
+    streams = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    streams[0].write_text("".join(lines[:200]))
+    streams[1].write_text("".join(lines[200:400]))
+    journal = tmp_path / "journal"
+    outputs = [tmp_path / "a.out", tmp_path / "b.out", tmp_path / "resumed.out"]
+
+    def serve(stream, output, *extra):
+        return cli_main([
+            "serve", str(dataset), "--follow", str(stream), "--once", "--json",
+            "--journal", str(journal), "--output", str(output), *extra,
+        ])
+
+    assert serve(streams[0], outputs[0]) == 0
+    assert serve(streams[1], outputs[1]) == 0
+    capsys.readouterr()
+    metrics = tmp_path / "m.json"
+    assert serve(streams[1], outputs[2], "--resume", "--metrics", str(metrics)) == 0
+    assert "resume: restored checkpoint at 200 folds" in capsys.readouterr().err
+    counters = json.loads(metrics.read_text())["counters"]
+    assert "robust.journal.torn_tail" not in counters
+    assert "robust.journal.blob_corrupt" not in counters
+    assert outputs[2].read_bytes() == outputs[1].read_bytes()
+    (log,) = journal.glob("*.journal.jsonl")
+    records = RunJournal(journal, log.name.split(".")[0]).read()
+    assert [record["seq"] for record in records] == [0, 1, 2]
+    assert len({record["payload"]["blob"] for record in records}) == 3
+
+
+def _health_lines(err):
+    """The stderr health summary: every line up to ``bundle health:``."""
+    lines = err.splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("bundle health:"))
+    return lines[: end + 1]
+
+
+@pytest.mark.parametrize("case", ["lenient", "warm"])
+def test_serve_health_reports_the_warm_base(case, tmp_bundle, tmp_path, capsys):
+    """``serve --once`` prints ``mapit run``'s health summary: the warm
+    base's ingest line, the traces file's status and the ``cache: hit``
+    line.  (Regression: serve printed the summary before it took the
+    base, so a garbled line counted 0 rejected records and a warm
+    ``--cache`` session never said so.)"""
+    dataset = tmp_bundle(seed=3, copy=True)
+    flags = ["--output", str(tmp_path / "out.txt")]
+    if case == "lenient":
+        traces = dataset / "traces.txt"
+        lines = traces.read_text().splitlines(keepends=True)
+        lines[len(lines) // 2] = "!!not-a-trace!!\n"
+        traces.write_text("".join(lines))
+        flags += ["--on-error", "lenient"]
+    else:
+        flags += ["--cache", str(tmp_path / "cache")]
+        assert cli_main(["run", str(dataset), *flags]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", str(dataset), *flags]) == 0
+    run_health = _health_lines(capsys.readouterr().err)
+    assert cli_main(["serve", str(dataset), "--once", *flags]) == 0
+    assert _health_lines(capsys.readouterr().err) == run_health
+    expected = {
+        "lenient": "bundle health: degraded (1 dataset(s) degraded, "
+        "1 checksum failure(s), 1 record(s) rejected)",
+        "warm": "cache: hit (entry format v3)",
+    }[case]
+    assert expected in run_health
 
 
 def test_resume_numbers_lines_from_the_checkpoint(tmp_bundle, tmp_path, capsys):

@@ -12,9 +12,9 @@ covers:
   ``*fingerprint*`` (the §4.6 state fingerprint is the contract the
   differential harness checks, its serve replay and its chaos
   schedules included);
-* **journal records** — ``RunJournal.append`` /
-  ``append_with_blob`` / ``store_blob`` and ``write_checkpoint``
-  (a resumed run must replay to the same bytes);
+* **journal records** — ``RunJournal.append``, the one journal
+  writer, its payload and its blob alike (a resumed run must replay
+  to the same bytes);
 * **cache keys** — anything named ``*cache_key*`` (a
   time-salted key silently defeats every warm-start equivalence test);
 * **snapshot fields** — arguments of a ``*Snapshot`` constructor (the
@@ -50,7 +50,7 @@ TIMER_CALLS = {"time.perf_counter", "time.perf_counter_ns", "time.monotonic",
                "time.monotonic_ns"}
 
 #: journal methods whose arguments become durable, replay-compared bytes
-JOURNAL_SINKS = {"append", "append_with_blob", "store_blob"}
+JOURNAL_SINKS = {"append"}
 
 #: function-name fragments that mark a deterministic-artifact producer
 NAME_SINKS = ("fingerprint", "cache_key")
@@ -86,8 +86,6 @@ def _sink_description(project: ProjectModel, info: FunctionInfo, node: ast.Call)
     for fragment in NAME_SINKS:
         if fragment in lowered:
             return f"{tail}() ({fragment} of the byte-identity contract)"
-    if tail == "write_checkpoint":
-        return "write_checkpoint() (journal checkpoint bytes)"
     if tail in JOURNAL_SINKS and isinstance(node.func, ast.Attribute):
         receiver = node.func.value
         receiver_type = project.expr_type(info, receiver) or ""
