@@ -27,15 +27,11 @@ from repro.analysis import (
 from repro.core.mapit import MapIt
 from repro.graph.neighbors import build_interface_graph
 from repro.sim.presets import small_scenario
-from repro.traceroute.sanitize import sanitize_traces
 
 
 def main() -> None:
     scenario = small_scenario(seed=7)
-    report = sanitize_traces(scenario.traces)
-    graph = build_interface_graph(
-        report.traces, all_addresses=report.all_addresses
-    )
+    graph = build_interface_graph(scenario.traces)
     mapit = MapIt(
         graph,
         scenario.ip2as,

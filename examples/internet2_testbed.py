@@ -19,7 +19,6 @@ from repro.core.mapit import MapIt
 from repro.graph.neighbors import build_interface_graph
 from repro.net.ipv4 import parse_address
 from repro.sim.internet2 import internet2_testbed
-from repro.traceroute.sanitize import sanitize_traces
 
 
 def main() -> None:
@@ -31,8 +30,7 @@ def main() -> None:
         f"from {len(testbed.monitors)} monitors"
     )
 
-    report = sanitize_traces(traces)
-    graph = build_interface_graph(report.traces, all_addresses=report.all_addresses)
+    graph = build_interface_graph(traces)
     mapit = MapIt(
         graph,
         testbed.ip2as,

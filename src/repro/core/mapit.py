@@ -29,8 +29,8 @@ from repro.core.results import (
 )
 from repro.core.stub import stub_step
 from repro.graph.halves import Half
-from repro.graph.neighbors import InterfaceGraph, graph_from_traces
-from repro.obs.observer import Observability
+from repro.graph.neighbors import InterfaceGraph, build_interface_graph
+from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import RelationshipDataset
 from repro.traceroute.model import Trace
@@ -287,5 +287,6 @@ def run_mapit(
     *obs*, when given, receives structured trace events, metrics, and
     profiling spans for the whole pipeline (docs/OBSERVABILITY.md).
     """
-    graph, _ = graph_from_traces(traces, obs=obs)
+    obs = obs if obs is not None else NULL_OBS
+    graph = build_interface_graph(traces, obs=obs)
     return run_mapit_graph(graph, ip2as, org=org, rel=rel, config=config, obs=obs)

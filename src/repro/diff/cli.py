@@ -176,10 +176,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     failed = False
 
-    def compare(world, rule: str, check_every: int) -> None:
+    def compare(world, rule: str, check_every: int, check_fold: bool) -> None:
         nonlocal failed
         outcome = compare_world(
-            world, rule, obs=obs, check_every=check_every, chaos=chaos
+            world, rule, obs=obs, check_every=check_every, chaos=chaos, check_fold=check_fold
         )
         summary["comparisons"] += 1
         summary["divergences"] += outcome.divergence_count
@@ -218,8 +218,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     for index in range(args.worlds):
         world = world_from_preset(args.preset, args.seed + index)
         summary["worlds"] += 1
-        for rule in rules:
-            compare(world, rule, args.check_every)
+        for position, rule in enumerate(rules):
+            compare(world, rule, args.check_every, check_fold=position == 0)
         if not args.no_metamorphic:
             meta = check_world(world, rules[0], seed=args.seed + index, obs=obs)
             summary["metamorphic_failures"] += len(meta.failures)
@@ -234,8 +234,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         rule, check_every = _recorded(world)
         if check_every is None:
             check_every = args.check_every
-        for replay_rule in [rule] if rule else rules:
-            compare(world, replay_rule, check_every)
+        for position, replay_rule in enumerate([rule] if rule else rules):
+            compare(world, replay_rule, check_every, check_fold=position == 0)
 
     if obs.enabled:
         obs.event(

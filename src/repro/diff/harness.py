@@ -1,9 +1,15 @@
 """The differential harness: oracle vs. production engine, half by half.
 
-For each world the harness runs the paper-literal oracle
+For each world the harness first holds the production §4.1–§4.3 fold
+(:class:`~repro.perf.flat.GraphFold`, through
+:func:`~repro.graph.neighbors.fold_traces`) to the oracle's
+(:func:`repro.oracle.oracle_fold`) — both neighbor tables, the retained
+and observed addresses and the sanitize counts — on the world's traces
+and on its twin (:func:`~repro.diff.worlds.fold_twin`: private, shared
+and quoted-TTL-0 hops).  It then runs the paper-literal oracle
 (:mod:`repro.oracle`) and the production engine
-(:mod:`repro.core.mapit`) on identical inputs and compares the final
-inference sets keyed by interface half.  Any disagreement — a half
+(:mod:`repro.core.mapit`) on the one production graph and compares the
+final inference sets keyed by interface half.  Any disagreement — a half
 inferred by only one side, or inferred with a different AS pair, kind,
 or uncertainty — is a :class:`Divergence`, and the first one per world
 is rendered as a readable report: the half, which side said what, both
@@ -43,10 +49,13 @@ from repro.core.config import (
 )
 from repro.core.mapit import MapIt
 from repro.core.results import MapItResult
-from repro.diff.worlds import World
-from repro.graph.neighbors import InterfaceGraph, graph_from_traces
+from repro.diff.worlds import World, fold_twin
+from repro.graph.neighbors import InterfaceGraph, build_interface_graph, fold_traces
+from repro.net.ipv4 import format_address
+from repro.net.special import default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
-from repro.oracle import OracleConfig, OracleResult, oracle_run
+from repro.oracle import OracleConfig, OracleFold, OracleResult, oracle_fold, oracle_run
+from repro.perf.flat import GraphFold
 
 #: the remove-rule readings a sweep exercises by default (§4.5 prose
 #: vs. Alg 3 literal)
@@ -136,16 +145,20 @@ class WorldOutcome:
     serve_prefix: Optional[int] = None
     #: chaos runs held to the core bytes, in run order (``serial`` first)
     chaos: List[ChaosRun] = field(default_factory=list)
+    #: one line per folded input (the world's traces, its twin) whose
+    #: production fold differs from the oracle's
+    folds: List[str] = field(default_factory=list)
     report: str = ""
 
     @property
     def divergence_count(self) -> int:
-        """Halves diverging from the oracle, plus one when the §4.6
-        trajectory differs, plus one when serve diverged, plus one per
-        failed chaos run."""
+        """Halves diverging from the oracle, plus one per input whose
+        fold differs, plus one when the §4.6 trajectory differs, plus
+        one when serve diverged, plus one per failed chaos run."""
         failed = sum(1 for run in self.chaos if run.failure)
         return (
             len(self.divergences)
+            + len(self.folds)
             + (self.trajectory is not None)
             + (self.serve_prefix is not None)
             + failed
@@ -156,6 +169,7 @@ class WorldOutcome:
         """True when every failure is a chaos run's (nothing to shrink)."""
         return (
             not self.divergences
+            and not self.folds
             and self.trajectory is None
             and self.serve_prefix is None
         )
@@ -208,12 +222,74 @@ def oracle_records(
 
 
 def build_graph(world: World) -> InterfaceGraph:
-    """Sanitize (§4.1) and build the interface graph (§4.2–4.3) once,
-    exactly as ``mapit run`` does — the other-side universe includes
-    addresses seen only in discarded traces; both implementations
-    consume the same graph object."""
-    graph, _ = graph_from_traces(world.traces)
-    return graph
+    """Sanitize (§4.1) and build the interface graph (§4.2–4.3) with
+    the production fold, as ``mapit run`` does — the other-side
+    universe includes addresses seen only in discarded traces."""
+    return build_interface_graph(world.traces)
+
+
+def _members(members) -> str:
+    if not members:
+        return "(none)"
+    return "{" + ", ".join(format_address(member) for member in sorted(members)) + "}"
+
+
+def fold_mismatch(fold: GraphFold, reference: OracleFold) -> str:
+    """The first sanitize count, address set or neighbor-table entry on
+    which the production *fold* differs from the oracle's *reference*,
+    rendered; empty when the two agree."""
+    counts = (fold.retained, fold.discarded, fold.buggy)
+    expected = (reference.retained, reference.discarded, reference.buggy_hops_removed)
+    if counts != expected:
+        return f"retained/discarded/buggy hops: core {counts} oracle {expected}"
+    for name, core, oracle in (
+        ("observed addresses", fold.universe, reference.all_addresses),
+        ("retained addresses", fold.seen, reference.retained_addresses),
+    ):
+        if core != oracle:
+            address = min(core ^ oracle)
+            side = "core" if address in core else "oracle"
+            return f"{name}: {format_address(address)} only in {side}"
+    for name, core, oracle in (
+        ("N_F", fold.forward, reference.forward),
+        ("N_B", fold.backward, reference.backward),
+    ):
+        if core != oracle:
+            address = min(
+                key for key in core.keys() | oracle.keys() if core.get(key) != oracle.get(key)
+            )
+            return (
+                f"{name}({format_address(address)}): core {_members(core.get(address))} "
+                f"oracle {_members(oracle.get(address))}"
+            )
+    return ""
+
+
+def fold_mismatches(world: World, fold: GraphFold) -> List[str]:
+    """Hold the production §4.1–§4.3 fold to the oracle's on *world*'s
+    traces (*fold*, already folded) and on its twin; one line per input
+    that differs, naming its first differing entry or count."""
+    is_special = default_special_registry().is_special
+    twin = fold_twin(world)
+    lines = []
+    for name, traces, production in (
+        (world.name, world.traces, fold),
+        (twin.name, twin.traces, fold_traces(twin.traces)),
+    ):
+        mismatch = fold_mismatch(production, oracle_fold(traces, is_special))
+        if mismatch:
+            lines.append(f"{name}: {mismatch}")
+    return lines
+
+
+def fold_report(world: World, rule: str, mismatches: List[str]) -> str:
+    """Render the fold mismatches of a world, one input per line."""
+    lines = [
+        f"world {world.name} (remove_rule={rule}): §4.1–§4.3 fold differs, "
+        f"core vs oracle"
+    ]
+    lines.extend(f"  {line}" for line in mismatches)
+    return "\n".join(lines)
 
 
 def _oracle_tally(
@@ -311,7 +387,7 @@ def reference_state(
 
     *ip2as* is the world's mapper when the caller already built one.
     """
-    graph, _ = graph_from_traces(world.traces[:prefix])
+    graph = build_interface_graph(world.traces[:prefix])
     if ip2as is None:
         ip2as = world.ip2as()
     mapit = MapIt(graph, ip2as, world.as2org, world.relationships, config)
@@ -368,18 +444,24 @@ def compare_world(
     obs: Observability = NULL_OBS,
     check_every: int = 0,
     chaos: Sequence[str] = (),
+    check_fold: bool = True,
 ) -> WorldOutcome:
-    """Run oracle and core on *world* and diff the final inferences and
-    the §4.6 trajectory (iterations, converged); with *check_every* >
-    0, also replay serve against batch at that prefix cadence
-    (:func:`_replay_serve`); with *chaos* schedules, also hold the
-    CLI's faulted runs to the core run's bytes
+    """Hold the production fold to the oracle's (:func:`fold_mismatches`;
+    not with *check_fold* false: the fold does not depend on the remove
+    rule, so a sweep checks it with its first rule only), run oracle
+    and core on the one production graph and diff the final inferences
+    and the §4.6 trajectory (iterations, converged); with *check_every*
+    > 0, also replay serve against batch at that prefix cadence
+    (:func:`_replay_serve`); with *chaos* schedules, also hold the CLI's
+    faulted runs to the core run's bytes
     (:func:`repro.diff.chaos.run_schedules`, which runs ``serial``
     first)."""
     if config is None:
         config = MapItConfig(remove_rule=remove_rule)
     with obs.span("diff/world"):
-        graph = build_graph(world)
+        fold = fold_traces(world.traces)
+        folds = fold_mismatches(world, fold) if check_fold else []
+        graph = fold.finish(NULL_OBS, 1, 0)
         core_map, mapit, result = core_records(graph, world, config)
         oracle_map, oracle_result = oracle_records(
             graph, world, oracle_config_for(config)
@@ -408,6 +490,7 @@ def compare_world(
         prefixes=prefixes,
         serve_prefix=serve_prefix,
         chaos=runs,
+        folds=folds,
     )
     for half in sorted(set(core_map) | set(oracle_map)):
         core = core_map.get(half)
@@ -415,6 +498,8 @@ def compare_world(
         if core != oracle:
             outcome.divergences.append(Divergence(half, core, oracle))
     reports = []
+    if folds:
+        reports.append(fold_report(world, remove_rule, folds))
     if outcome.divergences:
         reports.append(first_divergence_report(
             world, remove_rule, outcome.divergences[0], mapit, oracle_result
@@ -437,8 +522,8 @@ def world_diverges(
     world: World, remove_rule: str = REMOVE_MAJORITY, check_every: int = 0
 ) -> bool:
     """The shrinker's predicate: does *world* still diverge (from the
-    oracle, in records or trajectory, or, with a cadence, serve from
-    batch)?"""
+    oracle, in its fold, records or trajectory, or, with a cadence,
+    serve from batch)?"""
     try:
         return not compare_world(world, remove_rule, check_every=check_every).ok
     except Exception as exc:

@@ -9,7 +9,7 @@ regression bundle and replayed by ``python -m repro.diff --replay``.
 
 Worlds come from three places: seeded :mod:`repro.sim` scenarios (the
 sweep), saved bundles (replay), and transformations of other worlds
-(metamorphic checks and shrinking).
+(metamorphic checks, the fold comparison's twin, and shrinking).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.bgp.table import Announcement, CollectorDump
 from repro.io.bundle import find_traces, read_manifest, read_mappings
 from repro.io.save import write_dataset, write_manifest
 from repro.ixp.dataset import IXPDataset, IXPRecord
+from repro.net.prefix import Prefix
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import RelationshipDataset
 from repro.robust.health import BundleHealth
@@ -190,6 +191,47 @@ def permute_traces(world: World, rng: random.Random) -> World:
     traces = list(world.traces)
     rng.shuffle(traces)
     return world.replaced(name=f"{world.name}+permuted", traces=traces)
+
+
+#: private-use (RFC 1918) and shared (RFC 6598) space, which §4.3 keeps
+#: out of the neighbor sets: where a twin's rewritten hops answer from
+_TWIN_BLOCKS = ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16", "100.64.0.0/10")
+#: the chance that a twin's responsive hop answers from special space,
+#: and again that it quotes TTL 0
+_TWIN_RATE = 0.05
+#: seeds the twin's special addresses and prefixes each trace's own seed
+_TWIN_SEED = 0
+
+
+def fold_twin(world: World) -> World:
+    """A copy of *world* whose traces exercise the §4.1 and §4.3 edge
+    rules the simulator rarely emits: each responsive hop, with
+    probability ``_TWIN_RATE`` each, answers from one of a few private
+    or shared addresses (so some repeat, and some close a cycle) or
+    quotes TTL 0.  Each trace draws from its own seed (string seeds
+    hash the same in every process), so a trace's twin does not change
+    when the shrinker drops other traces.  Its inferences may differ
+    from the world's; the harness holds only its production fold to
+    the oracle's."""
+    pool = random.Random(_TWIN_SEED)
+    special = [
+        block.address + pool.randrange(1, block.size - 1)
+        for block in pool.choices([Prefix.parse(text) for text in _TWIN_BLOCKS], k=6)
+    ]
+    traces = []
+    for trace in world.traces:
+        rng = random.Random(f"{_TWIN_SEED}|{trace.monitor}|{trace.dst}|{trace.flow_id}")
+        hops = []
+        for hop in trace.hops:
+            if hop.address is not None:
+                roll = rng.random()
+                if roll < _TWIN_RATE:
+                    hop = hop._replace(address=rng.choice(special))
+                elif roll < 2 * _TWIN_RATE:
+                    hop = hop._replace(quoted_ttl=0)
+            hops.append(hop)
+        traces.append(trace.replace_hops(tuple(hops)))
+    return world.replaced(name=f"{world.name}+twin", traces=traces)
 
 
 def duplicate_traces(world: World, rng: random.Random, fraction: float = 0.3) -> World:

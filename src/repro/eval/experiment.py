@@ -20,10 +20,10 @@ from repro.eval.verify import (
     build_verification,
     score_inferences,
 )
-from repro.graph.neighbors import InterfaceGraph, graph_from_traces
+from repro.graph.neighbors import InterfaceGraph, build_interface_graph
 from repro.obs.observer import Observability
 from repro.sim.scenario import Scenario
-from repro.traceroute.sanitize import SanitizeReport
+from repro.traceroute.sanitize import SanitizeReport, sanitize_traces
 
 
 @dataclass
@@ -78,8 +78,13 @@ def prepare_experiment(
     hostname_coverage: float = 0.9,
     hostname_staleness: float = 0.02,
 ) -> Experiment:
-    """Sanitize, build the graph, and assemble verification datasets."""
-    graph, report = graph_from_traces(scenario.traces)
+    """Sanitize, build the graph, and assemble verification datasets.
+
+    The graph is the production fold's (§4.1–§4.3, the one every graph
+    source builds); ``report`` keeps the retained ``Trace`` objects the
+    baselines, stats and path accuracy read."""
+    report = sanitize_traces(scenario.traces)
+    graph = build_interface_graph(scenario.traces)
     seen = set(report.retained_addresses)
     experiment = Experiment(
         scenario=scenario, report=report, graph=graph, seen=seen

@@ -15,13 +15,15 @@ thousand traces contributes one member, exactly as in Fig 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.graph.othersides import OtherSideTable, infer_other_sides
-from repro.net.special import default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.traceroute.model import Trace
-from repro.traceroute.sanitize import SanitizeReport, sanitize_traces
+from repro.traceroute.parse import trace_record
+
+if TYPE_CHECKING:
+    from repro.perf.flat import GraphFold
 
 _EMPTY: FrozenSet[int] = frozenset()
 
@@ -91,6 +93,17 @@ class InterfaceGraph:
         return overlapping / len(addresses)
 
 
+def fold_traces(traces: Iterable[Trace]) -> GraphFold:
+    """§4.1 sanitizing and the §4.3 fold over an in-memory trace list:
+    one :class:`~repro.perf.flat.GraphFold` over the traces' own hops,
+    the kernel every other graph source folds through."""
+    from repro.perf.flat import GraphFold
+
+    fold = GraphFold()
+    fold.fold_all(map(trace_record, traces))
+    return fold
+
+
 def accumulate_neighbors(
     traces: Iterable[Trace],
     forward: Dict[int, Set[int]],
@@ -98,33 +111,17 @@ def accumulate_neighbors(
     seen: Set[int],
     is_special: Callable[[int], bool],
 ) -> None:
-    """Fold *traces* into partial N_F/N_B tables and the seen-set.
+    """Fold *traces* into partial N_F/N_B tables and the seen-set: the
+    fold of :func:`fold_traces`, into a ``GraphFold`` whose tables,
+    seen-set and special test are the caller's.  §4.1 applies, which
+    changes nothing on sanitized traces; *seen* gains every address of
+    a retained trace, special ones too."""
+    from repro.perf.flat import GraphFold
 
-    The object twin of :class:`repro.perf.flat.GraphFold`'s §4.3 fold:
-    one adjacency contributes one member regardless of multiplicity, so
-    partial tables built over disjoint trace shards merge into exactly
-    the serial result by set union.  *seen* gains every address of
-    *traces*, special ones too — over sanitized traces, exactly
-    ``SanitizeReport.retained_addresses``.
-    """
-    for trace in traces:
-        previous: Optional[int] = None
-        for hop in trace.hops:
-            address = hop.address
-            if address is None:
-                previous = None
-                continue
-            seen.add(address)
-            if is_special(address):
-                # Private/shared addresses neither own neighbor sets nor
-                # appear inside them, but they still break adjacency: the
-                # public addresses either side of one are not neighbors.
-                previous = None
-                continue
-            if previous is not None:
-                forward.setdefault(previous, set()).add(address)
-                backward.setdefault(address, set()).add(previous)
-            previous = address
+    fold = GraphFold()
+    fold.forward, fold.backward, fold.seen = forward, backward, seen
+    fold.is_special = is_special
+    fold.fold_all(map(trace_record, traces))
 
 
 def build_interface_graph(
@@ -132,41 +129,17 @@ def build_interface_graph(
     all_addresses: Optional[Iterable[int]] = None,
     obs: Observability = NULL_OBS,
 ) -> InterfaceGraph:
-    """Build N_F/N_B from sanitized traces and assign other sides.
+    """Sanitize *traces* (§4.1), build N_F/N_B (§4.3) and assign other
+    sides (§4.2): :func:`fold_traces`, then ``GraphFold.finish``.
 
-    *all_addresses*, when given, is the address universe for the
-    other-side heuristic — the paper includes addresses from discarded
-    traces there.  It defaults to the addresses seen in *traces*.
+    The other-side universe is every address observed, discarded
+    traces included, as the fused file loader builds it;
+    *all_addresses*, when given, joins it.
     """
-    is_special = default_special_registry().is_special
-    graph = InterfaceGraph()
-    forward, backward = graph.forward, graph.backward
-    seen: Set[int] = set()
-    with obs.span("neighbor_sets"):
-        accumulate_neighbors(traces, forward, backward, seen, is_special)
-    universe = set(all_addresses) if all_addresses is not None else seen
-    universe.update(seen)
-    return finish_interface_graph(graph, seen, universe, is_special, obs)
-
-
-def graph_from_traces(
-    traces: Iterable[Trace], obs: Optional[Observability] = None
-) -> Tuple[InterfaceGraph, SanitizeReport]:
-    """Sanitize raw *traces* (section 4.1) and build their interface
-    graph (sections 4.2–4.3); returns ``(graph, report)``.
-
-    The one object path from an in-memory trace list to a graph.  The
-    other-side universe is every address observed, discarded traces
-    included (section 4.2), exactly as the fused file loader
-    (:func:`repro.perf.ingest.stream_graph_from_file`) builds it.
-    """
-    obs = obs if obs is not None else NULL_OBS
-    with obs.span("sanitize"):
-        report = sanitize_traces(traces)
-    graph = build_interface_graph(
-        report.traces, all_addresses=report.all_addresses, obs=obs
-    )
-    return graph, report
+    fold = fold_traces(traces)
+    if all_addresses is not None:
+        fold.universe.update(all_addresses)
+    return fold.finish(obs, 1, 0)
 
 
 def finish_interface_graph(

@@ -71,11 +71,13 @@ class InputBundle:
         one, else builds it from ``traces``; the result is the same.
         """
         from repro.core.mapit import run_mapit_graph
-        from repro.graph.neighbors import graph_from_traces
+        from repro.graph.neighbors import build_interface_graph
 
         graph = self.graph
         if graph is None:
-            graph, _ = graph_from_traces(self.traces, obs=obs)
+            graph = build_interface_graph(
+                self.traces, obs=obs if obs is not None else NULL_OBS
+            )
         return run_mapit_graph(
             graph,
             self.ip2as,

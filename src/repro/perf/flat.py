@@ -13,14 +13,15 @@ sharded execution layer moves around instead:
   built by :func:`pack_traces`.  It serializes to a self-describing
   binary block and supports O(1) slicing into trace index ranges — the
   stress tier's generated shards (:mod:`repro.sim.stress`).
-* :class:`GraphFold` — the fold state every graph source holds: the
-  §4.1 sanitize + §4.3 neighbor-set fold over parsed records or column
-  blocks, each distinct adjacency of a buffer of traces folded once
-  (:data:`FLUSH_SLOTS`), producing exactly the tallies of
-  ``sanitize_traces`` + ``accumulate_neighbors`` without materializing
-  a single ``Hop`` (property-tested against the object kernel in
-  ``tests/test_perf_flat.py``), and the one step that finishes the
-  interface graph.
+* :class:`GraphFold` — the fold state every graph source holds, the
+  one §4.1 sanitize + §4.3 neighbor-set kernel in production: over
+  parsed records, in-memory traces (whose hops are records' hop
+  tuples already) or column blocks, each distinct adjacency of a
+  buffer of traces folded once (:data:`FLUSH_SLOTS`), and the one step
+  that finishes the interface graph.  The paper-literal fold in
+  :mod:`repro.oracle.fold` holds it to §4.1–§4.3: the property tests
+  of ``tests/test_perf_flat.py`` and the differential harness on every
+  world (:func:`repro.diff.harness.compare_world`).
 * :func:`encode_table` / :func:`merge_table_blob` /
   :func:`encode_addresses` / :func:`merge_address_blob` — the counter
   bundle codec: neighbor tables and address sets as packed ``uint32``
@@ -38,7 +39,7 @@ sharded execution layer moves around instead:
 
 Everything here is an optimization, never a semantic change: the
 golden-bundle, oracle-differential, and chaos harnesses hold every
-consumer to byte-identity with the object pipeline.
+consumer to the oracle's results and to byte-identity across paths.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from repro.net.special import default_special_registry
 from repro.obs.observer import Observability
 from repro.traceroute.model import Trace
 from repro.traceroute.parse import HopTuple, RecordTuple, trace_record
+from repro.traceroute.sanitize import first_cycle
 
 #: array typecode with a 4-byte unsigned item (u32 addresses)
 U32 = "I" if array("I").itemsize == 4 else "L"
@@ -311,21 +313,6 @@ _hop_quoted = itemgetter(1)
 _ZERO = frozenset((0,))
 
 
-def _has_cycle(addresses: Sequence[Optional[int]]) -> bool:
-    """§4.1's interface cycle: the same address twice, more than one
-    position apart (gaps count as positions), as
-    :func:`repro.traceroute.sanitize.find_cycle` judges it.  O(hops)."""
-    last_position: Dict[int, int] = {}
-    for position, address in enumerate(addresses):
-        if address is None:
-            continue
-        previous = last_position.get(address)
-        if previous is not None and position - previous > 1:
-            return True
-        last_position[address] = position
-    return False
-
-
 # ----------------------------------------------------------------------
 # counter-bundle codec
 
@@ -486,9 +473,11 @@ class GraphFold:
     special ones too), ``universe`` every responsive hop address before
     any stripping (discarded traces included), and ``retained``,
     ``discarded`` and ``buggy`` the sanitize counts.  Fused-loader
-    shards fold record streams into one (:meth:`fold_all`), the serve
-    index one record at a time (:meth:`fold`), the stress tier column
-    blocks (:meth:`fold_block`); a cache hit or a serve checkpoint
+    shards and in-memory trace lists
+    (:func:`repro.graph.neighbors.build_interface_graph`) fold record
+    streams into one (:meth:`fold_all`), the serve index one record at
+    a time (:meth:`fold`), the stress tier column blocks
+    (:meth:`fold_block`); a cache hit or a serve checkpoint
     restores one from its packed form (:meth:`bundle`, :meth:`merged`).
     """
 
@@ -571,8 +560,8 @@ class GraphFold:
         :meth:`fold_all` read straight off the hop columns, with no hop
         tuple built (the stress tier's streamed fold): the columns
         become lists a run of traces at a time and are sliced per
-        trace.  O(hops in the block); equality with ``sanitize_traces`` +
-        ``accumulate_neighbors`` is property-tested in
+        trace.  O(hops in the block); equality with the oracle's fold
+        (:func:`repro.oracle.fold.oracle_fold`) is property-tested in
         ``tests/test_perf_flat.py``.
         """
         self._fold_traces(self._block_traces(flat))
@@ -640,7 +629,7 @@ class GraphFold:
         distinct.discard(None)
         self.universe |= distinct
         repeats = len(distinct) != len(addresses) - addresses.count(None)
-        if repeats and _has_cycle(addresses):
+        if repeats and first_cycle(addresses) is not None:
             self.discarded += 1
             return False
         self.retained += 1

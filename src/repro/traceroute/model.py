@@ -11,13 +11,12 @@ section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from repro.net.ipv4 import format_address
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     """One traceroute hop.
 
     ``address`` is the responding interface as an int, or ``None`` when
@@ -26,6 +25,9 @@ class Hop:
     the buggy routers of section 4.1 (forwarding TTL=1 packets) appear
     as responses with quoted TTL 0 one hop late.  ``rtt_ms`` is kept for
     realism and dataset fidelity; the algorithm ignores it.
+
+    A tuple in :data:`repro.traceroute.parse.HopTuple`'s field order, so
+    a trace's hops fold with no per-hop conversion.
     """
 
     address: Optional[int]

@@ -20,7 +20,7 @@ instead of aborting the whole load.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.ipv4 import AddressError, format_address, parse_address
 from repro.traceroute.model import Hop, Trace
@@ -120,17 +120,17 @@ def parse_text_trace(line: str, line_number: Optional[int] = None) -> Trace:
 
 
 #: one parsed hop as plain values: ``(address or None, quoted_ttl,
-#: rtt_ms)`` — the fields of a :class:`Hop`, without the object
+#: rtt_ms)`` — the fields of a :class:`Hop`, which is such a tuple
 HopTuple = Tuple[Optional[int], int, float]
 
 #: one parsed record as plain values: ``(monitor, dst, flow_id, hops)``
-RecordTuple = Tuple[str, int, int, List[HopTuple]]
+RecordTuple = Tuple[str, int, int, Sequence[HopTuple]]
 
 
 def trace_record(trace: Trace) -> RecordTuple:
-    """A :class:`Trace` as the plain values of :data:`RecordTuple`."""
-    hops = [(hop.address, hop.quoted_ttl, hop.rtt_ms) for hop in trace.hops]
-    return trace.monitor, trace.dst, trace.flow_id, hops
+    """A :class:`Trace` as :data:`RecordTuple` values: its own hops,
+    which are :data:`HopTuple` values already."""
+    return trace.monitor, trace.dst, trace.flow_id, trace.hops
 
 
 class TextTokenizer:

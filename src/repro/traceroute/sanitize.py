@@ -19,7 +19,7 @@ distinct addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.traceroute.model import Hop, Trace
 
@@ -35,23 +35,31 @@ def strip_buggy_hops(trace: Trace) -> Trace:
     return trace.replace_hops(hops)
 
 
-def find_cycle(trace: Trace) -> Optional[int]:
-    """Return the address of the first interface cycle, or None.
+def first_cycle(addresses: Sequence[Optional[int]]) -> Optional[int]:
+    """Return the address of the first interface cycle in a trace's hop
+    addresses (``None`` for a gap), or None.
 
     A cycle is the same address appearing twice separated by at least
     one other hop position (responsive or not); immediate repetition of
     an address is tolerated, per Viger et al.'s definition used by the
-    paper.
+    paper.  The one production cycle test: :func:`find_cycle` (so
+    :func:`sanitize_traces`) and :class:`repro.perf.flat.GraphFold` call
+    it.  O(hops).
     """
-    last_position = {}
-    for position, hop in enumerate(trace.hops):
-        if hop.address is None:
+    last_position: Dict[int, int] = {}
+    for position, address in enumerate(addresses):
+        if address is None:
             continue
-        previous = last_position.get(hop.address)
+        previous = last_position.get(address)
         if previous is not None and position - previous > 1:
-            return hop.address
-        last_position[hop.address] = position
+            return address
+        last_position[address] = position
     return None
+
+
+def find_cycle(trace: Trace) -> Optional[int]:
+    """Return the address of *trace*'s first interface cycle, or None."""
+    return first_cycle([hop.address for hop in trace.hops])
 
 
 @dataclass

@@ -84,17 +84,17 @@ class TestEvaluate:
         RFC 1918 space by the connected AS, seen only on its private
         side, is eligible and missing, and an internal interface seen
         only as a TTL-0 hop is not the target's.  Uncached, cold and
-        warm, ``mapit evaluate`` prints exactly the object pipeline's
-        rows."""
+        warm, ``mapit evaluate`` prints exactly the rows of the oracle's
+        fold of the parsed traces."""
         import io
 
         from repro.cli import _print_rows
         from repro.core.config import MapItConfig
         from repro.core.mapit import run_mapit_graph
         from repro.eval.verify import build_verification, score_inferences
-        from repro.graph.neighbors import graph_from_traces
         from repro.io.bundle import load_bundle
         from repro.net.ipv4 import parse_address
+        from tests.test_oracle import oracle_graph
 
         dataset = tmp_path / "ds"
         dataset.mkdir()
@@ -114,9 +114,9 @@ class TestEvaluate:
             "internal|9.0.0.7|100\n"
         )
         objects = load_bundle(dataset)
-        graph, report = graph_from_traces(objects.traces)
-        assert parse_address("10.0.0.1") in report.retained_addresses
-        assert parse_address("9.0.0.7") not in report.retained_addresses
+        graph, fold = oracle_graph(objects.traces)
+        assert parse_address("10.0.0.1") in fold.retained_addresses
+        assert parse_address("9.0.0.7") not in fold.retained_addresses
         result = run_mapit_graph(
             graph,
             objects.ip2as,
@@ -125,7 +125,7 @@ class TestEvaluate:
             config=MapItConfig(f=0.5, enable_stub_heuristic=True, remove_rule="majority"),
         )
         verification = build_verification(
-            objects.ground_truth, 100, graph, report.retained_addresses, objects.ip2as.asn
+            objects.ground_truth, 100, graph, fold.retained_addresses, objects.ip2as.asn
         )
         private_link = (parse_address("10.0.0.1"), parse_address("10.0.0.2"))
         assert private_link in verification.eligible

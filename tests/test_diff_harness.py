@@ -36,21 +36,23 @@ from repro.diff.shrink import regression_name, shrink_world, write_regression
 from repro.diff.worlds import (
     World,
     duplicate_traces,
+    fold_twin,
     permute_traces,
     renumber_ases,
     world_from_bundle,
     world_from_preset,
 )
-from repro.graph.neighbors import build_interface_graph
 from repro.io import atomic, load_bundle
 from repro.ixp.dataset import IXPDataset
+from repro.net.special import default_special_registry
 from repro.org.as2org import AS2Org
 from repro.oracle import oracle_run
+from repro.perf.flat import GraphFold
 from repro.rel.relationships import RelationshipDataset
 from repro.robust.faults import dirty_tracking_fault, engine_fault
 from repro.sim.presets import SCENARIO_PRESETS
 from repro.traceroute.parse import parse_text_traces
-from repro.traceroute.sanitize import sanitize_traces
+from tests.test_oracle import oracle_graph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_BUNDLE = REPO_ROOT / "tests" / "fixtures" / "regressions" / (
@@ -62,6 +64,42 @@ FIXTURE_BUNDLE = REPO_ROOT / "tests" / "fixtures" / "regressions" / (
 FAULT = dict(kind="member_high", rate=1.0, seed=1)
 #: a world where that fault is known to change the answer
 FAULTY_SEED = 4
+
+
+def _no_ttl0_strip(monkeypatch):
+    monkeypatch.setattr(GraphFold, "_stripped", lambda self, hops: [hop[0] for hop in hops])
+
+
+def _no_cycle_test(monkeypatch):
+    def admit(self, addresses):
+        distinct = {*addresses} - {None}
+        self.universe |= distinct
+        self.seen |= distinct
+        self.retained += 1
+        return True
+
+    monkeypatch.setattr(GraphFold, "_admit", admit)
+
+
+def _special_adjacent(monkeypatch):
+    init = GraphFold.__init__
+
+    def plain(self):
+        init(self)
+        self.is_special = lambda address: False
+
+    monkeypatch.setattr(GraphFold, "__init__", plain)
+
+
+#: faults planted in GraphFold only: a quoted-TTL-0 hop kept, a cyclic
+#: trace kept, a special address that neither breaks adjacency nor
+#: stays out of the tables (the fold's own test, not the registry the
+#: oracle's fold receives)
+FOLD_FAULTS = {
+    "no-ttl0-strip": _no_ttl0_strip,
+    "no-cycle-test": _no_cycle_test,
+    "special-adjacent": _special_adjacent,
+}
 
 
 class TestSweep:
@@ -100,6 +138,24 @@ class TestHarnessGraph:
         assert graph.forward == want.forward
         assert graph.backward == want.backward
         assert graph.other_sides == want.other_sides
+
+    def test_twin_plants_special_and_buggy_hops(self):
+        """The fold comparison's twin holds what the simulator's tiny
+        worlds lack: private/shared hops and quoted-TTL-0 hops, seeded
+        per trace, so a trace's twin does not depend on the others."""
+        world = world_from_preset("tiny", 0)
+        twin = fold_twin(world)
+        assert fold_twin(world).traces == twin.traces
+        kept = world.replaced(traces=world.traces[1::3])
+        assert fold_twin(kept).traces == twin.traces[1::3]
+        hops = [hop for trace in twin.traces for hop in trace.hops if hop.responded]
+        is_special = default_special_registry().is_special
+        assert not any(is_special(h.address) for t in world.traces for h in t.hops if h.responded)
+        assert sum(1 for hop in hops if is_special(hop.address)) > 10
+        assert sum(1 for hop in hops if hop.quoted_ttl == 0) > 10
+        assert [len(trace.hops) for trace in twin.traces] == [
+            len(trace.hops) for trace in world.traces
+        ]
 
 
 class TestMetamorphic:
@@ -147,6 +203,35 @@ class TestFaultDetection:
         with pytest.raises(ValueError):
             with engine_fault(kind="nope"):
                 pass
+
+    @pytest.mark.parametrize("fault", sorted(FOLD_FAULTS))
+    def test_planted_fold_fault_diverges(self, fault, monkeypatch):
+        """A fault planted in the production §4.1–§4.3 fold alone fails
+        the world as a fold divergence: tiny seed 0 has two cyclic
+        traces, and its twin the quoted-TTL-0 and special hops."""
+        FOLD_FAULTS[fault](monkeypatch)
+        world = world_from_preset("tiny", 0)
+        outcome = compare_world(world)
+        assert not outcome.ok
+        assert outcome.folds and not outcome.divergences
+        assert "§4.1–§4.3 fold differs" in outcome.report
+        assert world_diverges(world)
+
+    def test_sweep_checks_the_fold_once_per_world(self, monkeypatch, tmp_path, capsys):
+        """The fold does not depend on the remove rule: a sweep over
+        both readings counts a fold fault, and shrinks it, once."""
+        FOLD_FAULTS["special-adjacent"](monkeypatch)
+        folds = compare_world(world_from_preset("tiny", 0)).folds
+        regressions = tmp_path / "regressions"
+        code = diff_main(
+            ["--preset", "tiny", "--worlds", "1", "--no-metamorphic", "--json",
+             "--shrink", "--regressions-dir", str(regressions)]
+        )
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert summary["comparisons"] == 2
+        assert summary["divergences"] == len(folds) > 0
+        assert len(summary["shrunk"]) == 1
 
 
 class TestTrajectory:
@@ -346,7 +431,7 @@ class TestRemoveRuleReadings:
     def test_each_reading_matches_oracle(self, rule):
         core = self.run_rule(rule)
         traces = list(parse_text_traces(self.LINES))
-        graph = build_interface_graph(sanitize_traces(traces).traces)
+        graph, _ = oracle_graph(traces)
         oracle = oracle_run(
             graph,
             IP2AS.from_pairs(self.PAIRS),

@@ -1,16 +1,16 @@
-"""The fused text kernel against the object pipeline.
+"""The fused text kernel against the object parser and the oracle's fold.
 
 :func:`repro.perf.ingest.stream_graph_from_file` parses, sanitizes and
 folds trace text straight to integer neighbor tables, without building
 a ``Trace`` or ``Hop``.  These tests hold it, at one and two shards, to
-the object pipeline it replaces (``parse_text_trace`` →
-``sanitize_traces`` → ``accumulate_neighbors``) on seeded generated
-text under every ingest mode — tables, tallies and the retained
-addresses scoring reads — pin its cache payload to the bundle of the
-object pipeline's tables byte for byte, and check that a graph-only
-load — and every command built on one: ``run`` (journaled or not,
-resumed or not), ``explain`` and ``report`` — never calls the object
-parsers at all.
+the object parser (``parse_text_trace``, the ingest report) followed by
+the oracle's paper-literal fold (:func:`repro.oracle.oracle_fold`) on
+seeded generated text under every ingest mode — tables, tallies and
+the retained addresses scoring reads — pin its cache payload to the
+bundle of the oracle fold's tables byte for byte, and check that a
+graph-only load — and every command built on one: ``run`` (journaled
+or not, resumed or not), ``explain`` and ``report`` — never calls the
+object parsers at all.
 """
 
 import json
@@ -23,10 +23,10 @@ import repro.perf.flat as perf_flat
 import repro.robust.ingest as robust_ingest
 import repro.traceroute.parse as trace_parse
 from repro.cli import main
-from repro.graph.neighbors import build_interface_graph
 from repro.io.atomic import file_sha256
 from repro.io.bundle import load_bundle
 from repro.net.ipv4 import format_address, parse_address
+from repro.net.special import default_special_registry
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
 from repro.perf.cache import BundleCache
@@ -38,7 +38,7 @@ from repro.robust.journal import RunJournal
 from repro.serve.checkpoint import CHECKPOINT_UNIT
 from repro.serve.incremental import IncrementalIndex
 from repro.traceroute.parse import TraceParseError, traces_to_json_lines
-from repro.traceroute.sanitize import sanitize_traces
+from tests.test_oracle import oracle_graph
 
 #: RFC 6890 addresses: they break adjacency and own no neighbor set
 SPECIAL = ["10.0.0.1", "10.9.8.7", "192.168.1.1", "100.64.0.3", "127.0.0.1", "224.0.0.5"]
@@ -107,18 +107,14 @@ def _text(rng, lines=160, malformed=True):
 
 
 def _oracle(path, mode, quarantine_dir):
-    """The object pipeline: parse_text_trace → sanitize → fold."""
+    """parse_text_trace, then the oracle's fold; the ``graph.addresses``
+    gauge counts its non-special retained addresses."""
     traces, report = ingest_trace_file(path, mode=mode, quarantine_dir=quarantine_dir)
-    sanitized = sanitize_traces(traces)
-    metrics = Metrics()
-    graph = build_interface_graph(
-        sanitized.traces,
-        all_addresses=sanitized.all_addresses,
-        obs=Observability(metrics=metrics),
-    )
-    tallies = (len(sanitized.traces), sanitized.discarded, sanitized.buggy_hops_removed)
-    gauge = metrics.gauges["graph.addresses"]
-    return graph, report, tallies, gauge, sanitized.retained_addresses
+    graph, fold = oracle_graph(traces)
+    tallies = (fold.retained, fold.discarded, fold.buggy_hops_removed)
+    is_special = default_special_registry().is_special
+    gauge = sum(1 for address in fold.retained_addresses if not is_special(address))
+    return graph, report, tallies, gauge, fold.retained_addresses
 
 
 def _kernel(path, jobs, mode, quarantine_dir):
@@ -262,7 +258,8 @@ LATE_BAD_TOKENS = [
 class TestFlushBoundaries:
     """The loader's shards fold through the chunked kernel; with its
     flush bound cut to a few hop slots every record end is a flush
-    edge, and every mode must still match the object pipeline."""
+    edge, and every mode must still match the object parser and the
+    oracle's fold."""
 
     @pytest.mark.parametrize("slots", [1, 4, 9])
     @pytest.mark.parametrize("mode", ["strict", "lenient", "quarantine"])
@@ -335,21 +332,20 @@ def _clean_text(rng):
 
 
 def _object_bundle(traces):
-    """The object pipeline's folded graph, packed as a cache payload is."""
-    sanitized = sanitize_traces(traces)
-    graph = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
+    """The oracle fold of parsed *traces*, packed as a cache payload is."""
+    _, oracle = oracle_graph(traces)
     fold = GraphFold()
-    fold.forward, fold.backward = graph.forward, graph.backward
-    fold.seen, fold.universe = sanitized.retained_addresses, sanitized.all_addresses
-    fold.retained, fold.discarded = len(sanitized.traces), sanitized.discarded
-    fold.buggy = sanitized.buggy_hops_removed
+    fold.forward, fold.backward = oracle.forward, oracle.backward
+    fold.seen, fold.universe = oracle.retained_addresses, oracle.all_addresses
+    fold.retained, fold.discarded = oracle.retained, oracle.discarded
+    fold.buggy = oracle.buggy_hops_removed
     return fold.bundle()
 
 
 class TestColdCachePayload:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_text_payload_is_the_object_tables(self, jobs, tmp_bundle, tmp_path, capsys):
-        """A cold store's entry holds the object pipeline's tables,
+        """A cold store's entry holds the oracle fold's tables,
         retained set, universe and counts, byte for byte at any shard
         count."""
         dataset = tmp_bundle(seed=3, copy=True)
@@ -382,8 +378,7 @@ class TestColdCachePayload:
         assert report == want_report
         assert (report.skipped > 0) == (suffix == ".atlas")  # IPv6, no results
         assert fold.bundle().to_bytes() == _object_bundle(objects).to_bytes()
-        sanitized = sanitize_traces(objects)
-        want = build_interface_graph(sanitized.traces, all_addresses=sanitized.all_addresses)
+        want, _ = oracle_graph(objects)
         assert (graph.forward, graph.backward) == (want.forward, want.backward)
         assert graph.other_sides == want.other_sides
 
@@ -391,7 +386,7 @@ class TestColdCachePayload:
     def test_ttl_beyond_i64_is_cached(self, jobs, tmp_bundle, tmp_path, capsys):
         """A quoted TTL outside the columnar i64 range parses clean, and
         an entry stores no TTLs: such a dataset is cached, and its warm
-        run equals its cold run and the object pipeline's."""
+        run equals its cold run and an object load's."""
         dataset = tmp_bundle(seed=3, copy=True)
         with open(dataset / "traces.txt", "a") as handle:
             handle.write(f"m9|9.1.0.9|9.0.0.1 9.1.0.1@{2**63}\n")

@@ -3,8 +3,8 @@
 Each path runs in a fresh interpreter that then lists ``sys.modules``.
 The dataset layer (``repro.io``) imports no simulator, and the
 ``sim``, ``perf`` and ``dns`` packages re-export nothing, so none of
-these paths loads the simulator, the evaluation harness or the
-baselines; they read only the chaos switch (``repro.robust.hooks``),
+these paths loads the simulator, the evaluation harness, the oracle or
+the baselines; they read only the chaos switch (``repro.robust.hooks``),
 never the fault injectors or the chaos schedules (docs/ARCHITECTURE.md,
 "Layering rules").  The differential sweep loads the chaos schedules
 only when ``--chaos`` asks for them.
@@ -27,6 +27,7 @@ UNNEEDED = (
     "repro.sweep",
     "repro.dns.verification",
     "repro.robust.faults",
+    "repro.oracle",
 )
 
 

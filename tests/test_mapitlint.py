@@ -163,13 +163,22 @@ def test_ora001_forbids_core_imports_in_oracle(tmp_path):
 
 
 def test_ora001_allows_everything_else(tmp_path):
+    """The oracle may import itself and the standard library; every
+    other repro module is production code it checks, however named."""
     module = _oracle_module(
         tmp_path,
         "import repro.graph.neighbors\n"
-        "from repro.corelike import thing\n"  # prefix match must be exact
-        "from repro.obs.observer import NULL_OBS\n",
+        "from repro.perf.flat import GraphFold\n"
+        "from ..perf.flat import GraphFold\n"  # relative, out of the package
+        "from repro.oracle.fold import oracle_fold\n"
+        "import repro.oracle.reference\n"
+        "from .reference import oracle_run\n"
+        "from ..oracle import fold\n"
+        "from reprolike import thing\n"  # prefix match must be exact
+        "import dataclasses\n",
     )
-    assert lint_paths([module], tmp_path, select=["ORA001"]) == []
+    found = lint_paths([module], tmp_path, select=["ORA001"])
+    assert [finding.line for finding in found] == [1, 2, 3], [str(f) for f in found]
 
 
 def test_ora001_ignores_files_outside_oracle(tmp_path):

@@ -1,12 +1,14 @@
 """The paper-literal oracle: equivalence with the production engine,
 independence from it, and the shape of its result object.
 
-The oracle (:mod:`repro.oracle`) restates Algorithms 1-4 in the
-slowest, most literal form; these tests pin (a) that it reaches the
-same inferences as :mod:`repro.core` on the worked Fig 2 example and
-on seeded simulator worlds under both remove-rule readings, and
-(b) that it really is a second implementation — importing it never
-loads ``repro.core``.
+The oracle (:mod:`repro.oracle`) restates the §4.1/§4.3 fold and
+Algorithms 1-4 in the slowest, most literal form; these tests pin (a)
+that, from the same traces, it reaches the same inferences as the
+production fold and :mod:`repro.core` on the worked Fig 2 example and
+on seeded simulator worlds under both remove-rule readings, and (b)
+that it really is a second implementation — its modules load with no
+``repro`` code at all.  :func:`oracle_graph` is the oracle's fold as
+an interface graph, for the tests that hold production folds to it.
 """
 
 import subprocess
@@ -16,14 +18,33 @@ from pathlib import Path
 import pytest
 
 from repro import MapItConfig, run_mapit
-from repro.graph.neighbors import build_interface_graph
+from repro.graph.neighbors import InterfaceGraph
+from repro.graph.othersides import infer_other_sides
+from repro.net.special import default_special_registry
 from repro.org.as2org import AS2Org
-from repro.oracle import OracleConfig, oracle_run
+from repro.oracle import OracleConfig, oracle_fold, oracle_run
 from repro.rel.relationships import RelationshipDataset
 from repro.sim.presets import small_scenario
-from repro.traceroute.sanitize import sanitize_traces
+from repro.traceroute.model import Hop, Trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def oracle_graph(traces):
+    """``(graph, fold)``: the oracle's §4.1/§4.3 fold of *traces* and an
+    interface graph over its tables, keys sorted as production's are.
+    The oracle restates no §4.2, so the other sides are production's
+    rule over the fold's non-special addresses."""
+    is_special = default_special_registry().is_special
+    fold = oracle_fold(traces, is_special)
+    graph = InterfaceGraph(
+        forward={address: fold.forward[address] for address in sorted(fold.forward)},
+        backward={address: fold.backward[address] for address in sorted(fold.backward)},
+        other_sides=infer_other_sides(
+            address for address in fold.all_addresses if not is_special(address)
+        ),
+    )
+    return graph, fold
 
 
 def core_map(result):
@@ -45,7 +66,7 @@ def run_both(traces, ip2as, org=None, rel=None, **config_kwargs):
     rel = rel or RelationshipDataset()
     config = MapItConfig(**config_kwargs)
     core = run_mapit(list(traces), ip2as, org=org, rel=rel, config=config)
-    graph = build_interface_graph(sanitize_traces(list(traces)).traces)
+    graph, _ = oracle_graph(traces)
     oracle = oracle_run(
         graph,
         ip2as,
@@ -103,26 +124,60 @@ class TestEquivalence:
 
 class TestIndependence:
     def test_reference_loads_standalone(self):
-        """ORA001's runtime counterpart: the reference module executes
-        in a fresh interpreter with *no* repro package on the path —
-        it depends on nothing but the standard library."""
-        reference = REPO_ROOT / "src" / "repro" / "oracle" / "reference.py"
-        code = (
-            "import importlib.util, sys\n"
-            f"spec = importlib.util.spec_from_file_location('ref', {str(reference)!r})\n"
-            "module = importlib.util.module_from_spec(spec)\n"
-            "sys.modules['ref'] = module\n"
-            "spec.loader.exec_module(module)\n"
-            "loaded = [m for m in sys.modules if m.startswith('repro')]\n"
-            "assert not loaded, loaded\n"
-            "assert callable(module.oracle_run)\n"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True, env={})
+        """ORA001's runtime counterpart: every oracle module executes in
+        a fresh interpreter with *no* repro package on the path — each
+        depends on nothing but the standard library (``__init__`` only
+        re-exports them)."""
+        entry_points = {"fold.py": "oracle_fold", "reference.py": "oracle_run"}
+        modules = sorted((REPO_ROOT / "src" / "repro" / "oracle").glob("*.py"))
+        modules = [path for path in modules if path.name != "__init__.py"]
+        assert [path.name for path in modules] == sorted(entry_points)
+        for path in modules:
+            code = (
+                "import importlib.util, sys\n"
+                f"spec = importlib.util.spec_from_file_location('ref', {str(path)!r})\n"
+                "module = importlib.util.module_from_spec(spec)\n"
+                "sys.modules['ref'] = module\n"
+                "spec.loader.exec_module(module)\n"
+                "loaded = [m for m in sys.modules if m.startswith('repro')]\n"
+                "assert not loaded, loaded\n"
+                f"assert callable(module.{entry_points[path.name]})\n"
+            )
+            subprocess.run([sys.executable, "-c", code], check=True, env={})
 
     def test_oracle_sources_never_mention_core(self):
         for path in (REPO_ROOT / "src" / "repro" / "oracle").glob("*.py"):
             assert "from repro.core" not in path.read_text()
             assert "import repro.core" not in path.read_text()
+
+
+class TestFold:
+    """The oracle's §4.1/§4.3 fold on hand-built traces, rule by rule
+    (the production fold is held to it in tests/test_perf_flat.py and
+    by the differential harness)."""
+
+    @staticmethod
+    def fold(*hop_lists, special=()):
+        traces = [Trace("m", 1, tuple(Hop(*hop) for hop in hops)) for hops in hop_lists]
+        return oracle_fold(traces, set(special).__contains__)
+
+    def test_cycles(self):
+        assert self.fold([(1,), (1,), (1,), (2,)]).discarded == 0  # one run
+        assert self.fold([(1,), (2,), (1,)]).discarded == 1
+        assert self.fold([(1,), (None,), (1,)]).discarded == 1  # a gap separates
+        assert self.fold([(1,), (2,), (3,), (2,)]).discarded == 1
+
+    def test_ttl0_hop_is_a_gap_counted_even_when_discarded(self):
+        fold = self.fold([(1,), (2, 0), (3,)], [(4,), (5, 0), (4,)])
+        assert (fold.retained, fold.discarded, fold.buggy_hops_removed) == (1, 1, 2)
+        assert fold.forward == {} and fold.all_addresses == {1, 2, 3, 4, 5}
+        assert fold.retained_addresses == {1, 3}
+
+    def test_gaps_and_special_addresses_break_adjacency(self):
+        fold = self.fold([(1,), (2,), (None,), (3,), (9,), (4,), (4,)], special=[9])
+        assert fold.forward == {1: {2}, 4: {4}}
+        assert fold.backward == {2: {1}, 4: {4}}
+        assert fold.retained_addresses == {1, 2, 3, 4, 9}
 
 
 class TestResultShape:

@@ -12,13 +12,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.graph.neighbors import graph_from_traces
 from repro.perf.cache import BundleCache
 from repro.perf.ingest import stream_graph_from_file
 from repro.perf.pool import fork_map, shared_payload
 from repro.robust.errors import MAX_DETAILED_ERRORS, ErrorBudget, ErrorBudgetExceeded
 from repro.robust.ingest import ingest_traces
 from repro.traceroute.parse import TraceParseError
+from tests.test_oracle import oracle_graph
 
 GOOD = [
     "m1|9.1.0.9|9.0.0.1 9.1.0.1",
@@ -60,7 +60,7 @@ def _fused(lines, jobs, tmp_path, **kwargs):
 
 class TestIngestEquivalence:
     """The fused loader at 1, 2 and 4 shards against the serial
-    ingester plus the object graph build."""
+    ingester plus the oracle's fold."""
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     @pytest.mark.parametrize("mode", ["lenient", "quarantine"])
@@ -71,7 +71,7 @@ class TestIngestEquivalence:
             lines, mode=mode, quarantine_dir=tmp_path / "qs", **kwargs
         )
         graph, report, _ = _fused(lines, jobs, tmp_path, mode=mode, quarantine_dir=tmp_path / "qp")
-        serial_graph, _ = graph_from_traces(serial_traces)
+        serial_graph, _ = oracle_graph(serial_traces)
         assert (graph.forward, graph.backward) == (serial_graph.forward, serial_graph.backward)
         assert graph.other_sides == serial_graph.other_sides
         assert report.parsed == serial_report.parsed
@@ -308,19 +308,19 @@ def _load(cache, source_sha256, format):
 
 
 def _clean_entry():
-    """The folded graph of GOOD as the object pipeline builds it, and
-    the clean report a store needs."""
+    """The folded graph of GOOD as the oracle folds it, and the clean
+    report a store needs."""
     from repro.perf.flat import GraphFold
     from repro.robust.errors import IngestReport
     from repro.traceroute.parse import parse_text_traces
 
     traces = list(parse_text_traces(GOOD))
-    graph, sanitized = graph_from_traces(traces)
+    _, oracle = oracle_graph(traces)
     fold = GraphFold()
-    fold.forward, fold.backward = graph.forward, graph.backward
-    fold.seen, fold.universe = sanitized.retained_addresses, sanitized.all_addresses
-    fold.retained, fold.discarded = len(sanitized.traces), sanitized.discarded
-    fold.buggy = sanitized.buggy_hops_removed
+    fold.forward, fold.backward = oracle.forward, oracle.backward
+    fold.seen, fold.universe = oracle.retained_addresses, oracle.all_addresses
+    fold.retained, fold.discarded = oracle.retained, oracle.discarded
+    fold.buggy = oracle.buggy_hops_removed
     return fold.bundle(), IngestReport(source="traces.txt", parsed=len(traces))
 
 

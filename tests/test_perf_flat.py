@@ -1,11 +1,12 @@
 """Unit and property tests for the flat-array data layer.
 
-``repro.perf.flat`` re-implements the §4.1 sanitize and §4.3 neighbor
-fold over columnar buffers; these tests hold the flat kernels to exact
-equality with the object-based oracles (``sanitize_traces`` +
-``accumulate_neighbors``) over seeded random datasets, and pin the
-round-trip and rejection behaviour of the binary trace-block codec and
-of the folded-graph codec (``FlatGraphBundle.to_bytes``).
+``repro.perf.flat``'s ``GraphFold`` is the production §4.1 sanitize and
+§4.3 neighbor fold, over records, in-memory traces and columnar
+buffers; these tests hold it to exact equality with the oracle's
+paper-literal fold (:func:`repro.oracle.oracle_fold`) over seeded
+random datasets, and pin the round-trip and rejection behaviour of the
+binary trace-block codec and of the folded-graph codec
+(``FlatGraphBundle.to_bytes``).
 """
 
 import random
@@ -16,8 +17,8 @@ from array import array
 import pytest
 
 import repro.perf.flat as perf_flat
-from repro.graph.neighbors import accumulate_neighbors
 from repro.obs.observer import NULL_OBS
+from repro.oracle import oracle_fold
 from repro.perf.flat import (
     U32,
     FlatEncodeError,
@@ -32,7 +33,6 @@ from repro.perf.flat import (
 )
 from repro.traceroute.model import Hop, Trace
 from repro.traceroute.parse import trace_record
-from repro.traceroute.sanitize import sanitize_traces
 
 _COLUMNS = (
     "monitor_off", "monitors", "dst", "flow", "hop_start",
@@ -46,14 +46,14 @@ def _read_back(flat):
     records = []
     for index in range(len(flat)):
         monitor = flat.monitors[flat.monitor_off[index]:flat.monitor_off[index + 1]]
-        hops = [
+        hops = tuple(
             (
                 flat.hop_addr[i] if flat.hop_flags[i] else None,
                 flat.hop_quoted[i],
                 flat.hop_rtt[i],
             )
             for i in range(flat.hop_start[index], flat.hop_start[index + 1])
-        ]
+        )
         records.append((monitor.decode("utf-8"), flat.dst[index], flat.flow[index], hops))
     return records
 
@@ -149,7 +149,7 @@ class TestBlockCodec:
 
 
 class TestFlatKernelOracle:
-    """GraphFold == sanitize_traces + accumulate_neighbors."""
+    """GraphFold == the oracle's fold."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_object_oracle(self, seed):
@@ -164,25 +164,20 @@ class TestFlatKernelOracle:
         )
         is_special = special.__contains__
 
-        report = sanitize_traces(traces)
-        oracle_forward, oracle_backward = {}, {}
-        oracle_seen = set()
-        accumulate_neighbors(
-            report.traces, oracle_forward, oracle_backward, oracle_seen, is_special
-        )
+        oracle = oracle_fold(traces, is_special)
 
         fold = _fold(is_special)
         fold.fold_block(pack_traces(traces))
 
         assert (fold.retained, fold.discarded, fold.buggy) == (
-            len(report.traces),
-            report.discarded,
-            report.buggy_hops_removed,
+            oracle.retained,
+            oracle.discarded,
+            oracle.buggy_hops_removed,
         )
-        assert fold.forward == oracle_forward
-        assert fold.backward == oracle_backward
-        assert fold.seen == oracle_seen == report.retained_addresses
-        assert fold.universe == report.all_addresses
+        assert fold.forward == oracle.forward
+        assert fold.backward == oracle.backward
+        assert fold.seen == oracle.retained_addresses
+        assert fold.universe == oracle.all_addresses
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sharded_bundles_merge_to_serial(self, seed):
@@ -275,13 +270,17 @@ _EDGE_SPECIAL = {20, 25}.__contains__
 
 
 def _oracle_tables(traces, is_special):
-    """``sanitize_traces`` + ``accumulate_neighbors``: tables, seen,
-    universe and the three counts."""
-    report = sanitize_traces(traces)
-    forward, backward, seen = {}, {}, set()
-    accumulate_neighbors(report.traces, forward, backward, seen, is_special)
-    counts = (len(report.traces), report.discarded, report.buggy_hops_removed)
-    return forward, backward, seen, report.all_addresses, counts
+    """The oracle's fold: tables, retained addresses, all addresses and
+    the three counts."""
+    oracle = oracle_fold(traces, is_special)
+    counts = (oracle.retained, oracle.discarded, oracle.buggy_hops_removed)
+    return (
+        oracle.forward,
+        oracle.backward,
+        oracle.retained_addresses,
+        oracle.all_addresses,
+        counts,
+    )
 
 
 def _fold_tables(fold):
@@ -293,7 +292,7 @@ class TestFlushBoundaries:
     """The chunked kernel folds each distinct adjacency of a buffer of
     up to ``FLUSH_SLOTS`` hop slots once; with the bound cut to a few
     slots every trace end is a flush edge, and the folds must still
-    equal the object oracle."""
+    equal the oracle's."""
 
     @pytest.mark.parametrize("slots", [1, 2, 3, 4, 5, 7, 11])
     @pytest.mark.parametrize("seed", range(3))
@@ -362,8 +361,7 @@ class TestFlushBoundaries:
         assert dirty == expected
         want = _oracle_tables(traces, is_special)
         assert _fold_tables(fold) == want
-        tail = sanitize_traces(traces[split:])
-        assert retained.count(True) == len(tail.traces)
+        assert retained.count(True) == oracle_fold(traces[split:], is_special).retained
 
 
 class TestBundleCodec:

@@ -440,9 +440,9 @@ class TestSeededTraceLineFuzz:
         """Over a fuzzed corpus, lenient ingest never raises and its
         counts partition the non-blank, non-comment lines exactly —
         under the serial ingester and the sharded fused loader alike."""
-        from repro.graph.neighbors import graph_from_traces
         from repro.perf.ingest import stream_graph_from_file
         from repro.robust.ingest import ingest_traces
+        from tests.test_oracle import oracle_graph
 
         rng = random.Random(0x5EED)
         lines = []
@@ -457,7 +457,7 @@ class TestSeededTraceLineFuzz:
         path = tmp_path / "traces.txt"
         path.write_text("\n".join(lines) + "\n")
         par_graph, par_report, _ = stream_graph_from_file(path, 4, mode="lenient")
-        graph, _ = graph_from_traces(traces)
+        graph, _ = oracle_graph(traces)
         assert (par_graph.forward, par_graph.backward) == (graph.forward, graph.backward)
         assert (par_report.parsed, par_report.malformed) == (
             report.parsed,
