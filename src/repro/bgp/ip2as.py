@@ -24,7 +24,7 @@ from repro.bgp.origins import OriginTable, merge_collectors
 from repro.bgp.table import CollectorDump
 from repro.ixp.dataset import IXPDataset
 from repro.net.prefix import Prefix
-from repro.net.special import SpecialPurposeRegistry, default_special_registry
+from repro.net.special import SpecialPurposeRegistry, shared_special_registry
 from repro.net.trie import PrefixTrie
 
 #: Sentinel for addresses no layer covers.
@@ -75,7 +75,7 @@ class IP2AS:
             if isinstance(prefix, str):
                 prefix = Prefix.parse(prefix)
             trie.insert(prefix, _Entry(asn, "pairs"))
-        return cls(trie, special or default_special_registry(), ixp)
+        return cls(trie, special or shared_special_registry(), ixp)
 
     def asn(self, address: int) -> int:
         """The origin AS for *address*.
@@ -130,7 +130,7 @@ class IP2ASBuilder:
 
     def __init__(self) -> None:
         self._trie = PrefixTrie()
-        self._special = default_special_registry()
+        self._special = shared_special_registry()
         self._ixp: Optional[IXPDataset] = None
 
     def add_bgp(self, origins: OriginTable) -> "IP2ASBuilder":

@@ -21,8 +21,9 @@ Counting rules, from the paper:
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bgp.ip2as import IP2AS
@@ -100,21 +101,28 @@ class Engine:
         self.obs = obs if obs is not None else NULL_OBS
         self.state = MapItState()
         self._origin_cache: Dict[int, int] = {}
+        # Answers that read only the engine's datasets, which no run
+        # changes: sibling-canonical ASes and IXP addresses.
+        self._canonical: Dict[int, int] = {}
+        self._ixp: Dict[int, bool] = {}
         # The tally cache (docs/SERVE.md): per half, the
         # :meth:`count_plurality` outcome under the snapshot ``_synced``,
-        # the ``state.visible`` dict it was last synced to, and the
-        # settled candidates, which cannot fire under that tally and
-        # their own mapping in that snapshot.
+        # the ``state.visible`` dict it was last synced to, and the open
+        # candidates: the ones not settled, where a settled candidate
+        # cannot fire under its tally and its own mapping in that
+        # snapshot (None: every candidate is open).
         self._tallies: Tallies = {}
-        self._settled: Set[Half] = set()
+        self._open: Optional[Set[Half]] = None
         self._synced: Dict[Half, int] = {}
         # Kept by :meth:`restart`: the empty snapshot's tallies and
-        # settled set between runs, and the rolling cache, parked with
+        # open set between runs, and the rolling cache, parked with
         # its snapshot while a run's first pass reads the start cache.
-        self._start: Optional[Tuple[Tallies, Set[Half]]] = None
-        self._parked: Optional[Tuple[Tallies, Set[Half], Dict[Half, int]]] = None
-        self._candidate_list: Optional[List[Half]] = None
-        self._candidate_set: Set[Half] = set()
+        self._start: Optional[Tuple[Tallies, Optional[Set[Half]]]] = None
+        self._parked: Optional[Tuple[Tallies, Optional[Set[Half]], Dict[Half, int]]] = None
+        # Alg 2's iteration set and Alg 4's, kept as the graph grows.
+        self._candidate_set: Optional[Set[Half]] = None
+        self._stub_addresses: Optional[List[int]] = None
+        self._stub_pairs: Dict[int, Optional[Tuple[int, int]]] = {}
 
     # -- mappings -----------------------------------------------------------
 
@@ -147,30 +155,41 @@ class Engine:
     def half_asn(self, half: Half) -> int:
         """Current (snapshot) mapping of *half* (section 4.4.1's per-half
         IP2AS view: direct inference, else indirect, else BGP origin)."""
-        return self.state.visible_asn(half, self.original_asn(half[0]))
+        asn = self.state.visible.get(half)
+        return self.original_asn(half[0]) if asn is None else asn
 
     def canonical(self, asn: int) -> int:
         """Organization identity (section 4.4.1 sibling merging);
         sentinels map to themselves."""
-        if asn <= 0:
-            return asn
-        return self.org.canonical(asn)
+        canonical = self._canonical.get(asn)
+        if canonical is None:
+            canonical = self._canonical[asn] = asn if asn <= 0 else self.org.canonical(asn)
+        return canonical
+
+    def is_ixp(self, address: int) -> bool:
+        """Whether *address* is on a known IXP LAN (§4.4.2 skips it)."""
+        ixp = self._ixp.get(address)
+        if ixp is None:
+            ixp = self._ixp[address] = self.ip2as.is_ixp(address)
+        return ixp
+
 
     # -- the tally cache (docs/SERVE.md) --------------------------------------
 
     def reset_caches(self) -> None:
-        """Drop every cached tally, settled half and start tally, and
-        the candidate list.
+        """Drop every cached tally, settled mark and start tally, and
+        the candidate set and stub list.
 
         Used after wholesale graph replacement (checkpoint restore):
         the next run recounts from the live tables, exactly like a
         fresh engine.
         """
         self._tallies = {}
-        self._settled = set()
+        self._open = None
         self._start = self._parked = None
-        self._candidate_list = None
-        self._candidate_set = set()
+        self._candidate_set = None
+        self._stub_addresses = None
+        self._stub_pairs = {}
 
     def restart(self) -> None:
         """Begin a new run from an empty state, keeping the start tallies.
@@ -184,8 +203,8 @@ class Engine:
         """
         self.state = MapItState()
         if self._parked is None:
-            self._parked = (self._tallies, self._settled, self._synced)
-            self._tallies, self._settled = self._start or ({}, set())
+            self._parked = (self._tallies, self._open, self._synced)
+            self._tallies, self._open = self._start or ({}, None)
             self._start = None
             self._synced = self.state.visible
 
@@ -193,10 +212,11 @@ class Engine:
         """Mark *halves* structurally dirty: their neighbor sets grew
         (serve folds only ever add members), so their cached tallies,
         start tallies included, are void, they are no longer settled,
-        and a half may have become a candidate.  Returns how many halves
+        a half may have become a candidate, and a forward half may have
+        joined or left the single-member list.  Returns how many halves
         had a cached tally dropped.
         """
-        caches = [(self._tallies, self._settled)]
+        caches = [(self._tallies, self._open)]
         if self._start is not None:
             caches.append(self._start)
         if self._parked is not None:
@@ -205,19 +225,27 @@ class Engine:
         minimum = self.config.min_neighbors
         dropped = 0
         for half in halves:
+            address, forward = half
+            size = len((graph.forward if forward else graph.backward).get(address, ()))
+            candidate = self._candidate_set is not None and size >= minimum
+            if candidate:
+                self._candidate_set.add(half)
             held = False
-            for tallies, settled in caches:
+            for tallies, opened in caches:
                 if half in tallies:
                     del tallies[half]
                     held = True
-                settled.discard(half)
+                if candidate and opened is not None:
+                    opened.add(half)
             dropped += held
-            if self._candidate_list is None or half in self._candidate_set:
-                continue
-            table = graph.forward if half[1] else graph.backward
-            if len(table.get(half[0], ())) >= minimum:
-                self._candidate_set.add(half)
-                insort(self._candidate_list, half)
+            if forward and self._stub_addresses is not None:
+                singles = self._stub_addresses
+                at = bisect_left(singles, address)
+                listed = at < len(singles) and singles[at] == address
+                if size == 1 and not listed:
+                    singles.insert(at, address)
+                elif size != 1 and listed:
+                    del singles[at]
         return dropped
 
     def _sync_tallies(self, visible: Dict[Half, int]) -> None:
@@ -227,70 +255,138 @@ class Engine:
         each ``n`` in ``N_d(a)``; by neighbor-set symmetry, a changed
         mapping on ``(n, e)`` therefore voids exactly the tallies of
         ``(a, not e)`` for ``a`` in ``N_e(n)``.  A half's own mapping
-        is not part of its own tally.  Both snapshots are walked, so a
-        half that gained or lost an entry counts as changed.  A settled
-        half stays settled while its tally and its own mapping stand.
+        is not part of its own tally.  The changed halves are the ones
+        the state's refresh patched when the cache answers for the
+        snapshot that refresh started from; otherwise both snapshots
+        are walked, so a half that gained or lost an entry counts as
+        changed.  A settled half stays settled (out of the open set)
+        while its tally and its own mapping stand, and a direct stays
+        held (its remove test passed) while its tally stands.
 
         The first non-empty snapshot after :meth:`restart` swaps the
         parked rolling cache back in and diffs against its snapshot.
         """
+        state = self.state
         previous = self._synced
         if visible and self._parked is not None:
-            self._start = (self._tallies, self._settled)
-            self._tallies, self._settled, previous = self._parked
+            self._start = (self._tallies, self._open)
+            self._tallies, self._open, previous = self._parked
             self._parked = None
-        changed = [half for half, asn in visible.items() if previous.get(half) != asn]
-        changed += [half for half in previous if half not in visible]
-        tallies = self._tallies
-        settled = self._settled
+        if previous is state.visible_base and visible is state.visible:
+            changed = state.visible_changed
+        else:
+            changed = [half for half, asn in visible.items() if previous.get(half) != asn]
+            changed += [half for half in previous if half not in visible]
         graph = self.graph
-        for half in changed:
-            settled.discard(half)
-            address, direction = half
+        voided: List[Half] = []
+        for address, direction in changed:
             table = graph.forward if direction else graph.backward
-            dependent = not direction
-            for neighbor in table.get(address, ()):
-                key = (neighbor, dependent)
-                tallies.pop(key, None)
-                settled.discard(key)
+            voided.extend(zip(table.get(address, ()), repeat(not direction)))
+        if self._open is not None:
+            candidates = self._candidate_set
+            self._open.update(candidates.intersection(changed))
+            self._open.update(candidates.intersection(voided))
+        state.held.difference_update(voided)
+        pop = self._tallies.pop
+        for key in voided:
+            pop(key, None)
         self._synced = visible
 
-    def settled(self) -> Set[Half]:
-        """The candidates that cannot fire under the current snapshot:
-        no plurality, a winner failing f, or a winner that is the half's
-        own sibling-merged AS.  The direct pass skips them and adds each
-        half it finds cannot fire."""
+    def sync(self) -> None:
+        """Bring the tally cache up to the current snapshot."""
         visible = self.state.visible
         if visible is not self._synced:
             self._sync_tallies(visible)
-        return self._settled
+
+    def settle(self, half: Half) -> None:
+        """Mark a candidate that cannot fire under the current snapshot
+        (no plurality, a winner failing f, or a winner that is the
+        half's own sibling-merged AS): the direct pass leaves it out
+        until its tally or its own mapping changes."""
+        self._open.discard(half)
 
     # -- candidates -----------------------------------------------------------
 
-    def candidate_halves(self) -> List[Half]:
+    def candidate_set(self) -> Set[Half]:
         """Halves eligible for direct inference: |N| >= min_neighbors
         (Alg 2 line 1's iteration set; the paper requires at least 2).
 
-        Sorted for determinism; the algorithm's results do not depend
-        on the order (section 4.4.5) but reproducible diagnostics do.
         Computed once per engine — the graph is static during a run —
         and maintained by :meth:`invalidate_halves` when serve grows
         it: eligibility is monotone because folds only add members.
         """
-        if self._candidate_list is not None:
-            return self._candidate_list
-        minimum = self.config.min_neighbors
-        halves: List[Half] = []
-        for address, members in self.graph.forward.items():
-            if len(members) >= minimum:
-                halves.append((address, FORWARD))
-        for address, members in self.graph.backward.items():
-            if len(members) >= minimum:
-                halves.append((address, BACKWARD))
-        halves.sort()
-        self._candidate_list = halves
-        self._candidate_set = set(halves)
-        return halves
+        if self._candidate_set is None:
+            minimum = self.config.min_neighbors
+            graph = self.graph
+            self._candidate_set = {
+                (address, FORWARD)
+                for address, members in graph.forward.items()
+                if len(members) >= minimum
+            }
+            self._candidate_set.update(
+                (address, BACKWARD)
+                for address, members in graph.backward.items()
+                if len(members) >= minimum
+            )
+        return self._candidate_set
+
+    def candidate_halves(self) -> List[Half]:
+        """:meth:`candidate_set`, sorted."""
+        return sorted(self.candidate_set())
+
+    def open_candidates(self) -> List[Half]:
+        """The candidates a direct pass judges, sorted: none settled,
+        none holding a direct inference, none inferred this add step
+        (the three reasons Alg 2 skips a half; the order does not change
+        the results, section 4.4.5, but reproducible diagnostics need
+        one)."""
+        self.sync()
+        if self._open is None:
+            self._open = set(self.candidate_set())
+        state = self.state
+        return sorted(self._open.difference(state.direct, state.inferred_this_step))
+
+    def stub_addresses(self) -> List[int]:
+        """The addresses whose forward neighbor set has one member,
+        sorted (Alg 4's iteration set, §4.8), kept like the candidates
+        as the graph grows."""
+        if self._stub_addresses is None:
+            self._stub_addresses = sorted(
+                address
+                for address, members in self.graph.forward.items()
+                if len(members) == 1
+            )
+        return self._stub_addresses
+
+    def stub_pair(self, address: int) -> Optional[Tuple[int, int]]:
+        """Alg 4's tests on the ASes of a single-member forward address
+        (§4.8): its own original AS and its one neighbor's, when both
+        are real ASes of different organizations and the neighbor's is
+        a stub the relationship data knows (an AS absent from it cannot
+        be positively identified as a stub; inferring against it would
+        fire on every low-visibility ISP as well), else None.
+
+        Alg 4 acts only where neither half carries an inference, so
+        the mappings are the original ones, and the one neighbor stays
+        while the set has one member: answered once per address.
+        """
+        try:
+            return self._stub_pairs[address]
+        except KeyError:
+            pass
+        (neighbor,) = self.graph.forward[address]
+        own_as, neighbor_as = self.original_asn(address), self.original_asn(neighbor)
+        pair = None
+        if (
+            own_as > 0
+            and neighbor_as > 0
+            and self.canonical(own_as) != self.canonical(neighbor_as)
+            and self.rel.is_stub(neighbor_as, self.org)
+            and self.rel.knows(neighbor_as)
+        ):
+            pair = (own_as, neighbor_as)
+        self._stub_pairs[address] = pair
+        return pair
 
     # -- counting -----------------------------------------------------------
 
@@ -308,9 +404,19 @@ class Engine:
         neighbor_direction = not forward
         group_counts: Dict[int, int] = {}
         member_counts: Dict[int, Dict[int, int]] = {}
+        # the recount loop: half_asn and canonical, inlined on their caches
+        visible = self.state.visible
+        origins = self._origin_cache
+        canonicals = self._canonical
         for neighbor in neighbors:
-            asn = self.half_asn((neighbor, neighbor_direction))
-            group = self.canonical(asn)
+            asn = visible.get((neighbor, neighbor_direction))
+            if asn is None:
+                asn = origins.get(neighbor)
+                if asn is None:
+                    asn = self.original_asn(neighbor)
+            group = canonicals.get(asn)
+            if group is None:
+                group = self.canonical(asn)
             group_counts[group] = group_counts.get(group, 0) + 1
             members = member_counts.setdefault(group, {})
             members[asn] = members.get(asn, 0) + 1

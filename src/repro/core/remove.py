@@ -13,6 +13,10 @@ Two readings of the dominance test exist in the paper (prose: "more
 than half of its N"; Alg 3: "the inference would no longer be made").
 Both are implemented; :class:`~repro.core.config.MapItConfig` selects
 one, defaulting to the prose rule.
+
+A pass re-tests only the directs that are new since the last pass or
+whose tally the engine voided: the test reads nothing else that can
+change, so every other direct still holds (``MapItState.held``).
 """
 
 from __future__ import annotations
@@ -53,6 +57,16 @@ def _still_holds(engine: Engine, direct: DirectInference) -> bool:
     return plurality.is_majority()
 
 
+def _retested(engine: Engine) -> List[Half]:
+    """The directs a remove pass tests, sorted: every direct but those
+    held since the last pass, whose test would pass again (their tally
+    and their inference are the ones it passed on)."""
+    engine.sync()
+    state = engine.state
+    state.held.difference_update(state.touched_since("remove"))
+    return sorted(state.direct.keys() - state.held)
+
+
 def _supporter_for(engine: Engine, half: Half) -> Optional[Half]:
     """A live direct inference whose link other-side is *half*
     (Alg 3 line 5: demotion to an indirect inference needs a live
@@ -80,13 +94,17 @@ def remove_step(engine: Engine) -> RemoveStepReport:
     while True:
         report.passes += 1
         with obs.span("remove/dominance"):
-            doomed: List[Half] = [
-                half
-                for half, direct in sorted(state.direct.items())
-                if not direct.via_stub and not _still_holds(engine, direct)
-            ]
+            doomed: List[Half] = []
+            for half in _retested(engine):
+                direct = state.direct[half]
+                if direct.via_stub:
+                    continue
+                if _still_holds(engine, direct):
+                    state.held.add(half)
+                else:
+                    doomed.append(half)
         for half in doomed:
-            direct = state.direct.pop(half)
+            direct = state.demote_direct(half)
             supporter = _supporter_for(engine, half)
             if supporter is not None:
                 state.add_indirect(

@@ -17,14 +17,20 @@ Key design decisions, each anchored in the paper:
 * An indirect inference is linked to the direct inference on the other
   side of its link; it survives only while that direct does (section
   4.4.2).  Other-side assignment is not guaranteed symmetric, so the
-  link is stored explicitly.
+  link is stored explicitly, and indexed by source so that dropping a
+  direct finds its dependents without a scan.
+* Every mutation appends the halves it touched to one log
+  (:attr:`MapItState.touched`); the snapshot refresh and each
+  contradiction fix read only the halves touched since they last ran
+  (:meth:`MapItState.touched_since`), because no other half's inputs
+  changed (docs/SERVE.md).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.graph.halves import Half, half_str
 
@@ -81,8 +87,9 @@ class MapItState:
     Live direct/indirect inference tables, the per-pass mapping
     snapshot of §4.4.5 (``visible``, refreshed between passes so every
     pass reads end-of-previous-pass state), the §4.4.4 uncertain log,
-    the exact state key the §4.6 convergence test compares, and the
-    order-independent digest of that state serve publishes.
+    the log of touched halves the passes read instead of rescanning the
+    tables, the exact state key the §4.6 convergence test compares, and
+    the order-independent digest of that state serve publishes.
     """
 
     def __init__(self) -> None:
@@ -97,11 +104,32 @@ class MapItState:
         self.inferred_this_step: Set[Half] = set()
         #: mapping snapshot the current pass reads (half -> AS override)
         self.visible: Dict[Half, int] = {}
+        #: the snapshot ``visible`` was patched from, and the halves
+        #: whose entry differs between the two (the tally cache's input)
+        self.visible_base: Dict[Half, int] = self.visible
+        self.visible_changed: List[Half] = []
         #: halves ever classified uncertain (section 4.4.4) — such
         #: inference pairs are typically added and removed forever (the
         #: section 4.6 cycle), so the final uncertain output is the
         #: union over the run, not a snapshot
         self.uncertain_log: Dict[Half, DirectInference] = {}
+        #: every half whose direct or indirect entry a mutation added,
+        #: replaced, removed or detached, in mutation order
+        self.touched: List[Half] = []
+        #: per reader of ``touched``, how far it has read
+        self._read: Dict[str, int] = {}
+        #: per direct half, a stamp that orders the halves as
+        #: ``direct`` iterates them (insertion order): the order a scan
+        #: of the whole table would act on them in
+        self.order: Dict[Half, int] = {}
+        #: per source half, the halves of the indirects it supports
+        self.dependents: Dict[Half, Set[Half]] = {}
+        #: addresses whose two halves carry directs toward the same
+        #: (sibling-merged) AS: the §4.4.3 dual pairs the fix keeps
+        self.dual_pairs: Set[int] = set()
+        #: directs whose remove test held under their current tally
+        #: (the engine drops a half when its tally is voided)
+        self.held: Set[Half] = set()
         #: diagnostic counters
         self.dual_resolved = 0
         self.dual_same_as = 0
@@ -109,37 +137,98 @@ class MapItState:
         self.inverse_removed = 0
         self.uncertain_pairs = 0
 
+    # -- the touched log ---------------------------------------------------
+
+    def touched_since(self, reader: str) -> List[Half]:
+        """The halves touched since *reader* last asked (all of them on
+        its first call), duplicates included."""
+        start = self._read.get(reader, 0)
+        end = self._read[reader] = len(self.touched)
+        return self.touched[start:end]
+
+    def added_since(self, reader: str) -> List[Half]:
+        """The halves given a direct inference since *reader* last asked
+        that still hold it, duplicates included.  A direct is stamped
+        with the log's length when added, and the passes never replace
+        a live direct in place, so the stamp tells a new direct from a
+        half touched for another reason."""
+        start = self._read.get(reader, 0)
+        direct, order = self.direct, self.order
+        return [
+            half
+            for half in self.touched_since(reader)
+            if half in direct and order[half] >= start
+        ]
+
     # -- inference bookkeeping -------------------------------------------
 
     def add_direct(self, inference: DirectInference) -> None:
         """Record an Alg 2 direct inference and mark its half used
         for the rest of this add step (§4.4.5)."""
-        self.direct[inference.half] = inference
-        self.inferred_this_step.add(inference.half)
+        half = inference.half
+        if half not in self.direct:
+            self.order[half] = len(self.touched)
+        self.touched.append(half)
+        self.direct[half] = inference
+        self.inferred_this_step.add(half)
 
     def add_indirect(self, inference: IndirectInference) -> None:
         """Record a §4.4.2 indirect (other-side) inference."""
-        self.indirect[inference.half] = inference
+        half = inference.half
+        replaced = self.indirect.get(half)
+        if replaced is not None:
+            self.dependents[replaced.source].discard(half)
+        self.indirect[half] = inference
+        supported = self.dependents.get(inference.source)
+        if supported is None:
+            self.dependents[inference.source] = {half}
+        else:
+            supported.add(half)
+        self.touched.append(half)
+
+    def detach(self, indirect: IndirectInference) -> None:
+        """Suppress an indirect's mapping update (§4.4.3 divergent
+        other sides)."""
+        indirect.detached = True
+        self.touched.append(indirect.half)
 
     def remove_direct(self, half: Half) -> Optional[DirectInference]:
-        """Discard a direct inference and its dependent indirect."""
+        """Discard a direct inference and its dependent indirects."""
         inference = self.direct.pop(half, None)
         if inference is None:
             return None
-        for key, indirect in list(self.indirect.items()):
-            if indirect.source == half:
-                del self.indirect[key]
+        self.touched.append(half)
+        dependents = self.dependents.pop(half, ())
+        for key in dependents:
+            del self.indirect[key]
+        self.touched.extend(dependents)
         return inference
 
+    def demote_direct(self, half: Half) -> DirectInference:
+        """Pop a direct inference the remove step demotes, leaving its
+        dependents for :meth:`sweep_unsupported_indirect` (Alg 3)."""
+        self.touched.append(half)
+        return self.direct.pop(half)
+
     def sweep_unsupported_indirect(self) -> int:
-        """Drop indirect inferences whose supporting direct is gone."""
-        doomed = [
-            key
-            for key, indirect in self.indirect.items()
-            if indirect.source not in self.direct
-        ]
-        for key in doomed:
-            del self.indirect[key]
+        """Drop indirect inferences whose supporting direct is gone.
+
+        Only a half touched since the last sweep can have lost its
+        direct or gained an indirect, so only those are looked at: the
+        dependents of each that holds no direct, and its own indirect.
+        """
+        direct = self.direct
+        indirect = self.indirect
+        doomed: Set[Half] = set()
+        for half in self.touched_since("sweep"):
+            if half not in direct:
+                doomed.update(self.dependents.get(half, ()))
+            inference = indirect.get(half)
+            if inference is not None and inference.source not in direct:
+                doomed.add(half)
+        for half in doomed:
+            self.dependents[indirect.pop(half).source].discard(half)
+        self.touched.extend(doomed)
         return len(doomed)
 
     # -- visible mappings --------------------------------------------------
@@ -149,16 +238,34 @@ class MapItState:
 
         Direct inferences take precedence over indirect ones; detached
         indirect inferences (divergent other sides) contribute nothing.
+        A copy of the previous snapshot is patched at the halves touched
+        since the last refresh, and the halves whose entry moved are
+        kept in ``visible_changed``.  A snapshot is never updated in
+        place, since the engine's tally cache notices a new one by
+        identity; when no entry moved the previous one stays.
         """
-        # Always build a new dict, never update the old one in place: the
-        # engine's tally cache notices a new snapshot by identity and
-        # diffs it against the dict it last synced to.
-        visible: Dict[Half, int] = {}
-        for half, indirect in self.indirect.items():
-            if not indirect.detached:
-                visible[half] = indirect.remote_as
-        for half, direct in self.direct.items():
-            visible[half] = direct.remote_as
+        previous = self.visible
+        direct = self.direct
+        indirect = self.indirect
+        moved: Dict[Half, Optional[int]] = {}
+        for half in dict.fromkeys(self.touched_since("visible")):
+            inference = direct.get(half)
+            if inference is not None:
+                asn: Optional[int] = inference.remote_as
+            else:
+                other = indirect.get(half)
+                asn = None if other is None or other.detached else other.remote_as
+            if asn != previous.get(half):
+                moved[half] = asn
+        if not moved:
+            return
+        visible = previous.copy()
+        for half, asn in moved.items():
+            if asn is None:
+                del visible[half]
+            else:
+                visible[half] = asn
+        self.visible_base, self.visible_changed = previous, list(moved)
         self.visible = visible
 
     def visible_asn(self, half: Half, original: int) -> int:
@@ -192,23 +299,32 @@ class MapItState:
 
     def fingerprint(self) -> str:
         """Deterministic, order-independent digest of the inference state
-        (the state :meth:`state_key` names).
+        (the state :meth:`state_key` names)."""
+        return self.digest(self.direct, self.indirect)
+
+    @staticmethod
+    def digest(
+        direct: Dict[Half, DirectInference], indirect: Dict[Half, IndirectInference]
+    ) -> str:
+        """The digest of one state's direct and indirect tables.
 
         A sha256 over a canonical sorted encoding — *not* Python's
         ``hash()``, whose per-process string salt (PYTHONHASHSEED)
         would make fingerprints incomparable across processes — serve
-        publishes them in snapshots and checkpoints.
+        publishes them in snapshots and checkpoints.  A serve snapshot
+        keeps the tables of the state its quiesce ended in and hashes
+        them only when its digest is first read.
         """
         lines = sorted(
-            f"d:{half[0]}:{int(half[1])}:{direct.local_as}:"
-            f"{direct.remote_as}:{int(direct.uncertain)}"
-            for half, direct in self.direct.items()
+            f"d:{half[0]}:{int(half[1])}:{inference.local_as}:"
+            f"{inference.remote_as}:{int(inference.uncertain)}"
+            for half, inference in direct.items()
         )
         lines += sorted(
-            f"i:{half[0]}:{int(half[1])}:{indirect.remote_as}:"
-            f"{indirect.source[0]}:{int(indirect.source[1])}:"
-            f"{int(indirect.detached)}"
-            for half, indirect in self.indirect.items()
+            f"i:{half[0]}:{int(half[1])}:{inference.remote_as}:"
+            f"{inference.source[0]}:{int(inference.source[1])}:"
+            f"{int(inference.detached)}"
+            for half, inference in indirect.items()
         )
         return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
 
@@ -224,3 +340,4 @@ class MapItState:
 
     def __len__(self) -> int:
         return len(self.direct) + len(self.indirect)
+

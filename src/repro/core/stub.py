@@ -39,18 +39,32 @@ class StubStepReport:
 
 def stub_step(engine: Engine) -> StubStepReport:
     """Run Alg 4 (section 4.8) once over all single-neighbor forward
-    halves, after the main loop has converged."""
+    halves, after the main loop has converged.
+
+    The engine keeps those addresses sorted as the graph grows
+    (:meth:`Engine.stub_addresses`); each is still tested for a single
+    member, so a list that missed a growth skips the address rather
+    than misreading its neighbor set.  The tests on the two halves'
+    ASes read only original mappings (neither half may carry an
+    inference), so the engine answers them once per address
+    (:meth:`Engine.stub_pair`).
+    """
     state = engine.state
     obs = engine.obs
     tracing = obs.tracer.enabled
     report = StubStepReport()
-    for address in sorted(engine.graph.forward):
-        members = engine.graph.forward[address]
+    forward = engine.graph.forward
+    directs, indirects = state.direct, state.indirect
+    for address in engine.stub_addresses():
+        members = forward[address]
         if len(members) != 1:
             continue
         report.examined += 1
+        pair = engine.stub_pair(address)
+        if pair is None:
+            continue
         half = (address, FORWARD)
-        if half in state.direct or half in state.indirect:
+        if half in directs or half in indirects:
             # An existing inference (even an indirect one from the
             # link's other side) means the link is already captured;
             # stacking a stub inference on top can only compound an
@@ -59,23 +73,11 @@ def stub_step(engine: Engine) -> StubStepReport:
         (neighbor,) = members
         neighbor_half = (neighbor, BACKWARD)
         backward_half = (address, BACKWARD)
-        if backward_half in state.direct or backward_half in state.indirect:
+        if backward_half in directs or backward_half in indirects:
             continue
-        if neighbor_half in state.direct or neighbor_half in state.indirect:
+        if neighbor_half in directs or neighbor_half in indirects:
             continue
-        own_as = engine.half_asn(half)
-        neighbor_as = engine.half_asn(neighbor_half)
-        if neighbor_as <= 0 or own_as <= 0:
-            continue
-        if engine.canonical(own_as) == engine.canonical(neighbor_as):
-            continue
-        if not engine.rel.is_stub(neighbor_as, engine.org):
-            continue
-        if not engine.rel.knows(neighbor_as):
-            # An AS absent from the relationship data cannot be
-            # positively identified as a stub; inferring against it
-            # would fire on every low-visibility ISP as well.
-            continue
+        own_as, neighbor_as = pair
         direct = DirectInference(
             half=half,
             local_as=own_as,
@@ -95,7 +97,7 @@ def stub_step(engine: Engine) -> StubStepReport:
                 **half_fields(half),
             )
         partner = engine.other_side_half(half)
-        if partner is not None and not engine.ip2as.is_ixp(address):
+        if partner is not None and not engine.is_ixp(address):
             state.add_indirect(
                 IndirectInference(
                     half=partner,

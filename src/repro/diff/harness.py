@@ -52,7 +52,7 @@ from repro.core.results import MapItResult
 from repro.diff.worlds import World, fold_twin
 from repro.graph.neighbors import InterfaceGraph, build_interface_graph, fold_traces
 from repro.net.ipv4 import format_address
-from repro.net.special import default_special_registry
+from repro.net.special import shared_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.oracle import OracleConfig, OracleFold, OracleResult, oracle_fold, oracle_run
 from repro.perf.flat import GraphFold
@@ -269,7 +269,7 @@ def fold_mismatches(world: World, fold: GraphFold) -> List[str]:
     """Hold the production §4.1–§4.3 fold to the oracle's on *world*'s
     traces (*fold*, already folded) and on its twin; one line per input
     that differs, naming its first differing entry or count."""
-    is_special = default_special_registry().is_special
+    is_special = shared_special_registry().is_special
     twin = fold_twin(world)
     lines = []
     for name, traces, production in (

@@ -9,6 +9,7 @@ test.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from repro.net.prefix import Prefix
@@ -64,8 +65,16 @@ class SpecialPurposeRegistry:
 
 
 def default_special_registry() -> SpecialPurposeRegistry:
-    """The RFC 6890 registry used by the paper's sanitization."""
+    """The RFC 6890 registry used by the paper's sanitization, as a new
+    registry the caller may add to."""
     registry = SpecialPurposeRegistry()
     for text, name in SPECIAL_PURPOSE_PREFIXES:
         registry.add(Prefix.parse(text), name)
     return registry
+
+
+@lru_cache(maxsize=None)
+def shared_special_registry() -> SpecialPurposeRegistry:
+    """The default registry, built once per process and shared by every
+    reader (each fold, each IP2AS): never add to it."""
+    return default_special_registry()

@@ -65,7 +65,7 @@ from typing import (
 )
 
 from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
-from repro.net.special import default_special_registry
+from repro.net.special import shared_special_registry
 from repro.obs.observer import Observability
 from repro.traceroute.model import Trace
 from repro.traceroute.parse import HopTuple, RecordTuple, trace_record
@@ -489,10 +489,11 @@ class GraphFold:
         self.retained = 0
         self.discarded = 0
         self.buggy = 0
-        # Per-fold memo of the RFC 6890 test, shared with the other-side
-        # filter: one special-prefix lookup per distinct address.
+        # Per-fold memo of the process's one RFC 6890 registry, shared
+        # with the other-side filter: one special-prefix lookup per
+        # distinct address.
         self.is_special: Callable[[int], bool] = cache(
-            default_special_registry().is_special
+            shared_special_registry().is_special
         )
 
     def fold(

@@ -58,7 +58,7 @@ class QueryAPI:
         packed = parse_address(address)
         return {
             "address": address,
-            "links": snapshot.by_address.get(packed, []),
+            "links": snapshot.links(snapshot.by_address.get(packed, ())),
             "seq": snapshot.seq,
             "fingerprint": snapshot.fingerprint,
         }
@@ -69,7 +69,7 @@ class QueryAPI:
         snapshot = self.daemon.snapshot
         return {
             "asn": asn,
-            "links": snapshot.by_as.get(asn, []),
+            "links": snapshot.links(snapshot.by_as.get(asn, ())),
             "seq": snapshot.seq,
             "fingerprint": snapshot.fingerprint,
         }

@@ -13,7 +13,8 @@
   :class:`~repro.serve.incremental.IncrementalIndex`, and every
   ``quiesce_every`` folds re-run the dirty-region multipass and publish
   a fresh immutable :class:`ServeSnapshot` by a single reference swap
-  (atomic under the GIL — readers never observe a torn state);
+  (atomic under the GIL — readers never observe a torn state), patched
+  from the previous one for the records that changed;
 * every ``checkpoint_every`` folds the fold state and source offsets
   and line counts go to the run journal, so a killed daemon resumes
   exactly where the last durable checkpoint left off.
@@ -24,9 +25,11 @@ from __future__ import annotations
 import threading
 from collections import deque
 from itertools import chain
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.results import LinkInference, MapItResult
+from repro.core.results import INDIRECT, LinkInference, MapItResult
+from repro.core.state import DirectInference, IndirectInference, MapItState
+from repro.graph.halves import Half
 from repro.graph.othersides import OtherSideTable
 from repro.net.ipv4 import format_address
 from repro.obs.observer import NULL_OBS, Observability
@@ -51,21 +54,33 @@ _STAT_KEYS = (
 )
 
 
+#: the direct and indirect tables a quiesce ended with
+StateTables = Tuple[Dict[Half, DirectInference], Dict[Half, IndirectInference]]
+
+
 class ServeSnapshot:
     """One immutable published view of the inference state.
 
     Built at a quiesce point and swapped in with a single attribute
     assignment; every field is derived from that one quiesce, so any
     reader holding a snapshot sees an internally consistent world.
-    Record dicts are shared with the *previous* snapshot for every
-    inference equal to one it published (only new or changed ones call
-    ``to_dict``); no snapshot ever mutates a record, and the indexes
-    themselves are built complete for each snapshot.
+
+    A snapshot is patched from the *previous* one: the records that
+    left are dropped and the new ones built (``to_dict``), and only the
+    address and AS index entries that hold a changed record are rebuilt;
+    every other entry, and every record dict, is shared with the
+    previous snapshot.  Nothing a snapshot holds is mutated after it is
+    built.  The index entries list each inference in result order.
+
+    The fingerprint is hashed when first read, from the tables of the
+    state the quiesce ended in: the engine starts each run on a fresh
+    state (``Engine.restart``), so those tables change no more once
+    published.  The hash is taken under the snapshot's lock, so
+    concurrent first readers hash once.
     """
 
     __slots__ = (
         "seq",
-        "fingerprint",
         "result",
         "stats",
         "records",
@@ -73,45 +88,98 @@ class ServeSnapshot:
         "by_address",
         "by_as",
         "other_sides",
+        "_tables",
+        "_fingerprint",
+        "_lock",
     )
 
     def __init__(
         self,
         seq: int,
-        fingerprint: str,
+        tables: Optional[StateTables],
         result: Optional[MapItResult],
         stats: Dict[str, int],
         other_sides: Optional[OtherSideTable] = None,
         previous: Optional["ServeSnapshot"] = None,
     ) -> None:
         self.seq = seq
-        self.fingerprint = fingerprint
         self.result = result
         self.stats = stats
         # the quiesce-time point-to-point table, captured by reference:
         # the index publishes a patched *copy* when the universe grows,
         # so this one is immutable from the moment it lands here
         self.other_sides = other_sides
+        self._tables = tables
+        self._fingerprint: Optional[str] = None if tables is not None else ""
+        self._lock = threading.Lock()
         self.records: Dict[LinkInference, dict] = {}
         self.records_built = 0
-        self.by_address: Dict[int, List[dict]] = {}
-        self.by_as: Dict[int, List[dict]] = {}
+        #: per address, and per AS at either end, its inferences
+        self.by_address: Dict[int, List[LinkInference]] = {}
+        self.by_as: Dict[int, List[LinkInference]] = {}
         if result is not None:
-            published = previous.records if previous is not None else {}
-            for inference in chain(result.inferences, result.uncertain):
-                record = published.get(inference)
-                if record is None:
-                    record = inference.to_dict()
-                    self.records_built += 1
-                self.records[inference] = record
-                self.by_address.setdefault(inference.address, []).append(record)
-                self.by_as.setdefault(inference.local_as, []).append(record)
-                if inference.remote_as != inference.local_as:
-                    self.by_as.setdefault(inference.remote_as, []).append(record)
+            self._patch(result, previous if previous is not None else ServeSnapshot.empty())
+
+    def _patch(self, result: MapItResult, previous: "ServeSnapshot") -> None:
+        """Build the records and indexes from *previous*'s."""
+        published = previous.records
+        current = set(chain(result.inferences, result.uncertain))
+        added = current.difference(published)
+        removed = published.keys() - current
+        records = self.records = dict(published)
+        for inference in removed:
+            del records[inference]
+        for inference in added:
+            records[inference] = inference.to_dict()
+        self.records_built = len(added)
+        # The uncertain list's order is not a function of its records
+        # (_collect lists the log's before the live directs'), so
+        # every index entry holding an uncertain record is rebuilt.
+        earlier = previous.result.uncertain if previous.result is not None else []
+        moved = [*added, *removed, *result.uncertain, *earlier]
+        position = {inference: at for at, inference in enumerate(result.uncertain)}
+
+        def rank(inference: LinkInference) -> tuple:
+            """Where *inference* stands in ``inferences + uncertain``:
+            confident directs by half, then confident indirects by
+            half, then the uncertain list in its own order."""
+            if inference.uncertain:
+                return (1, position[inference])
+            return (0, inference.kind == INDIRECT, inference.address, inference.forward)
+
+        self.by_address = _patched(
+            previous.by_address,
+            {inference.address for inference in moved},
+            added,
+            removed,
+            rank,
+            lambda inference: (inference.address,),
+        )
+        self.by_as = _patched(
+            previous.by_as,
+            {asn for inference in moved for asn in (inference.local_as, inference.remote_as)},
+            added,
+            removed,
+            rank,
+            lambda inference: {inference.local_as, inference.remote_as},
+        )
 
     @classmethod
     def empty(cls) -> "ServeSnapshot":
-        return cls(0, "", None, {key: 0 for key in _STAT_KEYS})
+        return cls(0, None, None, {key: 0 for key in _STAT_KEYS})
+
+    @property
+    def fingerprint(self) -> str:
+        """The §4.6 state digest of this quiesce, hashed on first read."""
+        with self._lock:
+            if self._fingerprint is None:
+                self._fingerprint = MapItState.digest(*self._tables)
+            return self._fingerprint
+
+    def links(self, inferences: Iterable[LinkInference]) -> List[dict]:
+        """The published record dicts of *inferences* (an index entry)."""
+        records = self.records
+        return [records[inference] for inference in inferences]
 
     def other_side(self, address: int) -> Optional[int]:
         """The inferred point-to-point partner as of this snapshot."""
@@ -126,6 +194,27 @@ class ServeSnapshot:
             base.update(self.result.summary())
             base["converged"] = self.result.converged
         return base
+
+
+def _patched(index, keys, added, removed, rank, keys_of):
+    """A copy of *index* (key -> inferences in result order) with each
+    of *keys* rebuilt: its kept inferences, less *removed*, plus the
+    *added* ones filed under it by *keys_of*, ordered by *rank*.  The
+    lists of every other key are shared with *index*."""
+    fresh: Dict[int, List[LinkInference]] = {}
+    for inference in added:
+        for key in keys_of(inference):
+            fresh.setdefault(key, []).append(inference)
+    patched = dict(index)
+    for key in keys:
+        members = [inference for inference in index.get(key, ()) if inference not in removed]
+        members += fresh.get(key, ())
+        if members:
+            members.sort(key=rank)
+            patched[key] = members
+        else:
+            patched.pop(key, None)
+    return patched
 
 
 class ServeDaemon:
@@ -339,11 +428,10 @@ class ServeDaemon:
         result = self.index.quiesce()
         self._bump("quiesces")
         self.obs.inc("serve.quiesces")
-        fingerprint = self.index.fingerprint()
         stats = self.stats_view()
         snapshot = ServeSnapshot(
             self.snapshot.seq + 1,
-            fingerprint,
+            self.index.tables(),
             result,
             stats,
             other_sides=self.index.graph.other_sides,
@@ -359,7 +447,7 @@ class ServeDaemon:
             self.obs.event(
                 "serve.quiesce",
                 seq=snapshot.seq,
-                fingerprint=fingerprint,
+                fingerprint=snapshot.fingerprint,
                 folds=stats["folds"],
                 inferences=len(result.inferences),
                 uncertain=len(result.uncertain),
@@ -492,7 +580,7 @@ class ServeDaemon:
         other = snapshot.other_side(address)
         return {
             "address": format_address(address),
-            "records": snapshot.by_address.get(address, []),
+            "records": snapshot.links(snapshot.by_address.get(address, ())),
             "other_side": format_address(other) if other is not None else None,
             "seq": snapshot.seq,
             "fingerprint": snapshot.fingerprint,

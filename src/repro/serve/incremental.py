@@ -120,6 +120,13 @@ class IncrementalIndex:
         """The §4.6 state fingerprint of the last quiesce."""
         return self._mapit.engine.state.fingerprint()
 
+    def tables(self):
+        """The direct and indirect tables of the last quiesce's state,
+        which the next quiesce leaves as they are (it starts a fresh
+        state); a snapshot hashes them when its digest is read."""
+        state = self._mapit.engine.state
+        return state.direct, state.indirect
+
     # -- checkpoint plumbing -------------------------------------------------
 
     def export_state(self) -> FlatGraphBundle:

@@ -451,3 +451,28 @@ class TestGraphBundleCodec:
         )
         assert bundle.to_bytes() != header + b"".join(swapped)
         assert FlatGraphBundle.from_bytes(header + b"".join(swapped)) == bundle
+
+
+class TestSpecialRegistry:
+    def test_folds_share_one_registry_per_process(self, monkeypatch):
+        """Every fold reads the process's one RFC 6890 registry: several
+        folds (and IP2AS builds) parse its 16 prefixes into a trie once."""
+        import repro.net.special as special
+        from repro.bgp.ip2as import IP2AS
+
+        built = []
+        init = special.SpecialPurposeRegistry.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(special.SpecialPurposeRegistry, "__init__", counted)
+        special.shared_special_registry.cache_clear()
+        folds = [GraphFold() for _ in range(5)]
+        IP2AS.from_pairs([("8.0.0.0/8", 1)])
+        assert len(built) == 1
+        assert all(fold.is_special(0x0A000001) for fold in folds)
+        assert not any(fold.is_special(0x08080808) for fold in folds)
+        # the factory still hands each caller a registry of its own
+        assert special.default_special_registry() is not special.default_special_registry()

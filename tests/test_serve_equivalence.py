@@ -132,26 +132,140 @@ def test_published_fingerprint_is_the_state_fingerprint(world, monkeypatch, stub
 
 
 def test_one_state_hash_per_quiesce(monkeypatch):
-    """A quiesce hashes the inference state once, for the digest it
-    publishes: the §4.6 loop compares exact state keys."""
+    """A quiesce hashes the inference state only for a reader: a
+    snapshot hashes its digest when it is first read and never again,
+    and one nobody reads is never hashed.  The §4.6 loop compares exact
+    state keys.  A digest read after later quiesces is still the state
+    of its own quiesce."""
     from repro.core.state import MapItState
 
     calls = []
-    fingerprint = MapItState.fingerprint
+    digest = MapItState.digest
     monkeypatch.setattr(
-        MapItState, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
+        MapItState,
+        "digest",
+        staticmethod(lambda direct, indirect: calls.append(1) or digest(direct, indirect)),
     )
     small = world_from_preset("small", 7)
     daemon = ServeDaemon(_fresh_index(small), format="text", quiesce_every=0)
-    quiesces = iterations = 0
+    snapshots = []
+    iterations = 0
     for number, line in enumerate(traces_to_text_lines(small.traces), start=1):
         daemon.ingest_entry(line, "traces.txt")
         if number % 64 == 0:
-            snapshot = daemon.quiesce()
+            snapshots.append((number, daemon.quiesce()))
+            iterations += snapshots[-1][1].result.iterations
+    assert len(snapshots) >= 4 and iterations > len(snapshots)
+    assert calls == []
+    read = snapshots[::2]
+    digests = [snapshot.fingerprint for _, snapshot in read]
+    assert [snapshot.fingerprint for _, snapshot in read] == digests
+    assert len(calls) == len(read)
+    monkeypatch.setattr(MapItState, "digest", staticmethod(digest))
+    for (number, _), published in zip(read, digests):
+        assert published == reference_state(small, number, MapItConfig())[0]
+
+
+def test_passes_examine_what_changed_not_the_state(monkeypatch):
+    """A quiesce's passes examine what its re-derivation touched, not
+    the whole state.  On the small seed 7 replay, quiesced every 64
+    folds, per direct inference made: the direct passes judge at most
+    4 halves in every quiesce (a pass over every candidate visits 5 to
+    17), and over the replay the remove passes re-test at most 1
+    direct, the dual and divergent fixes are handed at most 2 halves
+    and the inverse fix at most 1 (passes over every direct would take
+    about 1.6, 2.5 and 2.5)."""
+    import repro.core.add as add_module
+    import repro.core.remove as remove_module
+    from repro.core.engine import Engine
+    from repro.core.state import MapItState
+
+    counts = {}
+    totals = {}
+
+    def count(name, amount):
+        counts[name] = counts.get(name, 0) + amount
+        totals[name] = totals.get(name, 0) + amount
+
+    open_candidates = Engine.open_candidates
+    retested = remove_module._retested
+    add_direct = MapItState.add_direct
+
+    def counted_open_candidates(self):
+        judged = open_candidates(self)
+        count("judged", len(judged))
+        count("candidates", len(self.candidate_set()))
+        return judged
+
+    def counted_retested(engine):
+        tested = retested(engine)
+        count("retested", len(tested))
+        count("directs", len(engine.state.direct))
+        return tested
+
+    def counted_fix(name):
+        fix = getattr(add_module, name)
+
+        def counted(engine, touched):
+            count(name, len(touched))
+            count("directs per fix", len(engine.state.direct))
+            return fix(engine, touched)
+
+        return counted
+
+    def counted_add_direct(self, inference):
+        count("made", 1)
+        add_direct(self, inference)
+
+    monkeypatch.setattr(Engine, "open_candidates", counted_open_candidates)
+    monkeypatch.setattr(remove_module, "_retested", counted_retested)
+    monkeypatch.setattr(MapItState, "add_direct", counted_add_direct)
+    fixes = ("_fix_dual_inferences", "_flag_divergent_other_sides", "_fix_inverse_inferences")
+    for name in fixes:
+        monkeypatch.setattr(add_module, name, counted_fix(name))
+    small = world_from_preset("small", 7)
+    daemon = ServeDaemon(_fresh_index(small), format="text", quiesce_every=0)
+    quiesces = 0
+    for number, line in enumerate(traces_to_text_lines(small.traces), start=1):
+        daemon.ingest_entry(line, "traces.txt")
+        if number % 64 == 0:
+            counts.clear()
+            daemon.quiesce()
             quiesces += 1
-            iterations += snapshot.result.iterations
-    assert quiesces >= 4 and iterations > quiesces
-    assert len(calls) == quiesces
+            assert counts["judged"] <= 4 * counts["made"] < counts["candidates"]
+    assert quiesces >= 8
+    made = totals["made"]
+    assert totals["retested"] <= made < totals["directs"]
+    for name, bound in zip(fixes, (2, 2, 1)):
+        assert totals[name] <= bound * made < totals["directs per fix"] / 3, name
+
+
+def test_patched_snapshot_indexes_equal_a_fresh_build():
+    """Each snapshot's per-address and per-AS index entries, patched
+    from the previous snapshot, list exactly its result's records in
+    result order, and a record dict is shared with the previous
+    snapshot whenever the inference is."""
+    small = world_from_preset("small", 9)
+    daemon = ServeDaemon(_fresh_index(small), format="text", quiesce_every=0)
+    previous = daemon.snapshot
+    for number, line in enumerate(traces_to_text_lines(small.traces), start=1):
+        daemon.ingest_entry(line, "traces.txt")
+        if number % 32 and number != len(small.traces):
+            continue
+        snapshot = daemon.quiesce()
+        by_address, by_as = {}, {}
+        for inference in snapshot.result.inferences + snapshot.result.uncertain:
+            by_address.setdefault(inference.address, []).append(inference)
+            by_as.setdefault(inference.local_as, []).append(inference)
+            if inference.remote_as != inference.local_as:
+                by_as.setdefault(inference.remote_as, []).append(inference)
+        assert snapshot.by_address == by_address
+        assert snapshot.by_as == by_as
+        for inference, record in snapshot.records.items():
+            assert record == inference.to_dict()
+            if inference in previous.records:
+                assert record is previous.records[inference]
+        previous = snapshot
 
 
 def test_chunked_folds_match_single_fold(world):

@@ -10,7 +10,8 @@ Two directions:
   by the differential harness's serve replay, ddmin-shrunk, and
   written out as a replayable regression bundle that still reproduces;
   so is an engine whose settled halves or start tallies outlive what
-  they were judged on.
+  they were judged on, or a pass that skips a half its touched set
+  should have named.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.add as add_module
+from repro.bgp.table import CollectorDump
 from repro.core.engine import Engine
+from repro.core.state import MapItState
 from repro.diff.harness import compare_world, world_diverges
 from repro.diff.shrink import divergence_predicate, shrink_world, write_regression
-from repro.diff.worlds import world_from_bundle, world_from_preset
+from repro.diff.worlds import World, world_from_bundle, world_from_preset
+from repro.graph.halves import BACKWARD
 from repro.graph.othersides import infer_other_sides
 from repro.net.ipv4 import format_address, parse_address
 from repro.net.special import default_special_registry
@@ -36,7 +41,7 @@ from repro.robust.errors import IngestReport
 from repro.robust.faults import dirty_tracking_fault
 from repro.serve.daemon import ServeDaemon
 from repro.serve.incremental import IncrementalIndex
-from repro.traceroute.parse import parse_text_trace
+from repro.traceroute.parse import parse_text_trace, parse_text_traces
 
 
 def test_sweep_of_seeded_worlds_never_diverges():
@@ -100,10 +105,13 @@ def never_unsettles_own_mapping(monkeypatch):
 
     def sticky(self, visible):
         parked = self._parked
-        settled = parked[1] if visible and parked is not None else self._settled
-        before = set(settled)
+        opened = parked[1] if visible and parked is not None else self._open
+        before = set(opened) if opened is not None else None
         sync(self, visible)
-        settled.update(half for half in before if half in self._tallies)
+        if before is not None:
+            self._open.difference_update(
+                [half for half in self._open - before if half in self._tallies]
+            )
 
     monkeypatch.setattr(Engine, "_sync_tallies", sticky)
 
@@ -123,22 +131,82 @@ def keeps_grown_start_tallies(monkeypatch):
     monkeypatch.setattr(Engine, "invalidate_halves", keeping)
 
 
+def refresh_drops_detached_halves(monkeypatch):
+    """The snapshot refresh skips every touched half whose indirect is
+    detached, so a half that loses its direct keeps the direct's
+    mapping in the snapshot."""
+    touched_since = MapItState.touched_since
+
+    def leaky(self, reader):
+        touched = touched_since(self, reader)
+        if reader != "visible":
+            return touched
+        indirect = self.indirect
+        return [half for half in touched if half not in indirect or not indirect[half].detached]
+
+    monkeypatch.setattr(MapItState, "touched_since", leaky)
+
+
+def inverse_ignores_new_predecessors(monkeypatch):
+    """The §4.4.4 fix judges only the backward directs added since its
+    last run, never an older one whose predecessor gained a forward
+    direct."""
+    fix = add_module._fix_inverse_inferences
+
+    def backward_only(engine, added):
+        return fix(engine, [half for half in added if half[1] == BACKWARD])
+
+    monkeypatch.setattr(add_module, "_fix_inverse_inferences", backward_only)
+
+
+def late_forward_inverse_world():
+    """9.0.0.1 (AS100) precedes 9.1.0.1, 9.2.0.1, 9.3.0.1 and 9.4.0.1.
+    Pass 1 infers 9.1.0.1's backward half toward AS100 (all its
+    predecessors are AS100) and those of 9.2.0.1 and 9.3.0.1 toward
+    AS200; only then does AS200 win 9.0.0.1's forward set, so pass 2
+    infers it toward AS200 — the inverse of the older backward
+    inference, which the §4.4.4 fix must now discard."""
+    p, x = "9.0.0.1", "9.1.0.1"
+    adjacencies = [(p, x), ("9.0.0.5", x), ("9.0.0.9", x), (p, "9.4.0.1")]
+    for target, preds in (("9.2.0.1", ("9.1.0.5", "9.1.0.9")), ("9.3.0.1", ("9.1.0.13", "9.1.0.17"))):
+        adjacencies += [(p, target)] + [(pred, target) for pred in preds]
+    lines = [f"m|9.9.{n}.1|{a} {b}" for n, (a, b) in enumerate(adjacencies)]
+    dump = CollectorDump.from_lines(
+        ["#collector c0 AS999"]
+        + [f"9.{n}.0.0/16|999 {asn}" for n, asn in enumerate((100, 200, 300, 400, 500))]
+    )
+    return World("late-forward-inverse", list(parse_text_traces(lines)), collector_dumps=[dump])
+
+
+#: each planted fault, the world its gate runs on, and the serve
+#: cadence (0: the oracle comparison alone, for faults batch shares)
 CACHE_FAULTS = {
-    "never_unsettles_own_mapping": never_unsettles_own_mapping,
-    "keeps_grown_start_tallies": keeps_grown_start_tallies,
+    "never_unsettles_own_mapping": (never_unsettles_own_mapping, ("tiny", 12), 1),
+    "keeps_grown_start_tallies": (keeps_grown_start_tallies, ("tiny", 12), 1),
+    "refresh_drops_detached_halves": (refresh_drops_detached_halves, ("small", 9), 0),
+    "inverse_ignores_new_predecessors": (inverse_ignores_new_predecessors, None, 1),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(CACHE_FAULTS))
 def test_replay_catches_stale_settled_halves_and_start_tallies(monkeypatch, fault):
-    """The every-prefix replay of tiny seed 12 is clean, and diverges
-    from batch under either patched cache."""
-    world = world_from_preset("tiny", 12)
-    assert compare_world(world, check_every=1).ok
-    CACHE_FAULTS[fault](monkeypatch)
-    outcome = compare_world(world, check_every=1)
+    """The gate passes each fault's world, and diverges under the
+    planted fault: the every-prefix replay of tiny seed 12 from batch
+    under either stale cache, and the oracle comparison (small seed 9,
+    and a hand-built world whose backward inference gains an inverse
+    forward predecessor a pass later) under either skipped half, which
+    batch shares."""
+    plant, preset, check_every = CACHE_FAULTS[fault]
+    world = world_from_preset(*preset) if preset else late_forward_inverse_world()
+    for rule in ("majority", "add_rule"):
+        assert compare_world(world, remove_rule=rule, check_every=check_every).ok
+    plant(monkeypatch)
+    outcome = compare_world(world, check_every=check_every)
     assert not outcome.ok
-    assert outcome.serve_prefix is not None
+    if check_every and preset:
+        assert outcome.serve_prefix is not None
+    else:
+        assert outcome.divergences
 
 
 @pytest.mark.parametrize("seed", [0, 1])

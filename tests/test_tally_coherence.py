@@ -1,5 +1,5 @@
-"""Tally-cache coherence: every cached answer the passes consume is the
-answer a fresh count would give.
+"""Tally-cache and touched-set coherence: every cached answer and every
+skip the passes take is the answer a fresh look would give.
 
 :meth:`Engine.plurality` serves both the add and the remove pass from
 one cache that survives snapshot refreshes, outer iterations, serve
@@ -7,9 +7,20 @@ quiesces and checkpoint restores.  These property tests wrap it so that
 each answer is checked against :meth:`Engine.count_plurality` on the
 spot, and check each remove decision against a fresh count under its
 rule — the majority reading against ``dominance(...).is_majority()``.
-The direct pass skips settled halves without asking
-:meth:`Engine.plurality` at all, so every such skip is checked too: a
-fresh count and the half's own mapping must agree it cannot fire.
+
+Every pass also leaves work out, and each omission is checked:
+
+* the direct pass judges only :meth:`Engine.open_candidates`; each
+  candidate it leaves out holds a direct, was inferred this add step,
+  or is settled, and then a fresh count and its own mapping must agree
+  that it cannot fire;
+* a remove pass re-tests only ``remove._retested``; each direct it
+  skips must still hold under a fresh count;
+* the dual, divergent and inverse fixes judge only the halves the
+  state's touched log names; each is also run as a full scan (every
+  half touched) on a copy of the state it started from, which must end
+  in the same state, counters and uncertain log included;
+* the stub step's address list equals a fresh one.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import copy
 
 import pytest
 
+import repro.core.add as add_module
 import repro.core.remove as remove_module
 from repro.core.config import REMOVE_ADD_RULE, REMOVE_MAJORITY, MapItConfig
 from repro.core.engine import Engine
@@ -31,41 +43,51 @@ WORLDS = [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 0), ("small", 1)]
 RULES = [REMOVE_MAJORITY, REMOVE_ADD_RULE]
 #: f values besides the default 0.5, which the coherence tests run at
 OTHER_FS = [0.25, 0.75]
+#: the fixes that read the touched log, by name in ``repro.core.add``
+FIXES = ("_fix_dual_inferences", "_flag_divergent_other_sides", "_fix_inverse_inferences")
 
 
-class CheckedSettled:
-    """The settled set as the direct pass reads it: each skip it grants
-    is checked against a fresh count and the half's own mapping."""
+def holds_fresh(engine, direct):
+    """The remove test of *direct* on a fresh count, under the rule."""
+    canonical = engine.canonical(direct.remote_as)
+    if engine.config.remove_rule == REMOVE_MAJORITY:
+        return engine.dominance(direct.half, canonical).is_majority()
+    fresh = engine.count_plurality(direct.half)
+    return (
+        fresh is not None
+        and fresh.canonical_as == canonical
+        and fresh.satisfies_f(engine.config.f)
+    )
 
-    def __init__(self, engine, held, checks):
-        self.engine, self.held, self.checks = engine, held, checks
 
-    def __contains__(self, half):
-        if half not in self.held:
-            return False
-        engine = self.engine
-        fresh = engine.count_plurality(half)
-        assert (
-            fresh is None
-            or not fresh.satisfies_f(engine.config.f)
-            or engine.canonical(engine.half_asn(half)) == fresh.canonical_as
-        ), f"settled half {half} can fire"
-        self.checks["settled"] += 1
-        return True
-
-    def add(self, half):
-        self.held.add(half)
+def fix_outcome(state, returned):
+    """Everything a fix can change, comparable across two states."""
+    return (
+        state.state_key(),
+        sorted(
+            (half, direct.local_as, direct.remote_as, direct.uncertain)
+            for half, direct in state.uncertain_log.items()
+        ),
+        state.dual_resolved,
+        state.dual_same_as,
+        state.divergent_other_sides,
+        state.inverse_removed,
+        state.uncertain_pairs,
+        returned,
+    )
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check every cached plurality, every settled skip and every remove
-    decision against a fresh count; returns the number of checks made
-    so far."""
-    checks = {"plurality": 0, "settled": 0, "remove": 0}
+    """Check every cached plurality, every skip the passes take and every
+    remove decision against a fresh look; returns the number of checks
+    made so far."""
+    checks = {"plurality": 0, "settled": 0, "remove": 0, "held": 0, "fix": 0, "stub": 0}
     plurality = Engine.plurality
-    settled = Engine.settled
+    open_candidates = Engine.open_candidates
+    stub_addresses = Engine.stub_addresses
     still_holds = remove_module._still_holds
+    retested = remove_module._retested
 
     def checked_plurality(self, half):
         answer = plurality(self, half)
@@ -73,27 +95,69 @@ def checked(monkeypatch):
         checks["plurality"] += 1
         return answer
 
+    def checked_open_candidates(self):
+        judged = open_candidates(self)
+        assert judged == sorted(set(judged))
+        state = self.state
+        for half in self.candidate_set().difference(judged):
+            if half in state.direct or half in state.inferred_this_step:
+                continue
+            assert half not in self._open, f"candidate {half} left out unsettled"
+            fresh = self.count_plurality(half)
+            assert (
+                fresh is None
+                or not fresh.satisfies_f(self.config.f)
+                or self.canonical(self.half_asn(half)) == fresh.canonical_as
+            ), f"settled half {half} can fire"
+            checks["settled"] += 1
+        return judged
+
     def checked_still_holds(engine, direct):
         holds = still_holds(engine, direct)
-        canonical = engine.canonical(direct.remote_as)
-        if engine.config.remove_rule == REMOVE_MAJORITY:
-            expected = engine.dominance(direct.half, canonical).is_majority()
-        else:
-            fresh = engine.count_plurality(direct.half)
-            expected = (
-                fresh is not None
-                and fresh.canonical_as == canonical
-                and fresh.satisfies_f(engine.config.f)
-            )
-        assert holds == expected, f"remove decision for {direct.half}"
+        assert holds == holds_fresh(engine, direct), f"remove decision for {direct.half}"
         checks["remove"] += 1
         return holds
 
+    def checked_retested(engine):
+        tested = retested(engine)
+        state = engine.state
+        for half in state.direct.keys() - set(tested):
+            assert holds_fresh(engine, state.direct[half]), f"held direct {half} fails"
+            checks["held"] += 1
+        return tested
+
+    def checked_fix(name):
+        fix = getattr(add_module, name)
+
+        def full_scan_agrees(engine, touched):
+            before = copy.deepcopy(engine.state)
+            outcome = fix_outcome(engine.state, fix(engine, touched))
+            live, engine.state = engine.state, before
+            try:
+                everything = list(before.direct) + list(before.indirect) + list(touched)
+                expected = fix_outcome(before, fix(engine, everything))
+            finally:
+                engine.state = live
+            assert outcome == expected, f"{name} missed a half the full scan changes"
+            checks["fix"] += 1
+            return outcome[-1]
+
+        return full_scan_agrees
+
+    def checked_stub_addresses(self):
+        listed = stub_addresses(self)
+        fresh = sorted(a for a, members in self.graph.forward.items() if len(members) == 1)
+        assert listed == fresh, "stale single-member list"
+        checks["stub"] += 1
+        return listed
+
     monkeypatch.setattr(Engine, "plurality", checked_plurality)
-    monkeypatch.setattr(
-        Engine, "settled", lambda self: CheckedSettled(self, settled(self), checks)
-    )
+    monkeypatch.setattr(Engine, "open_candidates", checked_open_candidates)
+    monkeypatch.setattr(Engine, "stub_addresses", checked_stub_addresses)
     monkeypatch.setattr(remove_module, "_still_holds", checked_still_holds)
+    monkeypatch.setattr(remove_module, "_retested", checked_retested)
+    for name in FIXES:
+        monkeypatch.setattr(add_module, name, checked_fix(name))
     return checks
 
 
@@ -116,6 +180,9 @@ def test_batch_passes_read_coherent_tallies(checked, preset, seed, rule):
     assert checked["plurality"] > 0
     assert checked["settled"] > 0
     assert checked["remove"] > 0
+    assert checked["held"] > 0
+    assert checked["fix"] > 0
+    assert checked["stub"] > 0
 
 
 @pytest.mark.parametrize("f", OTHER_FS)
@@ -124,6 +191,7 @@ def test_batch_passes_read_coherent_tallies(checked, preset, seed, rule):
 def test_batch_settled_skips_cannot_fire(checked, preset, seed, rule, f):
     batch_run(world_from_preset(preset, seed), MapItConfig(f=f, remove_rule=rule))
     assert checked["settled"] > 0
+    assert checked["fix"] > 0
 
 
 def replay_with_restore(world, config):
@@ -167,6 +235,9 @@ def test_serve_replay_reads_coherent_tallies(checked, preset, seed, rule):
     assert checked["plurality"] > 0
     assert checked["settled"] > 0
     assert checked["remove"] > 0
+    assert checked["held"] > 0
+    assert checked["fix"] > 0
+    assert checked["stub"] > 0
 
 
 @pytest.mark.parametrize("f", OTHER_FS)
@@ -180,3 +251,4 @@ def test_serve_replay_settled_skips_cannot_fire(checked, preset, seed, rule, f):
         world, len(world.traces), config
     )
     assert checked["settled"] > 0
+    assert checked["fix"] > 0
