@@ -119,11 +119,10 @@ performance (see docs/PERFORMANCE.md):
                   docs/ROBUSTNESS.md)
 
 resilience (run; see docs/ROBUSTNESS.md):
-  --journal DIR   journal the run's result to DIR (default
-                  $MAPIT_JOURNAL or off)
-  --resume ID     replay a journaled run's result, or else re-run the
-                  passes over the cached graph; output is byte-identical
-                  to an uninterrupted run
+  --journal DIR   keep the run's folded-graph cache entry in DIR
+                  (default $MAPIT_JOURNAL or off)
+  --resume ID     re-run the passes over the graph cached in DIR;
+                  output is byte-identical to an uninterrupted run
 """
 
 
@@ -475,8 +474,8 @@ def cmd_run(args) -> int:
     if _missing_journal(journal_dir, ("--resume", args.resume)):
         return 2
     if journal_dir and not args.no_cache and args.cache is None:
-        # Journaled runs default their graph cache next to the journal,
-        # so a resume restores the graph from a verified cache hit.
+        # The journal directory holds the run's folded-graph cache
+        # entry: a resume is a run whose load hits it.
         args.cache = os.environ.get("MAPIT_CACHE") or journal_dir
     obs = _build_obs(args)
     try:
@@ -485,8 +484,7 @@ def cmd_run(args) -> int:
             return EXIT_BUDGET_EXCEEDED
         config = _mapit_config(args)
         if journal_dir:
-            from repro.obs import NULL_OBS
-            from repro.robust.journal import RunJournal, journaled_run, run_identity
+            from repro.robust.journal import run_identity
             from repro.traceroute.parse import trace_format_for_path
 
             # The load hashed the traces file already (cache key,
@@ -505,19 +503,8 @@ def cmd_run(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            journal = RunJournal(
-                journal_dir, run_id, obs=obs if obs is not None else NULL_OBS
-            )
             print(f"journal: run {run_id} in {journal_dir}", file=sys.stderr)
-            result = journaled_run(
-                bundle,
-                config,
-                obs=obs,
-                journal=journal,
-                resume=bool(args.resume),
-            )
-        else:
-            result = bundle.run_mapit(config, obs=obs)
+        result = bundle.run_mapit(config, obs=obs)
     finally:
         _finish_obs(obs, args)
     _emit_result(result, args.output, args.json)
@@ -977,18 +964,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         metavar="DIR",
         help=(
-            "journal the run's result to DIR so a crashed run can be "
-            "resumed (default $MAPIT_JOURNAL or off)"
+            "keep the run's folded-graph cache entry in DIR (unless "
+            "--cache names another) so a killed run can be resumed "
+            "(default $MAPIT_JOURNAL or off)"
         ),
     )
     run.add_argument(
         "--resume",
         metavar="RUN_ID",
         help=(
-            "resume the journaled run RUN_ID: replay its result, or else "
-            "re-run the passes over the cached graph; the id is printed "
-            "when journaling starts, and the resumed output is "
-            "byte-identical to an uninterrupted run"
+            "resume the run RUN_ID: re-run the passes over the graph "
+            "cached in --journal; the id is printed when the run starts, "
+            "and the resumed output is byte-identical to an "
+            "uninterrupted run"
         ),
     )
     _add_mapit_options(run)

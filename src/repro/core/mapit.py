@@ -259,7 +259,7 @@ def run_mapit_graph(
     """Run MAP-IT over a pre-built interface graph.
 
     The tail every graph source ends in: the fused file loader, a warm
-    cache hit, the journaled run, and :func:`run_mapit` over a trace
+    cache hit (a resumed run's too), and :func:`run_mapit` over a trace
     list.  Before the passes start it warms the engine's origin cache
     with one batched LPM sweep over every address the passes can query
     (``Engine.prime_origins``), amortizing ip2as resolution per run

@@ -21,12 +21,14 @@ never happened.  Every CLI call passes the comparison's config.
     ``run --jobs 2 --shard-timeout 0.75``; shard 1's worker stalls 5 s
     on its first attempt, is killed, and the retry succeeds;
 ``torn-journal``
-    a journaled run crashes right after journaling its result, the
-    journal is cut mid-line, and ``--resume`` re-runs the passes over
-    the graph cached beside the journal;
+    a ``mapit serve --once`` session checkpoints mid-stream and at the
+    end; its journal is cut mid-line inside the newest checkpoint, and
+    ``serve --resume --once`` restores the earlier one and re-reads the
+    stream from its offset;
 ``enospc``
-    a journaled run whose first journal write and cache store fail
-    with ``ENOSPC``: durability degrades, the run completes;
+    a cached run whose cache store fails with ``ENOSPC``: the entry is
+    lost, the run completes (the ``serve`` schedule fails a journal
+    write);
 ``corrupt-cache``
     a byte of a cold run's ``.mapitc`` entry is flipped; the warm run
     must detect it (no hit) and parse again;
@@ -61,7 +63,7 @@ from repro.diff.harness import ChaosRun
 from repro.diff.worlds import World
 from repro.io.bundle import find_traces
 from repro.perf.cache import BINARY_MAGIC
-from repro.robust.faults import ChaosInjector, FaultInjector, SimulatedCrash
+from repro.robust.faults import ChaosInjector
 from repro.robust.hooks import chaos
 from repro.robust.journal import RunJournal
 
@@ -217,31 +219,36 @@ def _hang(context: _Context) -> str:
 
 
 def _torn_journal(context: _Context) -> str:
+    dataset, lines = _maps_only(context, "torn")
+    stream = context.root / "torn-stream.txt"
+    stream.write_text("".join(lines))
     journal = context.root / "journal-torn"
-    argv = ("--jobs", _JOBS, "--journal", str(journal))
-    try:
-        context.run("torn", *argv, injector=ChaosInjector(crash_after_result=True))
-    except SimulatedCrash:
-        pass
-    else:
-        raise ScheduleFailed("did not fire: the journaled run did not crash")
-    path, run_id = _journal_of(journal)
-    FaultInjector(0).corrupt_file(path, kind="truncated_file")
-    counters = context.run("torn-resume", *argv, "--resume", run_id)
-    return "crashed after its result, " + _fired(
-        counters, {"robust.journal.torn_tail": 1, "perf.cache.hits": 1}
+    # one checkpoint past the middle of the stream, one at its end
+    session = [
+        "serve", str(dataset), "--follow", str(stream), "--journal", str(journal),
+        "--checkpoint-every", str(len(lines) // 2 + 1),
+    ]
+    context.written("torn", [*session, "--once"])
+    path, _ = _journal_of(journal)
+    data = path.read_bytes()
+    newest = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[: newest + (len(data) - newest) // 2])
+    counters, stderr = context.written("torn-resume", [*session, "--resume", "--once"])
+    restored = [line for line in stderr.splitlines() if "resume: restored checkpoint" in line]
+    if not restored:
+        raise ScheduleFailed("did not fire: the resume restored no checkpoint")
+    return restored[0].split("resume: ", 1)[1] + ", " + _fired(
+        counters, {"robust.journal.torn_tail": 1}
     )
 
 
 def _enospc(context: _Context) -> str:
-    journal = context.root / "journal-enospc"
-    injector = ChaosInjector(journal_enospc_seqs={0}, cache_enospc=True)
+    cache = context.root / "cache-enospc"
+    injector = ChaosInjector(cache_enospc=True)
     counters = context.run(
-        "enospc", "--jobs", _JOBS, "--journal", str(journal), injector=injector
+        "enospc", "--jobs", _JOBS, "--cache", str(cache), injector=injector
     )
-    return _fired(
-        counters, {"robust.journal.write_failed": 1, "perf.cache.store_failed": 1}
-    )
+    return _fired(counters, {"perf.cache.store_failed": 1})
 
 
 def _corrupt_cache(context: _Context) -> str:
@@ -261,14 +268,20 @@ def _corrupt_cache(context: _Context) -> str:
     return _fired(counters, {"perf.cache.invalid": 1}) + ", perf.cache.hits 0"
 
 
-def _serve(context: _Context) -> str:
-    dataset = context.root / "serve-dataset"
+def _maps_only(context: _Context, label: str) -> Tuple[Path, List[str]]:
+    """A copy of the dataset without its traces file, for a serve
+    session to follow; returns it and the traces file's lines."""
+    dataset = context.root / f"{label}-dataset"
     shutil.copytree(context.dataset, dataset)
     find_traces(dataset).unlink()
+    return dataset, find_traces(context.dataset).read_text().splitlines(keepends=True)
+
+
+def _serve(context: _Context) -> str:
+    dataset, lines = _maps_only(context, "serve")
     stream = context.root / "stream.txt"
     stream.write_text("")
     journal = context.root / "journal-serve"
-    lines = find_traces(context.dataset).read_text().splitlines(keepends=True)
     half = max(1, len(lines) // 2)
     # every 5 folds, or often enough for a shrunk world's first half
     checkpoint_every = str(min(5, half))

@@ -17,6 +17,9 @@ sides' final neighbor-set tallies, and the oracle's journal of every
 rule that touched the half (iteration, pass, rule).  The §4.6
 trajectory is held to the oracle too: both sides must run the same
 number of outer iterations and agree on whether the state repeated.
+So are the §4.4.3–§4.4.4 fixes' counters (the result's diagnostics
+against :meth:`~repro.oracle.OracleResult.fix_counters`): a fix that
+acts on the right halves but miscounts changes the output too.
 
 With a cadence (``check_every > 0``) the harness also holds serve to
 batch: it folds the world into an
@@ -27,8 +30,8 @@ prefix (and always the last) with :func:`reference_state` — the same
 
 With chaos schedules (``chaos=...``, :mod:`repro.diff.chaos`) it also
 runs the real CLI on the saved world under each fault — killed and hung
-workers, a torn journal, a full disk, a flipped cache byte, a SIGKILLed
-serve daemon — and holds every faulted run to the bytes of the core
+workers, a torn serve journal, a full disk, a flipped cache byte, a
+SIGKILLed serve daemon — and holds every faulted run to the bytes of the core
 run the oracle comparison checked.
 
 Emits ``diff.*`` metrics (docs/OBSERVABILITY.md) when given an
@@ -139,6 +142,8 @@ class WorldOutcome:
     #: ``((iterations, converged) of core, of oracle)`` when the two
     #: §4.6 loops ran differently; None when they agree
     trajectory: Optional[Tuple[Tuple[int, bool], Tuple[int, bool]]] = None
+    #: ``(name, core, oracle)`` of the first fix counter that differs
+    counters: Optional[Tuple[str, int, int]] = None
     #: serve prefixes compared against batch (0 without a cadence)
     prefixes: int = 0
     #: the first prefix whose quiesced serve state differed from batch
@@ -154,12 +159,14 @@ class WorldOutcome:
     def divergence_count(self) -> int:
         """Halves diverging from the oracle, plus one per input whose
         fold differs, plus one when the §4.6 trajectory differs, plus
-        one when serve diverged, plus one per failed chaos run."""
+        one when a fix counter differs, plus one when serve diverged,
+        plus one per failed chaos run."""
         failed = sum(1 for run in self.chaos if run.failure)
         return (
             len(self.divergences)
             + len(self.folds)
             + (self.trajectory is not None)
+            + (self.counters is not None)
             + (self.serve_prefix is not None)
             + failed
         )
@@ -171,6 +178,7 @@ class WorldOutcome:
             not self.divergences
             and not self.folds
             and self.trajectory is None
+            and self.counters is None
             and self.serve_prefix is None
         )
 
@@ -379,6 +387,18 @@ def trajectory_report(
     )
 
 
+def first_counter_mismatch(
+    diagnostics: Dict[str, int], oracle_result: OracleResult
+) -> Optional[Tuple[str, int, int]]:
+    """``(name, core, oracle)`` for the first of the oracle's
+    :meth:`~repro.oracle.OracleResult.fix_counters` on which a result's
+    *diagnostics* differ; None when all agree."""
+    for name, expected in oracle_result.fix_counters().items():
+        if diagnostics[name] != expected:
+            return name, diagnostics[name], expected
+    return None
+
+
 def reference_state(
     world: World, prefix: int, config: MapItConfig, ip2as: Optional[IP2AS] = None
 ) -> Tuple[str, str]:
@@ -449,8 +469,9 @@ def compare_world(
     """Hold the production fold to the oracle's (:func:`fold_mismatches`;
     not with *check_fold* false: the fold does not depend on the remove
     rule, so a sweep checks it with its first rule only), run oracle
-    and core on the one production graph and diff the final inferences
-    and the §4.6 trajectory (iterations, converged); with *check_every*
+    and core on the one production graph and diff the final inferences,
+    the §4.6 trajectory (iterations, converged) and the fix counters
+    (:func:`first_counter_mismatch`); with *check_every*
     > 0, also replay serve against batch at that prefix cadence
     (:func:`_replay_serve`); with *chaos* schedules, also hold the CLI's
     faulted runs to the core run's bytes
@@ -487,6 +508,7 @@ def compare_world(
             if core_trajectory == oracle_trajectory
             else (core_trajectory, oracle_trajectory)
         ),
+        counters=first_counter_mismatch(result.diagnostics, oracle_result),
         prefixes=prefixes,
         serve_prefix=serve_prefix,
         chaos=runs,
@@ -506,6 +528,12 @@ def compare_world(
         ))
     if outcome.trajectory is not None:
         reports.append(trajectory_report(world, remove_rule, outcome.trajectory))
+    if outcome.counters is not None:
+        name, core, oracle = outcome.counters
+        reports.append(
+            f"world {world.name} (remove_rule={remove_rule}): fix counter differs, "
+            f"core vs oracle\n  {name}: core {core} oracle {oracle}"
+        )
     if serve_report:
         reports.append(serve_report)
     reports.extend(outcome.chaos_line(run) for run in runs if run.failure)
@@ -522,8 +550,8 @@ def world_diverges(
     world: World, remove_rule: str = REMOVE_MAJORITY, check_every: int = 0
 ) -> bool:
     """The shrinker's predicate: does *world* still diverge (from the
-    oracle, in its fold, records or trajectory, or, with a cadence,
-    serve from batch)?"""
+    oracle, in its fold, records, trajectory or fix counters, or, with
+    a cadence, serve from batch)?"""
     try:
         return not compare_world(world, remove_rule, check_every=check_every).ok
     except Exception as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.dns.naming import HostnameDataset
-from repro.eval.verify import LinkRecord, VerificationDataset
+from repro.eval.verify import LinkRecord, VerificationDataset, _is_eligible
 from repro.graph.neighbors import InterfaceGraph
 
 EXTERNAL_TAG = "external"
@@ -96,31 +96,11 @@ def build_dns_verification(
     # dict.fromkeys dedups in first-seen order (a set would iterate in
     # arbitrary order and leak it into the eligible dict's ordering)
     for record in dict.fromkeys(dataset.link_by_address.values()):
-        if _dns_eligible(record, target_as, graph, seen_addresses, address_as):
+        if _is_eligible(record, target_as, graph, seen_addresses, address_as):
             dataset.eligible[record.key] = record
         else:
             dataset.excluded += 1
     return dataset
-
-
-def _dns_eligible(
-    record: LinkRecord,
-    target_as: int,
-    graph: InterfaceGraph,
-    seen_addresses: Set[int],
-    address_as: Callable[[int], int],
-) -> bool:
-    if not any(address in seen_addresses for address in record.addresses):
-        return False
-    connected = [asn for asn in record.pair if asn != target_as]
-    connected_as = connected[0] if connected else target_as
-    if record.owner_as == connected_as:
-        return True
-    for address in record.addresses:
-        neighbors = graph.n_forward(address) | graph.n_backward(address)
-        if any(address_as(neighbor) == connected_as for neighbor in neighbors):
-            return True
-    return False
 
 
 def tag_table(network) -> Dict[str, int]:

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.results import LinkInference
 from repro.eval.metrics import Score
-from repro.eval.verify import VerificationDataset, _canonical_pair
+from repro.eval.verify import VerificationDataset, _adjacent_duplicate, _canonical_pair
 from repro.graph.neighbors import InterfaceGraph
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import LinkType, RelationshipDataset
@@ -83,7 +83,7 @@ def breakdown_by_relationship(
             continue
         if dataset.complete:
             breakdown.by_class[classify(inference.pair())].count_fp("unlisted")
-        elif graph is not None and _adjacent_pair_duplicate(
+        elif graph is not None and _adjacent_duplicate(
             inference, inferred_pair, dataset, graph, org
         ):
             breakdown.by_class[classify(inference.pair())].count_fp(
@@ -95,20 +95,3 @@ def breakdown_by_relationship(
         if key not in matched:
             breakdown.by_class[classify(record.pair)].fn += 1
     return breakdown
-
-
-def _adjacent_pair_duplicate(
-    inference: LinkInference,
-    inferred_pair: Tuple[int, int],
-    dataset: VerificationDataset,
-    graph: InterfaceGraph,
-    org: AS2Org,
-) -> bool:
-    neighbors = graph.n_forward(inference.address) | graph.n_backward(
-        inference.address
-    )
-    for neighbor in neighbors:
-        record = dataset.link_by_address.get(neighbor)
-        if record is not None and inferred_pair == _canonical_pair(record.pair, org):
-            return True
-    return False

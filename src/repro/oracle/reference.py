@@ -29,11 +29,13 @@ Determinism comes from sorting every iteration domain outright.
 
 Every state change is appended to a ``journal`` (iteration, pass,
 rule, half, tally), which the differential harness prints when the
-production engine disagrees.
+production engine disagrees; the fixes' counters are counted from it
+(:meth:`OracleResult.fix_counters`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -113,6 +115,8 @@ class OracleResult:
     journal: List[dict] = field(default_factory=list)
     #: the final per-half mapping snapshot (§4.4.5), for reporting
     final_visible: Dict[Half, int] = field(default_factory=dict)
+    #: same-AS dual pairs the dual fix kept, summed over its passes
+    dual_same_as: int = 0
 
     def by_half(self) -> Dict[Half, OracleRecord]:
         """Final inferences keyed by half (confident and uncertain)."""
@@ -120,6 +124,35 @@ class OracleResult:
         for record in self.confident + self.uncertain:
             table[record.half] = record
         return table
+
+    def fix_counters(self) -> Dict[str, int]:
+        """The §4.4.3–§4.4.4 fixes' counters, as production names them:
+        backward halves the dual fix dropped, same-AS dual pairs, links
+        whose indirects were detached (one per link and pass, whichever
+        of its two indirects went), backward halves the inverse fix
+        removed, and forward halves it flagged uncertain."""
+        rules = Counter(entry["rule"] for entry in self.journal)
+        links = {
+            (
+                entry["iteration"],
+                entry["pass"],
+                frozenset(
+                    ((entry["address"], entry["forward"]), (entry["source"], not entry["forward"]))
+                ),
+            )
+            for entry in self.journal
+            if entry["rule"] == "detach"
+        }
+        pairs = sum(
+            1 for entry in self.journal if entry["rule"] == "uncertain" and entry["forward"]
+        )
+        return {
+            "dual_resolved": rules["dual"],
+            "dual_same_as": self.dual_same_as,
+            "divergent_other_sides": len(links),
+            "inverse_removed": rules["inverse_removed"],
+            "uncertain_pairs": pairs,
+        }
 
     def journal_for(self, half: Half) -> List[dict]:
         """Every journal entry that touched *half*."""
@@ -145,6 +178,7 @@ class _OracleRun:
         self.visible: Dict[Half, int] = {}
         self.uncertain_log: Dict[Half, _Direct] = {}
         self.journal: List[dict] = []
+        self.dual_same_as = 0
         self.iteration = 0
         self.pass_number = 0
 
@@ -318,6 +352,7 @@ class _OracleRun:
             forward_remote = self.canonical(self.direct[forward_half].remote_as)
             backward_remote = self.canonical(self.direct[half].remote_as)
             if forward_remote == backward_remote:
+                self.dual_same_as += 1
                 continue
             self.remove_direct(half)
             self.note("dual", half)
@@ -604,6 +639,7 @@ class _OracleRun:
             converged=converged,
             journal=self.journal,
             final_visible=dict(self.visible),
+            dual_same_as=self.dual_same_as,
         )
 
 

@@ -301,8 +301,8 @@ class ChaosInjector:
 
     One injector describes *when* faults fire, keyed by deterministic
     coordinates — ``(shard_index, attempt)`` for worker faults, journal
-    sequence numbers for write faults, the journaled result for the
-    crash — so the same schedule replays identically on every run.
+    sequence numbers for write faults — so the same schedule replays
+    identically on every run.
     Worker faults are pid-guarded: they only fire in forked children,
     never in the parent, so the supervisor's inline degradation (and
     every serial run) always stays clean.
@@ -318,10 +318,7 @@ class ChaosInjector:
         (fires once per seq);
     ``cache_enospc``
         the next ``.mapitc`` cache store fails with ``ENOSPC``
-        (fires once);
-    ``crash_after_result``
-        raise :class:`SimulatedCrash` right after a journaled run's
-        result is journaled — the resume test's kill switch.
+        (fires once).
     """
 
     seed: int = 0
@@ -330,7 +327,6 @@ class ChaosInjector:
     hang_seconds: float = 5.0
     journal_enospc_seqs: FrozenSet[int] = frozenset()
     cache_enospc: bool = False
-    crash_after_result: bool = False
     _parent_pid: int = field(default_factory=os.getpid)
     _fired: Set[str] = field(default_factory=set)
 
@@ -359,11 +355,6 @@ class ChaosInjector:
         if scheduled:
             self._fired.add(key)
             raise OSError(errno.ENOSPC, f"chaos: no space left ({kind} #{seq})")
-
-    def maybe_crash_after_result(self) -> None:
-        """Model the process dying right after its result was journaled."""
-        if self.crash_after_result:
-            raise SimulatedCrash("simulated crash after the journaled result")
 
 
 # ----------------------------------------------------------------------

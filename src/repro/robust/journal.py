@@ -1,30 +1,27 @@
-"""Crash-safe run journal: durable units, byte-identical resume.
+"""Crash-safe journal: durable units, checksummed and append-only.
 
-A MAP-IT run journals one durable unit: its result.  ``mapit run
---resume <run-id>`` replays a journaled result; without one it re-runs
-the passes over the interface graph.  The graph is a pure function of
-the traces file, so the resume loads it again — as a verified hit on
-the ``.mapitc`` :class:`~repro.perf.cache.BundleCache` entry in the
-same directory (keyed by the same source sha256), or by re-parsing —
-and the passes are a pure function of the graph, so either way the
-output is byte-identical to an uninterrupted run.  The multipass
-converges in a few iterations, so re-running it costs less than
-journaling its state would.  ``graph`` and ``iteration`` records left
-by journals of earlier releases are skipped; their blobs are never
-opened.
+Two commands journal their progress here: ``mapit serve`` appends a
+checkpoint (its fold state as a blob beside the record) and ``mapit
+sweep`` one record per completed cell.  ``mapit run`` journals
+nothing: its output is a pure function of the interface graph, so a
+killed run resumes by loading the graph again — a verified hit on the
+``.mapitc`` :class:`~repro.perf.cache.BundleCache` entry its journal
+directory holds — and re-running the passes; only its run id
+(:func:`run_identity`) comes from here.
 
 Layout, next to the ``.mapitc`` cache entries::
 
     <dir>/<run-id>.journal.jsonl     # one JSON record per unit
     <dir>/<run-id>.seq<NNNNNN>.blob  # the binary payload of record NNNNNN
 
-Other journal users (the sweep orchestrator's cells, serve
-checkpoints) append their own units; a serve checkpoint stores its
-fold state as a blob beside its record.  The journal alone decides
-where a record goes and what its blob is called: before its first
-append it finds its verified records, so every append continues the
-sequence whoever opened it, and a blob is named by its record's seq,
-so no two records ever share one.
+The journal alone decides where a record goes and what its blob is
+called: before its first append it finds its verified records, so every
+append continues the sequence whoever opened it, and a blob is named by
+its record's seq, so no two records ever share one.  Once two newer
+blob-carrying records are durable, an older record's blob is deleted
+(:data:`KEPT_BLOBS`): a reader falls back from a damaged newest blob to
+the one before it, never further, so the directory stays bounded however
+long a session runs.
 
 The run id is a sha256 prefix over (traces sha256, format, ingest
 mode, config repr) — the inputs that determine the result — so a
@@ -41,22 +38,24 @@ journal.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.io.atomic import atomic_write_bytes, file_sha256
-from repro.io.bundle import find_traces
+from repro.io.atomic import atomic_write_bytes
 from repro.obs.observer import NULL_OBS, Observability
 from repro.robust.hooks import active_chaos
 
 #: bump when the record or blob layout changes; old journals then key
-#: to a different run id and are simply not resumed.  Journals of this
-#: version written by earlier releases still resume: their ``graph``
-#: and ``iteration`` records are skipped.
+#: to a different run id and are simply not resumed
 JOURNAL_VERSION = 1
+
+#: blobs kept per journal: the newest and the one a reader falls back
+#: to when the newest is damaged
+KEPT_BLOBS = 2
 
 
 def run_identity(
@@ -82,17 +81,6 @@ def run_identity(
     return hashlib.sha256(material.encode()).hexdigest()[:16]
 
 
-def run_identity_for(directory: Union[str, Path], config: Any, mode: str) -> str:
-    """The run id for a dataset directory's traces file
-    (:func:`~repro.io.bundle.find_traces`)."""
-    from repro.traceroute.parse import trace_format_for_path
-
-    path = find_traces(directory)
-    if path is None:
-        raise FileNotFoundError(f"no traces.txt or traces.jsonl in {Path(directory)}")
-    return run_identity(file_sha256(path), config, mode, trace_format_for_path(path.name))
-
-
 class RunJournal:
     """Append-only journal of one run's completed units.
 
@@ -114,6 +102,8 @@ class RunJournal:
         self.disabled = False
         #: the verified records, once the file has been read
         self._records: Optional[List[Dict[str, Any]]] = None
+        #: how many of the oldest blob-carrying records lost their blob
+        self._pruned = 0
 
     @property
     def path(self) -> Path:
@@ -134,7 +124,9 @@ class RunJournal:
         ``<run-id>.seq<NNNNNN>.blob`` for the record's seq, and the
         payload records its name (``blob``) and sha256 (``sha256``).
         The line's sha256 covers ``(seq, unit, payload)`` in canonical
-        JSON, so a torn or bit-flipped tail is detectable on read.
+        JSON, so a torn or bit-flipped tail is detectable on read.  Once
+        a blob's record is durable, the blobs older than the newest
+        :data:`KEPT_BLOBS` are deleted.
         """
         records = self._verified()
         if self.disabled:
@@ -164,7 +156,24 @@ class RunJournal:
             return False
         records.append(record)
         self.obs.inc("robust.journal.units")
+        if blob is not None:
+            self._prune_blobs(records)
         return True
+
+    def _prune_blobs(self, records: List[Dict[str, Any]]) -> None:
+        """Delete the blob of every record older than the newest
+        :data:`KEPT_BLOBS` blob-carrying ones, each once.  A failed
+        delete costs disk space, never the journal."""
+        names = [
+            payload["blob"]
+            for payload in (record.get("payload") for record in records)
+            if isinstance(payload, dict) and isinstance(payload.get("blob"), str)
+        ]
+        for name in names[self._pruned : len(names) - KEPT_BLOBS]:
+            if name.isalnum():  # a blob name, never a path
+                with contextlib.suppress(OSError):
+                    self._blob_path(name).unlink()
+        self._pruned = max(self._pruned, len(names) - KEPT_BLOBS)
 
     # -- reading -----------------------------------------------------------
 
@@ -234,46 +243,3 @@ class RunJournal:
             self.obs.inc("robust.journal.blob_corrupt")
             return None
         return data
-
-
-# ----------------------------------------------------------------------
-# the journaled pipeline
-
-
-def journaled_run(
-    bundle,
-    config=None,
-    obs: Optional[Observability] = None,
-    *,
-    journal: RunJournal,
-    resume: bool = False,
-):
-    """Run MAP-IT over ``bundle.graph`` and journal the result.
-
-    *bundle* must come from ``load_bundle(..., graph_only=True)``; the
-    run is its :meth:`~repro.io.bundle.InputBundle.run_mapit` exactly —
-    same engine, same result.  With ``resume=True`` a result the journal
-    already holds is replayed instead; without one the passes run
-    again.  Either way the returned result is byte-identical
-    (``to_json``) to an uninterrupted unjournaled run.
-    """
-    from repro.core.results import MapItResult
-
-    if bundle.graph is None:
-        raise ValueError("journaled_run needs a bundle loaded with graph_only=True")
-    effective_obs = obs if obs is not None else NULL_OBS
-
-    if resume:
-        results = journal.units("result")
-        if results:
-            effective_obs.inc("robust.journal.replayed")
-            return MapItResult.from_json(results[-1]["json"])
-        if effective_obs.enabled:
-            effective_obs.event("journal.resume", run_id=journal.run_id)
-
-    result = bundle.run_mapit(config, obs=obs)
-    journal.append("result", {"json": result.to_json()})
-    chaos = active_chaos()
-    if chaos is not None:
-        chaos.maybe_crash_after_result()
-    return result

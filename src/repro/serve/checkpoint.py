@@ -1,8 +1,8 @@
-"""Serve checkpoints: durable fold state via the run journal.
+"""Serve checkpoints: durable fold state via the journal.
 
 A serve checkpoint is one :data:`CHECKPOINT_UNIT` record appended to
-the same :class:`~repro.robust.journal.RunJournal` batch runs use,
-with a blob the journal names by the record's seq
+a :class:`~repro.robust.journal.RunJournal` (sweeps journal their
+cells in the same format), with a blob the journal names by the record's seq
 (``<dir>/<run-id>.seq<NNNNNN>.blob`` beside a checksummed journal
 line; :meth:`~repro.serve.daemon.ServeDaemon.checkpoint` writes it).
 The blob is the daemon's fold state in the one encoding of a folded

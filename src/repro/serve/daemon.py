@@ -465,8 +465,7 @@ class ServeDaemon:
         and line counts to the journal; returns whether it stuck.
 
         A failed write (ENOSPC) disables the journal and costs only
-        durability — the daemon keeps serving, as batch journaling does
-        (docs/ROBUSTNESS.md).
+        durability — the daemon keeps serving (docs/ROBUSTNESS.md).
         """
         if self.journal is None:
             return False

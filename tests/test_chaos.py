@@ -106,6 +106,16 @@ class TestSchedules:
             "resume: restored checkpoint, robust.journal.write_failed 1"
         )
 
+    def test_torn_journal_schedule_restores_an_earlier_checkpoint(self, tiny):
+        """A serve journal cut inside its newest checkpoint: the resume
+        restores the mid-stream one and re-reads the rest."""
+        outcome = compare_world(tiny, chaos=("torn-journal",))
+        assert outcome.ok, outcome.report
+        assert outcome.chaos[1].evidence == (
+            f"restored checkpoint at {len(tiny.traces) // 2 + 1} folds, "
+            "robust.journal.torn_tail 1"
+        )
+
     @pytest.mark.parametrize(
         "hook, names",
         [("maybe_fault_shard", ("kill", "hang")), ("maybe_fail_write", ("enospc", "serve"))],

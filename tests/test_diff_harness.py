@@ -234,6 +234,54 @@ class TestFaultDetection:
         assert len(summary["shrunk"]) == 1
 
 
+#: the fix each counter belongs to, in ``repro.core.add``
+COUNTER_FIXES = {
+    "dual_resolved": "_fix_dual_inferences",
+    "dual_same_as": "_fix_dual_inferences",
+    "divergent_other_sides": "_flag_divergent_other_sides",
+    "inverse_removed": "_fix_inverse_inferences",
+    "uncertain_pairs": "_fix_inverse_inferences",
+}
+
+
+class TestFixCounters:
+    """The fixes' counters are output (the result's diagnostics), so
+    each is held to the oracle's count of the same events."""
+
+    @pytest.mark.parametrize(
+        "preset, seed, fired",
+        [("tiny", 11, "dual_resolved"), ("small", 1, "divergent_other_sides"),
+         ("small", 3, "inverse_removed")],
+    )
+    def test_counters_agree_where_the_fixes_fire(self, preset, seed, fired):
+        world = world_from_preset(preset, seed)
+        graph = build_graph(world)
+        expected = oracle_run(
+            graph, world.ip2as(), world.as2org, world.relationships,
+            oracle_config_for(MapItConfig()),
+        ).fix_counters()
+        assert expected[fired] > 0
+        assert compare_world(world).counters is None
+
+    @pytest.mark.parametrize("counter", sorted(COUNTER_FIXES))
+    def test_a_counter_only_fault_fails_the_world(self, counter, monkeypatch):
+        import repro.core.add as add
+
+        fix = getattr(add, COUNTER_FIXES[counter])
+
+        def miscounted(engine, *args):
+            setattr(engine.state, counter, getattr(engine.state, counter) + 1)
+            return fix(engine, *args)
+
+        monkeypatch.setattr(add, COUNTER_FIXES[counter], miscounted)
+        world = world_from_preset("tiny", 0)
+        outcome = compare_world(world)
+        assert not outcome.ok and not outcome.divergences and outcome.trajectory is None
+        assert outcome.counters[0] == counter
+        assert f"fix counter differs, core vs oracle\n  {counter}: core " in outcome.report
+        assert world_diverges(world)
+
+
 class TestTrajectory:
     """The §4.6 loop is held to the oracle's on every world: the same
     number of outer iterations, and the same answer to whether the

@@ -18,7 +18,7 @@ import repro.io.atomic as atomic
 import repro.serve.checkpoint  # noqa: F401 - bound before a shim: a module first imported under one keeps it
 from repro.cli import main
 from repro.core.config import MapItConfig
-from repro.robust.journal import run_identity_for
+from repro.robust.journal import run_identity
 
 
 @pytest.fixture
@@ -61,7 +61,8 @@ def test_journaled_run_hashes_traces_once(tmp_bundle, tmp_path, capsys, traces_h
     assert main(argv + ["--journal", str(journal)]) == 0
     assert _traces_count(traces_hashes) == 1
     # the run id is still the traces digest's
-    run_id = run_identity_for(dataset, MapItConfig(f=0.5), "strict")
+    digest = atomic.file_sha256(dataset / "traces.txt")
+    run_id = run_identity(digest, MapItConfig(f=0.5), "strict", "text")
     assert f"journal: run {run_id}" in capsys.readouterr().err
 
 

@@ -2,15 +2,15 @@
 
 :func:`repro.perf.ingest.stream_graph_from_file` parses, sanitizes and
 folds trace text straight to integer neighbor tables, without building
-a ``Trace`` or ``Hop``.  These tests hold it, at one and two shards, to
-the object parser (``parse_text_trace``, the ingest report) followed by
+a ``Trace`` or ``Hop``.  These tests hold it, at one, two and four
+shards, to the object parser (``parse_text_trace``, the ingest report) followed by
 the oracle's paper-literal fold (:func:`repro.oracle.oracle_fold`) on
 seeded generated text under every ingest mode — tables, tallies and
 the retained addresses scoring reads — pin its cache payload to the
 bundle of the oracle fold's tables byte for byte, and check that a
 graph-only load — and every command built on one: ``run`` (journaled
-or not, resumed or not), ``explain`` and ``report`` — never calls the
-object parsers at all.
+or not, resumed after a kill or not), ``explain`` and ``report`` —
+never calls the object parsers at all.
 """
 
 import json
@@ -24,7 +24,7 @@ import repro.robust.ingest as robust_ingest
 import repro.traceroute.parse as trace_parse
 from repro.cli import main
 from repro.io.atomic import file_sha256
-from repro.io.bundle import load_bundle
+from repro.io.bundle import InputBundle, load_bundle
 from repro.net.ipv4 import format_address, parse_address
 from repro.net.special import default_special_registry
 from repro.obs.metrics import Metrics
@@ -32,7 +32,7 @@ from repro.obs.observer import Observability
 from repro.perf.cache import BundleCache
 from repro.perf.flat import GraphFold, pack_traces
 from repro.perf.ingest import stream_graph_from_file
-from repro.robust.errors import MAX_DETAILED_ERRORS
+from repro.robust.errors import MAX_DETAILED_ERRORS, ErrorBudget, ErrorBudgetExceeded
 from repro.robust.ingest import ingest_trace_file
 from repro.robust.journal import RunJournal
 from repro.serve.checkpoint import CHECKPOINT_UNIT
@@ -153,7 +153,7 @@ def _assert_same(oracle, kernel, oracle_dir, kernel_dir):
 class TestKernelMatchesObjectPipeline:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("mode", ["lenient", "quarantine"])
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_tolerant_modes(self, seed, mode, jobs, tmp_path):
         path = tmp_path / "traces.txt"
         path.write_text(_text(random.Random(9_001 * (seed + 1))))
@@ -182,7 +182,7 @@ class TestKernelMatchesObjectPipeline:
             assert bundle.graph.backward == oracle[0].backward
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_strict_raises_the_same_error(self, seed, jobs, tmp_path):
         path = tmp_path / "traces.txt"
         path.write_text(_text(random.Random(77 * (seed + 1))))
@@ -197,7 +197,7 @@ class TestKernelMatchesObjectPipeline:
         )
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_error_cap_and_rejects(self, jobs, tmp_path):
         rng = random.Random(5)
         lines = []
@@ -211,6 +211,18 @@ class TestKernelMatchesObjectPipeline:
         assert len(oracle[1].errors) == MAX_DETAILED_ERRORS < oracle[1].malformed
         kernel = _kernel(path, jobs, "quarantine", tmp_path / "qb")
         _assert_same(oracle, kernel, tmp_path / "qa", tmp_path / "qb")
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_error_budget_raises(self, jobs, tmp_path):
+        """The budget is judged over the whole source, every shard's
+        rejects together, as the object parser judges it."""
+        path = tmp_path / "traces.txt"
+        path.write_text(_text(random.Random(31)) + "junk\n" * 12)
+        with pytest.raises(ErrorBudgetExceeded) as want:
+            ingest_trace_file(path, mode="lenient", budget=ErrorBudget(0.1))
+        with pytest.raises(ErrorBudgetExceeded) as got:
+            stream_graph_from_file(path, jobs, mode="lenient", budget=ErrorBudget(0.1))
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_bad_token_is_never_memoised(self, jobs, tmp_path):
@@ -458,16 +470,16 @@ def test_one_fold_state_every_source_both_on_disk_uses(tmp_bundle, tmp_path, cap
     )
 
 
+def _interrupted(self, config=None, obs=None):
+    """``InputBundle.run_mapit`` killed after the graph load (SIGINT)."""
+    raise KeyboardInterrupt
+
+
 class TestNoObjectParse:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_graph_only_load_never_builds_traces(
         self, jobs, tmp_bundle, tmp_path, monkeypatch, capsys
     ):
-        from repro.core.config import MapItConfig
-        from repro.robust.faults import ChaosInjector, SimulatedCrash
-        from repro.robust.hooks import chaos
-        from repro.robust.journal import run_identity_for
-
         def refuse(*args, **kwargs):
             raise AssertionError("a graph-only load parsed a trace object")
 
@@ -490,10 +502,10 @@ class TestNoObjectParse:
         assert main(run + journal + ["--output", str(fresh)]) == 0
         assert fresh.read_bytes() == plain.read_bytes()
         crashed = ["--journal", str(tmp_path / "crashed")]
-        with chaos(ChaosInjector(crash_after_result=True)):
-            with pytest.raises(SimulatedCrash):
-                main(run + crashed + ["--output", str(tmp_path / "crash.json")])
-        run_id = run_identity_for(dataset, MapItConfig(f=0.5), "strict")
+        with monkeypatch.context() as patch:
+            patch.setattr(InputBundle, "run_mapit", _interrupted)
+            assert main(run + crashed + ["--output", str(tmp_path / "crash.json")]) == 130
+        run_id = capsys.readouterr().err.split("journal: run ")[1].split()[0]
         resumed = tmp_path / "resumed.json"
         assert main(run + crashed + ["--resume", run_id, "--output", str(resumed)]) == 0
         assert resumed.read_bytes() == plain.read_bytes()

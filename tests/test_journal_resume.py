@@ -1,47 +1,46 @@
-"""Run journal: durability, torn tails, crash + resume byte-identity.
+"""The journal and ``mapit run --resume``: durability, torn tails,
+bounded blobs, kill + resume byte-identity.
 
 The contract under test is the acceptance bar of the robustness layer:
 a killed run resumed with ``--resume`` produces output byte-for-byte
 identical to an uninterrupted run, and a journal failure (full disk,
-torn tail) degrades durability but never the run's result.  Journaled
-runs start from the fused loader's graph (``load_bundle(...,
-graph_only=True)``); the result is the journal's only unit, so a
-resume either replays it or re-runs the passes over the graph.
+torn tail) degrades durability but never the result.  ``mapit run``
+journals nothing: ``--journal DIR`` keeps its folded-graph cache entry
+in DIR, so a resume is a run whose load hits that entry.
+:class:`RunJournal` itself serves ``mapit serve`` and ``mapit sweep``.
 """
 
 import json
 import pickle
-from dataclasses import dataclass, field
-from typing import List
 
 import pytest
 
-import repro.core.results
 from repro.cli import main
-from repro.core.config import MapItConfig
-from repro.core.mapit import MapIt
-from repro.io import load_bundle
+from repro.io.atomic import atomic_write_bytes
+from repro.io.bundle import InputBundle
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observability
-from repro.obs.trace import Tracer, iter_events
-from repro.robust.faults import ChaosInjector, SimulatedCrash
+from repro.robust.faults import ChaosInjector
 from repro.robust.hooks import chaos
-from repro.robust.journal import (
-    RunJournal,
-    journaled_run,
-    run_identity,
-    run_identity_for,
-)
+from repro.robust.journal import KEPT_BLOBS, RunJournal, run_identity
 
 
-@pytest.fixture(scope="module")
-def bundle(tmp_bundle):
-    return load_bundle(tmp_bundle(seed=3), graph_only=True)
+@pytest.fixture(autouse=True)
+def _no_env_cache(monkeypatch):
+    """``$MAPIT_CACHE`` would move a journaled run's cache entry out of
+    its journal directory."""
+    monkeypatch.delenv("MAPIT_CACHE", raising=False)
+    monkeypatch.delenv("MAPIT_JOURNAL", raising=False)
 
 
 def _metrics_obs():
     metrics = Metrics()
     return Observability(metrics=metrics), metrics
+
+
+def _run_id(err):
+    """The run id from a journaled run's ``journal: run <id>`` line."""
+    return err.split("journal: run ")[1].split()[0]
 
 
 class TestRunIdentity:
@@ -53,15 +52,17 @@ class TestRunIdentity:
         assert base != run_identity("a" * 64, "cfg", "lenient", "text")
         assert len(base) == 16
 
-    def test_directory_lookup(self, tmp_bundle):
+    def test_directory_lookup(self, tmp_bundle, tmp_path, capsys):
+        """``mapit run --journal`` keys its id to the dataset's traces
+        file and the ingest mode."""
         dataset = tmp_bundle(seed=3)
-        first = run_identity_for(dataset, None, "strict")
-        assert first == run_identity_for(dataset, None, "strict")
-        assert first != run_identity_for(dataset, None, "lenient")
-
-    def test_missing_traces_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            run_identity_for(tmp_path, None, "strict")
+        run = ["run", str(dataset), "--output", str(tmp_path / "out.txt")]
+        ids = []
+        for mode in ("strict", "strict", "lenient"):
+            journal = ["--journal", str(tmp_path / mode), "--on-error", mode]
+            assert main(run + journal) == 0
+            ids.append(_run_id(capsys.readouterr().err))
+        assert ids[0] == ids[1] != ids[2]
 
 
 class TestJournalFile:
@@ -137,12 +138,35 @@ class TestJournalFile:
         assert first.append("unit", {}, blob=b"first")
         second = RunJournal(tmp_path, "abc123")
         assert second.append("unit", {}, blob=b"second")
+        reader = RunJournal(tmp_path, "abc123")
+        assert [reader.load_blob(p) for p in reader.units("unit")] == [b"first", b"second"]
         assert second.append("unit", {}, blob=b"third")
         reader = RunJournal(tmp_path, "abc123")
         payloads = reader.units("unit")
         assert len({payload["blob"] for payload in payloads}) == 3
-        assert [reader.load_blob(p) for p in payloads] == [b"first", b"second", b"third"]
-        assert len(list(tmp_path.glob("abc123.*.blob"))) == 3
+        # the first blob is two checkpoints old: deleted
+        assert [reader.load_blob(p) for p in payloads] == [None, b"second", b"third"]
+        assert len(list(tmp_path.glob("abc123.*.blob"))) == 2
+
+    def test_keeps_the_newest_two_blobs(self, tmp_path):
+        """A blob goes once two newer blob-carrying records are durable,
+        including the blobs an earlier release left behind; a record
+        without a blob prunes nothing."""
+        assert KEPT_BLOBS == 2
+        journal = RunJournal(tmp_path, "abc123")
+        for name in ("serve000000", "serve000001"):
+            sha = atomic_write_bytes(tmp_path / f"abc123.{name}.blob", name.encode())
+            assert journal.append("unit", {"blob": name, "sha256": sha})
+        assert journal.append("unit", {})
+        assert len(list(tmp_path.glob("*.blob"))) == 2
+        fresh = RunJournal(tmp_path, "abc123")
+        for index in range(4):
+            assert fresh.append("unit", {}, blob=b"state %d" % index)
+        names = sorted(path.name for path in tmp_path.glob("*.blob"))
+        assert names == ["abc123.seq000005.blob", "abc123.seq000006.blob"]
+        reader = RunJournal(tmp_path, "abc123")
+        loaded = [reader.load_blob(p) for p in reader.units("unit") if "blob" in p]
+        assert loaded == [None, None, None, None, b"state 2", b"state 3"]
 
     def test_enospc_fails_blob_and_record_together(self, tmp_path):
         obs, metrics = _metrics_obs()
@@ -166,182 +190,82 @@ class TestJournalFile:
 
 
 class TestJournaledRun:
-    def test_matches_unjournaled_run(self, bundle, tmp_path):
-        plain = bundle.run_mapit()
-        journal = RunJournal(tmp_path, "run1")
-        journaled = journaled_run(bundle, journal=journal)
-        assert journaled.to_json() == plain.to_json()
-        units = [r["unit"] for r in RunJournal(tmp_path, "run1").read()]
-        assert units == ["result"]
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "run1.journal.jsonl"
-        ]
+    """``mapit run --journal DIR``: DIR holds the run's cache entry, and
+    a resume is the run over it."""
 
-    def test_object_bundle_is_refused(self, tmp_bundle, tmp_path):
-        objects = load_bundle(tmp_bundle(seed=3))
-        with pytest.raises(ValueError, match="graph_only"):
-            journaled_run(objects, journal=RunJournal(tmp_path, "run0"))
+    def test_matches_unjournaled_run(self, tmp_bundle, tmp_path, capsys):
+        """Journaled runs of one dataset share a run id and write no
+        journal file: the directory holds the one cache entry, however
+        many runs and resumes used it, and every output is a plain
+        run's."""
+        dataset = tmp_bundle(seed=3)
+        journal_dir = tmp_path / "journal"
+        plain = tmp_path / "plain.json"
+        assert main(["run", str(dataset), "--json", "--output", str(plain)]) == 0
+        run = ["run", str(dataset), "--json", "--journal", str(journal_dir)]
+        outputs = [tmp_path / f"out{index}.json" for index in range(3)]
+        assert main(run + ["--output", str(outputs[0])]) == 0
+        assert main(run + ["--output", str(outputs[1])]) == 0
+        run_id = _run_id(capsys.readouterr().err)
+        assert main(run + ["--output", str(outputs[2]), "--resume", run_id]) == 0
+        (entry,) = journal_dir.iterdir()
+        assert entry.suffix == ".mapitc"
+        assert [output.read_bytes() for output in outputs] == [plain.read_bytes()] * 3
 
-    def test_crash_then_resume_is_byte_identical(self, bundle, tmp_path):
-        plain = bundle.run_mapit()
-        journal = RunJournal(tmp_path, "run2")
-        with chaos(ChaosInjector(crash_after_result=True)):
-            with pytest.raises(SimulatedCrash):
-                journaled_run(bundle, journal=journal)
-        obs, metrics = _metrics_obs()
-        resumed = journaled_run(
-            bundle, obs=obs, journal=RunJournal(tmp_path, "run2"), resume=True
-        )
-        assert resumed.to_json() == plain.to_json()
-        # the crashed run's result was replayed, not appended again
-        assert metrics.counters["robust.journal.replayed"] == 1
-        units = [r["unit"] for r in RunJournal(tmp_path, "run2").read()]
-        assert units == ["result"]
-
-    def test_resume_after_finish_replays_result(self, bundle, tmp_path):
-        obs, metrics = _metrics_obs()
-        journal = RunJournal(tmp_path, "run3")
-        first = journaled_run(bundle, journal=journal)
-        replayed = journaled_run(
-            bundle,
-            obs=obs,
-            journal=RunJournal(tmp_path, "run3"),
-            resume=True,
-        )
-        assert replayed.to_json() == first.to_json()
-        assert metrics.counters["robust.journal.replayed"] == 1
-
-    def test_torn_journal_resume_still_matches(self, bundle, tmp_path):
-        """A crash that tears the result line leaves nothing to replay:
-        the resume re-runs the passes and journals a fresh result."""
-        plain = bundle.run_mapit()
-        journal = RunJournal(tmp_path, "run4")
-        with chaos(ChaosInjector(crash_after_result=True)):
-            with pytest.raises(SimulatedCrash):
-                journaled_run(bundle, journal=journal)
-        data = journal.path.read_bytes()
-        journal.path.write_bytes(data[: len(data) - 15])
-        metrics = Metrics()
-        tracer = Tracer(timestamps=False)
-        obs = Observability(tracer=tracer, metrics=metrics)
-        resumed = journaled_run(
-            bundle,
-            obs=obs,
-            journal=RunJournal(tmp_path, "run4", obs=obs),
-            resume=True,
-        )
-        assert resumed.to_json() == plain.to_json()
-        assert metrics.counters["robust.journal.torn_tail"] == 1
-        assert "robust.journal.replayed" not in metrics.counters
-        (event,) = iter_events(tracer.events, "journal.resume")
-        assert event["run_id"] == "run4"
-        units = [r["unit"] for r in RunJournal(tmp_path, "run4").read()]
-        assert units == ["result"]
-
-    def test_corrupt_iteration_blob_restarts_from_scratch(
-        self, bundle, tmp_path, refuse_unpickling
+    def test_crash_then_resume_is_byte_identical(
+        self, tmp_bundle, tmp_path, capsys, monkeypatch
     ):
-        """An earlier release's crash left an ``iteration`` record whose
-        blob is garbage and no result: the blob is never opened, and the
-        resume re-runs every pass from iteration 0."""
-        plain = bundle.run_mapit()
-        journal = RunJournal(tmp_path, "run5")
-        assert journal.append("iteration", {"iteration": 1}, blob=b"not a pickle")
-        metrics = Metrics()
-        tracer = Tracer(timestamps=False)
-        obs = Observability(tracer=tracer, metrics=metrics)
-        resumed = journaled_run(
-            bundle,
-            obs=obs,
-            journal=RunJournal(tmp_path, "run5", obs=obs),
-            resume=True,
-        )
-        assert resumed.to_json() == plain.to_json()
-        assert refuse_unpickling == []
-        assert "robust.journal.blob_corrupt" not in metrics.counters
-        assert "robust.journal.replayed" not in metrics.counters
-        (event,) = iter_events(tracer.events, "journal.resume")
-        assert "iteration" not in event
-        (start,) = iter_events(tracer.events, "run.start")
-        assert "resumed_from" not in start
-        units = [r["unit"] for r in RunJournal(tmp_path, "run5").read()]
-        assert units == ["iteration", "result"]
+        """A run killed after its graph load stored the cache entry,
+        re-run with ``--resume``: the bytes of an uninterrupted run, a
+        cache hit, and the trace of a warm ``--cache`` run."""
+        dataset = tmp_bundle(seed=3)
+        journal_dir = tmp_path / "journal"
+        run = ["run", str(dataset), "--json"]
+        plain = tmp_path / "plain.json"
+        assert main(run + ["--output", str(plain)]) == 0
 
-    def test_parent_graph_record_is_skipped(
-        self, bundle, tmp_path, refuse_unpickling
-    ):
-        """Journals written before the graph stopped being a unit hold
-        a ``graph`` record (and its pickled blob) ahead of their
-        iterations; a resume skips both and never reads either blob."""
-        plain = bundle.run_mapit()
-        journal = RunJournal(tmp_path, "run7")
-        assert journal.append("graph", {}, blob=b"never unpickled")
-        assert journal.append("iteration", {"iteration": 1}, blob=b"never unpickled")
-        obs, metrics = _metrics_obs()
-        resumed = journaled_run(
-            bundle,
-            obs=obs,
-            journal=RunJournal(tmp_path, "run7", obs=obs),
-            resume=True,
-        )
-        assert resumed.to_json() == plain.to_json()
-        assert refuse_unpickling == []
-        assert "robust.journal.blob_corrupt" not in metrics.counters
-        records = RunJournal(tmp_path, "run7").read()
-        assert [r["unit"] for r in records] == ["graph", "iteration", "result"]
-        assert [r["seq"] for r in records] == [0, 1, 2]
+        def killed(self, config=None, obs=None):
+            raise KeyboardInterrupt
 
-    def test_enospc_mid_run_still_completes(self, bundle, tmp_path):
-        plain = bundle.run_mapit()
-        obs, metrics = _metrics_obs()
-        journal = RunJournal(tmp_path, "run6", obs=obs)
-        # seq 0 is the result append, the run's only journal write
-        with chaos(ChaosInjector(journal_enospc_seqs={0})):
-            result = journaled_run(bundle, journal=journal)
-        assert result.to_json() == plain.to_json()
-        assert journal.disabled
-        assert metrics.counters["robust.journal.write_failed"] == 1
-
-
-@dataclass
-class EngineSnapshot:
-    """The iteration unit earlier releases pickled into their journals."""
-
-    __module__ = "repro.core.results"
-
-    iterations: int
-    state: object
-    seen_fingerprints: List[str]
-    checkpoints: List[object] = field(default_factory=list)
-
-
-def _write_parent_journal(journal_dir, run_id, dataset, monkeypatch):
-    """Journal a crash the way earlier releases left one: a ``graph``
-    record, then one ``iteration`` record per multipass iteration, each
-    with a blob holding a pickled engine snapshot, and no result."""
-    graph_bundle = load_bundle(dataset, graph_only=True)
-    journal = RunJournal(journal_dir, run_id)
-    journal.path.unlink()
-    assert journal.append("graph", {}, blob=pickle.dumps(graph_bundle.graph))
-    for iterations in (1, 2):
-        mapit = MapIt(
-            graph_bundle.graph,
-            graph_bundle.ip2as,
-            org=graph_bundle.as2org,
-            rel=graph_bundle.relationships,
-            config=MapItConfig(max_iterations=iterations, enable_stub_heuristic=False),
-        )
-        mapit.run()
-        state = mapit.engine.state
         with monkeypatch.context() as patch:
-            patch.setattr(
-                repro.core.results, "EngineSnapshot", EngineSnapshot, raising=False
-            )
-            blob = pickle.dumps(
-                EngineSnapshot(iterations, state, [state.fingerprint()]),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        assert journal.append("iteration", {"iteration": iterations}, blob=blob)
+            patch.setattr(InputBundle, "run_mapit", killed)
+            journaled = run + ["--output", str(tmp_path / "killed.json")]
+            assert main(journaled + ["--journal", str(journal_dir)]) == 130
+        assert not (tmp_path / "killed.json").exists()
+        run_id = _run_id(capsys.readouterr().err)
+        resumed, metrics = tmp_path / "resumed.json", tmp_path / "m.json"
+        resume = ["--journal", str(journal_dir), "--resume", run_id]
+        trace = ["--metrics", str(metrics), "--trace", str(tmp_path / "resumed.jsonl")]
+        assert main(run + ["--output", str(resumed)] + resume + trace) == 0
+        assert resumed.read_bytes() == plain.read_bytes()
+        assert json.loads(metrics.read_text())["counters"]["perf.cache.hits"] == 1
+        warm = ["--cache", str(journal_dir), "--trace", str(tmp_path / "warm.jsonl")]
+        assert main(run + ["--output", str(tmp_path / "warm.json")] + warm) == 0
+        resumed_trace = (tmp_path / "resumed.jsonl").read_bytes()
+        assert resumed_trace == (tmp_path / "warm.jsonl").read_bytes()
+        assert b"journal" not in resumed_trace
+
+    def test_enospc_mid_run_still_completes(self, tmp_bundle, tmp_path, capsys):
+        """A full disk loses the cache entry, never the run: the output
+        is a plain run's, and a resume parses the traces again."""
+        dataset = tmp_bundle(seed=3)
+        journal_dir = tmp_path / "journal"
+        run = ["run", str(dataset), "--json"]
+        plain = tmp_path / "plain.json"
+        assert main(run + ["--output", str(plain)]) == 0
+        journaled = run + ["--journal", str(journal_dir)]
+        outputs = [tmp_path / "full.json", tmp_path / "resumed.json"]
+        metrics = [tmp_path / "full.m.json", tmp_path / "resumed.m.json"]
+        with chaos(ChaosInjector(cache_enospc=True)):
+            assert main(journaled + ["--output", str(outputs[0]), "--metrics", str(metrics[0])]) == 0
+        run_id = _run_id(capsys.readouterr().err)
+        resume = ["--resume", run_id, "--output", str(outputs[1]), "--metrics", str(metrics[1])]
+        assert main(journaled + resume) == 0
+        counters = [json.loads(path.read_text())["counters"] for path in metrics]
+        assert counters[0]["perf.cache.store_failed"] == 1
+        assert counters[1]["perf.cache.misses"] == 1
+        assert "perf.cache.hits" not in counters[1]
+        assert [output.read_bytes() for output in outputs] == [plain.read_bytes()] * 2
 
 
 class TestCliJournal:
@@ -360,9 +284,7 @@ class TestCliJournal:
                 "--journal", str(journal_dir),
             ]
         ) == 0
-        err = capsys.readouterr().err
-        assert "journal: run " in err
-        run_id = err.split("journal: run ")[1].split()[0]
+        run_id = _run_id(capsys.readouterr().err)
         assert main(
             [
                 "run", str(dataset), "--output", str(resumed_out), "--json",
@@ -373,62 +295,34 @@ class TestCliJournal:
         assert resumed_out.read_bytes() == plain_out.read_bytes()
         assert json.loads(resumed_out.read_text())
 
-    def test_second_run_appends_after_the_first(self, tmp_bundle, tmp_path, capsys):
-        """Two journaled runs of one dataset share a run id: the second
-        appends its result as seq 1 (it had rewritten seq 0, so the
-        resume counted a torn tail and rewrote the journal), and a
-        resume replays it — three equal outputs."""
+    def test_parent_journal_resumes_without_unpickling(
+        self, tmp_bundle, tmp_path, capsys, refuse_unpickling
+    ):
+        """A run journal an earlier release left in the directory — a
+        ``graph`` record and an ``iteration`` record whose blobs are
+        pickles, and a ``result`` — is never opened: the resume re-runs
+        the passes over the cached graph and leaves the journal as it
+        was."""
         dataset = tmp_bundle(seed=3)
         journal_dir = tmp_path / "journal"
         run = ["run", str(dataset), "--json", "--journal", str(journal_dir)]
-        outputs = [tmp_path / f"out{index}.json" for index in range(3)]
-        assert main(run + ["--output", str(outputs[0])]) == 0
-        assert main(run + ["--output", str(outputs[1])]) == 0
-        run_id = capsys.readouterr().err.split("journal: run ")[1].split()[0]
-        metrics = tmp_path / "m.json"
-        resume = ["--resume", run_id, "--metrics", str(metrics)]
-        assert main(run + ["--output", str(outputs[2])] + resume) == 0
-        counters = json.loads(metrics.read_text())["counters"]
-        assert "robust.journal.torn_tail" not in counters
-        assert counters["robust.journal.replayed"] == 1
-        records = RunJournal(journal_dir, run_id).read()
-        assert [(r["seq"], r["unit"]) for r in records] == [(0, "result"), (1, "result")]
-        assert outputs[1].read_bytes() == outputs[0].read_bytes()
-        assert outputs[2].read_bytes() == outputs[0].read_bytes()
-
-    def test_parent_journal_resumes_without_unpickling(
-        self, tmp_bundle, tmp_path, capsys, monkeypatch, refuse_unpickling
-    ):
-        """A crashed journal of an earlier release — a ``graph`` record
-        and pickled iteration snapshots, no result — resumes by
-        re-running the passes over the cached graph: same bytes, and
-        nothing read from the journal directory is unpickled."""
-        dataset = tmp_bundle(seed=3)
-        journal_dir = tmp_path / "journal"
-        run = ["run", str(dataset), "--json"]
-        plain_out, first_out = tmp_path / "plain.json", tmp_path / "first.json"
+        plain_out = tmp_path / "plain.json"
         assert main(run + ["--output", str(plain_out)]) == 0
-        assert main(
-            run + ["--output", str(first_out), "--journal", str(journal_dir)]
-        ) == 0
-        assert first_out.read_bytes() == plain_out.read_bytes()
-        run_id = capsys.readouterr().err.split("journal: run ")[1].split()[0]
-        _write_parent_journal(journal_dir, run_id, dataset, monkeypatch)
-        units = [r["unit"] for r in RunJournal(journal_dir, run_id).read()]
-        assert units == ["graph", "iteration", "iteration"]
+        run_id = _run_id(capsys.readouterr().err)
+        parent = RunJournal(journal_dir, run_id)
+        assert parent.append("graph", {}, blob=pickle.dumps({"graph": 1}))
+        assert parent.append("iteration", {"iteration": 1}, blob=pickle.dumps([1]))
+        assert parent.append("result", {"json": "{}"})
+        before = sorted((path.name, path.read_bytes()) for path in journal_dir.iterdir())
         resumed_out, metrics = tmp_path / "resumed.json", tmp_path / "m.json"
-        assert main(
-            run
-            + ["--output", str(resumed_out), "--journal", str(journal_dir)]
-            + ["--resume", run_id, "--metrics", str(metrics)]
-        ) == 0
+        resume = ["--resume", run_id, "--metrics", str(metrics)]
+        assert main(run + ["--output", str(resumed_out)] + resume) == 0
         assert refuse_unpickling == []
         assert resumed_out.read_bytes() == plain_out.read_bytes()
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["perf.cache.hits"] == 1
-        assert "robust.journal.replayed" not in counters
-        units = [r["unit"] for r in RunJournal(journal_dir, run_id).read()]
-        assert units == ["graph", "iteration", "iteration", "result"]
+        assert not [name for name in counters if name.startswith("robust.journal")]
+        assert sorted((path.name, path.read_bytes()) for path in journal_dir.iterdir()) == before
 
     def test_resume_without_journal_is_usage_error(self, tmp_bundle, capsys):
         dataset = tmp_bundle(seed=3)

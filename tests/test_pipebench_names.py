@@ -1,12 +1,15 @@
-"""Every ``repro`` name the pipeline benchmark imports still exists.
+"""Every ``repro`` name and ``mapit run`` flag the pipeline benchmark
+uses still exists.
 
 ``pipebench/`` calls into the library from its workloads' set-up and
-from its timed children, mostly through imports inside functions, so a
-renamed or deleted name would otherwise surface only when the
+from its timed children, mostly through imports inside functions, and
+launches ``mapit run`` with the flags its workloads list, so a renamed
+or deleted name or flag would otherwise surface only when the
 benchmark's own self-test runs.  This reads the benchmark's sources
-with :mod:`ast` (it never imports or changes them) and resolves each
+with :mod:`ast` (it never imports or changes them), resolves each
 ``from repro... import name`` and ``import repro...`` against the
-library.
+library, and parses each ``mapit run`` command line with the CLI's own
+parser.
 """
 
 import ast
@@ -73,3 +76,57 @@ def test_the_guarded_calls_are_read():
         "sanitize_traces",
         "InterfaceGraph",
     } <= names
+
+
+def _words(node):
+    """A list literal's elements: each string literal as itself, any
+    other expression as ``"1"``, a value every benchmark flag takes."""
+    return [
+        element.value
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+        else "1"
+        for element in node.elts
+    ]
+
+
+def run_command_lines(path):
+    """The ``mapit run`` argv lists *path* builds: a list literal naming
+    ``"cli", "run"`` (from ``"run"`` on), and that command line with each
+    option list literal (one opening with a ``--`` flag) of the same
+    function appended."""
+    found = []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        lists = [_words(node) for node in ast.walk(function) if isinstance(node, ast.List)]
+        bases = [
+            words[index + 1 :]
+            for words in lists
+            for index in range(len(words) - 1)
+            if words[index : index + 2] == ["cli", "run"]
+        ]
+        found.extend(bases)
+        if bases:
+            found.extend(
+                bases[0] + words for words in lists if words and words[0].startswith("--")
+            )
+    return found
+
+
+def test_the_benchmark_run_flags_parse():
+    """``mapit run`` still parses every command line the benchmark
+    launches (run-dense's plain, ``--jobs``, ``--cache`` and
+    ``--journal`` runs)."""
+    from repro.cli import build_parser
+
+    command_lines = run_command_lines(PIPEBENCH / "workloads.py")
+    flags = {word for argv in command_lines for word in argv if word.startswith("--")}
+    assert {"--json", "--output", "--cache", "--jobs", "--journal"} <= flags
+    parser = build_parser()
+    for argv in command_lines:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"mapit cannot parse: {' '.join(argv)}")
+        assert args.func.__name__ == "cmd_run"

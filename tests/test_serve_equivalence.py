@@ -493,6 +493,36 @@ def test_fresh_session_on_a_used_journal_appends(tmp_bundle, tmp_path, capsys):
     assert len({record["payload"]["blob"] for record in records}) == 3
 
 
+def test_checkpoints_keep_the_newest_two_blobs(world, tmp_path):
+    """A session checkpointing every few folds leaves two blobs, not one
+    per checkpoint, and a resume whose newest blob is damaged still
+    falls back to the one before it."""
+    journal_dir = tmp_path / "journal"
+    daemon = ServeDaemon(
+        _fresh_index(world),
+        format="text",
+        journal=RunJournal(journal_dir, "s"),
+        checkpoint_every=10,
+    )
+    for line in traces_to_text_lines(world.traces):
+        daemon.ingest_entry(line, "stream")
+    daemon.finalize()
+    payloads = RunJournal(journal_dir, "s").units(CHECKPOINT_UNIT)
+    assert len(payloads) > 5
+    blobs = sorted(path.name for path in journal_dir.glob("*.blob"))
+    assert blobs == [f"s.{payload['blob']}.blob" for payload in payloads[-2:]]
+    (journal_dir / blobs[-1]).write_bytes(b"damaged")
+    metrics = Metrics()
+    resumed = ServeDaemon(
+        _fresh_index(world),
+        format="text",
+        journal=RunJournal(journal_dir, "s", obs=Observability(metrics=metrics)),
+    )
+    assert resumed.resume()
+    assert resumed.stats["folds"] == payloads[-2]["stats"]["folds"]
+    assert metrics.counters["robust.journal.blob_corrupt"] == 1
+
+
 def _health_lines(err):
     """The stderr health summary: every line up to ``bundle health:``."""
     lines = err.splitlines()
